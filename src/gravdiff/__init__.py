@@ -33,6 +33,7 @@ from .model import (
     from_dimensionless,
     ground_state,
     linearize,
+    propagator,
     state_from_dimensionless,
     state_to_dimensionless,
     symplectic_form,

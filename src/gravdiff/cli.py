@@ -203,6 +203,8 @@ def cmd_evolve(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     Om = sys_lin.Omega1
     w = np.linspace(0.25 * Om, 2.0 * Om, args.grid)
     if args.model == "fixed":
@@ -224,10 +226,14 @@ def cmd_spectrum(args) -> int:
 def _resolve_seed(args, cfg):
     """--seed wins, then a config 'seed' key, then recorded entropy."""
     if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return int.from_bytes(os.urandom(8), "little") & (2**63 - 1)
+        seed, source = args.seed, "--seed"
+    elif "seed" in cfg:
+        seed, source = cfg["seed"], "config key 'seed'"
+    else:
+        return int.from_bytes(os.urandom(8), "little") & (2**63 - 1)
+    if not (0 <= seed < 2**64 and seed == int(seed)):
+        raise ConfigError(f"{source} must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def cmd_simulate(args) -> int:
@@ -273,6 +279,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reheat(args) -> int:
+    if not args.cycle_time > 0:
+        raise ConfigError(f"--cycle-time must be positive, got {args.cycle_time}")
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
     seed = _resolve_seed(args, cfg)
@@ -354,12 +362,7 @@ def cmd_sweep(args) -> int:
                 rep.Q_required_relaxed, rep.t_int, rep.margin_conservative,
                 rep.margin_relaxed, 1.0 if rep.verdict == "feasible-in-principle" else 0.0)
 
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(evaluate, values))
-    else:
-        rows = [evaluate(v) for v in values]
+    rows = [evaluate(v) for v in values]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -405,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--table1", action="store_true",
                        help="use the built-in reference pendulum parameter set")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap; results are independent of N")
         if needs_seed:
             p.add_argument("--seed", type=int, default=None,
                            help="master seed; omitted -> entropy seed recorded in the manifest")
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
     p.add_argument("--periods", type=float, default=3.0, help="evolution length in oscillator periods")
-    p.add_argument("--dt", type=float, default=None, help="RK4 step [s] (default: period/500)")
+    p.add_argument("--dt", type=float, default=None, help="sampling step [s] (default: period/500)")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("spectrum",

@@ -11,9 +11,10 @@ by V + (i/2) L J L >= 0 with the partial reflection L = diag(1, 1, 1, -1).
 A negative minimum eigenvalue of the PPT matrix certifies entanglement; a
 non-negative one certifies separability for two single modes.
 
-Integration is fixed-step classical Runge-Kutta (RK4): the system is linear
-with known timescales, and fixed steps make trajectories reproducible across
-runs and platforms. V is re-symmetrized every step.
+The equation is linear-Gaussian, so each sampling step is exact:
+V <- Phi V Phi^T + Q and <c> <- Phi <c>, with (Phi, Q) from
+:func:`gravdiff.model.propagator`. The sampling step only sets how finely the
+trajectory and its eigenvalue diagnostics are resolved, not its accuracy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     DiffusionMatrix,
     GaussianState,
     LinearizedSystem,
+    propagator,
     symplectic_form,
     to_dimensionless,
 )
@@ -45,8 +47,8 @@ __all__ = [
 # Absolute eigenvalue tolerance in dimensionless units.
 EIG_TOL = 1e-10
 
-# Fixed-step RK4 is accurate and reproducible only while the step resolves
-# the fastest oscillation; reject anything coarser than 1% of that period.
+# Each step is exact, but a coarse sampling grid can step over a transient
+# PPT dip; reject anything coarser than 1% of the fastest period.
 MAX_STEP_FRACTION = 0.01
 
 
@@ -100,19 +102,27 @@ def ppt_separable(state: GaussianState, tol: float = EIG_TOL,
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Sampled covariance trajectory with the two eigenvalue diagnostics."""
+    """Sampled covariance trajectory: dimensionless V (n, 4, 4), mean (n, 4)
+    and the two eigenvalue diagnostics, all along ``times``."""
 
     times: np.ndarray
-    states: tuple[GaussianState, ...]
+    V: np.ndarray
+    mean: np.ndarray
     ppt_min_eig: np.ndarray
     unc_min_eig: np.ndarray
 
     def __post_init__(self):
         n = len(self.times)
-        if not (len(self.states) == len(self.ppt_min_eig) == len(self.unc_min_eig) == n):
-            raise ValueError("times, states and eigenvalue tracks must have equal length")
+        if not (len(self.V) == len(self.mean) == len(self.ppt_min_eig)
+                == len(self.unc_min_eig) == n):
+            raise ValueError("times, V, mean and eigenvalue tracks must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+
+    @property
+    def states(self) -> tuple[GaussianState, ...]:
+        """Per-sample GaussianState view of ``mean`` and ``V``, built on access."""
+        return tuple(GaussianState(m, V, dimensionless=True) for m, V in zip(self.mean, self.V))
 
     def first_ppt_violation(self, tol: float = 1e-8):
         """Index of the first time ppt_min_eig < -tol, or None."""
@@ -122,22 +132,13 @@ class EvolutionResult:
     def csv_rows(self):
         """Rows matching the CSV schema t, V11..V44 (upper triangle), ppt, unc."""
         iu = np.triu_indices(4)
-        for t, st, pe, ue in zip(self.times, self.states, self.ppt_min_eig, self.unc_min_eig):
-            yield (float(t), *st.V[iu].tolist(), float(pe), float(ue))
+        for t, V, pe, ue in zip(self.times, self.V, self.ppt_min_eig, self.unc_min_eig):
+            yield (float(t), *V[iu].tolist(), float(pe), float(ue))
 
     CSV_HEADER = (
         "t", "V11", "V12", "V13", "V14", "V22", "V23", "V24",
         "V33", "V34", "V44", "ppt_min_eig", "unc_min_eig",
     )
-
-
-def _rk4_generator(Hbar: np.ndarray, gamma_bar: np.ndarray):
-    J = symplectic_form()
-    A = J @ Hbar
-    D = J @ gamma_bar @ J.T
-    def rhs(V):
-        return A @ V + V @ A.T + D
-    return A, D, rhs
 
 
 def evolve_covariance_dimensionless(
@@ -150,12 +151,11 @@ def evolve_covariance_dimensionless(
     unc_tol: float = 1e-8,
     check_input: bool = True,
 ) -> EvolutionResult:
-    """Integrate dV/dt = A V + V A^T + D with fixed-step RK4.
+    """Propagate V and the mean exactly, sampled every ``dt`` up to ``t_end``.
 
-    All inputs are in dimensionless units. The mean is propagated alongside by
-    d<c>/dt = A <c>. Raises StepSizeError when dt exceeds 1% of the fastest
-    oscillation period and NonPhysicalInputError when V0 violates the
-    uncertainty relation beyond ``unc_tol``.
+    All inputs are in dimensionless units. Raises StepSizeError when dt
+    exceeds 1% of the fastest oscillation period and NonPhysicalInputError
+    when V0 violates the uncertainty relation beyond ``unc_tol``.
     """
     if dt <= 0:
         raise StepSizeError("dt must be positive")
@@ -166,54 +166,42 @@ def evolve_covariance_dimensionless(
             f"dt = {dt:.3e} exceeds {MAX_STEP_FRACTION} * (2 pi / max Omega) = {max_dt:.3e}"
         )
 
-    V = 0.5 * (np.array(V0, dtype=float) + np.array(V0, dtype=float).T)
-    mean = np.zeros(4) if mean0 is None else np.array(mean0, dtype=float).reshape(4)
-
+    V0 = 0.5 * (np.array(V0, dtype=float) + np.array(V0, dtype=float).T)
     J = symplectic_form()
     L = ppt_reflector(2)
-    LJL = L @ J @ L
     if check_input:
-        unc0 = _min_eig_hermitian(V, J)
+        unc0 = _min_eig_hermitian(V0, J)
         if unc0 < -unc_tol:
             raise NonPhysicalInputError(
                 f"initial covariance violates the uncertainty relation: "
                 f"min eig(V + iJ/2) = {unc0:.3e}"
             )
 
-    A, D, rhs = _rk4_generator(Hbar, gamma_bar)
+    A, D = J @ Hbar, J @ gamma_bar @ J.T
+    Phi, Q = propagator(A, D, dt)
 
     n_steps = int(np.ceil(t_end / dt - 1e-12))
-    times = np.empty(n_steps + 1)
-    states = []
-    ppt = np.empty(n_steps + 1)
-    unc = np.empty(n_steps + 1)
-
-    def record(i, t, V, mean):
-        times[i] = t
-        states.append(GaussianState(mean, V, dimensionless=True))
-        ppt[i] = _min_eig_hermitian(V, LJL)
-        unc[i] = _min_eig_hermitian(V, J)
-
-    record(0, 0.0, V, mean)
+    times = np.zeros(n_steps + 1)
+    V = np.empty((n_steps + 1, 4, 4))
+    mean = np.empty((n_steps + 1, 4))
+    V[0] = V0
+    mean[0] = 0.0 if mean0 is None else np.array(mean0, dtype=float).reshape(4)
     t = 0.0
     for i in range(1, n_steps + 1):
         h = min(dt, t_end - t)
-        k1 = rhs(V)
-        k2 = rhs(V + 0.5 * h * k1)
-        k3 = rhs(V + 0.5 * h * k2)
-        k4 = rhs(V + h * k3)
-        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        V = 0.5 * (V + V.T)
-        m1 = A @ mean
-        m2 = A @ (mean + 0.5 * h * m1)
-        m3 = A @ (mean + 0.5 * h * m2)
-        m4 = A @ (mean + h * m3)
-        mean = mean + (h / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        if h != dt:
+            Phi, Q = propagator(A, D, h)
+        V[i] = Phi @ V[i - 1] @ Phi.T + Q
+        mean[i] = Phi @ mean[i - 1]
         t += h
-        record(i, t, V, mean)
+        times[i] = t
+    V = 0.5 * (V + V.transpose(0, 2, 1))
 
-    return EvolutionResult(times=times, states=tuple(states),
-                           ppt_min_eig=ppt, unc_min_eig=unc)
+    return EvolutionResult(
+        times=times, V=V, mean=mean,
+        ppt_min_eig=np.linalg.eigvalsh(V + 0.5j * (L @ J @ L))[:, 0],
+        unc_min_eig=np.linalg.eigvalsh(V + 0.5j * J)[:, 0],
+    )
 
 
 def evolve_covariance(
@@ -224,7 +212,7 @@ def evolve_covariance(
     dt: float,
     hbar: float = HBAR,
 ) -> EvolutionResult:
-    """Typed front end: converts (sys, gamma) to dimensionless form and runs RK4.
+    """Typed front end: converts (sys, gamma) to dimensionless form and evolves.
 
     ``V0`` must already be a dimensionless state (convert with
     :func:`gravdiff.model.state_to_dimensionless`).
@@ -247,13 +235,12 @@ def entanglement_onset(
     dt: float,
     tol: float = 1e-8,
     hbar: float = HBAR,
-    max_bisections: int = 40,
 ):
     """First time the PPT minimum eigenvalue drops below -tol, or None.
 
-    Scans the RK4 trajectory on the coarse grid, then refines the bracketing
-    step by bisection (re-integrating from the last separable grid point) to a
-    resolution of dt/100. Returns the bracket midpoint.
+    Scans the trajectory on the coarse grid, then refines the bracketing step
+    by bisection to a resolution of dt/100; each probe propagates exactly from
+    the last separable grid point. Returns the bracket midpoint.
     """
     if not V0.dimensionless:
         raise NonPhysicalInputError(
@@ -268,36 +255,18 @@ def entanglement_onset(
         return 0.0
 
     # Bracket [t_lo, t_hi] with separable at t_lo, entangled at t_hi.
-    t_lo = float(res.times[idx - 1])
+    t_lo = t_start = float(res.times[idx - 1])
     t_hi = float(res.times[idx])
-    V_lo = res.states[idx - 1].V
-    mean_lo = res.states[idx - 1].mean
-
+    V_start = res.V[idx - 1]
     J = symplectic_form()
+    A, D = J @ Hbar, J @ gamma_bar @ J.T
     L = ppt_reflector(2)
     LJL = L @ J @ L
-    _, _, rhs = _rk4_generator(Hbar, gamma_bar)
 
-    def ppt_at(V_start, span):
-        """Min PPT eigenvalue after integrating `span` from the bracket start."""
-        V = V_start
-        n = max(1, int(np.ceil(span / dt)))
-        h = span / n
-        for _ in range(n):
-            k1 = rhs(V)
-            k2 = rhs(V + 0.5 * h * k1)
-            k3 = rhs(V + 0.5 * h * k2)
-            k4 = rhs(V + h * k3)
-            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            V = 0.5 * (V + V.T)
-        return _min_eig_hermitian(V, LJL)
-
-    target = dt / 100.0
-    for _ in range(max_bisections):
-        if (t_hi - t_lo) <= target:
-            break
+    while t_hi - t_lo > dt / 100.0:
         t_mid = 0.5 * (t_lo + t_hi)
-        if ppt_at(V_lo, t_mid - t_lo) < -tol:
+        Phi, Q = propagator(A, D, t_mid - t_start)
+        if _min_eig_hermitian(Phi @ V_start @ Phi.T + Q, LJL) < -tol:
             t_hi = t_mid
         else:
             t_lo = t_mid

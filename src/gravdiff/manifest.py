@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
 
+from .errors import DomainError
+
 
 def tool_version() -> str:
     try:
@@ -59,14 +61,20 @@ def write_csv(path, header, rows, preamble: str | None = None) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON: NaN and infinities raise DomainError instead of being written."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise DomainError(f"refusing to write non-finite JSON: {exc}") from exc
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_bytes(
-        (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    )
+    Path(path).write_bytes((_dumps(obj, indent=2) + "\n").encode("utf-8"))
 
 
 def write_json_lines(path, objs) -> None:
-    lines = [json.dumps(o, sort_keys=True) for o in objs]
+    lines = [_dumps(o) for o in objs]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .constants import G_NEWTON, HBAR, KB
 from .errors import PSDError, StabilityError
@@ -31,6 +32,7 @@ __all__ = [
     "symplectic_form",
     "linearize",
     "drift_matrix",
+    "propagator",
     "quadrature_scales",
     "to_dimensionless",
     "from_dimensionless",
@@ -262,6 +264,21 @@ def linearize(setup: PhysicalSetup) -> LinearizedSystem:
 def drift_matrix(sys: LinearizedSystem) -> np.ndarray:
     """First-moment drift generator A = J H, so d<c>/dt = A <c>."""
     return sys.J @ sys.H
+
+
+def propagator(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact step of length h for d<c>/dt = A <c> and dV/dt = A V + V A^T + D.
+
+    Returns Phi = e^{A h} and Q = int_0^h e^{A s} D e^{A^T s} ds, so that
+    <c>(t + h) = Phi <c>(t) and V(t + h) = Phi V(t) Phi^T + Q. Both come from
+    one block exponential (C. Van Loan, IEEE TAC 23:395, 1978):
+    exp([[-A, D], [0, A^T]] h) = [[., Phi^-1 Q], [0, Phi^T]].
+    """
+    n = len(A)
+    E = expm(np.block([[-A, D], [np.zeros((n, n)), A.T]]) * h)
+    Phi = E[n:, n:].T.copy()
+    Q = Phi @ E[:n, n:]
+    return Phi, 0.5 * (Q + Q.T)
 
 
 def quadrature_scales(sys: LinearizedSystem, hbar: float = HBAR) -> np.ndarray:

@@ -12,8 +12,8 @@ thermal noise of intensity 2 eta m kB T. The gravitational and thermal noises
 are independent. ``keep_static_force=True`` retains the constant -K d term
 instead (the mean then settles at the shifted equilibrium).
 
-Integration: the linear drift is propagated exactly through the matrix
-exponential of the 2x2 drift generator per step, so noise-free trajectories
+Integration: the linear drift is propagated exactly by the 2x2 drift
+exponential from :func:`gravdiff.model.propagator`, so noise-free trajectories
 reproduce the damped oscillation to rounding at any admissible step; the
 noise keeps the plain Euler-Maruyama increment B sqrt(dt) and with it EM's
 weak first-order convergence (stationary-moment bias is O(eta dt)).
@@ -31,11 +31,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
-from scipy.signal import welch as _scipy_welch
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import ConfigError, ProtocolError, SeedError, StabilityError
-from .model import DiffusionMatrix, LinearizedSystem, PhysicalSetup
+from .model import DiffusionMatrix, LinearizedSystem, PhysicalSetup, propagator
 from .spectra import NoiseSpectrum
 
 __all__ = [
@@ -230,7 +229,7 @@ def simulate(
         raise ValueError("duration shorter than one step")
 
     A = drift_2x2(setup, sys)
-    Phi = expm(A * dt)
+    Phi, _ = propagator(A, diffusion_2x2(setup, noise), dt)
 
     if keep_static_force:
         # Fixed point of dz/dt = A z + (0, -K d): propagate deviations exactly.
@@ -314,9 +313,13 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
         )
     if not (0.0 <= overlap < 1.0):
         raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
+    # Imported here: scipy.signal pulls in scipy.optimize and scipy.stats,
+    # which nothing else in the package needs.
+    from scipy.signal import welch
+
     fs = 1.0 / ens.dt
     noverlap = int(overlap * segment_len)
-    f, Pxx = _scipy_welch(
+    f, Pxx = welch(
         ens.x, fs=fs, window="hann", nperseg=segment_len, noverlap=noverlap,
         detrend=False, return_onesided=False, scaling="density", axis=-1,
     )
@@ -373,8 +376,7 @@ def reheating_run(
 
     m = setup.m1
     hb = setup.hbar
-    A = drift_2x2(setup, sys)
-    Phi = expm(A * dt)
+    Phi, _ = propagator(drift_2x2(setup, sys), diffusion_2x2(setup, noise), dt)
     L, sig_th, sqdt = _noise_step_pieces(noise, dt)
 
     x_var0 = hb / (2.0 * m * om_eff)

@@ -60,7 +60,7 @@ def lyapunov_oracle(A, D, V0, t, n_nodes=2001):
     """Independent solution of dV/dt = AV + VA^T + D.
 
     Matrix exponentials plus fine Simpson quadrature; shares no code with the
-    RK4 stepper or the Monte Carlo sampler it is used to check.
+    block-exponential propagator or the Monte Carlo sampler it is used to check.
     """
     if n_nodes % 2 == 0:
         n_nodes += 1

@@ -7,8 +7,9 @@ import pytest
 
 from gravdiff import cli
 from gravdiff.config import gamma_from_config, parse_config, setup_from_config
-from gravdiff.errors import ConfigError
-from gravdiff.manifest import load_manifest, sha256_file
+from gravdiff.errors import ConfigError, DomainError
+from gravdiff.manifest import load_manifest, sha256_file, write_json, write_json_lines
+from gravdiff.montecarlo import ReheatResult
 
 # Independent evaluation of G m^2 / (hbar d^3) for the reference pendulum
 # (m = (4 pi/3) * 2.26e4 * 0.03^3 kg, d = 0.06 m).
@@ -172,6 +173,13 @@ class TestSpectrumCommand:
         assert rc == 0
         assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 66
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_empty_grid_exit_2(self, tmp_path, capsys, grid):
+        rc = cli.main(["spectrum", "--table1", "--grid", grid, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_outputs(self, stable_config, tmp_path):
@@ -199,6 +207,25 @@ class TestSimulateCommand:
         assert rc == 0
         manifest = load_manifest(tmp_path / "simulate.manifest.json")
         assert manifest["seed"] == 1234
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_out_of_range_exit_2(self, stable_config, tmp_path, capsys, seed):
+        rc = cli.main(["simulate", "--config", str(stable_config), "--seed", seed,
+                       "--traj", "2", "--dt", "0.005", "--duration", "1.0",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "1.8446744073709552e19", "2.5", "nan"])
+    def test_config_seed_out_of_range_exit_2(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(STABLE_PAIR + f"seed = {seed}\n")
+        rc = cli.main(["simulate", "--config", str(cfg), "--traj", "2",
+                       "--dt", "0.005", "--duration", "1.0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.manifest.json").exists()
 
     def test_manifest_replay_reproduces_hashes(self, stable_config, tmp_path):
         out1 = tmp_path / "first"
@@ -240,6 +267,24 @@ class TestReheatCommand:
         assert payload["n_cycles"] == 64
         assert "Gamma_hat" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cycle_time", ["-1", "0", "nan"])
+    def test_nonpositive_cycle_time_exit_2(self, tmp_path, capsys, cycle_time):
+        rc = cli.main(["reheat", "--table1", "--seed", "9", "--cycles", "8",
+                       "--cycle-time", cycle_time, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--cycle-time" in capsys.readouterr().err
+        assert not (tmp_path / "reheat.json").exists()
+
+    def test_non_finite_result_exit_3(self, tmp_path, capsys, monkeypatch):
+        nan_result = ReheatResult(Gamma_hat=float("nan"), rel_err=float("nan"),
+                                  stderr=float("nan"), n_cycles=8, cycle_time=1.0)
+        monkeypatch.setattr(cli, "reheating_run", lambda *a, **k: nan_result)
+        rc = cli.main(["reheat", "--table1", "--seed", "9", "--cycles", "8",
+                       "--cycle-time", "1.0", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "reheat.json").exists()
+
 
 class TestFeasibilityCommand:
     def test_table1_verdict(self, tmp_path, capsys):
@@ -263,12 +308,12 @@ class TestFeasibilityCommand:
 
 
 class TestSweepCommand:
-    def test_values_and_thread_independence(self, tmp_path):
+    def test_values_and_repeatability(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         base = ["sweep", "--table1", "--param", "Q",
                 "--values", "1e8,1e9,1e10,1e11,2.1e10"]
         assert cli.main(base + ["--out", str(out1)]) == 0
-        assert cli.main(base + ["--out", str(out2), "--threads", "4"]) == 0
+        assert cli.main(base + ["--out", str(out2)]) == 0
         assert sha256_file(out1 / "sweep.csv") == sha256_file(out2 / "sweep.csv")
         lines = (out1 / "sweep.csv").read_text().splitlines()
         assert len(lines) == 6
@@ -283,3 +328,14 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--table1", "--param", "bogus", "--values", "1",
                        "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_refused(self, tmp_path, value):
+        with pytest.raises(DomainError, match="non-finite"):
+            write_json(tmp_path / "a.json", {"x": value})
+        with pytest.raises(DomainError, match="non-finite"):
+            write_json_lines(tmp_path / "b.jsonl", [{"x": 1.0}, {"x": value}])
+        assert not (tmp_path / "a.json").exists()
+        assert not (tmp_path / "b.jsonl").exists()

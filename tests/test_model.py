@@ -1,5 +1,10 @@
 """Linearization, matrix construction and unit conversions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,3 +245,15 @@ class TestGaussianState:
         V[0, 1] = 0.3
         with pytest.raises(ValueError):
             GaussianState(np.zeros(4), V)
+
+
+def test_import_loads_no_scipy_signal_or_optimize():
+    # Only the Welch estimator needs scipy.signal (which pulls in
+    # scipy.optimize and scipy.stats); importing the package must not.
+    import gravdiff
+    env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
+    code = ("import sys, gravdiff; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
