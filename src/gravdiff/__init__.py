@@ -5,7 +5,7 @@ Submodules:
 * :mod:`gravdiff.model` - physical setup, linearization, dimensionless forms
 * :mod:`gravdiff.dynamics` - covariance evolution, uncertainty and PPT checks
 * :mod:`gravdiff.bounds` - no-entanglement bounds on the diffusion matrix
-* :mod:`gravdiff.spectra` - closed-form displacement-noise spectra
+* :mod:`gravdiff.spectra` - displacement-noise spectra from one resolvent
 * :mod:`gravdiff.montecarlo` - Langevin sampling, Welch estimation, reheating
 * :mod:`gravdiff.feasibility` - torsion-pendulum design calculus
 * :mod:`gravdiff.cli` - command-line front end

@@ -26,14 +26,7 @@ from .bounds import dimensional_bound, final_bound, minimal_diffusion, strongest
 from .dynamics import EvolutionResult, evolve_covariance
 from .errors import ConfigError, GravdiffError
 from .feasibility import REFERENCE_PENDULUM, FeasibilityParams, feasibility_report
-from .model import (
-    LinearizedSystem,
-    PhysicalSetup,
-    ground_state,
-    linearize,
-    symplectic_form,
-    to_dimensionless,
-)
+from .model import ground_state, linearize, pendulum_system, to_dimensionless
 from .montecarlo import (
     NoiseModel,
     effective_frequency,
@@ -48,26 +41,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-
-def _pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
-    """Linear system with the resonance frequency taken as given.
-
-    Used when Omega is the measured pendulum frequency rather than the
-    output of the trap linearization (the two-trap renormalization does not
-    apply to a torsion mode).
-    """
-    K = setup.coupling
-    H = np.zeros((4, 4))
-    H[0, 0] = setup.m1 * Omega**2
-    H[1, 1] = setup.m2 * Omega**2
-    H[0, 1] = H[1, 0] = K
-    H[2, 2] = 1.0 / setup.m1
-    H[3, 3] = 1.0 / setup.m2
-    return LinearizedSystem(
-        Omega1=Omega, Omega2=Omega, K=K, m1=setup.m1, m2=setup.m2,
-        H=H, J=symplectic_form(), equilibrium_shift=(0.0, 0.0),
-    )
 
 
 def _resolve_inputs(args):
@@ -94,7 +67,7 @@ def _spectrum_model(cfg, args):
     setup = cfgmod.setup_from_config(cfg)
     if getattr(args, "table1", False) or "Omega_rad_s" in cfg:
         Omega = cfg.get("Omega_rad_s", setup.omega1)
-        sys_lin = _pendulum_system(setup, Omega)
+        sys_lin = pendulum_system(setup, Omega)
     else:
         sys_lin = linearize(setup)
     if getattr(args, "table1", False):
@@ -435,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("spectrum",
-                       help="closed-form displacement-noise spectrum to CSV",
+                       help="analytic displacement-noise spectrum to CSV",
                        epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
     p.add_argument("--grid", type=int, default=1024, help="number of frequency points")
     p.add_argument("--model", choices=("fixed", "pair"), default="fixed",
-                   help="fixed partner mass or symmetric mobile pair")
+                   help="fixed partner mass or both masses mobile")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("simulate", help="Langevin Monte Carlo ensemble",

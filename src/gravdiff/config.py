@@ -54,8 +54,8 @@ _GAMMA_KEYS = [
 def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
     """Parse flat key-value text into a dict of floats.
 
-    Raises ConfigError with the offending line number on malformed input or
-    duplicate keys.
+    Raises ConfigError with the offending line number on malformed input,
+    non-finite values (nan, inf) or duplicate keys.
     """
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,6 +77,8 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
             raise ConfigError(
                 f"{source}:{lineno}: value for {key!r} is not a number: {value!r}"
             ) from None
+        if not np.isfinite(out[key]):
+            raise ConfigError(f"{source}:{lineno}: value for {key!r} is not finite: {value!r}")
     return out
 
 

@@ -31,7 +31,10 @@ __all__ = [
     "GaussianState",
     "symplectic_form",
     "linearize",
+    "pendulum_system",
     "drift_matrix",
+    "langevin_drift",
+    "langevin_diffusion",
     "propagator",
     "quadrature_scales",
     "to_dimensionless",
@@ -46,6 +49,9 @@ __all__ = [
 # Relative PSD tolerance: eigenvalue >= -PSD_RTOL * ||gamma|| counts as PSD.
 # Boundary matrices built in finite precision sit exactly on the cone edge.
 PSD_RTOL = 1e-10
+
+# Quadratures (x1, p1) of the monitored body, the state when the partner is fixed.
+MONITORED = (0, 2)
 
 
 def symplectic_form() -> np.ndarray:
@@ -248,22 +254,71 @@ def linearize(setup: PhysicalSetup) -> LinearizedSystem:
         a1 = rhs * (m2 * Om2**2 + K) / det_x
         a2 = rhs * (m1 * Om1**2 + K) / det_x
 
+    return LinearizedSystem(
+        Omega1=Om1, Omega2=Om2, K=K, m1=m1, m2=m2, H=_quadratic_form(m1, m2, Om1, Om2, K),
+        J=symplectic_form(), equilibrium_shift=(float(a1), float(a2)),
+    )
+
+
+def _quadratic_form(m1: float, m2: float, Om1: float, Om2: float, K: float) -> np.ndarray:
+    """H of two oscillators m_i Omega_i^2 coupled by the bilinear spring K."""
     H = np.zeros((4, 4))
     H[0, 0] = m1 * Om1**2
     H[1, 1] = m2 * Om2**2
     H[0, 1] = H[1, 0] = K
     H[2, 2] = 1.0 / m1
     H[3, 3] = 1.0 / m2
+    return H
 
+
+def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
+    """Linear system with the resonance frequency taken as given.
+
+    Used when Omega is the measured pendulum frequency rather than the
+    output of the trap linearization (the two-trap renormalization does not
+    apply to a torsion mode).
+    """
+    K = setup.coupling
     return LinearizedSystem(
-        Omega1=Om1, Omega2=Om2, K=K, m1=m1, m2=m2,
-        H=H, J=symplectic_form(), equilibrium_shift=(float(a1), float(a2)),
+        Omega1=Omega, Omega2=Omega, K=K, m1=setup.m1, m2=setup.m2,
+        H=_quadratic_form(setup.m1, setup.m2, Omega, Omega, K),
+        J=symplectic_form(), equilibrium_shift=(0.0, 0.0),
     )
 
 
 def drift_matrix(sys: LinearizedSystem) -> np.ndarray:
     """First-moment drift generator A = J H, so d<c>/dt = A <c>."""
     return sys.J @ sys.H
+
+
+def langevin_drift(setup: PhysicalSetup, sys: LinearizedSystem,
+                   partner_fixed: bool = False) -> np.ndarray:
+    """Damped drift generator A of the Langevin dynamics dz = A z dt + noise.
+
+    Both bodies mobile: A = J H - eta diag(0, 0, 1, 1) over (x1, x2, p1, p2).
+    Partner held fixed: the (x1, p1) block of the same form, with the
+    partner's spring K added to x1's restoring force (m1 Omega1^2 + K), i.e.
+    A = [[0, 1/m1], [-(m1 Omega1^2 + K), -eta]].
+    """
+    H = np.array(sys.H)
+    if partner_fixed:
+        H[0, 0] += sys.K
+    A = sys.J @ H - setup.eta * np.diag([0.0, 0.0, 1.0, 1.0])
+    return A[np.ix_(MONITORED, MONITORED)] if partner_fixed else A
+
+
+def langevin_diffusion(setup: PhysicalSetup, gamma: np.ndarray,
+                       partner_fixed: bool = False) -> np.ndarray:
+    """Gravitational noise rate D = hbar^2 J gamma J^T of the Langevin dynamics.
+
+    ``gamma`` is a 4x4 array over (x1, x2, p1, p2): the matrix of a
+    :class:`DiffusionMatrix` or any additive part of it. Position diffusion
+    kicks the momenta and vice versa. With the partner fixed, D is the
+    (x1, p1) block.
+    """
+    J = symplectic_form()
+    D = setup.hbar**2 * (J @ np.asarray(gamma, dtype=float) @ J.T)
+    return D[np.ix_(MONITORED, MONITORED)] if partner_fixed else D
 
 
 def propagator(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

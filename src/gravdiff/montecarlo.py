@@ -34,7 +34,14 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import ConfigError, ProtocolError, SeedError, StabilityError
-from .model import DiffusionMatrix, LinearizedSystem, PhysicalSetup, propagator
+from .model import (
+    DiffusionMatrix,
+    LinearizedSystem,
+    PhysicalSetup,
+    langevin_diffusion,
+    langevin_drift,
+    propagator,
+)
 from .spectra import NoiseSpectrum
 
 __all__ = [
@@ -64,18 +71,18 @@ _DOMAIN_CYCLE = 1 << 56
 
 
 def _noise_factor(gamma: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = gamma to 1e-12 relative.
+    """L with L L^T = gamma: the Cholesky factor when gamma is positive definite.
 
-    Boundary (singular) PSD matrices get a jitter of 1e-14 * ||gamma|| on the
-    diagonal before factoring, well inside the reproduction tolerance.
+    A singular or slightly indefinite gamma (PSD within the DiffusionMatrix
+    tolerance) is projected onto the PSD cone by clipping its negative
+    eigenvalues to zero; L is then the eigen-factor U sqrt(lambda) of the
+    projection.
     """
-    scale = np.linalg.norm(gamma)
-    if scale == 0.0:
-        return np.zeros_like(gamma)
     try:
         return np.linalg.cholesky(gamma)
     except np.linalg.LinAlgError:
-        return np.linalg.cholesky(gamma + 1e-14 * scale * np.eye(gamma.shape[0]))
+        lam, U = np.linalg.eigh(gamma)
+        return U * np.sqrt(np.clip(lam, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -97,10 +104,13 @@ class NoiseModel:
             raise ValueError("thermal_intensity must be non-negative")
         if not isinstance(self.seed, (int, np.integer)):
             raise SeedError(f"seed must be an integer, got {type(self.seed).__name__}")
+        seed = int(self.seed)
+        if not 0 <= seed < 2**64:
+            raise SeedError(f"seed must be in [0, 2**64), got {seed}")
         L = _noise_factor(self.gamma.matrix)
         L.setflags(write=False)
         object.__setattr__(self, "correlation_decomposition", L)
-        object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def from_setup(cls, setup: PhysicalSetup, gamma: DiffusionMatrix, seed: int) -> "NoiseModel":
@@ -145,22 +155,15 @@ def effective_frequency(sys: LinearizedSystem) -> float:
 
 def drift_2x2(setup: PhysicalSetup, sys: LinearizedSystem) -> np.ndarray:
     """Damped drift generator of (x, p) for the monitored oscillator."""
-    m = setup.m1
-    return np.array([
-        [0.0, 1.0 / m],
-        [-(m * sys.Omega1**2 + sys.K), -setup.eta],
-    ])
+    return langevin_drift(setup, sys, partner_fixed=True)
 
 
 def diffusion_2x2(setup: PhysicalSetup, noise: NoiseModel) -> np.ndarray:
     """Noise covariance rate D of (x, p): the drift-augmented covariance ODE
     dV/dt = A V + V A^T + D is the moment oracle for the sampler."""
-    g = noise.gamma.matrix
-    hb = setup.hbar
-    return np.array([
-        [hb**2 * g[2, 2], -hb**2 * g[0, 2]],
-        [-hb**2 * g[0, 2], hb**2 * g[0, 0] + noise.thermal_intensity],
-    ])
+    D = langevin_diffusion(setup, noise.gamma.matrix, partner_fixed=True)
+    D[1, 1] += noise.thermal_intensity
+    return D
 
 
 def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,

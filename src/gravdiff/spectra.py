@@ -1,4 +1,4 @@
-"""Closed-form displacement-noise spectra and the detection condition.
+"""Displacement-noise spectra from one resolvent, and the detection condition.
 
 All spectra are two-sided densities over angular frequency (Wiener-Khinchin
 convention): the position variance is the integral of S_xx(w) dw / (2 pi),
@@ -8,20 +8,20 @@ spectrum S_ff(w) = I. The quantum thermal force density used here is
     S_xi(w) = hbar eta m w [1 + coth(hbar w / 2 kB T)],
 
 which reduces to the classical white intensity 2 eta m kB T for
-kB T >> hbar w and makes the fixed-source spectrum below exact. (The time
-domain correlation as printed elsewhere lacks the factor w; this form is the
-one consistent with the spectrum and with the classical limit.)
+kB T >> hbar w. (The time domain correlation as printed elsewhere lacks the
+factor w; this form is the one consistent with the spectrum and with the
+classical limit.)
 
-Fixed-source model (the partner mass only sources noise):
+Both models are linear Langevin systems with the damped drift A and noise
+rate D = hbar^2 J gamma J^T of :func:`gravdiff.model.langevin_drift` and
+:func:`~gravdiff.model.langevin_diffusion`, plus S_xi on each mobile body's
+momentum. Their spectrum is the resolvent form (C. W. Gardiner, Handbook of
+Stochastic Methods, sec. 4.4)
 
-    S_xx(w) = hbar^2 / |m (O^2 - w^2 - i eta w) + K|^2
-              * [g11 + m^2 w^2 g33 + (eta m w / hbar)(1 + coth(hbar w/2 kB T))
-                 + m^2 eta^2 g33 - 2 m eta g13].
+    S(w) = (-i w - A)^{-1} D(w) (i w - A^T)^{-1},
 
-Symmetric-pair model: both oscillators move; the response splits into the
-direct and cross channels of A_x(w) = chi(w) [[m D(w), -K], [-K, m D(w)]]
-with D(w) = O^2 - w^2 - i eta w and chi(w) = (m^2 D(w)^2 - K^2)^{-1}, plus an
-interference line that vanishes on resonance for exchange-symmetric noise.
+evaluated on each additive part of D for the component breakdown. The
+closed forms of both models serve the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -30,8 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SymmetryError
-from .model import DiffusionMatrix, LinearizedSystem, PhysicalSetup
+from .errors import DomainError
+from .model import (
+    DiffusionMatrix,
+    LinearizedSystem,
+    PhysicalSetup,
+    langevin_diffusion,
+    langevin_drift,
+)
 
 __all__ = [
     "NoiseSpectrum",
@@ -89,7 +95,7 @@ class NoiseSpectrum:
                   "S_thermal", "S_cross")
 
 
-def _coth_term(omega: np.ndarray, setup: PhysicalSetup) -> tuple[np.ndarray, bool]:
+def _coth_term(omega: np.ndarray, setup: PhysicalSetup, m: float) -> tuple[np.ndarray, bool]:
     """(eta m w / hbar)(1 + coth(hbar w / 2 kB T)) with safe limits.
 
     T = 0 gives the vacuum value (eta m / hbar) * (w + |w|); w = 0 entries
@@ -97,7 +103,7 @@ def _coth_term(omega: np.ndarray, setup: PhysicalSetup) -> tuple[np.ndarray, boo
     and flagged.
     """
     w = np.asarray(omega, dtype=float)
-    pref = setup.eta * setup.m1 / setup.hbar
+    pref = setup.eta * m / setup.hbar
     substituted = False
     if setup.T == 0.0:
         vals = pref * (w + np.abs(w))
@@ -107,42 +113,47 @@ def _coth_term(omega: np.ndarray, setup: PhysicalSetup) -> tuple[np.ndarray, boo
         vals = pref * w * (1.0 + 1.0 / np.tanh(x))
     zero = (w == 0.0)
     if np.any(zero):
-        vals = np.where(zero, 2.0 * setup.eta * setup.m1 * setup.kB * setup.T / setup.hbar**2, vals)
+        vals = np.where(zero, 2.0 * setup.eta * m * setup.kB * setup.T / setup.hbar**2, vals)
         substituted = True
     return vals, substituted
 
 
 def thermal_force_density(omega, setup: PhysicalSetup) -> np.ndarray:
     """Two-sided thermal force density S_xi(w) = hbar eta m w [1 + coth(...)] [N^2 s]."""
-    vals, _ = _coth_term(omega, setup)
+    vals, _ = _coth_term(omega, setup, setup.m1)
     return setup.hbar**2 * vals
 
 
-def dns_fixed_source(setup: PhysicalSetup, sys: LinearizedSystem,
-                     gamma: DiffusionMatrix, omega_grid) -> NoiseSpectrum:
-    """Displacement-noise spectrum with the partner mass held fixed.
-
-    The monitored oscillator is mode 1: frequency sys.Omega1, mass m1; the
-    fixed partner contributes the spring K and the noise entries g11, g33,
-    g13 of ``gamma``. Thermal damping eta and temperature come from ``setup``.
-    """
+def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: DiffusionMatrix,
+                        omega_grid, partner_fixed: bool) -> NoiseSpectrum:
+    """S_x1x1(w) = Re[r D(w) r^H] with r = row 0 of (-i w - A)^{-1}, per part of D."""
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    m = setup.m1
-    eta = setup.eta
-    Om = sys.Omega1
-    K = sys.K
+    A = langevin_drift(setup, sys, partner_fixed)
+    n = len(A)
+    e0 = np.zeros((len(w), n, 1))
+    e0[:, 0] = 1.0
+    try:
+        # r^T solves (-i w - A)^T r^T = e0
+        r = np.linalg.solve((-1j * w)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
+    except np.linalg.LinAlgError:
+        raise DomainError("spectrum diverges: an undamped resonance lies on the grid") from None
+
     g = gamma.matrix
-    g11, g33, g13 = g[0, 0], g[2, 2], g[0, 2]
+    diag = np.diag(g)
+    parts = np.stack([
+        langevin_diffusion(setup, part, partner_fixed)
+        for part in (np.diag(diag * [1.0, 1.0, 0.0, 0.0]),   # position diffusion
+                     np.diag(diag * [0.0, 0.0, 1.0, 1.0]),   # momentum diffusion
+                     g - np.diag(diag))                      # every cross entry
+    ])
+    S_gp, S_gm, S_cr = np.real(np.sum((r @ parts) * r.conj(), axis=-1))
 
-    denom = np.abs(m * (Om**2 - w**2 - 1j * eta * w) + K) ** 2
-    pref = setup.hbar**2 / denom
-
-    thermal_bracket, substituted = _coth_term(w, setup)
-
-    S_gp = pref * g11
-    S_gm = pref * (m**2 * w**2 * g33 + m**2 * eta**2 * g33)
-    S_th = pref * thermal_bracket
-    S_cr = pref * (-2.0 * m * eta * g13)
+    # Thermal force on each mobile body's momentum, with that body's mass.
+    masses = (setup.m1,) if partner_fixed else (setup.m1, setup.m2)
+    S_th = np.zeros_like(w)
+    for j, m in enumerate(masses):
+        kernel, substituted = _coth_term(w, setup, m)
+        S_th += setup.hbar**2 * np.abs(r[:, len(masses) + j]) ** 2 * kernel
     return NoiseSpectrum(
         omega=w,
         S_total=S_gp + S_gm + S_th + S_cr,
@@ -154,78 +165,25 @@ def dns_fixed_source(setup: PhysicalSetup, sys: LinearizedSystem,
     )
 
 
-def _check_pair_symmetry(setup: PhysicalSetup, sys: LinearizedSystem,
-                         gamma: DiffusionMatrix, rtol: float = 1e-9):
-    if abs(setup.m1 - setup.m2) > rtol * max(setup.m1, setup.m2):
-        raise SymmetryError("symmetric pair requires equal masses")
-    if abs(sys.Omega1 - sys.Omega2) > rtol * max(sys.Omega1, sys.Omega2):
-        raise SymmetryError("symmetric pair requires equal renormalized frequencies")
-    g = gamma.matrix
-    scale = max(float(np.abs(g).max()), 1e-300)
-    pairs = [((0, 0), (1, 1)), ((2, 2), (3, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    for (a, b) in pairs:
-        if abs(g[a] - g[b]) > rtol * scale:
-            raise SymmetryError(
-                f"exchange symmetry of gamma violated: gamma{a} != gamma{b}"
-            )
+def dns_fixed_source(setup: PhysicalSetup, sys: LinearizedSystem,
+                     gamma: DiffusionMatrix, omega_grid) -> NoiseSpectrum:
+    """Displacement-noise spectrum of oscillator 1 with the partner mass held fixed.
+
+    The monitored oscillator is mode 1: frequency sys.Omega1, mass m1; the
+    fixed partner contributes the spring K and the noise entries g11, g33,
+    g13 of ``gamma``. Thermal damping eta and temperature come from ``setup``.
+    """
+    return _resolvent_spectrum(setup, sys, gamma, omega_grid, partner_fixed=True)
 
 
 def dns_symmetric_pair(setup: PhysicalSetup, sys: LinearizedSystem,
                        gamma: DiffusionMatrix, omega_grid) -> NoiseSpectrum:
     """Displacement-noise spectrum of oscillator 1 with both masses mobile.
 
-    Requires the exchange-symmetric configuration (equal masses, equal
-    frequencies, shared eta and T, exchange-symmetric gamma). The direct and
-    cross susceptibility channels add; the interference line contributes off
-    resonance and vanishes at w = Omega.
+    Holds for any masses, frequencies and PSD ``gamma``; both bodies share
+    eta and T, and each feels the thermal force of its own mass.
     """
-    _check_pair_symmetry(setup, sys, gamma)
-    w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    m = setup.m1
-    eta = setup.eta
-    Om = 0.5 * (sys.Omega1 + sys.Omega2)
-    K = sys.K
-    hb = setup.hbar
-    g = gamma.matrix
-    g11, g22 = g[0, 0], g[1, 1]
-    g33, g44 = g[2, 2], g[3, 3]
-    g13, g24 = g[0, 2], g[1, 3]
-    g12, g34 = g[0, 1], g[2, 3]
-    g14, g23 = g[0, 3], g[1, 2]
-
-    D = Om**2 - w**2 - 1j * eta * w
-    chi = 1.0 / (m**2 * D**2 - K**2)
-    A11 = chi * m * D
-    A12 = -chi * K
-    P11 = np.abs(A11) ** 2
-    P12 = np.abs(A12) ** 2
-
-    thermal_bracket, substituted = _coth_term(w, setup)
-
-    S_gp = hb**2 * (P11 * g11 + P12 * g22)
-    S_gm = hb**2 * (eta**2 + w**2) * m**2 * (P11 * g33 + P12 * g44)
-    S_th = hb**2 * (P11 + P12) * thermal_bracket
-    # Direct-channel x-p cross terms plus the interference line between the
-    # two susceptibility channels.
-    S_cr = hb**2 * (-2.0 * eta * m) * (P11 * g13 + P12 * g24)
-    interference = 2.0 * hb**2 * np.real(
-        A11 * np.conj(A12) * (
-            g12
-            - (eta - 1j * w) * m * g23
-            - (eta + 1j * w) * m * g14
-            + (eta**2 + w**2) * m**2 * g34
-        )
-    )
-    S_cr = S_cr + interference
-    return NoiseSpectrum(
-        omega=w,
-        S_total=S_gp + S_gm + S_th + S_cr,
-        S_grav_position=S_gp,
-        S_grav_momentum=S_gm,
-        S_thermal=S_th,
-        S_cross=S_cr,
-        zero_frequency_substituted=substituted,
-    )
+    return _resolvent_spectrum(setup, sys, gamma, omega_grid, partner_fixed=False)
 
 
 def gravitational_frequency(rho: float, G: float) -> float:

@@ -76,3 +76,68 @@ def lyapunov_oracle(A, D, V0, t, n_nodes=2001):
     integral = (h / 3.0) * np.einsum("i,ijk->jk", weights, fs)
     Et = expm(A * t)
     return Et @ V0 @ Et.T + integral
+
+
+def _coth_bracket(setup, w):
+    """(eta m1 w / hbar)(1 + coth(hbar w / 2 kB T)), w = 0 at its classical limit."""
+    w = np.asarray(w, dtype=float)
+    pref = setup.eta * setup.m1 / setup.hbar
+    if setup.T == 0.0:
+        return pref * (w + np.abs(w))
+    x = setup.hbar * w / (2.0 * setup.kB * setup.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = pref * w * (1.0 + 1.0 / np.tanh(x))
+    return np.where(w == 0.0, 2.0 * setup.eta * setup.m1 * setup.kB * setup.T / setup.hbar**2,
+                    vals)
+
+
+def fixed_source_oracle(setup, sys, gamma, w):
+    """Closed-form fixed-source components (S_grav_position, S_grav_momentum,
+    S_thermal, S_cross):
+
+        S_xx(w) = hbar^2 / |m (O^2 - w^2 - i eta w) + K|^2
+                  * [g11 + m^2 (w^2 + eta^2) g33 - 2 m eta g13
+                     + (eta m w / hbar)(1 + coth(hbar w / 2 kB T))].
+    """
+    w = np.asarray(w, dtype=float)
+    m, eta, Om, K = setup.m1, setup.eta, sys.Omega1, sys.K
+    g = gamma.matrix
+    pref = setup.hbar**2 / np.abs(m * (Om**2 - w**2 - 1j * eta * w) + K) ** 2
+    return (pref * g[0, 0],
+            pref * (m**2 * w**2 * g[2, 2] + m**2 * eta**2 * g[2, 2]),
+            pref * _coth_bracket(setup, w),
+            pref * (-2.0 * m * eta * g[0, 2]))
+
+
+def symmetric_pair_oracle(setup, sys, gamma, w):
+    """Closed-form components of the exchange-symmetric mobile pair.
+
+    Valid for equal masses and frequencies and exchange-symmetric gamma. The
+    response splits into the direct and cross channels of
+    A_x(w) = chi(w) [[m D(w), -K], [-K, m D(w)]] with D(w) = O^2 - w^2 - i eta w
+    and chi(w) = (m^2 D(w)^2 - K^2)^{-1}; S_cross carries the direct x-p terms
+    plus the interference line between the two channels.
+    """
+    w = np.asarray(w, dtype=float)
+    m, eta, hb = setup.m1, setup.eta, setup.hbar
+    Om, K = 0.5 * (sys.Omega1 + sys.Omega2), sys.K
+    g = gamma.matrix
+    D = Om**2 - w**2 - 1j * eta * w
+    chi = 1.0 / (m**2 * D**2 - K**2)
+    A11 = chi * m * D
+    A12 = -chi * K
+    P11 = np.abs(A11) ** 2
+    P12 = np.abs(A12) ** 2
+    S_gp = hb**2 * (P11 * g[0, 0] + P12 * g[1, 1])
+    S_gm = hb**2 * (eta**2 + w**2) * m**2 * (P11 * g[2, 2] + P12 * g[3, 3])
+    S_th = hb**2 * (P11 + P12) * _coth_bracket(setup, w)
+    interference = 2.0 * hb**2 * np.real(
+        A11 * np.conj(A12) * (
+            g[0, 1]
+            - (eta - 1j * w) * m * g[1, 2]
+            - (eta + 1j * w) * m * g[0, 3]
+            + (eta**2 + w**2) * m**2 * g[2, 3]
+        )
+    )
+    S_cr = hb**2 * (-2.0 * eta * m) * (P11 * g[0, 2] + P12 * g[1, 3]) + interference
+    return S_gp, S_gm, S_th, S_cr

@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from gravdiff import cli
+from gravdiff.bounds import minimal_diffusion
 from gravdiff.config import gamma_from_config, parse_config, setup_from_config
 from gravdiff.errors import ConfigError, DomainError
+from gravdiff.feasibility import REFERENCE_PENDULUM
 from gravdiff.manifest import load_manifest, sha256_file, write_json, write_json_lines
+from gravdiff.model import PhysicalSetup, linearize, pendulum_system
 from gravdiff.montecarlo import ReheatResult
+
+from conftest import fixed_source_oracle, symmetric_pair_oracle
 
 # Independent evaluation of G m^2 / (hbar d^3) for the reference pendulum
 # (m = (4 pi/3) * 2.26e4 * 0.03^3 kg, d = 0.06 m).
@@ -49,6 +54,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="<config>:2"):
             parse_config("a = 1\nb = two\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(ConfigError, match="<config>:2: value for 'T_K' is not finite"):
+            parse_config(f"a = 1\nT_K = {value}\n")
+
     def test_missing_key_named(self):
         with pytest.raises(ConfigError, match="d_m"):
             setup_from_config({"m1_kg": 1.0, "omega1_rad_s": 1.0})
@@ -78,6 +88,15 @@ class TestExitCodes:
         rc = cli.main(["linearize", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 3
         assert "unstable" in capsys.readouterr().err
+
+    def test_non_finite_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(STABLE_PAIR.replace("T_K = 300.0", "T_K = nan"))
+        rc = cli.main(["simulate", "--config", str(path), "--seed", "1", "--traj", "2",
+                       "--dt", "0.005", "--duration", "1.0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "T_K" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["linearize", "--out", str(tmp_path)]) == 2
@@ -159,6 +178,13 @@ class TestEvolveCommand:
 
 
 class TestSpectrumCommand:
+    @staticmethod
+    def assert_matches_oracle(path, oracle, setup, sys_lin, gamma):
+        """Every CSV component within 1e-12 of the closed form, relative to S_total."""
+        data = np.loadtxt(path, delimiter=",", skiprows=2)
+        for column, expected in zip(data[:, 2:].T, oracle(setup, sys_lin, gamma, data[:, 0])):
+            assert np.max(np.abs(column - expected) / data[:, 1]) <= 1e-12
+
     def test_table1_grid_rows(self, tmp_path):
         rc = cli.main(["spectrum", "--table1", "--grid", "2048", "--out", str(tmp_path)])
         assert rc == 0
@@ -166,12 +192,22 @@ class TestSpectrumCommand:
         assert lines[0].startswith("# two-sided")  # convention recorded in-file
         assert lines[1].startswith("omega_rad_s,S_total")
         assert len(lines) == 2050  # preamble + header + 2048 data rows
+        p = REFERENCE_PENDULUM
+        setup = PhysicalSetup(m1=p.m, m2=p.m, omega1=p.Omega, omega2=p.Omega, d=p.d,
+                              T=p.T, eta=p.eta)
+        self.assert_matches_oracle(tmp_path / "spectrum.csv", fixed_source_oracle, setup,
+                                   pendulum_system(setup, p.Omega),
+                                   minimal_diffusion(setup, "position-only"))
 
     def test_pair_model(self, stable_config, tmp_path):
         rc = cli.main(["spectrum", "--config", str(stable_config), "--model", "pair",
                        "--grid", "64", "--out", str(tmp_path)])
         assert rc == 0
         assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 66
+        cfg = parse_config(STABLE_PAIR)
+        setup = setup_from_config(cfg)
+        self.assert_matches_oracle(tmp_path / "spectrum.csv", symmetric_pair_oracle, setup,
+                                   linearize(setup), gamma_from_config(cfg))
 
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_empty_grid_exit_2(self, tmp_path, capsys, grid):

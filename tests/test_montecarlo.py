@@ -11,7 +11,13 @@ import pytest
 
 from gravdiff.constants import HBAR, KB
 from gravdiff.errors import ConfigError, ProtocolError, SeedError, StabilityError
-from gravdiff.model import DiffusionMatrix, PhysicalSetup, linearize, to_dimensionless
+from gravdiff.model import (
+    DiffusionMatrix,
+    PhysicalSetup,
+    linearize,
+    pendulum_system,
+    to_dimensionless,
+)
 from gravdiff.montecarlo import (
     NoiseModel,
     TrajectoryEnsemble,
@@ -47,6 +53,8 @@ class TestNoiseModel:
         nm = NoiseModel(gamma=DiffusionMatrix(g), thermal_intensity=0.0, seed=7)
         L = nm.correlation_decomposition
         assert np.allclose(L @ L.T, g, rtol=1e-12, atol=1e-12 * np.linalg.norm(g))
+        # positive definite: the plain Cholesky factor, bit for bit
+        assert np.array_equal(L, np.linalg.cholesky(nm.gamma.matrix))
 
     def test_factor_handles_boundary_matrix(self):
         v = np.array([1.0, 0.0, 0.0, -1.0])
@@ -61,9 +69,22 @@ class TestNoiseModel:
         assert nm.thermal_intensity == pytest.approx(
             2 * setup.eta * setup.m1 * KB * setup.T, rel=1e-12)
 
+    def test_factor_projects_indefinite_matrix_within_tolerance(self):
+        # PSD within PSD_RTOL, but too negative for a jittered Cholesky
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        g = Q @ np.diag([1.0, 0.5, 0.2, -5e-11]) @ Q.T
+        nm = NoiseModel(gamma=DiffusionMatrix(g), thermal_intensity=0.0, seed=7)
+        L = nm.correlation_decomposition
+        assert np.allclose(L @ L.T, g, rtol=0.0, atol=1e-10 * np.linalg.norm(g))
+
     def test_seed_type_checked(self):
         with pytest.raises(SeedError):
             NoiseModel(gamma=DiffusionMatrix.zero(), thermal_intensity=0.0, seed=1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(SeedError, match="2\\*\\*64"):
+            NoiseModel(gamma=DiffusionMatrix.zero(), thermal_intensity=0.0, seed=seed)
 
 
 class TestSimulateDeterministic:
@@ -317,8 +338,7 @@ class TestReheat:
         gamma = minimal_diffusion(setup, "position-only")
         noise = NoiseModel(gamma=gamma, thermal_intensity=0.0, seed=0)
         # pendulum-frequency system (resonance given, not renormalized)
-        from gravdiff.cli import _pendulum_system
-        sys = _pendulum_system(setup, params.Omega)
+        sys = pendulum_system(setup, params.Omega)
         # remove the coupling contribution to the effective frequency for the
         # comparison: the design formula is written at the bare resonance
         sys_bare = dataclasses.replace(sys, K=0.0)

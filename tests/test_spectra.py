@@ -1,12 +1,21 @@
-"""Closed-form spectra: limits, resonance forms, positivity, detection."""
+"""Resolvent spectra: closed-form oracles, limits, resonance forms,
+positivity, the Lyapunov variance, detection."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import solve_continuous_lyapunov
 
-from gravdiff.errors import SymmetryError
-from gravdiff.model import DiffusionMatrix, PhysicalSetup, linearize
+from gravdiff.errors import DomainError
+from gravdiff.model import (
+    DiffusionMatrix,
+    PhysicalSetup,
+    langevin_diffusion,
+    langevin_drift,
+    linearize,
+)
 from gravdiff.spectra import (
     detection_condition,
     dns_fixed_source,
@@ -15,7 +24,15 @@ from gravdiff.spectra import (
     thermal_force_density,
 )
 
-from conftest import make_diffusion, random_psd_batch, strong_coupling_setup
+from conftest import (
+    fixed_source_oracle,
+    make_diffusion,
+    random_psd_batch,
+    strong_coupling_setup,
+    symmetric_pair_oracle,
+)
+
+COMPONENTS = ("S_grav_position", "S_grav_momentum", "S_thermal", "S_cross")
 
 # Independent evaluations: sqrt(G rho) for osmium and the Gamma ceiling
 # pi w_G^2 / (12 Omega) at Omega = 2 pi 1e-4.
@@ -38,6 +55,17 @@ def symmetric_gamma(rng, scale):
     return DiffusionMatrix(0.5 * (g + P @ g @ P))
 
 
+def asymmetric_setup(eta=0.01, T=300.0):
+    """Unequal masses (m2 = 2.5 m1) and trap frequencies (omega2 = 1.3)."""
+    return dataclasses.replace(damped_setup(eta=eta, T=T), m2=2.5, omega2=1.3)
+
+
+def worst_component_error(spec, oracle):
+    """Largest |component - oracle| / S_total over the grid and components."""
+    return max(float(np.max(np.abs(getattr(spec, name) - ref) / spec.S_total))
+               for name, ref in zip(COMPONENTS, oracle))
+
+
 def closed_form_resonance(setup, sys, gamma):
     """Independent on-resonance value: hbar^2/(K^2 + m^2 eta^2 O^2) * bracket."""
     m, eta, hb = setup.m1, setup.eta, setup.hbar
@@ -55,14 +83,24 @@ def closed_form_resonance(setup, sys, gamma):
 
 class TestFixedSource:
     def test_components_sum_to_total(self, rng):
-        setup = damped_setup()
-        sys = linearize(setup)
         gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=1e60)[0])
         w = np.linspace(0.1, 3.0, 500)
-        spec = dns_fixed_source(setup, sys, gamma, w)
-        total = (spec.S_grav_position + spec.S_grav_momentum
-                 + spec.S_thermal + spec.S_cross)
-        assert np.allclose(spec.S_total, total, rtol=1e-12)
+        for setup, dns in ((damped_setup(), dns_fixed_source),
+                           (damped_setup(), dns_symmetric_pair),
+                           (asymmetric_setup(), dns_symmetric_pair)):
+            spec = dns(setup, linearize(setup), gamma, w)
+            total = (spec.S_grav_position + spec.S_grav_momentum
+                     + spec.S_thermal + spec.S_cross)
+            assert np.allclose(spec.S_total, total, rtol=1e-12, atol=0.0)
+
+    def test_matches_closed_form_oracle(self, rng):
+        setup = damped_setup(eta=0.01, T=150.0, kbar=0.25)
+        sys = linearize(setup)
+        w = np.linspace(-3.0, 3.0, 2049)  # includes w = 0
+        for g in random_psd_batch(rng, 25, scale=1e58):
+            gamma = DiffusionMatrix(g)
+            spec = dns_fixed_source(setup, sys, gamma, w)
+            assert worst_component_error(spec, fixed_source_oracle(setup, sys, gamma, w)) <= 1e-12
 
     def test_zero_noise_zero_temperature_leaves_vacuum_term(self):
         setup = damped_setup(eta=0.02, T=0.0)
@@ -87,7 +125,7 @@ class TestFixedSource:
         spec = dns_fixed_source(setup, sys, gamma, np.array([sys.Omega1]))
         m, hb = setup.m1, setup.hbar
         pref = hb**2 / (sys.K**2 + m**2 * setup.eta**2 * sys.Omega1**2)
-        assert spec.S_grav_position[0] == pytest.approx(pref * g11, rel=1e-12)
+        assert spec.S_grav_position[0] == pytest.approx(pref * g11, rel=1e-12, abs=0.0)
 
     def test_positive_for_psd_gamma(self, rng):
         setup = damped_setup()
@@ -107,7 +145,7 @@ class TestFixedSource:
         m, eta, hb = setup.m1, setup.eta, setup.hbar
         pref = hb**2 / np.abs(m * (sys.Omega1**2 - w**2 - 1j * eta * w) + sys.K) ** 2
         classical = pref * 2 * eta * m * setup.kB * setup.T / hb**2
-        assert np.allclose(spec.S_thermal, classical, rtol=0.01)
+        assert np.allclose(spec.S_thermal, classical, rtol=0.01, atol=0.0)
 
     def test_zero_frequency_substitution(self):
         setup = damped_setup(eta=0.01, T=10.0)
@@ -117,7 +155,7 @@ class TestFixedSource:
         m, eta, hb = setup.m1, setup.eta, setup.hbar
         pref = hb**2 / (m * sys.Omega1**2 + sys.K) ** 2
         expected = pref * 2 * eta * m * setup.kB * setup.T / hb**2
-        assert spec.S_total[0] == pytest.approx(expected, rel=1e-12)
+        assert spec.S_total[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_resonance_dominates_wings_at_high_q(self):
         # Q = Omega/eta = 1e3, negligible coupling
@@ -133,21 +171,70 @@ class TestFixedSource:
         setup = damped_setup(eta=0.02, T=250.0)
         w = np.linspace(0.05, 1.0, 50)
         S = thermal_force_density(w, setup)
-        assert np.allclose(S, 2 * setup.eta * setup.m1 * setup.kB * setup.T, rtol=1e-3)
+        assert np.allclose(S, 2 * setup.eta * setup.m1 * setup.kB * setup.T, rtol=1e-3, atol=0.0)
 
 
 class TestSymmetricPair:
     def test_decoupled_matches_fixed_source(self, rng):
-        setup = dataclasses.replace(
+        base = dataclasses.replace(
             PhysicalSetup(m1=1.0, m2=1.0, omega1=1.2, omega2=1.2, d=0.5, G=0.0),
             eta=0.01, T=200.0)
-        sys = linearize(setup)
-        assert sys.K == 0.0
-        gamma = symmetric_gamma(rng, 1e60)
         w = np.linspace(0.2, 2.5, 300)
-        pair = dns_symmetric_pair(setup, sys, gamma, w)
-        fixed = dns_fixed_source(setup, sys, gamma, w)
-        assert np.allclose(pair.S_total, fixed.S_total, rtol=1e-12)
+        # an exchange-symmetric pair, then unequal masses and frequencies with
+        # a gamma that correlates the two bodies without exchange symmetry
+        for setup, gamma in ((base, symmetric_gamma(rng, 1e60)),
+                             (dataclasses.replace(base, m2=3.0, omega2=0.7),
+                              DiffusionMatrix(random_psd_batch(rng, 1, scale=1e60)[0]))):
+            sys = linearize(setup)
+            assert sys.K == 0.0
+            pair = dns_symmetric_pair(setup, sys, gamma, w)
+            fixed = dns_fixed_source(setup, sys, gamma, w)
+            assert np.allclose(pair.S_total, fixed.S_total, rtol=1e-12, atol=0.0)
+
+    def test_matches_closed_form_oracle(self, rng):
+        setup = damped_setup(eta=0.01, T=150.0, kbar=0.25)
+        sys = linearize(setup)
+        w = np.linspace(-3.0, 3.0, 2049)
+        for _ in range(25):
+            gamma = symmetric_gamma(rng, 1e58)
+            spec = dns_symmetric_pair(setup, sys, gamma, w)
+            assert worst_component_error(
+                spec, symmetric_pair_oracle(setup, sys, gamma, w)) <= 1e-12
+
+    def test_asymmetric_pair_matches_lyapunov(self, rng):
+        # int S_x1x1 dw / 2 pi is the stationary V_x1x1 of dz = A z dt + noise:
+        # the gravitational parts with rate D_grav and, classically
+        # (hbar w << kB T), the thermal part with white momentum noise
+        # 2 eta m_j kB T on each body.
+        setup = asymmetric_setup(eta=0.05)
+        sys = linearize(setup)
+        assert sys.Omega1 != sys.Omega2
+        gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=1e58)[0])
+        A = langevin_drift(setup, sys)
+        modes = np.unique(np.abs(np.linalg.eigvals(A).imag))
+        top = 3.0 * modes.max()
+
+        def variance(component):
+            def f(wi):  # S(w) + S(-w): the w < 0 half folded onto w > 0
+                return component(dns_symmetric_pair(setup, sys, gamma, np.array([wi, -wi]))).sum()
+            peaks = quad(f, 0.0, top, points=modes, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+            tail = quad(f, top, np.inf, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+            return (peaks + tail) / (2.0 * np.pi)
+
+        D_grav = langevin_diffusion(setup, gamma.matrix)
+        assert variance(lambda s: s.S_grav_position + s.S_grav_momentum + s.S_cross) == \
+            pytest.approx(solve_continuous_lyapunov(A, -D_grav)[0, 0], rel=1e-8, abs=0.0)
+        kT = setup.kB * setup.T
+        D_th = np.diag([0.0, 0.0, 2 * setup.eta * setup.m1 * kT, 2 * setup.eta * setup.m2 * kT])
+        assert variance(lambda s: s.S_thermal) == \
+            pytest.approx(solve_continuous_lyapunov(A, -D_th)[0, 0], rel=1e-8, abs=0.0)
+
+    def test_undamped_resonance_on_grid_raises(self):
+        setup = PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.5, G=0.0, T=1.0)
+        sys = linearize(setup)
+        for dns in (dns_fixed_source, dns_symmetric_pair):
+            with pytest.raises(DomainError, match="undamped resonance"):
+                dns(setup, sys, DiffusionMatrix.zero(), np.array([0.5, 1.0]))
 
     def test_resonance_matches_closed_form(self, rng):
         setup = damped_setup(eta=0.01, T=150.0, kbar=0.25)
@@ -156,7 +243,7 @@ class TestSymmetricPair:
             gamma = symmetric_gamma(rng, 1e58)
             spec = dns_symmetric_pair(setup, sys, gamma, np.array([sys.Omega1]))
             assert spec.S_total[0] == pytest.approx(
-                closed_form_resonance(setup, sys, gamma), rel=1e-12)
+                closed_form_resonance(setup, sys, gamma), rel=1e-12, abs=0.0)
 
     def test_interference_vanishes_on_resonance_only(self, rng):
         setup = damped_setup(eta=0.01, T=150.0, kbar=0.25)
@@ -168,7 +255,7 @@ class TestSymmetricPair:
             -2 * setup.eta * setup.m1 * setup.hbar**2
             * self_channel_weights(setup, sys, sys.Omega1) @ np.array([g[0, 2], g[1, 3]])
         )
-        assert on.S_cross[0] == pytest.approx(direct_cross, rel=1e-10)
+        assert on.S_cross[0] == pytest.approx(direct_cross, rel=1e-10, abs=0.0)
         off = dns_symmetric_pair(setup, sys, gamma, np.array([0.8 * sys.Omega1]))
         direct_off = (
             -2 * setup.eta * setup.m1 * setup.hbar**2
@@ -177,23 +264,15 @@ class TestSymmetricPair:
         assert abs(off.S_cross[0] - direct_off) > abs(direct_off) * 1e-6
 
     def test_even_in_frequency_classically(self, rng):
-        setup = damped_setup(eta=0.01, T=5000.0, kbar=0.25)
-        sys = linearize(setup)
-        gamma = symmetric_gamma(rng, 1e58)
         w = np.linspace(0.1, 2.0, 64)
-        plus = dns_symmetric_pair(setup, sys, gamma, w)
-        minus = dns_symmetric_pair(setup, sys, gamma, -w)
-        assert np.allclose(plus.S_total, minus.S_total, rtol=1e-8)
-
-    def test_rejects_asymmetric_inputs(self, rng):
-        setup = damped_setup()
-        sys = linearize(setup)
-        bad = np.diag([1.0, 2.0, 1.0, 1.0]) * 1e55
-        with pytest.raises(SymmetryError):
-            dns_symmetric_pair(setup, sys, DiffusionMatrix(bad), np.array([1.0]))
-        asym_setup = dataclasses.replace(setup, m2=2 * setup.m1)
-        with pytest.raises(SymmetryError):
-            dns_symmetric_pair(asym_setup, sys, symmetric_gamma(rng, 1e55), np.array([1.0]))
+        for setup, gamma in ((damped_setup(eta=0.01, T=5000.0, kbar=0.25),
+                              symmetric_gamma(rng, 1e58)),
+                             (asymmetric_setup(eta=0.01, T=5000.0),
+                              DiffusionMatrix(random_psd_batch(rng, 1, scale=1e58)[0]))):
+            sys = linearize(setup)
+            plus = dns_symmetric_pair(setup, sys, gamma, w)
+            minus = dns_symmetric_pair(setup, sys, gamma, -w)
+            assert np.allclose(plus.S_total, minus.S_total, rtol=1e-8, atol=0.0)
 
 
 def self_channel_weights(setup, sys, w):
