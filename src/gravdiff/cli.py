@@ -87,6 +87,13 @@ def _start_manifest(args, cfg, sha, seed=None) -> mani.RunManifest:
     )
 
 
+def _require_positive(flag: str, value) -> None:
+    """ConfigError naming ``flag`` unless ``value`` is omitted (None) or a
+    positive finite number."""
+    if value is not None and not 0.0 < value < np.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
+
+
 def _finish(args, manifest: mani.RunManifest) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,6 +159,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _require_positive("--periods", args.periods)
+    _require_positive("--dt", args.dt)
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
     period = sys_lin.min_period()
@@ -210,6 +219,8 @@ def _resolve_seed(args, cfg):
 
 
 def cmd_simulate(args) -> int:
+    _require_positive("--dt", args.dt)
+    _require_positive("--duration", args.duration)
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
     seed = _resolve_seed(args, cfg)
@@ -220,6 +231,9 @@ def cmd_simulate(args) -> int:
         20.0 / setup.eta if setup.eta > 0 else 50.0 * 2.0 * np.pi / om_eff
     )
     ens = simulate(setup, sys_lin, noise, args.traj, dt, duration)
+    spec = None
+    if args.welch_segment is not None:
+        spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,8 +251,7 @@ def cmd_simulate(args) -> int:
     mani.write_csv(path, ("t", "mean_x", "var_x", "mean_p", "var_p"), rows)
     manifest.add_output(path)
 
-    if args.welch_segment is not None:
-        spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
+    if spec is not None:
         spath = out / "simulate_spectrum.csv"
         mani.write_csv(spath, spec.CSV_HEADER, spec.csv_rows(), preamble=spec.convention)
         manifest.add_output(spath)
@@ -252,8 +265,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reheat(args) -> int:
-    if not args.cycle_time > 0:
-        raise ConfigError(f"--cycle-time must be positive, got {args.cycle_time}")
+    _require_positive("--cycle-time", args.cycle_time)
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
     seed = _resolve_seed(args, cfg)
@@ -352,14 +364,6 @@ def cmd_sweep(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-_SETUP_KEYS = ("m1_kg", "m2_kg", "omega1_rad_s", "omega2_rad_s", "d_m",
-               "T_K", "eta_per_s", "Q", "G_m3_kg_s2", "hbar_Js", "kB_J_K")
-_GAMMA_KEYS = ("gamma11", "gamma12", "gamma13", "gamma14", "gamma22",
-               "gamma23", "gamma24", "gamma33", "gamma34", "gamma44")
-_PENDULUM_KEYS = ("Omega_rad_s", "rho_kg_m3", "R_m", "beta", "T_K", "Q",
-                  "N_quanta", "r_fraction", "G_m3_kg_s2", "hbar_Js", "kB_J_K")
-
-
 def _keys_epilog(*groups) -> str:
     keys = []
     for g in groups:
@@ -387,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linearize",
                        help="renormalized frequencies, coupling and equilibrium shifts",
-                       epilog=_keys_epilog(_SETUP_KEYS))
+                       epilog=_keys_epilog(cfgmod.SETUP_KEYS))
     common(p)
     p.set_defaults(func=cmd_linearize)
 
     p = sub.add_parser("bound",
                        help="evaluate the separability-bound chain on the configured gamma",
-                       epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
     p.add_argument("--paper-literal", action="store_true",
                    help="use the printed (dimensionally inconsistent) form of the dimensional bound")
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve",
                        help="integrate the covariance ODE from the ground state",
-                       epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
     p.add_argument("--periods", type=float, default=3.0, help="evolution length in oscillator periods")
     p.add_argument("--dt", type=float, default=None, help="sampling step [s] (default: period/500)")
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum",
                        help="analytic displacement-noise spectrum to CSV",
-                       epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
     p.add_argument("--grid", type=int, default=1024, help="number of frequency points")
     p.add_argument("--model", choices=("fixed", "pair"), default="fixed",
@@ -417,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("simulate", help="Langevin Monte Carlo ensemble",
-                       epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
+                                           ("Omega_rad_s", "seed")))
     common(p, needs_seed=True)
     p.add_argument("--traj", type=int, default=64, help="number of trajectories")
     p.add_argument("--dt", type=float, default=None, help="step [s]")
@@ -429,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reheat", help="reheating-rate measurement protocol",
-                       epilog=_keys_epilog(_SETUP_KEYS, _GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
+                                           ("Omega_rad_s", "seed")))
     common(p, needs_seed=True)
     p.add_argument("--cycles", type=int, default=256)
     p.add_argument("--cycle-time", type=float, required=True, help="dark time per cycle [s]")
@@ -437,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reheat)
 
     p = sub.add_parser("feasibility", help="heating-rate budget and verdict",
-                       epilog=_keys_epilog(_PENDULUM_KEYS))
+                       epilog=_keys_epilog(cfgmod.PENDULUM_KEYS))
     common(p)
     p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("sweep", help="sweep one design parameter of the feasibility report",
-                       epilog=_keys_epilog(_PENDULUM_KEYS))
+                       epilog=_keys_epilog(cfgmod.PENDULUM_KEYS))
     common(p)
     p.add_argument("--param", required=True, help="config key to sweep (e.g. Q, T_K, Omega_rad_s)")
     p.add_argument("--values", default=None, help="comma-separated values")

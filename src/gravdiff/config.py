@@ -20,14 +20,19 @@ R_m                       sphere radius [m]
 Omega_rad_s               resonance angular frequency (feasibility) [rad/s]
 N_quanta                  detector noise [quanta]
 r_fraction                resolvable thermal-noise fraction
-gamma11 .. gamma34        SI diffusion-matrix entries (symmetric completion;
+gamma11 .. gamma44        SI diffusion-matrix entries (symmetric completion;
                           units as in gravdiff.model.DiffusionMatrix)
 seed                      master seed (unsigned 64-bit)
 G_m3_kg_s2, hbar_Js, kB_J_K  constant overrides (default CODATA)
 ========================  =====================================================
+
+:data:`KNOWN_KEYS` is the registry of these keys; :func:`load_config`
+rejects any other key.
 """
 
 from __future__ import annotations
+
+import difflib
 
 import numpy as np
 
@@ -37,18 +42,26 @@ from .model import DiffusionMatrix, PhysicalSetup
 from .feasibility import FeasibilityParams
 
 __all__ = [
+    "KNOWN_KEYS",
+    "SETUP_KEYS",
+    "GAMMA_KEYS",
+    "PENDULUM_KEYS",
     "parse_config",
+    "load_config",
     "require_keys",
     "setup_from_config",
     "gamma_from_config",
     "feasibility_from_config",
 ]
 
-_GAMMA_KEYS = [
-    ("gamma11", 0, 0), ("gamma12", 0, 1), ("gamma13", 0, 2), ("gamma14", 0, 3),
-    ("gamma22", 1, 1), ("gamma23", 1, 2), ("gamma24", 1, 3),
-    ("gamma33", 2, 2), ("gamma34", 2, 3), ("gamma44", 3, 3),
-]
+_CONSTANT_KEYS = ("G_m3_kg_s2", "hbar_Js", "kB_J_K")
+SETUP_KEYS = ("m1_kg", "m2_kg", "omega1_rad_s", "omega2_rad_s", "d_m",
+              "T_K", "eta_per_s", "Q") + _CONSTANT_KEYS
+_GAMMA_ENTRIES = [(f"gamma{i + 1}{j + 1}", i, j) for i in range(4) for j in range(i, 4)]
+GAMMA_KEYS = tuple(key for key, _, _ in _GAMMA_ENTRIES)
+PENDULUM_KEYS = ("Omega_rad_s", "rho_kg_m3", "R_m", "beta", "T_K", "Q",
+                 "N_quanta", "r_fraction") + _CONSTANT_KEYS
+KNOWN_KEYS = frozenset(SETUP_KEYS + GAMMA_KEYS + PENDULUM_KEYS + ("seed",))
 
 
 def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
@@ -83,12 +96,20 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
 
 
 def load_config(path) -> dict[str, float]:
+    """Parse a config file; a key outside :data:`KNOWN_KEYS` is a ConfigError
+    that names the closest known key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, source=str(path))
+    cfg = parse_config(text, source=str(path))
+    for key in cfg:
+        if key not in KNOWN_KEYS:
+            close = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"{path}: unknown config key {key!r}{hint}")
+    return cfg
 
 
 def require_keys(cfg: dict, keys) -> None:
@@ -131,7 +152,7 @@ def setup_from_config(cfg: dict) -> PhysicalSetup:
 def gamma_from_config(cfg: dict) -> DiffusionMatrix:
     """Assemble the SI diffusion matrix from gammaXY keys (missing -> 0)."""
     g = np.zeros((4, 4))
-    for key, i, j in _GAMMA_KEYS:
+    for key, i, j in _GAMMA_ENTRIES:
         val = cfg.get(key, 0.0)
         g[i, j] = val
         g[j, i] = val

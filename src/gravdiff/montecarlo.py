@@ -7,22 +7,24 @@ the equilibrium shift,
     dp = (-(m Omega^2 + K) x - eta p) dt + dXi - hbar dW1,
 
 where (dW1..dW4) are correlated increments with E[dW_i dW_j] = gamma_ij dt
-(drawn through a factor L with L L^T = gamma) and dXi is classical white
-thermal noise of intensity 2 eta m kB T. The gravitational and thermal noises
-are independent. ``keep_static_force=True`` retains the constant -K d term
-instead (the mean then settles at the shifted equilibrium).
+and dXi is classical white thermal noise of intensity 2 eta m kB T. The
+gravitational and thermal noises are independent. ``keep_static_force=True``
+retains the constant -K d term instead (the mean then settles at the shifted
+equilibrium).
 
-Integration: the linear drift is propagated exactly by the 2x2 drift
-exponential from :func:`gravdiff.model.propagator`, so noise-free trajectories
-reproduce the damped oscillation to rounding at any admissible step; the
-noise keeps the plain Euler-Maruyama increment B sqrt(dt) and with it EM's
-weak first-order convergence (stationary-moment bias is O(eta dt)).
+Integration is exact (exact Ornstein-Uhlenbeck updating, D. T. Gillespie,
+PRE 54:2084, 1996): the pair (Phi, Q) from :func:`gravdiff.model.propagator`
+is the drift exponential and the covariance that one step of length dt adds,
+so each step is z <- z* + Phi (z - z*) + C u with C C^T = Q and u two
+standard normals. The sampled chain has the continuous process's transition
+law at every admissible step, with no step-size bias in any moment.
 
 Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
 so trajectories are reproducible and order-independent regardless of how the
-ensemble is scheduled. Per stream, the draw order is: 2 normals for the
-initial condition (when sampled), then 5 normals per step (4 gravitational,
-1 thermal), then any protocol-specific draws.
+ensemble is scheduled. Per stream, the draw order is: for ``simulate``,
+2 normals for the initial condition (when sampled), then 2 normals per step;
+for ``reheating_run``, 2 normals for the end-of-cycle state, then 1 for the
+readout.
 """
 
 from __future__ import annotations
@@ -69,19 +71,23 @@ _RAW_VERSION = 1
 _DOMAIN_TRAJECTORY = 0
 _DOMAIN_CYCLE = 1 << 56
 
+# Steps per noise block: the per-block work arrays hold O(n_traj * block)
+# values, so their memory does not grow with the run length.
+_BLOCK_STEPS = 4096
 
-def _noise_factor(gamma: np.ndarray) -> np.ndarray:
-    """L with L L^T = gamma: the Cholesky factor when gamma is positive definite.
 
-    A singular or slightly indefinite gamma (PSD within the DiffusionMatrix
-    tolerance) is projected onto the PSD cone by clipping its negative
-    eigenvalues to zero; L is then the eigen-factor U sqrt(lambda) of the
-    projection.
+def _noise_factor(V: np.ndarray) -> np.ndarray:
+    """L with L L^T = V: the Cholesky factor when V is positive definite.
+
+    A singular or slightly indefinite V (PSD within rounding or within the
+    DiffusionMatrix tolerance) is projected onto the PSD cone by clipping its
+    negative eigenvalues to zero; L is then the eigen-factor U sqrt(lambda) of
+    the projection.
     """
     try:
-        return np.linalg.cholesky(gamma)
+        return np.linalg.cholesky(V)
     except np.linalg.LinAlgError:
-        lam, U = np.linalg.eigh(gamma)
+        lam, U = np.linalg.eigh(V)
         return U * np.sqrt(np.clip(lam, 0.0, None))
 
 
@@ -91,13 +97,12 @@ class NoiseModel:
 
     ``thermal_intensity`` is the white force intensity 2 eta m kB T [N^2 s];
     the exact colored quantum kernel is available only through the analytic
-    spectra. ``correlation_decomposition`` holds L with L L^T = gamma.
+    spectra.
     """
 
     gamma: DiffusionMatrix
     thermal_intensity: float
     seed: int
-    correlation_decomposition: np.ndarray = None
 
     def __post_init__(self):
         if self.thermal_intensity < 0:
@@ -107,9 +112,6 @@ class NoiseModel:
         seed = int(self.seed)
         if not 0 <= seed < 2**64:
             raise SeedError(f"seed must be in [0, 2**64), got {seed}")
-        L = _noise_factor(self.gamma.matrix)
-        L.setflags(write=False)
-        object.__setattr__(self, "correlation_decomposition", L)
         object.__setattr__(self, "seed", seed)
 
     @classmethod
@@ -179,11 +181,6 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
     return 0.5 * (V + V.T)
 
 
-def _noise_step_pieces(noise: NoiseModel, dt: float):
-    """(correlation factor L, thermal stddev, sqrt(dt)) for one EM step."""
-    return noise.correlation_decomposition, np.sqrt(noise.thermal_intensity), np.sqrt(dt)
-
-
 def simulate(
     setup: PhysicalSetup,
     sys: LinearizedSystem,
@@ -193,10 +190,9 @@ def simulate(
     duration: float,
     init="stationary",
     keep_static_force: bool = False,
-    block_steps: int = 4096,
     stream_offset: int = 0,
 ) -> TrajectoryEnsemble:
-    """Integrate an ensemble of monitored-oscillator sample paths.
+    """Sample an ensemble of monitored-oscillator paths exactly at spacing dt.
 
     Parameters
     ----------
@@ -232,7 +228,7 @@ def simulate(
         raise ValueError("duration shorter than one step")
 
     A = drift_2x2(setup, sys)
-    Phi, _ = propagator(A, diffusion_2x2(setup, noise), dt)
+    Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
 
     if keep_static_force:
         # Fixed point of dz/dt = A z + (0, -K d): propagate deviations exactly.
@@ -241,60 +237,48 @@ def simulate(
     else:
         z_star = np.zeros(2)
 
-    sample_init = False
+    V0 = np.zeros((2, 2))
     if isinstance(init, str):
         if init == "stationary":
-            V0 = stationary_covariance(setup, sys, noise) if (
-                np.linalg.norm(diffusion_2x2(setup, noise)) > 0 and setup.eta > 0
-            ) else np.zeros((2, 2))
-            if np.linalg.norm(V0) > 0:
-                C0 = _noise_factor(V0)
-                sample_init = True
-            z0 = z_star.copy()
-        elif init == "rest":
-            z0 = z_star.copy()
-        else:
+            if setup.eta > 0:
+                V0 = stationary_covariance(setup, sys, noise)
+        elif init != "rest":
             raise ValueError(f"unknown init mode {init!r}")
+        z0 = z_star
     else:
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
 
     rngs = [noise.stream(stream_offset + i) for i in range(n_traj)]
-    L, sig_th, sqdt = _noise_step_pieces(noise, dt)
-    hb = setup.hbar
+    # zs[:, k, j] is the deviation z - z* of trajectory k at step j, so
+    # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
+    zs = np.empty((2, n_traj, n_steps + 1))
+    zs[:, :, 0] = (z0 - z_star)[:, None]
+    if np.any(V0):
+        u0 = np.stack([rng.standard_normal(2) for rng in rngs], axis=1)
+        zs[:, :, 0] += _noise_factor(V0) @ u0
 
-    x = np.empty((n_traj, n_steps + 1))
-    p = np.empty((n_traj, n_steps + 1))
-    z = np.tile(z0, (n_traj, 1))
-    if sample_init:
-        u0 = np.stack([rng.standard_normal(2) for rng in rngs])
-        z = z + u0 @ C0.T
-    x[:, 0] = z[:, 0]
-    p[:, 0] = z[:, 1]
-
-    noiseless = (np.linalg.norm(L) == 0.0) and (sig_th == 0.0)
-    step = 0
-    while step < n_steps:
-        bs = min(block_steps, n_steps - step)
-        if noiseless:
-            nx = np.zeros((n_traj, bs))
-            npp = np.zeros((n_traj, bs))
-        else:
-            u = np.stack([rng.standard_normal((bs, 5)) for rng in rngs])
-            w = u[:, :, :4] @ L.T
-            nx = hb * w[:, :, 2] * sqdt
-            npp = (-hb * w[:, :, 0] + sig_th * u[:, :, 4]) * sqdt
+    C = _noise_factor(Q)
+    u = np.zeros((n_traj, min(_BLOCK_STEPS, n_steps), 2))
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        bs = min(_BLOCK_STEPS, n_steps - start)
+        if np.any(C):
+            for rng, row in zip(rngs, u):
+                rng.standard_normal(out=row[:bs])
+        # Step-major within the block, so each step reads and writes one
+        # contiguous (2, n_traj) slab: blk[k] is the state at step start + k.
+        blk = np.empty((bs + 1, 2, n_traj))
+        blk[0] = zs[:, :, start]
+        np.matmul(C, u[:, :bs].transpose(1, 2, 0), out=blk[1:])
         for k in range(bs):
-            z = z_star + (z - z_star) @ Phi.T
-            z[:, 0] += nx[:, k]
-            z[:, 1] += npp[:, k]
-            x[:, step + k + 1] = z[:, 0]
-            p[:, step + k + 1] = z[:, 1]
-        step += bs
+            blk[k + 1] += Phi @ blk[k]
+        zs[:, :, start + 1:start + bs + 1] = blk[1:].transpose(1, 2, 0)
+    if keep_static_force:
+        zs += z_star[:, None, None]
 
     times = np.arange(n_steps + 1) * dt
     return TrajectoryEnsemble(
-        n_traj=n_traj, dt=dt, duration=n_steps * dt, times=times, x=x, p=p,
+        n_traj=n_traj, dt=dt, duration=n_steps * dt, times=times, x=zs[0], p=zs[1],
         seeds=tuple(range(stream_offset, stream_offset + n_traj)),
         master_seed=noise.seed,
     )
@@ -352,14 +336,15 @@ def reheating_run(
     n_cycles: int,
     cycle_time: float,
     detector_noise_N: float = 1.0,
-    dt: float | None = None,
 ) -> ReheatResult:
     """Estimate the phonon heating rate by dark reheating cycles.
 
-    Each cycle prepares the oscillator near its ground state (a fresh draw
-    from the ground-state phase-space distribution), lets it evolve without
-    measurement for ``cycle_time``, and reads the energy out once with
-    additive detector noise of ``detector_noise_N`` quanta. The growth slope
+    Each cycle prepares the oscillator near its ground state (the ground-state
+    phase-space distribution), lets it evolve without measurement for
+    ``cycle_time``, and reads the energy out once with additive detector noise
+    of ``detector_noise_N`` quanta. The end-of-cycle state is drawn directly
+    from its exact law N(0, Phi V_g Phi^T + Q) for the ground-state
+    covariance V_g and the propagator (Phi, Q) over one cycle. The growth slope
     Gamma_hat = <n_hat>/cycle_time estimates the total heating rate; the
     quoted relative error is the standard error of that mean across cycles.
 
@@ -372,45 +357,19 @@ def reheating_run(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"
         )
     om_eff = effective_frequency(sys)
-    if dt is None:
-        dt = min(0.005 * 2.0 * np.pi / om_eff, cycle_time / 16.0)
-    n_steps = max(1, int(round(cycle_time / dt)))
-    dt = cycle_time / n_steps
-
     m = setup.m1
     hb = setup.hbar
-    Phi, _ = propagator(drift_2x2(setup, sys), diffusion_2x2(setup, noise), dt)
-    L, sig_th, sqdt = _noise_step_pieces(noise, dt)
+    Phi, Q = propagator(drift_2x2(setup, sys), diffusion_2x2(setup, noise), cycle_time)
+    V_g = np.diag([hb / (2.0 * m * om_eff), m * hb * om_eff / 2.0])
+    C = _noise_factor(Phi @ V_g @ Phi.T + Q)
 
-    x_var0 = hb / (2.0 * m * om_eff)
-    p_var0 = m * hb * om_eff / 2.0
-
-    rngs = [noise.stream(i, domain=_DOMAIN_CYCLE) for i in range(n_cycles)]
-    # one block draw per cycle stream: 2 prep + n_steps*5 path + 1 readout
-    u0 = np.empty((n_cycles, 2))
-    path = np.empty((n_cycles, n_steps, 5))
-    xi = np.empty(n_cycles)
-    for i, rng in enumerate(rngs):
-        u0[i] = rng.standard_normal(2)
-        path[i] = rng.standard_normal((n_steps, 5))
-        xi[i] = rng.standard_normal()
-
-    z = np.empty((n_cycles, 2))
-    z[:, 0] = u0[:, 0] * np.sqrt(x_var0)
-    z[:, 1] = u0[:, 1] * np.sqrt(p_var0)
-
-    w = path[:, :, :4] @ L.T
-    nx = hb * w[:, :, 2] * sqdt
-    npp = (-hb * w[:, :, 0] + sig_th * path[:, :, 4]) * sqdt
-    for k in range(n_steps):
-        z = z @ Phi.T
-        z[:, 0] += nx[:, k]
-        z[:, 1] += npp[:, k]
-
+    u = np.stack([noise.stream(i, domain=_DOMAIN_CYCLE).standard_normal(3)
+                  for i in range(n_cycles)])
+    z = u[:, :2] @ C.T
     energy = z[:, 1] ** 2 / (2.0 * m) + 0.5 * m * om_eff**2 * z[:, 0] ** 2
     n_hat = energy / (hb * om_eff) - 0.5
     if detector_noise_N > 0:
-        n_hat = n_hat + detector_noise_N * xi
+        n_hat = n_hat + detector_noise_N * u[:, 2]
 
     gamma_hat = float(n_hat.mean() / cycle_time)
     stderr = float(n_hat.std(ddof=1) / np.sqrt(n_cycles) / cycle_time)

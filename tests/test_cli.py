@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gravdiff import cli
+from gravdiff import config as cfgmod
 from gravdiff.bounds import minimal_diffusion
 from gravdiff.config import gamma_from_config, parse_config, setup_from_config
 from gravdiff.errors import ConfigError, DomainError
@@ -68,6 +69,11 @@ class TestConfigParsing:
         assert g[0, 0] == 2.0 and g[0, 1] == -1.0 and g[1, 0] == -1.0
         assert np.all(g[2:, :] == 0.0)
 
+    def test_registry_keys_documented(self):
+        # the module docstring's key table covers the registry
+        for key in cfgmod.KNOWN_KEYS - set(cfgmod.GAMMA_KEYS):
+            assert key in cfgmod.__doc__, key
+
     def test_q_sets_eta(self):
         setup = setup_from_config(
             {"m1_kg": 1.0, "omega1_rad_s": 2.0, "d_m": 0.1, "Q": 100.0})
@@ -100,6 +106,44 @@ class TestExitCodes:
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["linearize", "--out", str(tmp_path)]) == 2
+
+    def test_unknown_key_exit_2_names_closest(self, tmp_path, capsys):
+        path = tmp_path / "typo.cfg"
+        path.write_text(STABLE_PAIR.replace("eta_per_s", "eta_per_sec"))
+        out = tmp_path / "out"
+        rc = cli.main(["reheat", "--config", str(path), "--seed", "9", "--cycles", "8",
+                       "--cycle-time", "0.1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'eta_per_sec'" in err and "'eta_per_s'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--dt", "-1"),
+        ("simulate", "--duration", "-5"),
+        ("simulate", "--dt", "nan"),
+        ("evolve", "--periods", "-1"),
+        ("evolve", "--dt", "nan"),
+    ])
+    def test_nonpositive_flag_exit_2(self, stable_config, tmp_path, capsys,
+                                     command, flag, value):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", str(stable_config), flag, value,
+                       "--out", str(out)] + (["--seed", "1"] if command == "simulate" else []))
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--welch-segment", "0"],
+                                       ["--welch-segment", "64", "--welch-overlap", "1.5"]])
+    def test_bad_welch_flags_write_nothing(self, stable_config, tmp_path, flags):
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = cli.main(["simulate", "--config", str(stable_config), "--seed", "1",
+                       "--traj", "2", "--dt", "0.005", "--duration", "2.0",
+                       "--out", str(out)] + flags)
+        assert rc == 2
+        assert not list(out.iterdir())
 
     def test_io_failure_exit_4(self, stable_config, tmp_path):
         blocker = tmp_path / "blocker"

@@ -16,9 +16,11 @@ from gravdiff.model import (
     PhysicalSetup,
     linearize,
     pendulum_system,
+    propagator,
     to_dimensionless,
 )
 from gravdiff.montecarlo import (
+    _BLOCK_STEPS,
     NoiseModel,
     TrajectoryEnsemble,
     desk_rescale,
@@ -32,6 +34,7 @@ from gravdiff.montecarlo import (
     stationary_covariance,
     welch_spectrum,
     write_raw_trajectories,
+    _noise_factor,
 )
 
 from conftest import lyapunov_oracle, make_diffusion, strong_coupling_setup
@@ -50,32 +53,34 @@ class TestNoiseModel:
     def test_factor_reproduces_gamma(self, rng):
         from conftest import random_psd_batch
         g = random_psd_batch(rng, 1, scale=3.0)[0]
-        nm = NoiseModel(gamma=DiffusionMatrix(g), thermal_intensity=0.0, seed=7)
-        L = nm.correlation_decomposition
+        L = _noise_factor(g)
         assert np.allclose(L @ L.T, g, rtol=1e-12, atol=1e-12 * np.linalg.norm(g))
         # positive definite: the plain Cholesky factor, bit for bit
-        assert np.array_equal(L, np.linalg.cholesky(nm.gamma.matrix))
+        assert np.array_equal(L, np.linalg.cholesky(g))
 
     def test_factor_handles_boundary_matrix(self):
         v = np.array([1.0, 0.0, 0.0, -1.0])
         g = np.outer(v, v)
-        nm = NoiseModel(gamma=DiffusionMatrix(g), thermal_intensity=0.0, seed=7)
-        L = nm.correlation_decomposition
+        L = _noise_factor(g)
         assert np.allclose(L @ L.T, g, atol=1e-12 * np.linalg.norm(g))
 
     def test_thermal_intensity_from_setup(self):
         setup = desk_pair()
         nm = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=3)
         assert nm.thermal_intensity == pytest.approx(
-            2 * setup.eta * setup.m1 * KB * setup.T, rel=1e-12)
+            2 * setup.eta * setup.m1 * KB * setup.T, rel=1e-12, abs=0.0)
 
     def test_factor_projects_indefinite_matrix_within_tolerance(self):
         # PSD within PSD_RTOL, but too negative for a jittered Cholesky
         Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         g = Q @ np.diag([1.0, 0.5, 0.2, -5e-11]) @ Q.T
-        nm = NoiseModel(gamma=DiffusionMatrix(g), thermal_intensity=0.0, seed=7)
-        L = nm.correlation_decomposition
+        L = _noise_factor(g)
         assert np.allclose(L @ L.T, g, rtol=0.0, atol=1e-10 * np.linalg.norm(g))
+        # the sampler runs on such a gamma
+        setup = desk_pair()
+        noise = NoiseModel(gamma=DiffusionMatrix(g), thermal_intensity=0.0, seed=7)
+        ens = simulate(setup, linearize(setup), noise, n_traj=4, dt=0.005, duration=1.0)
+        assert np.all(np.isfinite(ens.x)) and np.all(np.isfinite(ens.p))
 
     def test_seed_type_checked(self):
         with pytest.raises(SeedError):
@@ -148,7 +153,7 @@ class TestSimulateStatistics:
         m, om_e, eta = setup.m1, effective_frequency(sys), setup.eta
         closed_form = HBAR**2 * g11 / (2 * m**2 * om_e**2 * eta)
         lyap = stationary_covariance(setup, sys, noise)[0, 0]
-        assert closed_form == pytest.approx(lyap, rel=1e-12)
+        assert closed_form == pytest.approx(lyap, rel=1e-12, abs=0.0)
         assert abs(est - closed_form) <= 3 * sigma
 
     def test_moments_match_drift_augmented_ode(self):
@@ -174,6 +179,23 @@ class TestSimulateStatistics:
             (pf.var(ddof=1), pf.var(ddof=1) * np.sqrt(2.0 / n), V_oracle[1, 1]),
         ):
             assert abs(est - target) <= 3 * max(sig, 1e-300)
+
+    def test_one_step_covariance_is_exact(self):
+        # from a fixed start, step 1 has exactly the propagator's covariance Q;
+        # an Euler-Maruyama step would leave var x at 0 for thermal noise
+        setup = desk_pair(Q=10.0, T=300.0)
+        sys = linearize(setup)
+        noise = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=8)
+        dt = 0.004
+        ens = simulate(setup, sys, noise, n_traj=20000, dt=dt, duration=dt,
+                       init=(0.0, 0.0))
+        _, Q = propagator(drift_2x2(setup, sys), diffusion_2x2(setup, noise), dt)
+        z = np.stack([ens.x[:, 1], ens.p[:, 1]])
+        n = z.shape[1]
+        S = z @ z.T / n
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            sigma = np.sqrt((Q[i, i] * Q[j, j] + Q[i, j] ** 2) / n)
+            assert abs(S[i, j] - Q[i, j]) <= 3 * sigma
 
     def test_weak_convergence_in_dt(self):
         setup = dataclasses.replace(
@@ -201,10 +223,15 @@ class TestSimulateStatistics:
         # depends only on (seed, k)
         big = simulate(setup, sys, noise, n_traj=9, dt=0.005, duration=3.0)
         assert np.array_equal(big.x[:6], a.x)
-        # different block size must not change anything either
-        c = simulate(setup, sys, noise, n_traj=6, dt=0.005, duration=3.0,
-                     block_steps=100)
-        assert np.array_equal(c.x, a.x)
+        # a shorter run is the prefix of a longer one across noise blocks
+        short = simulate(setup, sys, noise, n_traj=2, dt=0.005,
+                         duration=1.5 * _BLOCK_STEPS * 0.005)
+        long = simulate(setup, sys, noise, n_traj=2, dt=0.005,
+                        duration=2.5 * _BLOCK_STEPS * 0.005)
+        n = short.x.shape[1]
+        assert n > _BLOCK_STEPS + 1 and long.x.shape[1] > 2 * _BLOCK_STEPS
+        assert np.array_equal(long.x[:, :n], short.x)
+        assert np.array_equal(long.p[:, :n], short.p)
 
     def test_rest_init(self):
         setup = desk_pair(Q=10.0, T=150.0)
