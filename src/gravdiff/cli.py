@@ -32,6 +32,7 @@ from .montecarlo import (
     effective_frequency,
     reheating_run,
     simulate,
+    welch_segments,
     welch_spectrum,
     write_raw_trajectories,
 )
@@ -92,6 +93,12 @@ def _require_positive(flag: str, value) -> None:
     positive finite number."""
     if value is not None and not 0.0 < value < np.inf:
         raise ConfigError(f"{flag} must be positive and finite, got {value}")
+
+
+def _require_count(flag: str, value: int, least: int) -> None:
+    """ConfigError naming ``flag`` unless ``value`` is at least ``least``."""
+    if value < least:
+        raise ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
 def _finish(args, manifest: mani.RunManifest) -> int:
@@ -183,10 +190,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _require_count("--grid", args.grid, 1)
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be at least 1, got {args.grid}")
     Om = sys_lin.Omega1
     w = np.linspace(0.25 * Om, 2.0 * Om, args.grid)
     if args.model == "fixed":
@@ -219,6 +225,7 @@ def _resolve_seed(args, cfg):
 
 
 def cmd_simulate(args) -> int:
+    _require_count("--traj", args.traj, 1)
     _require_positive("--dt", args.dt)
     _require_positive("--duration", args.duration)
     cfg, sha = _resolve_inputs(args)
@@ -230,6 +237,17 @@ def cmd_simulate(args) -> int:
     duration = args.duration if args.duration is not None else (
         20.0 / setup.eta if setup.eta > 0 else 50.0 * 2.0 * np.pi / om_eff
     )
+    # The run's sample count is known before sampling: check everything that
+    # depends on it first, so a bad flag costs no ensemble.
+    n_samples = int(round(duration / dt)) + 1
+    if n_samples < 2:
+        raise ConfigError(f"--duration {duration:g} s is shorter than one --dt step ({dt:g} s)")
+    if args.welch_segment is not None:
+        try:
+            welch_segments(n_samples, args.welch_segment, args.welch_overlap)
+        except ConfigError as exc:
+            raise ConfigError(f"--welch-segment/--welch-overlap with {n_samples} samples "
+                              f"per trajectory: {exc}") from None
     ens = simulate(setup, sys_lin, noise, args.traj, dt, duration)
     spec = None
     if args.welch_segment is not None:
@@ -265,7 +283,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reheat(args) -> int:
+    _require_count("--cycles", args.cycles, 2)
     _require_positive("--cycle-time", args.cycle_time)
+    if not 0.0 <= args.detector_noise < np.inf:
+        raise ConfigError(
+            f"--detector-noise must be non-negative and finite, got {args.detector_noise}")
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
     seed = _resolve_seed(args, cfg)

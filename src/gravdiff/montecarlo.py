@@ -19,6 +19,20 @@ so each step is z <- z* + Phi (z - z*) + C u with C C^T = Q and u two
 standard normals. The sampled chain has the continuous process's transition
 law at every admissible step, with no step-size bias in any moment.
 
+The recursion runs without a per-step Python loop. By Cayley-Hamilton,
+Phi^2 = tr(Phi) Phi - det(Phi) I, so each coordinate of the deviation z - z*
+obeys the AR(2) recursion
+
+    z[k+2] - tr(Phi) z[k+1] + det(Phi) z[k] = C u[k+1] + (Phi - tr(Phi) I) C u[k],
+
+a unit lower-triangular banded system of bandwidth 2. Each noise block of
+``_BLOCK_STEPS`` steps is one LAPACK ``dtbtrs`` solve over all 2 n_traj
+columns, with the block's first row the exact step from the state carried in
+from the previous block. The forcing is built by elementwise arithmetic, so a
+row does not depend on the ensemble width or on the run length. The draws
+and their order are those of the step-by-step recursion; only rounding
+differs from it (about 1e-12 relative).
+
 Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
 so trajectories are reproducible and order-independent regardless of how the
 ensemble is scheduled. Per stream, the draw order is: for ``simulate``,
@@ -33,7 +47,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import ConfigError, ProtocolError, SeedError, StabilityError
 from .model import (
@@ -50,6 +66,7 @@ __all__ = [
     "NoiseModel",
     "TrajectoryEnsemble",
     "simulate",
+    "welch_segments",
     "welch_spectrum",
     "ReheatResult",
     "reheating_run",
@@ -256,23 +273,51 @@ def simulate(
     zs[:, :, 0] = (z0 - z_star)[:, None]
     if np.any(V0):
         u0 = np.stack([rng.standard_normal(2) for rng in rngs], axis=1)
-        zs[:, :, 0] += _noise_factor(V0) @ u0
+        L0 = _noise_factor(V0)
+        zs[:, :, 0] += L0[:, :1] * u0[0] + L0[:, 1:] * u0[1]
 
     C = _noise_factor(Q)
-    u = np.zeros((n_traj, min(_BLOCK_STEPS, n_steps), 2))
+    # AR(2) form of z[k+1] = Phi z[k] + C u[k] (see the module docstring):
+    # z[k+2] - tr z[k+1] + det z[k] = C u[k+1] + MC u[k]. In each block, row 0
+    # is the exact step from the carried state z[start], row 1 also takes its
+    # -det z[start] term, and every row runs in the same banded solve.
+    tr = Phi[0, 0] + Phi[1, 1]
+    det = Phi[0, 0] * Phi[1, 1] - Phi[0, 1] * Phi[1, 0]
+    MC = (Phi - tr * np.eye(2)) @ C
+    width = min(_BLOCK_STEPS, n_steps)
+    band = np.empty((3, width), order="F")
+    band[0], band[1], band[2] = 1.0, -tr, det
+    u = np.zeros((n_traj, width, 2))
+    rhs_buf = np.empty(2 * n_traj * width)
+    tmp = np.empty((n_traj, width))
     for start in range(0, n_steps, _BLOCK_STEPS):
         bs = min(_BLOCK_STEPS, n_steps - start)
         if np.any(C):
             for rng, row in zip(rngs, u):
                 rng.standard_normal(out=row[:bs])
-        # Step-major within the block, so each step reads and writes one
-        # contiguous (2, n_traj) slab: blk[k] is the state at step start + k.
-        blk = np.empty((bs + 1, 2, n_traj))
-        blk[0] = zs[:, :, start]
-        np.matmul(C, u[:, :bs].transpose(1, 2, 0), out=blk[1:])
-        for k in range(bs):
-            blk[k + 1] += Phi @ blk[k]
-        zs[:, :, start + 1:start + bs + 1] = blk[1:].transpose(1, 2, 0)
+        # Elementwise products with scalar coefficients, into reused buffers:
+        # no BLAS kernel that depends on the ensemble width, so every row is
+        # bit-identical for any n_traj and any run length.
+        u0, u1 = u[:, :bs, 0], u[:, :bs, 1]
+        z = zs[:, :, start]
+        rhs = rhs_buf[:2 * n_traj * bs].reshape(2, n_traj, bs)
+        t = tmp[:, :bs]
+        for i, r in enumerate(rhs):
+            np.multiply(u0, C[i, 0], out=r)
+            np.multiply(u1, C[i, 1], out=t)
+            r += t
+            np.multiply(u0[:, :-1], MC[i, 0], out=t[:, 1:])
+            r[:, 1:] += t[:, 1:]
+            np.multiply(u1[:, :-1], MC[i, 1], out=t[:, 1:])
+            r[:, 1:] += t[:, 1:]
+            r[:, 0] += Phi[i, 0] * z[0] + Phi[i, 1] * z[1]
+            if bs > 1:
+                r[:, 1] -= det * z[i]
+        # The rows of rhs are the columns of the Fortran-ordered (bs, 2 n_traj)
+        # transpose: one unit lower-triangular banded solve for all of them.
+        sol, _ = dtbtrs(band[:, :bs], rhs.reshape(2 * n_traj, bs).T,
+                        uplo="L", diag="U", overwrite_b=1)
+        zs[:, :, start + 1:start + bs + 1] = sol.T.reshape(2, n_traj, bs)
     if keep_static_force:
         zs += z_star[:, None, None]
 
@@ -284,6 +329,20 @@ def simulate(
     )
 
 
+def welch_segments(n_samples: int, segment_len: int, overlap: float) -> tuple[int, int]:
+    """(segments per trajectory, hop between segment starts) of the Welch
+    segmentation; ConfigError if ``segment_len`` is outside [1, n_samples] or
+    ``overlap`` outside [0, 1)."""
+    if not (0 < segment_len <= n_samples):
+        raise ConfigError(
+            f"segment_len must be in [1, {n_samples}], got {segment_len}"
+        )
+    if not (0.0 <= overlap < 1.0):
+        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
+    hop = segment_len - int(overlap * segment_len)
+    return (n_samples - segment_len) // hop + 1, hop
+
+
 def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
                    overlap: float = 0.5) -> NoiseSpectrum:
     """Hann-windowed, overlap- and ensemble-averaged two-sided periodogram.
@@ -291,28 +350,23 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
     Normalized so a white input of intensity sigma^2 (sample variance
     sigma^2/dt) estimates a flat density sigma^2 in the angular two-sided
     convention of :mod:`gravdiff.spectra`. Returns the spectrum on the
-    fft-ordered grid sorted by increasing omega.
+    fft-ordered grid sorted by increasing omega. Segments start every
+    ``segment_len - int(overlap * segment_len)`` samples, are not detrended
+    and are transformed one trajectory at a time, so the working memory is
+    that of one trajectory's segments.
     """
-    n_samples = ens.x.shape[1]
-    if not (0 < segment_len <= n_samples):
-        raise ConfigError(
-            f"segment_len must be in [1, {n_samples}], got {segment_len}"
-        )
-    if not (0.0 <= overlap < 1.0):
-        raise ConfigError(f"overlap must be in [0, 1), got {overlap}")
-    # Imported here: scipy.signal pulls in scipy.optimize and scipy.stats,
-    # which nothing else in the package needs.
-    from scipy.signal import welch
-
-    fs = 1.0 / ens.dt
-    noverlap = int(overlap * segment_len)
-    f, Pxx = welch(
-        ens.x, fs=fs, window="hann", nperseg=segment_len, noverlap=noverlap,
-        detrend=False, return_onesided=False, scaling="density", axis=-1,
-    )
-    S = Pxx.mean(axis=0)
-    order = np.argsort(f)
-    return NoiseSpectrum(omega=2.0 * np.pi * f[order], S_total=S[order])
+    n_seg, hop = welch_segments(ens.x.shape[1], segment_len, overlap)
+    L = segment_len
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)   # periodic Hann
+    power = np.zeros(L // 2 + 1)
+    for x in ens.x:
+        X = np.fft.rfft(sliding_window_view(x, L)[::hop] * window, axis=-1)
+        power += (X.real**2 + X.imag**2).sum(axis=0)
+    power *= ens.dt / (window * window).sum() / (n_seg * ens.n_traj)
+    # A real input has S(-omega) = S(omega): mirror the non-negative bins.
+    S = np.concatenate([power[1:L // 2 + 1][::-1], power[:(L + 1) // 2]])
+    omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(L, ens.dt))
+    return NoiseSpectrum(omega=omega, S_total=S)
 
 
 @dataclass(frozen=True)
@@ -352,6 +406,8 @@ def reheating_run(
     """
     if n_cycles < 2:
         raise SeedError("need at least two cycles to estimate a rate")
+    if not 0.0 <= detector_noise_N < np.inf:
+        raise ValueError(f"detector_noise_N must be non-negative and finite, got {detector_noise_N}")
     if setup.eta > 0 and cycle_time >= 0.1 / setup.eta:
         raise ProtocolError(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"

@@ -141,3 +141,40 @@ def symmetric_pair_oracle(setup, sys, gamma, w):
     )
     S_cr = hb**2 * (-2.0 * eta * m) * (P11 * g[0, 2] + P12 * g[1, 3]) + interference
     return S_gp, S_gm, S_th, S_cr
+
+
+def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
+                   keep_static_force=False, stream_offset=0):
+    """Step-by-step reference for :func:`gravdiff.montecarlo.simulate`.
+
+    A plain Python loop z <- z* + Phi (z - z*) + C u over the same per-stream
+    draws: 2 normals for a sampled initial state, then 2 per step. It shares
+    the model pieces (Phi, Q, z*, V0) with the sampler but not its banded
+    solve. Returns the (x, p) arrays, one row per trajectory.
+    """
+    from gravdiff.model import propagator
+    from gravdiff.montecarlo import (_noise_factor, diffusion_2x2, drift_2x2,
+                                     stationary_covariance)
+    n_steps = int(round(duration / dt))
+    A = drift_2x2(setup, sys)
+    Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
+    C = _noise_factor(Q)
+    z_star = np.zeros(2)
+    if keep_static_force:
+        z_star = -np.linalg.solve(A, [0.0, -sys.K * setup.d])
+    V0 = np.zeros((2, 2))
+    if init == "stationary" and setup.eta > 0:
+        V0 = stationary_covariance(setup, sys, noise)
+    x = np.empty((n_traj, n_steps + 1))
+    p = np.empty_like(x)
+    for k in range(n_traj):
+        rng = noise.stream(stream_offset + k)
+        z = z_star.copy() if isinstance(init, str) else np.array(init, dtype=float)
+        if np.any(V0):
+            z = z + _noise_factor(V0) @ rng.standard_normal(2)
+        x[k, 0], p[k, 0] = z
+        for j in range(n_steps):
+            u = rng.standard_normal(2) if np.any(C) else np.zeros(2)
+            z = z_star + Phi @ (z - z_star) + C @ u
+            x[k, j + 1], p[k, j + 1] = z
+    return x, p

@@ -145,6 +145,26 @@ class TestExitCodes:
         assert rc == 2
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("flags", [
+        ["--traj", "0"],
+        ["--welch-segment", "402"],          # 2 s at 5 ms is 401 samples
+        ["--welch-segment", "64", "--welch-overlap", "-0.5"],
+        ["--duration", "0.002"],             # shorter than one step
+    ])
+    def test_simulate_flags_checked_before_sampling(self, stable_config, tmp_path, capsys,
+                                                    monkeypatch, flags):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulate ran before its flags were checked")
+
+        monkeypatch.setattr(cli, "simulate", must_not_run)
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", str(stable_config), "--seed", "1",
+                       "--traj", "2", "--dt", "0.005", "--duration", "2.0",
+                       "--out", str(out)] + flags)
+        assert rc == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_failure_exit_4(self, stable_config, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -354,6 +374,24 @@ class TestReheatCommand:
         assert rc == 2
         assert "--cycle-time" in capsys.readouterr().err
         assert not (tmp_path / "reheat.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--detector-noise", "-5"),
+        ("--detector-noise", "nan"),
+        ("--detector-noise", "inf"),
+        ("--cycles", "1"),
+        ("--cycles", "0"),
+    ])
+    def test_bad_flag_exit_2_before_running(self, tmp_path, capsys, monkeypatch, flag, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("reheating_run ran before its flags were checked")
+
+        monkeypatch.setattr(cli, "reheating_run", must_not_run)
+        rc = cli.main(["reheat", "--table1", "--seed", "9", "--cycles", "8",
+                       "--cycle-time", "1.0", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_result_exit_3(self, tmp_path, capsys, monkeypatch):
         nan_result = ReheatResult(Gamma_hat=float("nan"), rel_err=float("nan"),

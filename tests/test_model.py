@@ -248,11 +248,18 @@ class TestGaussianState:
 
 
 def test_import_loads_no_scipy_signal_or_optimize():
-    # Only the Welch estimator needs scipy.signal (which pulls in
-    # scipy.optimize and scipy.stats); importing the package must not.
+    # scipy.signal pulls in scipy.optimize and scipy.stats: neither importing
+    # the package nor sampling and estimating a spectrum may load them.
     import gravdiff
     env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
-    code = ("import sys, gravdiff; "
+    code = ("import sys\n"
+            "from gravdiff import model, montecarlo as mc\n"
+            "setup = model.PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1,\n"
+            "                            eta=0.1, T=300.0)\n"
+            "noise = mc.NoiseModel.from_setup(setup, model.DiffusionMatrix.zero(), seed=1)\n"
+            "ens = mc.simulate(setup, model.linearize(setup), noise, n_traj=2, dt=0.05,\n"
+            "                  duration=20.0)\n"
+            "mc.welch_spectrum(ens, segment_len=128)\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -37,7 +37,7 @@ from gravdiff.montecarlo import (
     _noise_factor,
 )
 
-from conftest import lyapunov_oracle, make_diffusion, strong_coupling_setup
+from conftest import lyapunov_oracle, make_diffusion, ou_loop_oracle, strong_coupling_setup
 
 
 def desk_pair(Q=10.0, T=300.0, kbar=0.2, omega=2 * np.pi):
@@ -253,6 +253,62 @@ class TestSimulateStatistics:
                      init="warm")
 
 
+def near_critical_case():
+    """eta = 2 Omega_eff (1 + 1e-6): Phi has a nearly double eigenvalue."""
+    base = dataclasses.replace(strong_coupling_setup(kbar_over_omega=0.2, omega=2 * np.pi),
+                               T=250.0)
+    om_e = effective_frequency(linearize(base))
+    setup = dataclasses.replace(base, eta=2.0 * om_e * (1.0 + 1e-6))
+    dt = 0.005 / setup.eta
+    return setup, dict(dt=dt, duration=2000 * dt)
+
+
+# Each case gives (setup, simulate keyword arguments); every dt respects
+# 0.01 min(2 pi/Omega, 1/eta).
+LOOP_ORACLE_CASES = {
+    "underdamped": lambda: (desk_pair(Q=10.0, T=250.0), dict(dt=0.005, duration=3.0)),
+    "overdamped": lambda: (desk_pair(Q=0.2, T=250.0),
+                           dict(dt=3e-4, duration=1.5, stream_offset=5)),
+    "near_critical": near_critical_case,
+    "static_force": lambda: (desk_pair(Q=5.0, T=250.0),
+                             dict(dt=0.002, duration=4.0, keep_static_force=True)),
+    "rest_init": lambda: (desk_pair(Q=10.0, T=250.0),
+                          dict(dt=0.005, duration=3.0, init="rest")),
+    "tuple_init": lambda: (desk_pair(Q=10.0, T=250.0),
+                           dict(dt=0.005, duration=3.0, init=(2e-6, -1e-6))),
+    "one_step": lambda: (desk_pair(Q=10.0, T=250.0),
+                         dict(dt=0.005, duration=0.005, init=(2e-6, 0.0))),
+    "past_two_blocks": lambda: (desk_pair(Q=10.0, T=250.0),
+                                dict(dt=0.005, duration=2.5 * _BLOCK_STEPS * 0.005)),
+}
+
+
+class TestSimulateMatchesLoopOracle:
+    """The banded AR(2) solve reproduces the step-by-step recursion on the
+    same draws, to rounding."""
+
+    @pytest.mark.parametrize("case", sorted(LOOP_ORACLE_CASES))
+    def test_matches_step_loop(self, case):
+        setup, kwargs = LOOP_ORACLE_CASES[case]()
+        sys = linearize(setup)
+        if case == "overdamped":
+            assert setup.eta > 2.0 * effective_frequency(sys)
+        gamma = make_diffusion({(0, 0): 1e59, (1, 1): 1e59, (2, 2): 1e-12, (3, 3): 1e-12})
+        noise = NoiseModel.from_setup(setup, gamma, seed=4242)
+        ens = simulate(setup, sys, noise, n_traj=3, **kwargs)
+        x_ref, p_ref = ou_loop_oracle(setup, sys, noise, 3, **kwargs)
+        n_steps = ens.x.shape[1] - 1
+        if case == "one_step":
+            assert n_steps == 1
+        if case == "past_two_blocks":
+            assert n_steps > 2 * _BLOCK_STEPS
+        if case == "underdamped":
+            assert n_steps < _BLOCK_STEPS
+        for got, ref in ((ens.x, x_ref), (ens.p, p_ref)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 class TestWelch:
     def white_ensemble(self, intensity, dt=0.01, n_traj=100, n_samples=12800, seed=5):
         rng = np.random.default_rng(seed)
@@ -296,6 +352,32 @@ class TestWelch:
         band = np.abs(spec.omega - sys.Omega1) <= 3 * (2 * np.pi / (nperseg * dt))
         ratio = spec.S_total[band].mean() / analytic.S_total[band].mean()
         assert abs(ratio - 1.0) < 0.10
+
+    @pytest.mark.parametrize("n_traj", [1, 5])
+    @pytest.mark.parametrize("n_samples,segment_len,overlap", [
+        *[(1000, L, ov) for L in (256, 255) for ov in (0.0, 0.5, 0.75)],
+        (1000, 1000, 0.5), (1001, 1001, 0.0),
+    ])
+    def test_matches_scipy_welch(self, n_traj, n_samples, segment_len, overlap):
+        # scipy.signal.welch is the oracle; the package itself never loads it
+        from scipy.signal import lfilter, welch
+        dt = 0.01
+        white = np.random.default_rng(17).standard_normal((n_traj, n_samples))
+        x = lfilter([1.0], [1.0, -0.95], white, axis=-1)   # red AR(1) input
+        ens = TrajectoryEnsemble(
+            n_traj=n_traj, dt=dt, duration=(n_samples - 1) * dt,
+            times=np.arange(n_samples) * dt, x=x, p=np.zeros_like(x),
+            seeds=tuple(range(n_traj)), master_seed=17,
+        )
+        spec = welch_spectrum(ens, segment_len=segment_len, overlap=overlap)
+        f, Pxx = welch(x, fs=1.0 / dt, window="hann", nperseg=segment_len,
+                       noverlap=int(overlap * segment_len), detrend=False,
+                       return_onesided=False, scaling="density", axis=-1)
+        order = np.argsort(f)
+        omega_ref, S_ref = 2.0 * np.pi * f[order], Pxx.mean(axis=0)[order]
+        assert spec.omega.shape == omega_ref.shape == (segment_len,)
+        assert np.max(np.abs(spec.omega - omega_ref)) <= 1e-12 * np.max(np.abs(omega_ref))
+        assert np.max(np.abs(spec.S_total - S_ref)) <= 1e-12 * np.max(S_ref)
 
     def test_segmentation_errors(self):
         ens = self.white_ensemble(1.0, n_samples=1000)
@@ -353,6 +435,13 @@ class TestReheat:
         with pytest.raises(ProtocolError):
             reheating_run(setup, sys, zero_noise(), n_cycles=10,
                           cycle_time=0.2 / setup.eta)
+
+    @pytest.mark.parametrize("detector_noise", [-5.0, float("nan"), float("inf")])
+    def test_detector_noise_guard(self, detector_noise):
+        setup = self.protocol_setup()
+        with pytest.raises(ValueError, match="detector_noise_N"):
+            reheating_run(setup, linearize(setup), zero_noise(), n_cycles=10,
+                          cycle_time=1.0, detector_noise_N=detector_noise)
 
     def test_gravitational_rate_cross_check(self):
         # phonon rate of the bound-saturating position noise equals the
