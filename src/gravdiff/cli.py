@@ -7,8 +7,8 @@ reference pendulum design (--table1), writes its outputs as CSV/JSON and
 emits a manifest alongside recording the resolved parameters, the master
 seed, the tool version, the input hash and the output hashes.
 
-Exit codes: 0 success, 2 configuration problems, 3 numeric/stability
-problems, 4 I/O problems.
+Exit codes: 0 success, 2 configuration problems (including a run too large
+to allocate), 3 numeric/stability problems, 4 I/O problems.
 """
 
 from __future__ import annotations
@@ -512,6 +512,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # Commands compute before they write, so a failed allocation leaves no output.
+        print(f"config error: gravdiff {args.command} is too large to run in memory "
+              f"({exc}); shorten the run", file=_sys.stderr)
         return EXIT_CONFIG
     except GravdiffError as exc:
         print(f"error: {exc}", file=_sys.stderr)

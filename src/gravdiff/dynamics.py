@@ -141,6 +141,15 @@ class EvolutionResult:
     )
 
 
+def _check_span(name: str, t_end: float, dt: float) -> None:
+    """StepSizeError unless dt is positive and finite and the time span
+    t_end, called ``name`` in the message, is non-negative and finite."""
+    if not 0.0 < dt < np.inf:
+        raise StepSizeError(f"dt must be positive and finite, got {dt}")
+    if not 0.0 <= t_end < np.inf:
+        raise StepSizeError(f"{name} must be non-negative and finite, got {t_end}")
+
+
 def evolve_covariance_dimensionless(
     V0: np.ndarray,
     Hbar: np.ndarray,
@@ -153,12 +162,12 @@ def evolve_covariance_dimensionless(
 ) -> EvolutionResult:
     """Propagate V and the mean exactly, sampled every ``dt`` up to ``t_end``.
 
-    All inputs are in dimensionless units. Raises StepSizeError when dt
-    exceeds 1% of the fastest oscillation period and NonPhysicalInputError
-    when V0 violates the uncertainty relation beyond ``unc_tol``.
+    All inputs are in dimensionless units. Raises StepSizeError when dt is
+    not positive and finite or exceeds 1% of the fastest oscillation period,
+    or when t_end is negative or not finite, and NonPhysicalInputError when
+    V0 violates the uncertainty relation beyond ``unc_tol``.
     """
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
+    _check_span("t_end", t_end, dt)
     Omegas = np.diagonal(Hbar)[2:]
     max_dt = MAX_STEP_FRACTION * 2.0 * np.pi / np.max(np.abs(Omegas))
     if dt > max_dt:
@@ -240,8 +249,11 @@ def entanglement_onset(
 
     Scans the trajectory on the coarse grid, then refines the bracketing step
     by bisection to a resolution of dt/100; each probe propagates exactly from
-    the last separable grid point. Returns the bracket midpoint.
+    the last separable grid point. Returns the bracket midpoint. Raises
+    StepSizeError as :func:`evolve_covariance_dimensionless` does, naming
+    t_max.
     """
+    _check_span("t_max", t_max, dt)
     if not V0.dimensionless:
         raise NonPhysicalInputError(
             "entanglement_onset integrates in dimensionless units; convert V0 first"

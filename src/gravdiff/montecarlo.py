@@ -33,6 +33,11 @@ row does not depend on the ensemble width or on the run length. The draws
 and their order are those of the step-by-step recursion; only rounding
 differs from it (about 1e-12 relative).
 
+scipy is imported only where it is used: ``simulate`` imports LAPACK's
+``dtbtrs`` and ``stationary_covariance`` imports
+``scipy.linalg.solve_continuous_lyapunov`` when called, so importing the
+package and every path that does not sample loads no scipy module.
+
 Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
 so trajectories are reproducible and order-independent regardless of how the
 ensemble is scheduled. Per stream, the draw order is: for ``simulate``,
@@ -48,8 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import ConfigError, ProtocolError, SeedError, StabilityError
 from .model import (
@@ -194,6 +197,8 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
         return np.zeros((2, 2))
     if setup.eta <= 0.0:
         raise StabilityError("no stationary state: eta = 0 with non-zero noise")
+    from scipy.linalg import solve_continuous_lyapunov
+
     V = solve_continuous_lyapunov(A, -D)
     return 0.5 * (V + V.T)
 
@@ -275,6 +280,8 @@ def simulate(
         u0 = np.stack([rng.standard_normal(2) for rng in rngs], axis=1)
         L0 = _noise_factor(V0)
         zs[:, :, 0] += L0[:, :1] * u0[0] + L0[:, 1:] * u0[1]
+
+    from scipy.linalg.lapack import dtbtrs
 
     C = _noise_factor(Q)
     # AR(2) form of z[k+1] = Phi z[k] + C u[k] (see the module docstring):

@@ -165,6 +165,18 @@ class TestExitCodes:
         assert flags[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--periods", "1e13"],
+        ["simulate", "--seed", "1", "--traj", "1", "--duration", "1e15"],
+    ])
+    def test_out_of_memory_exit_2_writes_nothing(self, stable_config, tmp_path, capsys, argv):
+        # Each run needs exabytes for its first array, so it fails at once.
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--config", str(stable_config), "--out", str(out)])
+        assert rc == 2
+        assert f"gravdiff {argv[0]} is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_failure_exit_4(self, stable_config, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

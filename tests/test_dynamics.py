@@ -218,6 +218,14 @@ class TestEvolve:
         with pytest.raises(StepSizeError):
             evolve_covariance_dimensionless(0.5 * np.eye(4), Hbar, np.zeros((4, 4)), 1.0, 0.2)
 
+    @pytest.mark.parametrize("t_end,dt", [
+        (1.0, np.nan), (1.0, -np.inf), (np.nan, 0.01), (np.inf, 0.01), (-1.0, 0.01),
+    ])
+    def test_bad_span_raises_step_size_error(self, t_end, dt):
+        Hbar = np.diag([1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(StepSizeError):
+            evolve_covariance_dimensionless(0.5 * np.eye(4), Hbar, np.zeros((4, 4)), t_end, dt)
+
     def test_nonphysical_input_rejected(self):
         Hbar = np.diag([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NonPhysicalInputError):
@@ -311,6 +319,13 @@ class TestOnset:
         period = sys.min_period()
         onset = entanglement_onset(ground_state(), sys, gamma, 4 * period, period / 400)
         assert onset is None
+
+    @pytest.mark.parametrize("t_max,dt", [
+        (1.0, np.nan), (1.0, -np.inf), (np.nan, 0.01), (np.inf, 0.01), (-1.0, 0.01),
+    ])
+    def test_bad_span_raises_step_size_error(self, lab_system, t_max, dt):
+        with pytest.raises(StepSizeError, match="t_max" if np.isfinite(dt) else "dt"):
+            entanglement_onset(ground_state(), lab_system, DiffusionMatrix.zero(), t_max, dt)
 
     def test_onset_resolution(self):
         setup = strong_coupling_setup(kbar_over_omega=0.3)

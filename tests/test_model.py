@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from gravdiff.constants import G_NEWTON, HBAR
 from gravdiff.errors import PSDError, StabilityError
@@ -21,6 +22,7 @@ from gravdiff.model import (
     from_dimensionless,
     ground_state,
     linearize,
+    propagator,
     quadrature_scales,
     state_from_dimensionless,
     state_to_dimensionless,
@@ -147,6 +149,75 @@ class TestSymplecticForm:
         assert np.allclose(J.T, -J)
 
 
+def scipy_propagator(A, D, h):
+    """Van Loan's block formula on scipy.linalg.expm (Pade, a different
+    exponential algorithm): the oracle for model.propagator."""
+    n = len(A)
+    E = expm(np.block([[-A, D], [np.zeros((n, n)), A.T]]) * h)
+    Phi = E[n:, n:].T
+    Q = Phi @ E[:n, n:]
+    return Phi, 0.5 * (Q + Q.T)
+
+
+def damped_block(Omega, eta):
+    """Drift of one unit-mass oscillator with momentum damping eta."""
+    return np.array([[0.0, 1.0], [-Omega**2, -eta]])
+
+
+class TestPropagator:
+    RTOL = 5e-12
+
+    def assert_matches_oracle(self, A, D, h):
+        Phi, Q = propagator(A, D, h)
+        Phi_ref, Q_ref = scipy_propagator(A, D, h)
+        assert np.abs(Phi - Phi_ref).max() <= self.RTOL * np.abs(Phi_ref).max()
+        assert np.abs(Q - Q_ref).max() <= self.RTOL * np.abs(Q_ref).max()
+
+    @pytest.mark.parametrize("periods", [1e-4, 1e-2, 0.37, 1.0, 10.0])
+    def test_undamped_pair(self, rng, periods):
+        # Unequal frequencies, Kbar/Omega = 0.3, a random PSD gamma_bar.
+        Hbar = np.diag([1.0, 1.3, 1.0, 1.3])
+        Hbar[0, 1] = Hbar[1, 0] = 0.3
+        J = symplectic_form()
+        for gamma_bar in random_psd_batch(rng, 3, scale=0.05):
+            self.assert_matches_oracle(J @ Hbar, J @ gamma_bar @ J.T,
+                                       periods * 2.0 * np.pi / 1.3)
+
+    @pytest.mark.parametrize("eta_h", [1e-4, 1e-2, 0.1])
+    @pytest.mark.parametrize("eta", [
+        0.01,                    # underdamped, quality factor 100
+        0.5,                     # underdamped, quality factor 2
+        2.0 * (1.0 + 1e-7),      # near-critical: nearly defective drift
+        10.0,                    # overdamped
+    ])
+    def test_damped_block(self, rng, eta, eta_h):
+        # eta h <= 0.1 is the range reheating_run and simulate admit.
+        for D in random_psd_batch(rng, 3, n=2):
+            self.assert_matches_oracle(damped_block(1.0, eta), D, eta_h / eta)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e24])
+    def test_diffusion_scale_moves_only_q(self, rng, scale):
+        # Phi does not depend on D and Q is linear in it, however far the
+        # noise units sit from the drift's (gamma = 1e59 in SI units is
+        # gamma_bar ~ 1e24 for a 1-kg, 1-Hz pair).
+        A = damped_block(2.0 * np.pi, 0.1)
+        for D in random_psd_batch(rng, 3, n=2):
+            Phi, Q = propagator(A, D, 0.002)
+            Phi_s, Q_s = propagator(A, scale * D, 0.002)
+            assert np.abs(Phi_s - Phi).max() <= self.RTOL * np.abs(Phi).max()
+            assert np.abs(Q_s / scale - Q).max() <= self.RTOL * np.abs(Q).max()
+
+    @pytest.mark.parametrize("A,h", [
+        (symplectic_form() @ np.diag([1.0, 1.3, 1.0, 1.3]), 20.0),
+        (damped_block(1.0, 0.5), 0.2),
+    ])
+    def test_zero_diffusion(self, A, h):
+        Phi, Q = propagator(A, np.zeros_like(A), h)
+        Phi_ref, _ = scipy_propagator(A, np.zeros_like(A), h)
+        assert np.abs(Phi - Phi_ref).max() <= self.RTOL * np.abs(Phi_ref).max()
+        assert not np.any(Q)
+
+
 class TestDiffusionMatrix:
     def test_rejects_negative(self):
         g = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -245,6 +316,37 @@ class TestGaussianState:
         V[0, 1] = 0.3
         with pytest.raises(ValueError):
             GaussianState(np.zeros(4), V)
+
+
+def test_non_sampling_paths_load_no_scipy():
+    # Only the sampler needs scipy (LAPACK's banded solve and the Lyapunov
+    # solver); importing the package and every other path must not load it.
+    import gravdiff
+    env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
+    code = ("import sys, tempfile\n"
+            "from gravdiff import bounds, cli, dynamics, feasibility, model, spectra\n"
+            "setup = model.PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1,\n"
+            "                            eta=0.1, T=300.0)\n"
+            "sys_lin = model.linearize(setup)\n"
+            "gamma = bounds.minimal_diffusion(setup, 'mixed', omega=sys_lin.Omega1)\n"
+            "bounds.final_bound(gamma, setup, sys_lin.Omega1)\n"
+            "bounds.dimensional_bound(gamma, sys_lin, hbar=setup.hbar)\n"
+            "_, gamma_bar = model.to_dimensionless(sys_lin, gamma, setup.hbar)\n"
+            "bounds.strongest_bound(gamma_bar, sys_lin)\n"
+            "bounds.weak_bound(gamma_bar, sys_lin)\n"
+            "period = sys_lin.min_period()\n"
+            "dynamics.evolve_covariance(model.ground_state(), sys_lin, gamma, period,\n"
+            "                           period / 200)\n"
+            "dynamics.entanglement_onset(model.ground_state(), sys_lin,\n"
+            "                            model.DiffusionMatrix.zero(), period, period / 200)\n"
+            "spectra.dns_fixed_source(setup, sys_lin, gamma, [0.5, 1.0, 2.0])\n"
+            "feasibility.feasibility_report(feasibility.REFERENCE_PENDULUM)\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    assert cli.main(['bound', '--table1', '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_import_loads_no_scipy_signal_or_optimize():
