@@ -3,9 +3,10 @@
 Subcommands: linearize, bound, evolve, spectrum, simulate, reheat,
 feasibility, sweep. Each run resolves its parameters from a flat key-value
 config file (see gravdiff.config for the key table) or the built-in
-reference pendulum design (--table1), writes its outputs as CSV/JSON and
-emits a manifest alongside recording the resolved parameters, the master
-seed, the tool version, the input hash and the output hashes.
+reference pendulum design (--table1) and hands its outputs to one emit
+path, which writes them as CSV/JSON and then a manifest recording the
+resolved parameters, the master seed, the tool version, the input hash and
+each output's hash.
 
 Exit codes: 0 success, 2 configuration problems (including a run too large
 to allocate), 3 numeric/stability problems, 4 I/O problems.
@@ -25,7 +26,7 @@ from . import manifest as mani
 from .bounds import dimensional_bound, final_bound, minimal_diffusion, strongest_bound, weak_bound
 from .dynamics import EvolutionResult, evolve_covariance
 from .errors import ConfigError, GravdiffError
-from .feasibility import REFERENCE_PENDULUM, FeasibilityParams, feasibility_report
+from .feasibility import REFERENCE_PENDULUM, feasibility_report
 from .model import ground_state, linearize, pendulum_system, to_dimensionless
 from .montecarlo import (
     NoiseModel,
@@ -66,9 +67,8 @@ def _resolve_inputs(args):
 def _spectrum_model(cfg, args):
     """(setup, sys, gamma) for spectrum/simulate/reheat commands."""
     setup = cfgmod.setup_from_config(cfg)
-    if getattr(args, "table1", False) or "Omega_rad_s" in cfg:
-        Omega = cfg.get("Omega_rad_s", setup.omega1)
-        sys_lin = pendulum_system(setup, Omega)
+    if "Omega_rad_s" in cfg:
+        sys_lin = pendulum_system(setup, cfg["Omega_rad_s"])
     else:
         sys_lin = linearize(setup)
     if getattr(args, "table1", False):
@@ -76,16 +76,6 @@ def _spectrum_model(cfg, args):
     else:
         gamma = cfgmod.gamma_from_config(cfg)
     return setup, sys_lin, gamma
-
-
-def _start_manifest(args, cfg, sha, seed=None) -> mani.RunManifest:
-    return mani.RunManifest(
-        command=args.command,
-        argv=list(args._argv),
-        parameters={k: cfg[k] for k in sorted(cfg)},
-        seed=seed,
-        config_sha256=sha,
-    )
 
 
 def _require_positive(flag: str, value) -> None:
@@ -101,9 +91,30 @@ def _require_count(flag: str, value: int, least: int) -> None:
         raise ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
-def _finish(args, manifest: mani.RunManifest) -> int:
+def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:
+    """MemoryError (exit 2) for a run whose arrays numpy cannot even shape:
+    past the largest index it raises ValueError instead of MemoryError."""
+    if n_samples * bytes_per_sample > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n_samples:.3g} samples")
+
+
+def _emit(args, cfg, sha, outputs, seed=None) -> int:
+    """Write each ``(path, writer, *data)`` output as ``writer(path, *data)``,
+    then ``<command>.manifest.json`` in --out listing every output with its
+    sha256. The manifest is written last, so a failed write leaves none.
+    """
+    manifest = mani.RunManifest(
+        command=args.command,
+        argv=list(args._argv),
+        parameters={k: cfg[k] for k in sorted(cfg)},
+        seed=seed,
+        config_sha256=sha,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for path, writer, *data in outputs:
+        writer(path, *data)
+        manifest.add_output(path)
     manifest.write(out / f"{args.command}.manifest.json")
     return EXIT_OK
 
@@ -125,13 +136,7 @@ def cmd_linearize(args) -> int:
     print(f"Omega2 = {sys_lin.Omega2:.9e} rad/s")
     print(f"K      = {sys_lin.K:.9e} N/m")
     print(f"shift  = ({sys_lin.equilibrium_shift[0]:.9e}, {sys_lin.equilibrium_shift[1]:.9e}) m")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha)
-    path = out / "linearize.json"
-    mani.write_json(path, payload)
-    manifest.add_output(path)
-    return _finish(args, manifest)
+    return _emit(args, cfg, sha, [(Path(args.out) / "linearize.json", mani.write_json, payload)])
 
 
 def cmd_bound(args) -> int:
@@ -151,18 +156,9 @@ def cmd_bound(args) -> int:
         status = "satisfied" if rep.satisfied else "violated"
         print(f"{rep.bound_id:20s} lhs = {rep.lhs:.6e}  rhs = {rep.rhs:.6e}  "
               f"margin = {rep.margin:+.6e}  [{status}]")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha)
-    path = out / "bound.jsonl"
-    rows = []
-    for rep in reports:
-        d = rep.to_dict()
-        d["inputs_sha256"] = sha if sha is not None else "table1"
-        rows.append(d)
-    mani.write_json_lines(path, rows)
-    manifest.add_output(path)
-    return _finish(args, manifest)
+    rows = [{**rep.to_dict(), "inputs_sha256": sha if sha is not None else "table1"}
+            for rep in reports]
+    return _emit(args, cfg, sha, [(Path(args.out) / "bound.jsonl", mani.write_json_lines, rows)])
 
 
 def cmd_evolve(args) -> int:
@@ -173,20 +169,17 @@ def cmd_evolve(args) -> int:
     period = sys_lin.min_period()
     dt = args.dt if args.dt is not None else 0.002 * period
     t_end = args.periods * period
+    _require_in_memory(t_end / dt, 128)  # V: 4x4 float64 per sample
     res = evolve_covariance(ground_state(), sys_lin, gamma, t_end, dt,
                             hbar=setup.hbar)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha)
-    path = out / "evolve.csv"
-    mani.write_csv(path, EvolutionResult.CSV_HEADER, res.csv_rows())
-    manifest.add_output(path)
+    _emit(args, cfg, sha, [(Path(args.out) / "evolve.csv", mani.write_csv,
+                            EvolutionResult.CSV_HEADER, res.csv_rows())])
     idx = res.first_ppt_violation()
     if idx is None:
         print(f"ppt_min_eig >= -1e-08 throughout [0, {t_end:.6g}] s")
     else:
         print(f"ppt_min_eig < -1e-08 first at t = {res.times[idx]:.6g} s")
-    return _finish(args, manifest)
+    return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
@@ -199,16 +192,12 @@ def cmd_spectrum(args) -> int:
         spec = dns_fixed_source(setup, sys_lin, gamma, w)
     else:
         spec = dns_symmetric_pair(setup, sys_lin, gamma, w)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha)
-    path = out / "spectrum.csv"
-    mani.write_csv(path, spec.CSV_HEADER, spec.csv_rows(), preamble=spec.convention)
-    manifest.add_output(path)
+    _emit(args, cfg, sha, [(Path(args.out) / "spectrum.csv", mani.write_csv,
+                            spec.CSV_HEADER, spec.csv_rows(), spec.convention)])
     peak = int(np.argmax(spec.S_total))
     print(f"{args.grid} rows written; convention: {spec.convention}")
     print(f"peak S = {spec.S_total[peak]:.6e} m^2 s at omega = {spec.omega[peak]:.6e} rad/s")
-    return _finish(args, manifest)
+    return EXIT_OK
 
 
 def _resolve_seed(args, cfg):
@@ -239,6 +228,7 @@ def cmd_simulate(args) -> int:
     )
     # The run's sample count is known before sampling: check everything that
     # depends on it first, so a bad flag costs no ensemble.
+    _require_in_memory(duration / dt, 16 * args.traj)  # x and p per trajectory
     n_samples = int(round(duration / dt)) + 1
     if n_samples < 2:
         raise ConfigError(f"--duration {duration:g} s is shorter than one --dt step ({dt:g} s)")
@@ -249,14 +239,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--welch-segment/--welch-overlap with {n_samples} samples "
                               f"per trajectory: {exc}") from None
     ens = simulate(setup, sys_lin, noise, args.traj, dt, duration)
-    spec = None
-    if args.welch_segment is not None:
-        spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha, seed=seed)
-
     stride = max(1, ens.x.shape[1] // 2000)
     rows = zip(
         ens.times[::stride],
@@ -265,21 +249,17 @@ def cmd_simulate(args) -> int:
         ens.p.mean(axis=0)[::stride],
         ens.p.var(axis=0)[::stride],
     )
-    path = out / "simulate_summary.csv"
-    mani.write_csv(path, ("t", "mean_x", "var_x", "mean_p", "var_p"), rows)
-    manifest.add_output(path)
-
-    if spec is not None:
-        spath = out / "simulate_spectrum.csv"
-        mani.write_csv(spath, spec.CSV_HEADER, spec.csv_rows(), preamble=spec.convention)
-        manifest.add_output(spath)
-
+    outputs = [(out / "simulate_summary.csv", mani.write_csv,
+                ("t", "mean_x", "var_x", "mean_p", "var_p"), rows)]
+    if args.welch_segment is not None:
+        spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
+        outputs.append((out / "simulate_spectrum.csv", mani.write_csv,
+                        spec.CSV_HEADER, spec.csv_rows(), spec.convention))
     if args.raw is not None:
-        write_raw_trajectories(args.raw, ens)
-        manifest.add_output(args.raw)
-
+        outputs.append((args.raw, write_raw_trajectories, ens))
+    _emit(args, cfg, sha, outputs, seed=seed)
     print(f"{args.traj} trajectories x {ens.x.shape[1]} samples, seed = {seed}")
-    return _finish(args, manifest)
+    return EXIT_OK
 
 
 def cmd_reheat(args) -> int:
@@ -294,53 +274,33 @@ def cmd_reheat(args) -> int:
     noise = NoiseModel.from_setup(setup, gamma, seed)
     res = reheating_run(setup, sys_lin, noise, args.cycles, args.cycle_time,
                         detector_noise_N=args.detector_noise)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha, seed=seed)
-    path = out / "reheat.json"
-    mani.write_json(path, {
+    payload = {
         "Gamma_hat_per_s": res.Gamma_hat,
         "rel_err": res.rel_err,
         "stderr_per_s": res.stderr,
         "n_cycles": res.n_cycles,
         "cycle_time_s": res.cycle_time,
-    })
-    manifest.add_output(path)
+    }
+    _emit(args, cfg, sha, [(Path(args.out) / "reheat.json", mani.write_json, payload)],
+          seed=seed)
     print(f"Gamma_hat = {res.Gamma_hat:.6e} 1/s  rel_err = {res.rel_err:.3f}")
-    return _finish(args, manifest)
+    return EXIT_OK
 
 
 def cmd_feasibility(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    if getattr(args, "table1", False):
-        params = REFERENCE_PENDULUM
-    else:
-        params = cfgmod.feasibility_from_config(cfg)
-    report = feasibility_report(params)
+    report = feasibility_report(cfgmod.feasibility_from_config(cfg))
     print(report.to_text())
     print(f"verdict: {report.verdict}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha)
-    path = out / "feasibility.json"
-    mani.write_json(path, report.to_dict())
-    manifest.add_output(path)
-    return _finish(args, manifest)
+    return _emit(args, cfg, sha, [(Path(args.out) / "feasibility.json", mani.write_json,
+                                   report.to_dict())])
 
 
 def cmd_sweep(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    if getattr(args, "table1", False):
-        base = REFERENCE_PENDULUM
-    else:
-        base = cfgmod.feasibility_from_config(cfg)
-    field_map = {
-        "Omega_rad_s": "Omega", "rho_kg_m3": "rho", "R_m": "R", "beta": "beta",
-        "T_K": "T", "Q": "Q", "N_quanta": "N", "r_fraction": "r",
-    }
-    if args.param not in field_map:
+    if args.param not in cfgmod.SWEEP_KEYS:
         raise ConfigError(
-            f"unknown sweep parameter {args.param!r}; choose from {sorted(field_map)}"
+            f"unknown sweep parameter {args.param!r}; choose from {sorted(cfgmod.SWEEP_KEYS)}"
         )
     if args.values is not None:
         try:
@@ -357,31 +317,20 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("empty sweep")
 
-    attr = field_map[args.param]
+    rows = []
+    for v in values:
+        rep = feasibility_report(cfgmod.feasibility_from_config({**cfg, args.param: v}))
+        rows.append((v, rep.m, rep.omega_G, rep.Gamma_G, rep.Gamma_th, rep.Q_required,
+                     rep.Q_required_relaxed, rep.t_int, rep.margin_conservative,
+                     rep.margin_relaxed, 1.0 if rep.verdict == "feasible-in-principle" else 0.0))
 
-    def evaluate(v):
-        kwargs = {name: getattr(base, name)
-                  for name in ("Omega", "rho", "R", "beta", "T", "Q", "N", "r",
-                               "G", "hbar", "kB")}
-        kwargs[attr] = v
-        rep = feasibility_report(FeasibilityParams(**kwargs))
-        return (v, rep.m, rep.omega_G, rep.Gamma_G, rep.Gamma_th, rep.Q_required,
-                rep.Q_required_relaxed, rep.t_int, rep.margin_conservative,
-                rep.margin_relaxed, 1.0 if rep.verdict == "feasible-in-principle" else 0.0)
-
-    rows = [evaluate(v) for v in values]
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _start_manifest(args, cfg, sha)
-    path = out / "sweep.csv"
+    path = Path(args.out) / "sweep.csv"
     header = (args.param, "m_kg", "omega_G_per_s", "Gamma_G_per_s", "Gamma_th_per_s",
               "Q_required", "Q_required_relaxed", "t_int_s",
               "margin_conservative_s2", "margin_relaxed_s2", "feasible")
-    mani.write_csv(path, header, rows)
-    manifest.add_output(path)
+    _emit(args, cfg, sha, [(path, mani.write_csv, header, rows)])
     print(f"{len(rows)} sweep points written to {path}")
-    return _finish(args, manifest)
+    return EXIT_OK
 
 
 # ------------------------------------------------------------------- parser

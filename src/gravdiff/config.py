@@ -46,6 +46,7 @@ __all__ = [
     "SETUP_KEYS",
     "GAMMA_KEYS",
     "PENDULUM_KEYS",
+    "SWEEP_KEYS",
     "parse_config",
     "load_config",
     "require_keys",
@@ -59,8 +60,15 @@ SETUP_KEYS = ("m1_kg", "m2_kg", "omega1_rad_s", "omega2_rad_s", "d_m",
               "T_K", "eta_per_s", "Q") + _CONSTANT_KEYS
 _GAMMA_ENTRIES = [(f"gamma{i + 1}{j + 1}", i, j) for i in range(4) for j in range(i, 4)]
 GAMMA_KEYS = tuple(key for key, _, _ in _GAMMA_ENTRIES)
-PENDULUM_KEYS = ("Omega_rad_s", "rho_kg_m3", "R_m", "beta", "T_K", "Q",
-                 "N_quanta", "r_fraction") + _CONSTANT_KEYS
+# Pendulum config key -> FeasibilityParams field.
+_PENDULUM_FIELDS = {
+    "Omega_rad_s": "Omega", "rho_kg_m3": "rho", "R_m": "R", "beta": "beta", "T_K": "T",
+    "Q": "Q", "N_quanta": "N", "r_fraction": "r",
+    "G_m3_kg_s2": "G", "hbar_Js": "hbar", "kB_J_K": "kB",
+}
+PENDULUM_KEYS = tuple(_PENDULUM_FIELDS)
+# The design dials ``gravdiff sweep`` varies: the pendulum keys but the constants.
+SWEEP_KEYS = tuple(k for k in PENDULUM_KEYS if k not in _CONSTANT_KEYS)
 KNOWN_KEYS = frozenset(SETUP_KEYS + GAMMA_KEYS + PENDULUM_KEYS + ("seed",))
 
 
@@ -160,19 +168,8 @@ def gamma_from_config(cfg: dict) -> DiffusionMatrix:
 
 
 def feasibility_from_config(cfg: dict) -> FeasibilityParams:
+    """FeasibilityParams from the pendulum keys; an absent optional key takes
+    the field's default."""
     require_keys(cfg, ["Omega_rad_s", "rho_kg_m3", "R_m"])
-    kwargs = _constants(cfg)
-    kwargs.pop("kB")
-    return FeasibilityParams(
-        Omega=cfg["Omega_rad_s"],
-        rho=cfg["rho_kg_m3"],
-        R=cfg["R_m"],
-        beta=cfg.get("beta", 1.0),
-        T=cfg.get("T_K", 0.01),
-        Q=cfg.get("Q", 2e10),
-        N=cfg.get("N_quanta", 1.0),
-        r=cfg.get("r_fraction", 0.01),
-        G=kwargs["G"],
-        hbar=kwargs["hbar"],
-        kB=cfg.get("kB_J_K", KB),
-    )
+    return FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
+                                if key in cfg})

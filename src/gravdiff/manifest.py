@@ -7,13 +7,15 @@ command with the same build reproduces the outputs bit for bit; the
 determinism contract is floating-point determinism within one build.
 
 CSV output uses '.' decimals, a header row, LF line endings and repr-exact
-floats; JSON is UTF-8 with sorted keys.
+floats; JSON is UTF-8 with sorted keys. Neither writer accepts NaN or
+infinity: a non-finite value raises DomainError and leaves no file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import metadata
@@ -50,13 +52,17 @@ def write_csv(path, header, rows, preamble: str | None = None) -> None:
     """Write rows of floats with LF endings and round-trip formatting.
 
     ``preamble`` adds a leading '#' comment line (used to record unit and
-    sign conventions in the file itself).
+    sign conventions in the file itself). Strict like the JSON writers: a NaN
+    or infinity raises DomainError before anything is written.
     """
     lines = []
     if preamble:
         lines.append("# " + preamble)
     lines.append(",".join(header))
     for row in rows:
+        if not all(map(math.isfinite, row)):
+            raise DomainError(f"refusing to write non-finite CSV line {len(lines) + 1} "
+                              f"of {Path(path).name}: {row}")
         lines.append(",".join(format_float(v) for v in row))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 

@@ -34,9 +34,9 @@ and their order are those of the step-by-step recursion; only rounding
 differs from it (about 1e-12 relative).
 
 scipy is imported only where it is used: ``simulate`` imports LAPACK's
-``dtbtrs`` and ``stationary_covariance`` imports
-``scipy.linalg.solve_continuous_lyapunov`` when called, so importing the
-package and every path that does not sample loads no scipy module.
+``dtbtrs`` when called, so importing the package and every path that does
+not sample loads no scipy module. The stationary covariance that starts a
+run has a closed form (:func:`stationary_covariance`).
 
 Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
 so trajectories are reproducible and order-independent regardless of how the
@@ -190,17 +190,24 @@ def diffusion_2x2(setup: PhysicalSetup, noise: NoiseModel) -> np.ndarray:
 
 def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
                           noise: NoiseModel) -> np.ndarray:
-    """Steady-state covariance of (x, p); requires eta > 0 when noise is on."""
+    """Steady-state covariance of (x, p); requires eta > 0 when noise is on.
+
+    A V + V A^T + D = 0 is solved in closed form for A = [[0, a], [-b, -eta]]:
+    V_xp = -D_xx/(2a), V_pp = (D_pp - 2 b V_xp)/(2 eta) and
+    V_xx = (a V_pp - eta V_xp + D_xp)/b. This stays exact at the Table-1
+    pendulum's eta = 5e-11 Omega, where a general Lyapunov solver loses V.
+    """
     A = drift_2x2(setup, sys)
     D = diffusion_2x2(setup, noise)
     if np.linalg.norm(D) == 0.0:
         return np.zeros((2, 2))
     if setup.eta <= 0.0:
         raise StabilityError("no stationary state: eta = 0 with non-zero noise")
-    from scipy.linalg import solve_continuous_lyapunov
-
-    V = solve_continuous_lyapunov(A, -D)
-    return 0.5 * (V + V.T)
+    a, b, eta = A[0, 1], -A[1, 0], -A[1, 1]
+    V_xp = -D[0, 0] / (2.0 * a)
+    V_pp = (D[1, 1] - 2.0 * b * V_xp) / (2.0 * eta)
+    V_xx = (a * V_pp - eta * V_xp + D[0, 1]) / b
+    return np.array([[V_xx, V_xp], [V_xp, V_pp]])
 
 
 def simulate(

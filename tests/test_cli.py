@@ -1,6 +1,8 @@
 """Config parsing, subcommand behavior, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from gravdiff import config as cfgmod
 from gravdiff.bounds import minimal_diffusion
 from gravdiff.config import gamma_from_config, parse_config, setup_from_config
 from gravdiff.errors import ConfigError, DomainError
-from gravdiff.feasibility import REFERENCE_PENDULUM
-from gravdiff.manifest import load_manifest, sha256_file, write_json, write_json_lines
+from gravdiff.feasibility import REFERENCE_PENDULUM, feasibility_report
+from gravdiff.manifest import (load_manifest, sha256_file, write_csv, write_json,
+                               write_json_lines)
 from gravdiff.model import PhysicalSetup, linearize, pendulum_system
 from gravdiff.montecarlo import ReheatResult
 
@@ -35,10 +38,29 @@ gamma22 = 1e59
 """
 
 
+PENDULUM = """
+Omega_rad_s = 6.28e-4
+rho_kg_m3 = 2.26e4
+R_m = 0.03
+beta = 1.2
+T_K = 1.0
+Q = 1e6
+N_quanta = 0.7
+r_fraction = 0.02
+"""
+
+
 @pytest.fixture
 def stable_config(tmp_path):
     path = tmp_path / "pair.cfg"
     path.write_text(STABLE_PAIR)
+    return path
+
+
+@pytest.fixture
+def pendulum_config(tmp_path):
+    path = tmp_path / "pendulum.cfg"
+    path.write_text(PENDULUM)
     return path
 
 
@@ -168,6 +190,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["evolve", "--periods", "1e13"],
         ["simulate", "--seed", "1", "--traj", "1", "--duration", "1e15"],
+        # past numpy's largest array index: ValueError, not MemoryError
+        ["evolve", "--periods", "1e20"],
+        ["simulate", "--seed", "1", "--traj", "1", "--duration", "1e20"],
     ])
     def test_out_of_memory_exit_2_writes_nothing(self, stable_config, tmp_path, capsys, argv):
         # Each run needs exabytes for its first array, so it fails at once.
@@ -459,6 +484,68 @@ class TestSweepCommand:
                        "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_non_finite_row_exit_3_writes_nothing(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--table1", "--param", "T_K", "--values", "1e308",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "sweep.manifest.json").exists()
+
+    # The test's own key -> FeasibilityParams field map, independent of config.
+    FIELDS = {"Omega_rad_s": "Omega", "rho_kg_m3": "rho", "R_m": "R", "beta": "beta",
+              "T_K": "T", "Q": "Q", "N_quanta": "N", "r_fraction": "r"}
+
+    def test_sweepable_keys(self):
+        assert set(cfgmod.SWEEP_KEYS) == set(self.FIELDS)
+
+    @pytest.mark.parametrize("key", cfgmod.SWEEP_KEYS)
+    def test_row_matches_replaced_params(self, pendulum_config, tmp_path, key):
+        base = cfgmod.feasibility_from_config(parse_config(PENDULUM))
+        v = 1.25 * getattr(base, self.FIELDS[key])
+        rc = cli.main(["sweep", "--config", str(pendulum_config), "--param", key,
+                       "--values", repr(v), "--out", str(tmp_path)])
+        assert rc == 0
+        header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert header.split(",")[0] == key
+        rep = feasibility_report(dataclasses.replace(base, **{self.FIELDS[key]: v}))
+        assert [float(x) for x in row.split(",")] == [
+            v, rep.m, rep.omega_G, rep.Gamma_G, rep.Gamma_th, rep.Q_required,
+            rep.Q_required_relaxed, rep.t_int, rep.margin_conservative, rep.margin_relaxed,
+            1.0 if rep.verdict == "feasible-in-principle" else 0.0]
+
+
+class TestEmitContract:
+    # Flags per subcommand; feasibility and sweep read the pendulum config.
+    CASES = {
+        "linearize": [],
+        "bound": ["--paper-literal"],
+        "evolve": ["--periods", "0.2"],
+        "spectrum": ["--grid", "16", "--model", "pair"],
+        "simulate": ["--seed", "3", "--traj", "2", "--dt", "0.005", "--duration", "2.0",
+                     "--welch-segment", "128", "--raw", "RAW"],
+        "reheat": ["--seed", "4", "--cycles", "8", "--cycle-time", "0.1"],
+        "feasibility": [],
+        "sweep": ["--param", "Q", "--values", "1e8,1e9"],
+    }
+
+    def test_every_subcommand_covered(self):
+        assert {n for n in vars(cli) if n.startswith("cmd_")} == {f"cmd_{c}" for c in self.CASES}
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_manifest_lists_every_output(self, stable_config, pendulum_config, tmp_path,
+                                         command):
+        out = tmp_path / "out"
+        config = pendulum_config if command in ("feasibility", "sweep") else stable_config
+        flags = [str(out / "raw.bin") if a == "RAW" else a for a in self.CASES[command]]
+        assert cli.main([command, "--config", str(config), *flags, "--out", str(out)]) == 0
+        manifests = sorted(out.glob("*.manifest.json"))
+        assert manifests == [out / f"{command}.manifest.json"]
+        listed = {Path(o["path"]): o["sha256"] for o in load_manifest(manifests[0])["outputs"]}
+        assert set(listed) == set(out.iterdir()) - set(manifests)
+        for path, digest in listed.items():
+            assert sha256_file(path) == digest
+
 
 class TestStrictJson:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -469,3 +556,12 @@ class TestStrictJson:
             write_json_lines(tmp_path / "b.jsonl", [{"x": 1.0}, {"x": value}])
         assert not (tmp_path / "a.json").exists()
         assert not (tmp_path / "b.jsonl").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_csv_refused(self, tmp_path, value):
+        with pytest.raises(DomainError, match="non-finite"):
+            write_csv(tmp_path / "c.csv", ("a", "b"), [(1.0, 2.0), (3.0, value)])
+        with pytest.raises(DomainError, match="non-finite"):
+            write_csv(tmp_path / "d.csv", ("a",), [(np.float64(value),)], preamble="units")
+        assert not (tmp_path / "c.csv").exists()
+        assert not (tmp_path / "d.csv").exists()

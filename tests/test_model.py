@@ -319,12 +319,13 @@ class TestGaussianState:
 
 
 def test_non_sampling_paths_load_no_scipy():
-    # Only the sampler needs scipy (LAPACK's banded solve and the Lyapunov
-    # solver); importing the package and every other path must not load it.
+    # Only the sampler needs scipy (LAPACK's banded solve); importing the
+    # package and every other path, the stationary covariance included, must
+    # not load it.
     import gravdiff
     env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
     code = ("import sys, tempfile\n"
-            "from gravdiff import bounds, cli, dynamics, feasibility, model, spectra\n"
+            "from gravdiff import bounds, cli, dynamics, feasibility, model, montecarlo, spectra\n"
             "setup = model.PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1,\n"
             "                            eta=0.1, T=300.0)\n"
             "sys_lin = model.linearize(setup)\n"
@@ -341,6 +342,8 @@ def test_non_sampling_paths_load_no_scipy():
             "                            model.DiffusionMatrix.zero(), period, period / 200)\n"
             "spectra.dns_fixed_source(setup, sys_lin, gamma, [0.5, 1.0, 2.0])\n"
             "feasibility.feasibility_report(feasibility.REFERENCE_PENDULUM)\n"
+            "noise = montecarlo.NoiseModel.from_setup(setup, gamma, seed=1)\n"
+            "montecarlo.stationary_covariance(setup, sys_lin, noise)\n"
             "with tempfile.TemporaryDirectory() as out:\n"
             "    assert cli.main(['bound', '--table1', '--out', out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

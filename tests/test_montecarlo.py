@@ -92,6 +92,48 @@ class TestNoiseModel:
             NoiseModel(gamma=DiffusionMatrix.zero(), thermal_intensity=0.0, seed=seed)
 
 
+class TestStationaryCovariance:
+    def test_matches_lyapunov_solver(self, rng):
+        # scipy's Bartels-Stewart solver is the oracle on well-conditioned
+        # drifts: Q from 0.2 (eta = 31 s^-1) to 1000, mixed noise scales.
+        from scipy.linalg import solve_continuous_lyapunov
+        from conftest import random_psd_batch
+        for _ in range(100):
+            setup = desk_pair(Q=10 ** rng.uniform(-0.7, 3.0), T=rng.uniform(0.0, 300.0),
+                              kbar=rng.uniform(0.0, 0.3))
+            sys = linearize(setup)
+            gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=10 ** rng.uniform(40, 62))[0])
+            noise = NoiseModel.from_setup(setup, gamma, seed=1)
+            V = stationary_covariance(setup, sys, noise)
+            V_ref = solve_continuous_lyapunov(drift_2x2(setup, sys), -diffusion_2x2(setup, noise))
+            assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
+
+    def test_table1_pendulum_positive_definite(self):
+        # eta = pi * 1e-14 s^-1 against Omega = 6.3e-4 rad/s: a general
+        # Lyapunov solver returns a negative-definite V here.
+        from gravdiff.bounds import minimal_diffusion
+        from gravdiff.feasibility import REFERENCE_PENDULUM as p
+        setup = PhysicalSetup(m1=p.m, m2=p.m, omega1=p.Omega, omega2=p.Omega, d=p.d,
+                              T=p.T, eta=p.eta)
+        sys = pendulum_system(setup, p.Omega)
+        noise = NoiseModel.from_setup(setup, minimal_diffusion(setup, "position-only"), seed=1)
+        V = stationary_covariance(setup, sys, noise)
+        A, D = drift_2x2(setup, sys), diffusion_2x2(setup, noise)
+        assert np.all(np.linalg.eigvalsh(V) > 0.0)
+        assert np.linalg.norm(A @ V + V @ A.T + D) <= 1e-12 * np.linalg.norm(D)
+        # thermal equipartition dominates: V_pp = m kB T
+        assert V[1, 1] == pytest.approx(p.m * KB * p.T, rel=1e-6)
+
+    def test_no_noise_and_no_damping(self):
+        setup = desk_pair()
+        sys = linearize(setup)
+        assert np.array_equal(stationary_covariance(setup, sys, zero_noise()), np.zeros((2, 2)))
+        undamped = dataclasses.replace(setup, eta=0.0)
+        noise = NoiseModel(gamma=make_diffusion({(0, 0): 1e60}), thermal_intensity=0.0, seed=1)
+        with pytest.raises(StabilityError):
+            stationary_covariance(undamped, sys, noise)
+
+
 class TestSimulateDeterministic:
     def test_matches_underdamped_analytic_solution(self):
         setup = desk_pair(Q=100.0, T=0.0)
