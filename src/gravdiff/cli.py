@@ -15,6 +15,7 @@ to allocate), 3 numeric/stability problems, 4 I/O problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys as _sys
 from pathlib import Path
@@ -242,15 +243,10 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     stride = max(1, ens.x.shape[1] // 2000)
-    rows = zip(
-        ens.times[::stride],
-        ens.x.mean(axis=0)[::stride],
-        ens.x.var(axis=0)[::stride],
-        ens.p.mean(axis=0)[::stride],
-        ens.p.var(axis=0)[::stride],
-    )
+    summary = np.column_stack((ens.times, ens.x.mean(axis=0), ens.x.var(axis=0),
+                               ens.p.mean(axis=0), ens.p.var(axis=0)))[::stride]
     outputs = [(out / "simulate_summary.csv", mani.write_csv,
-                ("t", "mean_x", "var_x", "mean_p", "var_p"), rows)]
+                ("t", "mean_x", "var_x", "mean_p", "var_p"), summary)]
     if args.welch_segment is not None:
         spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
         outputs.append((out / "simulate_spectrum.csv", mani.write_csv,
@@ -307,13 +303,17 @@ def cmd_sweep(args) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --values list: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise ConfigError(f"--values must all be finite, got {args.values}")
     else:
         if args.start is None or args.stop is None:
             raise ConfigError("sweep needs --values or --start/--stop")
-        if args.log:
-            values = np.geomspace(args.start, args.stop, args.num).tolist()
-        else:
-            values = np.linspace(args.start, args.stop, args.num).tolist()
+        _require_count("--num", args.num, 1)
+        for flag, value in (("--start", args.start), ("--stop", args.stop)):
+            if not (0.0 if args.log else -np.inf) < value < np.inf:
+                raise ConfigError(f"{flag} must be finite (and positive with --log), got {value}")
+        spacing = np.geomspace if args.log else np.linspace
+        values = spacing(args.start, args.stop, args.num).tolist()
     if not values:
         raise ConfigError("empty sweep")
 
@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="renormalized frequencies, coupling and equilibrium shifts",
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS))
     common(p)
-    p.set_defaults(func=cmd_linearize)
 
     p = sub.add_parser("bound",
                        help="evaluate the separability-bound chain on the configured gamma",
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--paper-literal", action="store_true",
                    help="use the printed (dimensionally inconsistent) form of the dimensional bound")
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("evolve",
                        help="integrate the covariance ODE from the ground state",
@@ -380,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--periods", type=float, default=3.0, help="evolution length in oscillator periods")
     p.add_argument("--dt", type=float, default=None, help="sampling step [s] (default: period/500)")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("spectrum",
                        help="analytic displacement-noise spectrum to CSV",
@@ -389,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1024, help="number of frequency points")
     p.add_argument("--model", choices=("fixed", "pair"), default="fixed",
                    help="fixed partner mass or both masses mobile")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("simulate", help="Langevin Monte Carlo ensemble",
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
@@ -402,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Welch segment length in samples (enables spectrum output)")
     p.add_argument("--welch-overlap", type=float, default=0.5)
     p.add_argument("--raw", default=None, help="also dump raw trajectories to this binary file")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reheat", help="reheating-rate measurement protocol",
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
@@ -411,12 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=256)
     p.add_argument("--cycle-time", type=float, required=True, help="dark time per cycle [s]")
     p.add_argument("--detector-noise", type=float, default=1.0, help="readout noise [quanta]")
-    p.set_defaults(func=cmd_reheat)
 
     p = sub.add_parser("feasibility", help="heating-rate budget and verdict",
                        epilog=_keys_epilog(cfgmod.PENDULUM_KEYS))
     common(p)
-    p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("sweep", help="sweep one design parameter of the feasibility report",
                        epilog=_keys_epilog(cfgmod.PENDULUM_KEYS))
@@ -427,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float, default=None)
     p.add_argument("--num", type=int, default=16)
     p.add_argument("--log", action="store_true", help="geometric spacing")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -447,18 +439,22 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
     return main(argv)
 
 
+# One parser per process: parse_args leaves it unchanged, so main reuses it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config exit code
         return int(exc.code) if exc.code else 0
     args._argv = list(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a replaced cmd_<command> attribute is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -129,11 +129,10 @@ class EvolutionResult:
         hits = np.nonzero(self.ppt_min_eig < -tol)[0]
         return int(hits[0]) if hits.size else None
 
-    def csv_rows(self):
-        """Rows matching the CSV schema t, V11..V44 (upper triangle), ppt, unc."""
-        iu = np.triu_indices(4)
-        for t, V, pe, ue in zip(self.times, self.V, self.ppt_min_eig, self.unc_min_eig):
-            yield (float(t), *V[iu].tolist(), float(pe), float(ue))
+    def csv_rows(self) -> np.ndarray:
+        """(n, 13) table matching CSV_HEADER: t, V11..V44 (upper triangle), ppt, unc."""
+        i, j = np.triu_indices(4)
+        return np.column_stack((self.times, self.V[:, i, j], self.ppt_min_eig, self.unc_min_eig))
 
     CSV_HEADER = (
         "t", "V11", "V12", "V13", "V14", "V22", "V23", "V24",

@@ -66,13 +66,13 @@ class FeasibilityParams:
     kB: float = KB
 
     def __post_init__(self):
-        if self.beta < 1.0:
-            raise DomainError(f"beta must be >= 1, got {self.beta}")
+        if not 1.0 <= self.beta < math.inf:
+            raise DomainError(f"beta must be >= 1 and finite, got {self.beta}")
         for name in ("Omega", "rho", "R", "T", "Q"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
-        if self.N < 0:
-            raise DomainError("N must be non-negative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.N < math.inf:
+            raise DomainError(f"N must be non-negative and finite, got {self.N}")
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"r must lie in (0, 1], got {self.r}")
 
@@ -211,22 +211,27 @@ def feasibility_report(params: FeasibilityParams) -> FeasibilityReport:
     r-relaxed requirement within VERDICT_RTOL (slack absorbing the one-digit
     rounding of published design numbers), "infeasible" otherwise.
     """
-    w_G = params.omega_G
-    Gamma_G = gravitational_heating_rate(params)
-    Gamma_th = thermal_heating_rate(params)
-    QoverT = params.kB / (params.hbar * Gamma_G)
-    Q_req = QoverT * params.T
-    Q_req_relaxed = Q_req * params.r
-    Gamma_total = Gamma_th + Gamma_G
-    t_int = required_integration_time(params, Gamma_total)
-    pref = (12.0 / math.pi) * params.beta**3 * params.Omega
-    margin_cons = w_G**2 - pref * Gamma_th
-    margin_rel = w_G**2 - params.r * pref * Gamma_th
-    gap = math.log10(Q_req_relaxed / params.Q)
+    try:
+        m = params.m
+        w_G = params.omega_G
+        Gamma_G = gravitational_heating_rate(params)
+        Gamma_th = thermal_heating_rate(params)
+        QoverT = params.kB / (params.hbar * Gamma_G)
+        Q_req = QoverT * params.T
+        Q_req_relaxed = Q_req * params.r
+        Gamma_total = Gamma_th + Gamma_G
+        t_int = required_integration_time(params, Gamma_total)
+        pref = (12.0 / math.pi) * params.beta**3 * params.Omega
+        margin_cons = w_G**2 - pref * Gamma_th
+        margin_rel = w_G**2 - params.r * pref * Gamma_th
+        gap = math.log10(Q_req_relaxed / params.Q)
+    except (ArithmeticError, ValueError) as exc:
+        # Finite dials can overflow R**3 or beta**3 or underflow Gamma_G to zero.
+        raise DomainError(f"feasibility budget out of floating-point range: {exc}") from exc
     feasible = params.Q >= Q_req_relaxed * (1.0 - VERDICT_RTOL)
     return FeasibilityReport(
         params=params,
-        m=params.m,
+        m=m,
         omega_G=w_G,
         Gamma_G=Gamma_G,
         Gamma_th=Gamma_th,

@@ -7,24 +7,29 @@ command with the same build reproduces the outputs bit for bit; the
 determinism contract is floating-point determinism within one build.
 
 CSV output uses '.' decimals, a header row, LF line endings and repr-exact
-floats; JSON is UTF-8 with sorted keys. Neither writer accepts NaN or
-infinity: a non-finite value raises DomainError and leaves no file.
+floats, from one 2-D table checked in one vectorized pass; JSON is UTF-8
+with sorted keys. Neither writer accepts NaN or infinity: a non-finite value
+raises DomainError and leaves no file. The tool version is read from the
+package metadata once per process, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
-from importlib import metadata
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError
 
 
+@functools.cache
 def tool_version() -> str:
+    from importlib import metadata
     try:
         return metadata.version("gravdiff")
     except metadata.PackageNotFoundError:
@@ -43,27 +48,23 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form, '.' separator."""
-    return repr(float(x))
-
-
 def write_csv(path, header, rows, preamble: str | None = None) -> None:
-    """Write rows of floats with LF endings and round-trip formatting.
+    """Write a 2-D table of floats (an ``(n, len(header))`` array or a list of
+    rows) with LF endings, each value as ``repr(float(value))``.
 
     ``preamble`` adds a leading '#' comment line (used to record unit and
     sign conventions in the file itself). Strict like the JSON writers: a NaN
-    or infinity raises DomainError before anything is written.
+    or infinity raises DomainError, naming its line, before anything is written.
     """
-    lines = []
-    if preamble:
-        lines.append("# " + preamble)
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    lines = ["# " + preamble] if preamble else []
     lines.append(",".join(header))
-    for row in rows:
-        if not all(map(math.isfinite, row)):
-            raise DomainError(f"refusing to write non-finite CSV line {len(lines) + 1} "
-                              f"of {Path(path).name}: {row}")
-        lines.append(",".join(format_float(v) for v in row))
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"refusing to write non-finite CSV line {len(lines) + i + 1} "
+                          f"of {Path(path).name}: {tuple(table[i].tolist())}")
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

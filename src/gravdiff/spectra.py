@@ -82,14 +82,12 @@ class NoiseSpectrum:
     def has_components(self) -> bool:
         return self.S_grav_position is not None
 
-    def csv_rows(self):
-        zero = np.zeros_like(self.S_total)
-        gp = self.S_grav_position if self.has_components else zero
-        gm = self.S_grav_momentum if self.has_components else zero
-        th = self.S_thermal if self.has_components else zero
-        cr = self.S_cross if self.has_components else zero
-        for row in zip(self.omega, self.S_total, gp, gm, th, cr):
-            yield tuple(float(v) for v in row)
+    def csv_rows(self) -> np.ndarray:
+        """(n, 6) table matching CSV_HEADER; absent components read zero."""
+        parts = (self.S_grav_position, self.S_grav_momentum, self.S_thermal, self.S_cross)
+        if not self.has_components:
+            parts = [np.zeros_like(self.S_total)] * 4
+        return np.column_stack((self.omega, self.S_total, *parts))
 
     CSV_HEADER = ("omega_rad_s", "S_total", "S_grav_pos", "S_grav_mom",
                   "S_thermal", "S_cross")

@@ -462,6 +462,15 @@ class TestFeasibilityCommand:
         assert payload["verdict"] == "infeasible"
 
 
+    def test_overflowing_radius_config_exit_3(self, pendulum_config, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(PENDULUM.replace("R_m = 0.03", "R_m = 1e200"))
+        rc = cli.main(["feasibility", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "floating-point range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_values_and_repeatability(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -483,6 +492,32 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--table1", "--param", "bogus", "--values", "1",
                        "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--values", "inf"], "--values"),
+        (["--values", "1e9,nan"], "--values"),
+        (["--start", "1", "--stop", "10", "--num", "-1"], "--num"),
+        (["--start", "1", "--stop", "10", "--num", "0"], "--num"),
+        (["--start", "0", "--stop", "10", "--log"], "--start"),
+        (["--start", "1", "--stop", "-10", "--log"], "--stop"),
+        (["--start", "1", "--stop", "inf"], "--stop"),
+        (["--start", "nan", "--stop", "10"], "--start"),
+    ])
+    def test_bad_flag_exit_2_writes_nothing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--table1", "--param", "Q", *flags, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_radius_exit_3(self, tmp_path, capsys):
+        # (4 pi/3) rho R^3 overflows a float: a numeric error, not a traceback
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--table1", "--param", "R_m", "--values", "0.03,1e200",
+                       "--out", str(out)])
+        assert rc == 3
+        assert "floating-point range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_row_exit_3_writes_nothing(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--table1", "--param", "T_K", "--values", "1e308",
@@ -565,3 +600,195 @@ class TestStrictJson:
             write_csv(tmp_path / "d.csv", ("a",), [(np.float64(value),)], preamble="units")
         assert not (tmp_path / "c.csv").exists()
         assert not (tmp_path / "d.csv").exists()
+
+
+def read_repr_csv(path):
+    """(header, table) of a CLI CSV whose every field is repr-exact."""
+    lines = [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
+    fields = [line.split(",") for line in lines[1:]]
+    for row in fields:
+        for f in row:
+            assert f == repr(float(f)), f
+    return lines[0].split(","), np.array(fields, dtype=float)
+
+
+def assert_bits_equal(actual, expected):
+    expected = np.ascontiguousarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestColumnarCsv:
+    def test_spectrum_csv_bits(self, stable_config, tmp_path):
+        from gravdiff.spectra import dns_fixed_source, dns_symmetric_pair
+
+        cfg = parse_config(STABLE_PAIR)
+        setup = setup_from_config(cfg)
+        sys_lin, gamma = linearize(setup), gamma_from_config(cfg)
+        w = np.linspace(0.25 * sys_lin.Omega1, 2.0 * sys_lin.Omega1, 33)
+        for model, dns in (("fixed", dns_fixed_source), ("pair", dns_symmetric_pair)):
+            out = tmp_path / model
+            assert cli.main(["spectrum", "--config", str(stable_config), "--grid", "33",
+                             "--model", model, "--out", str(out)]) == 0
+            header, table = read_repr_csv(out / "spectrum.csv")
+            spec = dns(setup, sys_lin, gamma, w)
+            assert tuple(header) == spec.CSV_HEADER
+            assert_bits_equal(table, np.column_stack((
+                spec.omega, spec.S_total, spec.S_grav_position, spec.S_grav_momentum,
+                spec.S_thermal, spec.S_cross)))
+
+    def test_evolve_csv_bits(self, stable_config, tmp_path):
+        from gravdiff.dynamics import evolve_covariance
+        from gravdiff.model import ground_state
+
+        assert cli.main(["evolve", "--config", str(stable_config), "--periods", "0.5",
+                         "--out", str(tmp_path)]) == 0
+        _, table = read_repr_csv(tmp_path / "evolve.csv")
+        cfg = parse_config(STABLE_PAIR)
+        setup = setup_from_config(cfg)
+        sys_lin = linearize(setup)
+        period = sys_lin.min_period()
+        res = evolve_covariance(ground_state(), sys_lin, gamma_from_config(cfg),
+                                0.5 * period, 0.002 * period, hbar=setup.hbar)
+        upper = [res.V[:, i, j] for i in range(4) for j in range(i, 4)]
+        assert_bits_equal(table, np.column_stack((res.times, *upper, res.ppt_min_eig,
+                                                  res.unc_min_eig)))
+
+    def test_simulate_csv_bits(self, stable_config, tmp_path):
+        from gravdiff.montecarlo import NoiseModel, simulate, welch_spectrum
+
+        # 5001 samples: the summary keeps every second one
+        assert cli.main(["simulate", "--config", str(stable_config), "--seed", "8",
+                         "--traj", "2", "--dt", "0.005", "--duration", "25.0",
+                         "--welch-segment", "256", "--out", str(tmp_path)]) == 0
+        cfg = parse_config(STABLE_PAIR)
+        setup = setup_from_config(cfg)
+        ens = simulate(setup, linearize(setup),
+                       NoiseModel.from_setup(setup, gamma_from_config(cfg), 8), 2, 0.005, 25.0)
+        _, table = read_repr_csv(tmp_path / "simulate_summary.csv")
+        assert_bits_equal(table, np.column_stack((
+            ens.times[::2], ens.x.mean(axis=0)[::2], ens.x.var(axis=0)[::2],
+            ens.p.mean(axis=0)[::2], ens.p.var(axis=0)[::2])))
+        _, table = read_repr_csv(tmp_path / "simulate_spectrum.csv")
+        spec = welch_spectrum(ens, 256, 0.5)
+        zero = np.zeros_like(spec.S_total)
+        assert_bits_equal(table, np.column_stack((spec.omega, spec.S_total, *[zero] * 4)))
+
+    def test_sweep_csv_bits(self, pendulum_config, tmp_path):
+        assert cli.main(["sweep", "--config", str(pendulum_config), "--param", "T_K",
+                         "--start", "0.01", "--stop", "3", "--num", "9", "--log",
+                         "--out", str(tmp_path)]) == 0
+        _, table = read_repr_csv(tmp_path / "sweep.csv")
+        base = cfgmod.feasibility_from_config(parse_config(PENDULUM))
+        rows = []
+        for v in np.geomspace(0.01, 3.0, 9).tolist():
+            rep = feasibility_report(dataclasses.replace(base, T=v))
+            rows.append((v, rep.m, rep.omega_G, rep.Gamma_G, rep.Gamma_th, rep.Q_required,
+                         rep.Q_required_relaxed, rep.t_int, rep.margin_conservative,
+                         rep.margin_relaxed, float(rep.verdict == "feasible-in-principle")))
+        assert_bits_equal(table, rows)
+
+    @pytest.mark.parametrize("preamble,first_line", [(None, 2), ("units", 3)])
+    def test_non_finite_refusal_names_line(self, tmp_path, preamble, first_line):
+        rows = [(1.0, 2.0), (3.0, 4.0), (5.0, float("nan")), (float("inf"), 0.0)]
+        with pytest.raises(DomainError, match=f"non-finite CSV line {first_line + 2} of c.csv"):
+            write_csv(tmp_path / "c.csv", ("a", "b"), rows, preamble=preamble)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_row_forms_write_same_bytes(self, tmp_path):
+        values = np.array([[0.1, -0.0, 5e-324, 1e16],
+                           [2.0**53 + 2, -1.7976931348623157e308, 1 / 3, 123456789.0]])
+        header = ("a", "b", "c", "d")
+        forms = {"array": values,
+                 "tuples": [tuple(r) for r in values.tolist()],
+                 "float64": [tuple(np.float64(v) for v in r) for r in values]}
+        for name, rows in forms.items():
+            write_csv(tmp_path / f"{name}.csv", header, rows, preamble="p")
+        # the per-value repr(float(v)) writer is the reference
+        expected = "# p\na,b,c,d\n" + "".join(
+            ",".join(repr(float(v)) for v in r) + "\n" for r in values)
+        for name in forms:
+            assert (tmp_path / f"{name}.csv").read_bytes() == expected.encode()
+
+    def test_width_must_match_header(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "w.csv", ("a", "b"), [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+
+
+class TestParserReuse:
+    def test_patched_command_runs_after_first_call(self, stable_config, tmp_path,
+                                                   monkeypatch):
+        assert cli.main(["linearize", "--config", str(stable_config),
+                         "--out", str(tmp_path / "a")]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_linearize", lambda args: seen.append(args.command) or 7)
+        assert cli.main(["linearize", "--config", str(stable_config),
+                         "--out", str(tmp_path / "b")]) == 7
+        assert seen == ["linearize"]
+        assert not (tmp_path / "b").exists()
+
+    # Each subcommand once with its defaults and once with other flags, so a
+    # value left behind by one call would change the next call's outputs.
+    SESSION = [
+        ("linearize", "pair", []),
+        ("bound", "table1", ["--paper-literal"]),
+        ("bound", "pair", []),
+        ("evolve", "pair", ["--periods", "0.2", "--dt", "0.01"]),
+        ("evolve", "table1", ["--periods", "0.01"]),
+        ("spectrum", "pair", ["--grid", "16", "--model", "pair"]),
+        ("spectrum", "table1", ["--grid", "8"]),
+        ("simulate", "pair", ["--seed", "3", "--traj", "2", "--dt", "0.005",
+                              "--duration", "2.0", "--welch-segment", "128", "--raw", "RAW"]),
+        ("simulate", "pair", ["--seed", "5", "--traj", "3", "--dt", "0.01",
+                              "--duration", "1.0"]),
+        ("reheat", "pair", ["--seed", "4", "--cycles", "8", "--cycle-time", "0.1",
+                            "--detector-noise", "0"]),
+        ("reheat", "table1", ["--seed", "4", "--cycle-time", "100"]),
+        ("feasibility", "pendulum", []),
+        ("feasibility", "table1", []),
+        ("sweep", "pendulum", ["--param", "Q", "--start", "1e5", "--stop", "1e8", "--log"]),
+        ("sweep", "table1", ["--param", "beta", "--values", "1,1.5"]),
+        ("sweep", "pendulum", ["--param", "T_K", "--start", "0.1", "--stop", "2", "--num", "3"]),
+    ]
+
+    def run_session(self, root, configs, capsys, order):
+        record = {}
+        for i in order:
+            command, source, flags = self.SESSION[i]
+            out = root / f"{i:02d}"
+            inputs = ["--table1"] if source == "table1" else ["--config", str(configs[source])]
+            flags = [str(out / "raw.bin") if a == "RAW" else a for a in flags]
+            assert cli.main([command, *inputs, *flags, "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                     if not p.name.endswith(".manifest.json")}
+            manifest = load_manifest(out / f"{command}.manifest.json")
+            record[i] = (capsys.readouterr().out.replace(str(root), "<out>"), files,
+                         manifest["parameters"], manifest["seed"])
+        return record
+
+    def test_two_sessions_in_one_process_identical(self, stable_config, pendulum_config,
+                                                   tmp_path, capsys):
+        # The second session runs in reverse, so each call follows another one.
+        configs = {"pair": stable_config, "pendulum": pendulum_config}
+        order = range(len(self.SESSION))
+        first = self.run_session(tmp_path / "first", configs, capsys, order)
+        second = self.run_session(tmp_path / "second", configs, capsys, reversed(order))
+        assert first == second
+        assert {c for c, _, _ in self.SESSION} == {n[4:] for n in vars(cli)
+                                                   if n.startswith("cmd_")}
+
+
+def test_cli_import_leaves_package_metadata_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    from gravdiff.manifest import tool_version
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; bare = 'importlib.metadata' in sys.modules; import gravdiff.cli; "
+             "print(bare, 'importlib.metadata' in sys.modules, "
+             "gravdiff.cli.mani.tool_version())")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert out == ["False", "False", tool_version()]

@@ -166,6 +166,22 @@ class TestValidation:
         with pytest.raises(DomainError):
             params(r=1.5)
 
+    @pytest.mark.parametrize("field", ["Omega", "rho", "R", "T", "Q", "beta", "N"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_dial(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            params(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [
+        {"R": 1e200},                 # (4 pi/3) rho R^3 overflows
+        {"beta": 1e120},              # beta^3 overflows
+        {"N": 1e200},                 # N^2 overflows
+        {"rho": 1e-320},              # Gamma_G underflows to zero
+    ])
+    def test_report_out_of_float_range(self, overrides):
+        with pytest.raises(DomainError, match="floating-point range"):
+            feasibility_report(params(**overrides))
+
     def test_reference_pendulum_frozen_values(self):
         p = REFERENCE_PENDULUM
         assert p.rho == OSMIUM_DENSITY
