@@ -44,6 +44,14 @@ __all__ = [
 VERDICT_RTOL = 0.10
 
 
+def _cube(value: float, name: str) -> float:
+    """value**3, or DomainError when a finite dial's cube overflows a float."""
+    try:
+        return value**3
+    except OverflowError:
+        raise DomainError(f"{name}**3 is out of floating-point range for {name} = {value:g}") from None
+
+
 @dataclass(frozen=True)
 class FeasibilityParams:
     """Design dials of the torsion-pendulum experiment.
@@ -79,7 +87,7 @@ class FeasibilityParams:
     @property
     def m(self) -> float:
         """Sphere mass (4 pi / 3) rho R^3 [kg]."""
-        return (4.0 * math.pi / 3.0) * self.rho * self.R**3
+        return (4.0 * math.pi / 3.0) * self.rho * _cube(self.R, "R")
 
     @property
     def d(self) -> float:
@@ -113,7 +121,7 @@ REFERENCE_PENDULUM = FeasibilityParams(
 
 def gravitational_heating_rate(params: FeasibilityParams) -> float:
     """Minimum gravitational heating rate Gamma_G = pi w_G^2 / (12 beta^3 Omega)."""
-    return math.pi * params.omega_G**2 / (12.0 * params.beta**3 * params.Omega)
+    return math.pi * params.omega_G**2 / (12.0 * _cube(params.beta, "beta") * params.Omega)
 
 
 def thermal_heating_rate(params: FeasibilityParams) -> float:

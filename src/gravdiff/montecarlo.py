@@ -25,13 +25,15 @@ obeys the AR(2) recursion
 
     z[k+2] - tr(Phi) z[k+1] + det(Phi) z[k] = C u[k+1] + (Phi - tr(Phi) I) C u[k],
 
-a unit lower-triangular banded system of bandwidth 2. Each noise block of
-``_BLOCK_STEPS`` steps is one LAPACK ``dtbtrs`` solve over all 2 n_traj
-columns, with the block's first row the exact step from the state carried in
-from the previous block. The forcing is built by elementwise arithmetic, so a
-row does not depend on the ensemble width or on the run length. The draws
-and their order are those of the step-by-step recursion; only rounding
-differs from it (about 1e-12 relative).
+a unit lower-triangular banded system of bandwidth 2. A whole run is one
+LAPACK ``dtbtrs`` solve over all 2 n_traj columns, in place in the output
+array, whose first two rows per column are the initial state and the exact
+first step. Each trajectory's stream is drawn into one reused buffer, so the
+work memory beyond the output (those draws, one temporary row and the band)
+does not grow with the ensemble. The forcing is built by elementwise
+arithmetic, so a row does not depend on the ensemble width or on the run
+length. The draws and their order are those of the step-by-step recursion;
+only rounding differs from it (about 1e-12 relative).
 
 scipy is imported only where it is used: ``simulate`` imports LAPACK's
 ``dtbtrs`` when called, so importing the package and every path that does
@@ -90,11 +92,6 @@ _RAW_VERSION = 1
 # master seed.
 _DOMAIN_TRAJECTORY = 0
 _DOMAIN_CYCLE = 1 << 56
-
-# Steps per noise block: the per-block work arrays hold O(n_traj * block)
-# values, so their memory does not grow with the run length.
-_BLOCK_STEPS = 4096
-
 
 def _noise_factor(V: np.ndarray) -> np.ndarray:
     """L with L L^T = V: the Cholesky factor when V is positive definite.
@@ -278,60 +275,53 @@ def simulate(
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
 
-    rngs = [noise.stream(stream_offset + i) for i in range(n_traj)]
-    # zs[:, k, j] is the deviation z - z* of trajectory k at step j, so
-    # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
-    zs = np.empty((2, n_traj, n_steps + 1))
-    zs[:, :, 0] = (z0 - z_star)[:, None]
-    if np.any(V0):
-        u0 = np.stack([rng.standard_normal(2) for rng in rngs], axis=1)
-        L0 = _noise_factor(V0)
-        zs[:, :, 0] += L0[:, :1] * u0[0] + L0[:, 1:] * u0[1]
-
     from scipy.linalg.lapack import dtbtrs
 
     C = _noise_factor(Q)
-    # AR(2) form of z[k+1] = Phi z[k] + C u[k] (see the module docstring):
-    # z[k+2] - tr z[k+1] + det z[k] = C u[k+1] + MC u[k]. In each block, row 0
-    # is the exact step from the carried state z[start], row 1 also takes its
-    # -det z[start] term, and every row runs in the same banded solve.
+    L0 = _noise_factor(V0) if np.any(V0) else None
+    n_init = 0 if L0 is None else 2
+    n_draws = n_init + (2 * n_steps if np.any(C) else 0)
+    # AR(2) form of z[k+1] = Phi z[k] + C u[k] (see the module docstring). In
+    # each column, row 0 is z[0], row 1 is Phi z[0] + C u[0] (so A[1, 0] = 0)
+    # and row k >= 2 is C u[k-1] + MC u[k-2]; z[0] enters row 2 through the
+    # band's A[2, 0] = det.
     tr = Phi[0, 0] + Phi[1, 1]
     det = Phi[0, 0] * Phi[1, 1] - Phi[0, 1] * Phi[1, 0]
     MC = (Phi - tr * np.eye(2)) @ C
-    width = min(_BLOCK_STEPS, n_steps)
-    band = np.empty((3, width), order="F")
+    band = np.empty((3, n_steps + 1), order="F")
     band[0], band[1], band[2] = 1.0, -tr, det
-    u = np.zeros((n_traj, width, 2))
-    rhs_buf = np.empty(2 * n_traj * width)
-    tmp = np.empty((n_traj, width))
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        bs = min(_BLOCK_STEPS, n_steps - start)
-        if np.any(C):
-            for rng, row in zip(rngs, u):
-                rng.standard_normal(out=row[:bs])
+    band[1, 0] = 0.0
+    # zs[:, k, j] is the deviation z - z* of trajectory k at step j, so
+    # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
+    zs = np.empty((2, n_traj, n_steps + 1))
+    draws = np.zeros(n_init + 2 * n_steps)
+    u0, u1 = draws[n_init::2], draws[n_init + 1::2]
+    tmp = np.empty(n_steps)
+    for k in range(n_traj):
+        if n_draws:
+            noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
+        z = zs[:, k, 0]
+        z[:] = z0 - z_star
+        if L0 is not None:
+            z += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
         # Elementwise products with scalar coefficients, into reused buffers:
         # no BLAS kernel that depends on the ensemble width, so every row is
         # bit-identical for any n_traj and any run length.
-        u0, u1 = u[:, :bs, 0], u[:, :bs, 1]
-        z = zs[:, :, start]
-        rhs = rhs_buf[:2 * n_traj * bs].reshape(2, n_traj, bs)
-        t = tmp[:, :bs]
-        for i, r in enumerate(rhs):
+        for i in range(2):
+            r = zs[i, k, 1:]
             np.multiply(u0, C[i, 0], out=r)
-            np.multiply(u1, C[i, 1], out=t)
-            r += t
-            np.multiply(u0[:, :-1], MC[i, 0], out=t[:, 1:])
-            r[:, 1:] += t[:, 1:]
-            np.multiply(u1[:, :-1], MC[i, 1], out=t[:, 1:])
-            r[:, 1:] += t[:, 1:]
-            r[:, 0] += Phi[i, 0] * z[0] + Phi[i, 1] * z[1]
-            if bs > 1:
-                r[:, 1] -= det * z[i]
-        # The rows of rhs are the columns of the Fortran-ordered (bs, 2 n_traj)
-        # transpose: one unit lower-triangular banded solve for all of them.
-        sol, _ = dtbtrs(band[:, :bs], rhs.reshape(2 * n_traj, bs).T,
-                        uplo="L", diag="U", overwrite_b=1)
-        zs[:, :, start + 1:start + bs + 1] = sol.T.reshape(2, n_traj, bs)
+            np.multiply(u1, C[i, 1], out=tmp)
+            r += tmp
+            np.multiply(u0[:-1], MC[i, 0], out=tmp[1:])
+            r[1:] += tmp[1:]
+            np.multiply(u1[:-1], MC[i, 1], out=tmp[1:])
+            r[1:] += tmp[1:]
+            r[0] += Phi[i, 0] * z[0] + Phi[i, 1] * z[1]
+    # The rows of zs are the columns of its Fortran-ordered transpose: one
+    # unit lower-triangular banded solve for all of them, in place.
+    sol, _ = dtbtrs(band, zs.reshape(2 * n_traj, n_steps + 1).T,
+                    uplo="L", diag="U", overwrite_b=1)
+    zs = sol.T.reshape(2, n_traj, n_steps + 1)
     if keep_static_force:
         zs += z_star[:, None, None]
 
@@ -345,11 +335,11 @@ def simulate(
 
 def welch_segments(n_samples: int, segment_len: int, overlap: float) -> tuple[int, int]:
     """(segments per trajectory, hop between segment starts) of the Welch
-    segmentation; ConfigError if ``segment_len`` is outside [1, n_samples] or
-    ``overlap`` outside [0, 1)."""
-    if not (0 < segment_len <= n_samples):
+    segmentation; ConfigError if ``segment_len`` is outside [2, n_samples] (a
+    one-sample periodic Hann window is zero) or ``overlap`` outside [0, 1)."""
+    if not (2 <= segment_len <= n_samples):
         raise ConfigError(
-            f"segment_len must be in [1, {n_samples}], got {segment_len}"
+            f"segment_len must be in [2, {n_samples}], got {segment_len}"
         )
     if not (0.0 <= overlap < 1.0):
         raise ConfigError(f"overlap must be in [0, 1), got {overlap}")

@@ -172,6 +172,7 @@ class TestExitCodes:
         ["--welch-segment", "402"],          # 2 s at 5 ms is 401 samples
         ["--welch-segment", "64", "--welch-overlap", "-0.5"],
         ["--duration", "0.002"],             # shorter than one step
+        ["--welch-segment", "1"],            # a one-sample Hann window is zero
     ])
     def test_simulate_flags_checked_before_sampling(self, stable_config, tmp_path, capsys,
                                                     monkeypatch, flags):

@@ -182,6 +182,14 @@ class TestValidation:
         with pytest.raises(DomainError, match="floating-point range"):
             feasibility_report(params(**overrides))
 
+    def test_mass_out_of_float_range(self):
+        with pytest.raises(DomainError, match="floating-point range"):
+            params(R=1e200).m
+
+    def test_gravitational_rate_out_of_float_range(self):
+        with pytest.raises(DomainError, match="floating-point range"):
+            gravitational_heating_rate(params(beta=1e120))
+
     def test_reference_pendulum_frozen_values(self):
         p = REFERENCE_PENDULUM
         assert p.rho == OSMIUM_DENSITY

@@ -20,7 +20,6 @@ from gravdiff.model import (
     to_dimensionless,
 )
 from gravdiff.montecarlo import (
-    _BLOCK_STEPS,
     NoiseModel,
     TrajectoryEnsemble,
     desk_rescale,
@@ -265,13 +264,11 @@ class TestSimulateStatistics:
         # depends only on (seed, k)
         big = simulate(setup, sys, noise, n_traj=9, dt=0.005, duration=3.0)
         assert np.array_equal(big.x[:6], a.x)
-        # a shorter run is the prefix of a longer one across noise blocks
-        short = simulate(setup, sys, noise, n_traj=2, dt=0.005,
-                         duration=1.5 * _BLOCK_STEPS * 0.005)
-        long = simulate(setup, sys, noise, n_traj=2, dt=0.005,
-                        duration=2.5 * _BLOCK_STEPS * 0.005)
+        # a shorter run is the prefix of a longer one
+        short = simulate(setup, sys, noise, n_traj=2, dt=0.005, duration=6144 * 0.005)
+        long = simulate(setup, sys, noise, n_traj=2, dt=0.005, duration=10240 * 0.005)
         n = short.x.shape[1]
-        assert n > _BLOCK_STEPS + 1 and long.x.shape[1] > 2 * _BLOCK_STEPS
+        assert n == 6145 and long.x.shape[1] == 10241
         assert np.array_equal(long.x[:, :n], short.x)
         assert np.array_equal(long.p[:, :n], short.p)
 
@@ -321,7 +318,7 @@ LOOP_ORACLE_CASES = {
     "one_step": lambda: (desk_pair(Q=10.0, T=250.0),
                          dict(dt=0.005, duration=0.005, init=(2e-6, 0.0))),
     "past_two_blocks": lambda: (desk_pair(Q=10.0, T=250.0),
-                                dict(dt=0.005, duration=2.5 * _BLOCK_STEPS * 0.005)),
+                                dict(dt=0.005, duration=10240 * 0.005)),
 }
 
 
@@ -343,12 +340,57 @@ class TestSimulateMatchesLoopOracle:
         if case == "one_step":
             assert n_steps == 1
         if case == "past_two_blocks":
-            assert n_steps > 2 * _BLOCK_STEPS
+            assert n_steps == 10240
         if case == "underdamped":
-            assert n_steps < _BLOCK_STEPS
+            assert n_steps == 600
         for got, ref in ((ens.x, x_ref), (ens.p, p_ref)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestSimulateWorkMemory:
+    """The whole run is one banded solve; work memory is one trajectory's."""
+
+    def run(self, n_traj, n_steps=4000):
+        setup = desk_pair(Q=10.0, T=250.0)
+        sys = linearize(setup)
+        gamma = make_diffusion({(0, 0): 1e59, (1, 1): 1e59})
+        noise = NoiseModel.from_setup(setup, gamma, seed=99)
+        return simulate(setup, sys, noise, n_traj=n_traj, dt=0.005,
+                        duration=n_steps * 0.005)
+
+    def test_one_banded_solve_per_call(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+        shapes = []
+        real = lapack.dtbtrs
+
+        def counting(ab, b, *args, **kwargs):
+            shapes.append(b.shape)
+            return real(ab, b, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dtbtrs", counting)
+        self.run(n_traj=5, n_steps=10240)
+        assert shapes == [(10241, 10)]
+
+    def test_work_memory_independent_of_ensemble_width(self):
+        import tracemalloc
+
+        def work_bytes(n_traj):
+            self.run(n_traj)                     # imports and caches first
+            tracemalloc.start()
+            try:
+                ens = self.run(n_traj)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - (ens.x.nbytes + ens.p.nbytes + ens.times.nbytes)
+
+        narrow, wide = work_bytes(1), work_bytes(32)
+        # one trajectory's draws, one temporary row and the 3-row band are
+        # about 6 doubles per step (192 kB here); work arrays that grew with
+        # the ensemble would add about 160 kB per extra trajectory
+        assert narrow < 400_000
+        assert abs(wide - narrow) <= 16_384
 
 
 class TestWelch:
@@ -397,7 +439,7 @@ class TestWelch:
 
     @pytest.mark.parametrize("n_traj", [1, 5])
     @pytest.mark.parametrize("n_samples,segment_len,overlap", [
-        *[(1000, L, ov) for L in (256, 255) for ov in (0.0, 0.5, 0.75)],
+        *[(1000, L, ov) for L in (256, 255, 3, 2) for ov in (0.0, 0.5, 0.75)],
         (1000, 1000, 0.5), (1001, 1001, 0.0),
     ])
     def test_matches_scipy_welch(self, n_traj, n_samples, segment_len, overlap):
@@ -427,6 +469,9 @@ class TestWelch:
             welch_spectrum(ens, segment_len=2000)
         with pytest.raises(ConfigError):
             welch_spectrum(ens, segment_len=100, overlap=1.0)
+        # the periodic Hann window of one sample is zero: the estimate would be NaN
+        with pytest.raises(ConfigError, match="segment_len must be in \\[2, 1000\\]"):
+            welch_spectrum(ens, segment_len=1)
 
     def test_ensemble_reduction_is_associative(self):
         # averaging batch spectra equals the full-ensemble spectrum exactly,
