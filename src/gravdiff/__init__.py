@@ -29,7 +29,6 @@ from .model import (
     GaussianState,
     LinearizedSystem,
     PhysicalSetup,
-    drift_matrix,
     from_dimensionless,
     ground_state,
     linearize,

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
 from .errors import DomainError, PSDError, SymmetryError
 from .model import (
     DiffusionMatrix,
@@ -138,7 +137,7 @@ def _require_equal_masses(m1: float, m2: float, rtol: float = 1e-9) -> float:
 
 
 def dimensional_bound(gamma: DiffusionMatrix, sys: LinearizedSystem,
-                      hbar: float = HBAR, paper_literal: bool = False) -> BoundReport:
+                      paper_literal: bool = False) -> BoundReport:
     """Weak trace bound on the SI diffusion entries (equal masses):
 
     O2 g11 + O1 g22 + m^2 O1 O2 (O1 g33 + O2 g44) >= (2 G m^2 / hbar d^3)
@@ -152,7 +151,7 @@ def dimensional_bound(gamma: DiffusionMatrix, sys: LinearizedSystem,
     O1, O2 = sys.Omega1, sys.Omega2
     mom_factor = 1.0 if paper_literal else m**2
     lhs = O2 * g[0, 0] + O1 * g[1, 1] + mom_factor * O1 * O2 * (O1 * g[2, 2] + O2 * g[3, 3])
-    rhs = (sys.K / hbar) * np.sqrt(O1 * O2)
+    rhs = (sys.K / sys.hbar) * np.sqrt(O1 * O2)
     bound_id = "dimensional-literal" if paper_literal else "dimensional"
     return _report(bound_id, lhs, rhs)
 
@@ -202,9 +201,9 @@ def minimal_diffusion(setup: PhysicalSetup, mode: str,
     m = _require_equal_masses(setup.m1, setup.m2)
     budget = setup.G * m**2 / (setup.hbar * setup.d**3)
     g = np.zeros((4, 4))
-    if mode in ("position-only", "position"):
+    if mode == "position-only":
         g[0, 0] = g[1, 1] = budget
-    elif mode in ("momentum-only", "momentum"):
+    elif mode == "momentum-only":
         if omega is None or omega <= 0:
             raise DomainError("momentum-only allocation requires a positive omega")
         g[2, 2] = g[3, 3] = budget / (m**2 * omega**2)

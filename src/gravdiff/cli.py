@@ -143,11 +143,9 @@ def cmd_linearize(args) -> int:
 def cmd_bound(args) -> int:
     cfg, sha = _resolve_inputs(args)
     setup, sys_lin, gamma = _spectrum_model(cfg, args)
-    omega = cfg.get("Omega_rad_s", sys_lin.Omega1)
-    reports = [final_bound(gamma, setup, omega)]
-    reports.append(dimensional_bound(gamma, sys_lin, hbar=setup.hbar,
-                                     paper_literal=args.paper_literal))
-    _, gamma_bar = to_dimensionless(sys_lin, gamma, setup.hbar)
+    reports = [final_bound(gamma, setup, sys_lin.Omega1)]
+    reports.append(dimensional_bound(gamma, sys_lin, paper_literal=args.paper_literal))
+    _, gamma_bar = to_dimensionless(sys_lin, gamma)
     reports.append(strongest_bound(gamma_bar, sys_lin))
     reports.append(weak_bound(gamma_bar, sys_lin))
 
@@ -166,13 +164,12 @@ def cmd_evolve(args) -> int:
     _require_positive("--periods", args.periods)
     _require_positive("--dt", args.dt)
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg, args)
+    _, sys_lin, gamma = _spectrum_model(cfg, args)
     period = sys_lin.min_period()
     dt = args.dt if args.dt is not None else 0.002 * period
     t_end = args.periods * period
     _require_in_memory(t_end / dt, 128)  # V: 4x4 float64 per sample
-    res = evolve_covariance(ground_state(), sys_lin, gamma, t_end, dt,
-                            hbar=setup.hbar)
+    res = evolve_covariance(ground_state(), sys_lin, gamma, t_end, dt)
     _emit(args, cfg, sha, [(Path(args.out) / "evolve.csv", mani.write_csv,
                             EvolutionResult.CSV_HEADER, res.csv_rows())])
     idx = res.first_ppt_violation()

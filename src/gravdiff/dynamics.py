@@ -156,15 +156,13 @@ def evolve_covariance_dimensionless(
     t_end: float,
     dt: float,
     mean0: np.ndarray | None = None,
-    unc_tol: float = 1e-8,
-    check_input: bool = True,
 ) -> EvolutionResult:
     """Propagate V and the mean exactly, sampled every ``dt`` up to ``t_end``.
 
     All inputs are in dimensionless units. Raises StepSizeError when dt is
     not positive and finite or exceeds 1% of the fastest oscillation period,
     or when t_end is negative or not finite, and NonPhysicalInputError when
-    V0 violates the uncertainty relation beyond ``unc_tol``.
+    V0 violates the uncertainty relation by more than 1e-8.
     """
     _check_span("t_end", t_end, dt)
     Omegas = np.diagonal(Hbar)[2:]
@@ -177,13 +175,12 @@ def evolve_covariance_dimensionless(
     V0 = 0.5 * (np.array(V0, dtype=float) + np.array(V0, dtype=float).T)
     J = symplectic_form()
     L = ppt_reflector(2)
-    if check_input:
-        unc0 = _min_eig_hermitian(V0, J)
-        if unc0 < -unc_tol:
-            raise NonPhysicalInputError(
-                f"initial covariance violates the uncertainty relation: "
-                f"min eig(V + iJ/2) = {unc0:.3e}"
-            )
+    unc0 = _min_eig_hermitian(V0, J)
+    if unc0 < -1e-8:
+        raise NonPhysicalInputError(
+            f"initial covariance violates the uncertainty relation: "
+            f"min eig(V + iJ/2) = {unc0:.3e}"
+        )
 
     A, D = J @ Hbar, J @ gamma_bar @ J.T
     Phi, Q = propagator(A, D, dt)
@@ -218,7 +215,6 @@ def evolve_covariance(
     gamma: DiffusionMatrix,
     t_end: float,
     dt: float,
-    hbar: float = HBAR,
 ) -> EvolutionResult:
     """Typed front end: converts (sys, gamma) to dimensionless form and evolves.
 
@@ -229,7 +225,7 @@ def evolve_covariance(
         raise NonPhysicalInputError(
             "evolve_covariance integrates in dimensionless units; convert V0 first"
         )
-    Hbar, gamma_bar = to_dimensionless(sys, gamma, hbar)
+    Hbar, gamma_bar = to_dimensionless(sys, gamma)
     return evolve_covariance_dimensionless(
         V0.V, Hbar, gamma_bar, t_end, dt, mean0=V0.mean
     )
@@ -242,7 +238,6 @@ def entanglement_onset(
     t_max: float,
     dt: float,
     tol: float = 1e-8,
-    hbar: float = HBAR,
 ):
     """First time the PPT minimum eigenvalue drops below -tol, or None.
 
@@ -257,7 +252,7 @@ def entanglement_onset(
         raise NonPhysicalInputError(
             "entanglement_onset integrates in dimensionless units; convert V0 first"
         )
-    Hbar, gamma_bar = to_dimensionless(sys, gamma, hbar)
+    Hbar, gamma_bar = to_dimensionless(sys, gamma)
     res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_max, dt, mean0=V0.mean)
     idx = res.first_ppt_violation(tol)
     if idx is None:

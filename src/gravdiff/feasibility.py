@@ -254,6 +254,6 @@ def feasibility_report(params: FeasibilityParams) -> FeasibilityReport:
     )
 
 
-def table1_report(params: FeasibilityParams | None = None) -> FeasibilityReport:
-    """Report for the given params, defaulting to the built-in reference design."""
-    return feasibility_report(REFERENCE_PENDULUM if params is None else params)
+def table1_report() -> FeasibilityReport:
+    """Report for the built-in reference design."""
+    return feasibility_report(REFERENCE_PENDULUM)

@@ -7,7 +7,9 @@ Conventions used throughout the package (documented once, here):
 * SI units internally. The dimensionless picture (tilde quadratures
   ``xbar_j = sqrt(m_j Omega_j / hbar) x_j``, ``pbar_j = p_j / sqrt(m_j hbar
   Omega_j)``) is an explicit converted view produced by
-  :func:`to_dimensionless` and friends, never an implicit one.
+  :func:`to_dimensionless` and friends, never an implicit one. Its hbar is
+  the setup's: :class:`LinearizedSystem` carries ``PhysicalSetup.hbar``, so
+  hbar is chosen in one place and no conversion takes it again.
 * The quadratic Hamiltonian is stored as the symmetric coefficient matrix H
   with ``H_total = 1/2 c^T H c``; the symplectic form J satisfies
   ``[c_i, c_j] = i*hbar*J_ij`` in SI units and ``i*J_ij`` in dimensionless
@@ -32,7 +34,6 @@ __all__ = [
     "symplectic_form",
     "linearize",
     "pendulum_system",
-    "drift_matrix",
     "langevin_drift",
     "langevin_diffusion",
     "propagator",
@@ -129,6 +130,7 @@ class LinearizedSystem:
     ``H`` is the symmetric 4x4 coefficient matrix of the quadratic form over
     (x1, x2, p1, p2); ``equilibrium_shift`` carries the constant-force offsets
     (a1, a2) [m] absorbed when removing the terms linear in the coordinates.
+    ``hbar`` is the setup's and sets the dimensionless quadratures.
     """
 
     Omega1: float
@@ -139,14 +141,11 @@ class LinearizedSystem:
     H: np.ndarray
     J: np.ndarray
     equilibrium_shift: tuple[float, float]
+    hbar: float
 
     def __post_init__(self):
         object.__setattr__(self, "H", _readonly(self.H))
         object.__setattr__(self, "J", _readonly(self.J))
-
-    @property
-    def frequencies(self) -> tuple[float, float]:
-        return (self.Omega1, self.Omega2)
 
     def min_period(self) -> float:
         return 2.0 * np.pi / max(self.Omega1, self.Omega2)
@@ -256,7 +255,7 @@ def linearize(setup: PhysicalSetup) -> LinearizedSystem:
 
     return LinearizedSystem(
         Omega1=Om1, Omega2=Om2, K=K, m1=m1, m2=m2, H=_quadratic_form(m1, m2, Om1, Om2, K),
-        J=symplectic_form(), equilibrium_shift=(float(a1), float(a2)),
+        J=symplectic_form(), equilibrium_shift=(float(a1), float(a2)), hbar=setup.hbar,
     )
 
 
@@ -282,13 +281,8 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
     return LinearizedSystem(
         Omega1=Omega, Omega2=Omega, K=K, m1=setup.m1, m2=setup.m2,
         H=_quadratic_form(setup.m1, setup.m2, Omega, Omega, K),
-        J=symplectic_form(), equilibrium_shift=(0.0, 0.0),
+        J=symplectic_form(), equilibrium_shift=(0.0, 0.0), hbar=setup.hbar,
     )
-
-
-def drift_matrix(sys: LinearizedSystem) -> np.ndarray:
-    """First-moment drift generator A = J H, so d<c>/dt = A <c>."""
-    return sys.J @ sys.H
 
 
 def langevin_drift(setup: PhysicalSetup, sys: LinearizedSystem,
@@ -369,12 +363,13 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def quadrature_scales(sys: LinearizedSystem, hbar: float = HBAR) -> np.ndarray:
+def quadrature_scales(sys: LinearizedSystem) -> np.ndarray:
     """Scale factors s with c_SI = s * c_dimensionless, per quadrature.
 
     s = (sqrt(hbar/(m1 Omega1)), sqrt(hbar/(m2 Omega2)),
-         sqrt(m1 hbar Omega1),   sqrt(m2 hbar Omega2)).
+         sqrt(m1 hbar Omega1),   sqrt(m2 hbar Omega2)), hbar = sys.hbar.
     """
+    hbar = sys.hbar
     return np.array([
         np.sqrt(hbar / (sys.m1 * sys.Omega1)),
         np.sqrt(hbar / (sys.m2 * sys.Omega2)),
@@ -383,14 +378,14 @@ def quadrature_scales(sys: LinearizedSystem, hbar: float = HBAR) -> np.ndarray:
     ])
 
 
-def dimensionless_hamiltonian(sys: LinearizedSystem, hbar: float = HBAR) -> np.ndarray:
+def dimensionless_hamiltonian(sys: LinearizedSystem) -> np.ndarray:
     """Hbar matrix (units rad/s): Hbar_ij = H_ij s_i s_j / hbar.
 
     Diagonal entries are the Omega_i; the x1-x2 entry is the dimensionless
     coupling K / (sqrt(m1 m2) sqrt(Omega1 Omega2)).
     """
-    s = quadrature_scales(sys, hbar)
-    return (sys.H * np.outer(s, s)) / hbar
+    s = quadrature_scales(sys)
+    return (sys.H * np.outer(s, s)) / sys.hbar
 
 
 def dimensionless_coupling(sys: LinearizedSystem) -> float:
@@ -398,43 +393,39 @@ def dimensionless_coupling(sys: LinearizedSystem) -> float:
     return sys.K / (np.sqrt(sys.m1 * sys.m2) * np.sqrt(sys.Omega1 * sys.Omega2))
 
 
-def to_dimensionless(
-    sys: LinearizedSystem, gamma: DiffusionMatrix, hbar: float = HBAR
-) -> tuple[np.ndarray, np.ndarray]:
+def to_dimensionless(sys: LinearizedSystem,
+                     gamma: DiffusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Rescale (H, gamma) to the dimensionless quadratures.
 
     gamma_bar_ij = gamma_ij s_i s_j (all entries acquire units of 1/s), e.g.
     the position block is multiplied by hbar/(m Omega) and the momentum block
     by m hbar Omega; cross terms pick up the geometric mean.
     """
-    s = quadrature_scales(sys, hbar)
-    Hbar = dimensionless_hamiltonian(sys, hbar)
+    s = quadrature_scales(sys)
+    Hbar = dimensionless_hamiltonian(sys)
     gamma_bar = gamma.matrix * np.outer(s, s)
     return Hbar, gamma_bar
 
 
-def from_dimensionless(
-    Hbar: np.ndarray, gamma_bar: np.ndarray, sys: LinearizedSystem, hbar: float = HBAR
-) -> tuple[np.ndarray, np.ndarray]:
+def from_dimensionless(Hbar: np.ndarray, gamma_bar: np.ndarray,
+                       sys: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`to_dimensionless`; exact up to rounding."""
-    s = quadrature_scales(sys, hbar)
+    s = quadrature_scales(sys)
     outer = np.outer(s, s)
-    return np.asarray(Hbar) * hbar / outer, np.asarray(gamma_bar) / outer
+    return np.asarray(Hbar) * sys.hbar / outer, np.asarray(gamma_bar) / outer
 
 
-def state_to_dimensionless(state: GaussianState, sys: LinearizedSystem,
-                           hbar: float = HBAR) -> GaussianState:
+def state_to_dimensionless(state: GaussianState, sys: LinearizedSystem) -> GaussianState:
     """Convert an SI-units Gaussian state to dimensionless quadratures."""
     if state.dimensionless:
         return state
-    s = quadrature_scales(sys, hbar)
+    s = quadrature_scales(sys)
     return GaussianState(state.mean / s, state.V / np.outer(s, s), dimensionless=True)
 
 
-def state_from_dimensionless(state: GaussianState, sys: LinearizedSystem,
-                             hbar: float = HBAR) -> GaussianState:
+def state_from_dimensionless(state: GaussianState, sys: LinearizedSystem) -> GaussianState:
     """Convert a dimensionless Gaussian state back to SI units."""
     if not state.dimensionless:
         return state
-    s = quadrature_scales(sys, hbar)
+    s = quadrature_scales(sys)
     return GaussianState(state.mean * s, state.V * np.outer(s, s), dimensionless=False)

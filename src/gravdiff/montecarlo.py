@@ -78,7 +78,6 @@ __all__ = [
     "desk_rescale",
     "effective_frequency",
     "phonon_heating_rate",
-    "drift_2x2",
     "diffusion_2x2",
     "stationary_covariance",
     "write_raw_trajectories",
@@ -172,11 +171,6 @@ def effective_frequency(sys: LinearizedSystem) -> float:
     return float(np.sqrt(sys.Omega1**2 + sys.K / sys.m1))
 
 
-def drift_2x2(setup: PhysicalSetup, sys: LinearizedSystem) -> np.ndarray:
-    """Damped drift generator of (x, p) for the monitored oscillator."""
-    return langevin_drift(setup, sys, partner_fixed=True)
-
-
 def diffusion_2x2(setup: PhysicalSetup, noise: NoiseModel) -> np.ndarray:
     """Noise covariance rate D of (x, p): the drift-augmented covariance ODE
     dV/dt = A V + V A^T + D is the moment oracle for the sampler."""
@@ -194,7 +188,7 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
     V_xx = (a V_pp - eta V_xp + D_xp)/b. This stays exact at the Table-1
     pendulum's eta = 5e-11 Omega, where a general Lyapunov solver loses V.
     """
-    A = drift_2x2(setup, sys)
+    A = langevin_drift(setup, sys, partner_fixed=True)
     D = diffusion_2x2(setup, noise)
     if np.linalg.norm(D) == 0.0:
         return np.zeros((2, 2))
@@ -253,7 +247,7 @@ def simulate(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    A = drift_2x2(setup, sys)
+    A = langevin_drift(setup, sys, partner_fixed=True)
     Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
 
     if keep_static_force:
@@ -419,7 +413,8 @@ def reheating_run(
     om_eff = effective_frequency(sys)
     m = setup.m1
     hb = setup.hbar
-    Phi, Q = propagator(drift_2x2(setup, sys), diffusion_2x2(setup, noise), cycle_time)
+    Phi, Q = propagator(langevin_drift(setup, sys, partner_fixed=True),
+                        diffusion_2x2(setup, noise), cycle_time)
     V_g = np.diag([hb / (2.0 * m * om_eff), m * hb * om_eff / 2.0])
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
 

@@ -152,11 +152,10 @@ def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
     the model pieces (Phi, Q, z*, V0) with the sampler but not its banded
     solve. Returns the (x, p) arrays, one row per trajectory.
     """
-    from gravdiff.model import propagator
-    from gravdiff.montecarlo import (_noise_factor, diffusion_2x2, drift_2x2,
-                                     stationary_covariance)
+    from gravdiff.model import langevin_drift, propagator
+    from gravdiff.montecarlo import _noise_factor, diffusion_2x2, stationary_covariance
     n_steps = int(round(duration / dt))
-    A = drift_2x2(setup, sys)
+    A = langevin_drift(setup, sys, partner_fixed=True)
     Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
     C = _noise_factor(Q)
     z_star = np.zeros(2)

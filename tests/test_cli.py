@@ -650,7 +650,7 @@ class TestColumnarCsv:
         sys_lin = linearize(setup)
         period = sys_lin.min_period()
         res = evolve_covariance(ground_state(), sys_lin, gamma_from_config(cfg),
-                                0.5 * period, 0.002 * period, hbar=setup.hbar)
+                                0.5 * period, 0.002 * period)
         upper = [res.V[:, i, j] for i in range(4) for j in range(i, 4)]
         assert_bits_equal(table, np.column_stack((res.times, *upper, res.ppt_min_eig,
                                                   res.unc_min_eig)))

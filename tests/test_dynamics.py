@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gravdiff.bounds import dimensional_bound, minimal_diffusion
 from gravdiff.constants import HBAR
 from gravdiff.errors import NonPhysicalInputError, StepSizeError
 from gravdiff.dynamics import (
@@ -25,6 +26,7 @@ from gravdiff.dynamics import (
 from gravdiff.model import (
     DiffusionMatrix,
     GaussianState,
+    PhysicalSetup,
     ground_state,
     linearize,
     symplectic_form,
@@ -245,6 +247,23 @@ class TestEvolve:
         res = evolve_covariance(ground_state(), sys, gamma, 2 * period, period / 400)
         assert res.unc_min_eig.min() >= -1e-8
 
+    def test_natural_units_setup_uses_its_hbar(self):
+        # hbar = 1 with unit masses and traps: the dimensionless view, the
+        # evolution and the SI bound all take the setup's hbar, so the
+        # bound-saturating matrix stays separable and sits on the bound
+        setup = PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=2.0, G=0.01, hbar=1.0)
+        sys = linearize(setup)
+        gamma = minimal_diffusion(setup, "mixed", omega=sys.Omega1)
+        _, gamma_bar = to_dimensionless(sys, gamma)
+        s = np.sqrt([1.0 / sys.Omega1, 1.0 / sys.Omega2, sys.Omega1, sys.Omega2])
+        assert np.allclose(gamma_bar, gamma.matrix * np.outer(s, s), rtol=1e-12, atol=0.0)
+        period = sys.min_period()
+        res = evolve_covariance(ground_state(), sys, gamma, 3 * period, period / 1000)
+        assert res.ppt_min_eig.min() >= -1e-8
+        rep = dimensional_bound(gamma, sys)
+        assert rep.satisfied
+        assert rep.margin == pytest.approx(0.0, abs=1e-9 * rep.rhs)
+
 
 class TestShortTimeExpansion:
     """d/dt of the PPT quadratic form at t = 0 against its closed form."""
@@ -292,7 +311,6 @@ class TestOnset:
         setup = strong_coupling_setup(kbar_over_omega=0.3)
         sys = linearize(setup)
         # remove the coupling but keep the trap: zero-gravity variant
-        from gravdiff.model import PhysicalSetup
         free = PhysicalSetup(m1=setup.m1, m2=setup.m2, omega1=setup.omega1,
                              omega2=setup.omega2, d=setup.d, G=0.0)
         sys0 = linearize(free)

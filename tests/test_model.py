@@ -18,9 +18,9 @@ from gravdiff.model import (
     GaussianState,
     PhysicalSetup,
     dimensionless_hamiltonian,
-    drift_matrix,
     from_dimensionless,
     ground_state,
+    langevin_drift,
     linearize,
     propagator,
     quadrature_scales,
@@ -122,14 +122,14 @@ class TestLinearize:
 class TestDriftMatrix:
     def test_uncoupled_is_block_decoupled(self):
         setup = PhysicalSetup(m1=1.0, m2=2.0, omega1=3.0, omega2=4.0, d=0.5, G=0.0)
-        A = drift_matrix(linearize(setup))
+        A = langevin_drift(setup, linearize(setup))
         # no cross-oscillator entries
         assert A[0, 1] == A[1, 0] == A[2, 3] == A[3, 2] == 0.0
         assert A[0, 3] == A[3, 0] == A[1, 2] == A[2, 1] == 0.0
 
     def test_eigenvalues_are_normal_mode_pairs(self, lab_setup):
         sys = linearize(lab_setup)
-        A = drift_matrix(sys)
+        A = langevin_drift(lab_setup, sys)
         eigs = np.linalg.eigvals(A)
         m = lab_setup.m1
         w_plus = np.sqrt(sys.Omega1**2 + sys.K / m)
@@ -138,8 +138,8 @@ class TestDriftMatrix:
         assert np.allclose(eigs.real, 0.0, atol=1e-12)
         assert np.allclose(np.sort(eigs.imag), expected, rtol=1e-10, atol=1e-12)
 
-    def test_trace_free(self, lab_system):
-        assert np.trace(drift_matrix(lab_system)) == pytest.approx(0.0, abs=1e-15)
+    def test_trace_free(self, lab_setup, lab_system):
+        assert np.trace(langevin_drift(lab_setup, lab_system)) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSymplecticForm:
@@ -297,7 +297,7 @@ class TestDimensionless:
         # generator keeps its spectrum; catches unequal-mass scaling slips
         setup = PhysicalSetup(m1=1.0, m2=3.0, omega1=0.7, omega2=1.3, d=0.2)
         sys = linearize(setup)
-        A_si = drift_matrix(sys)
+        A_si = langevin_drift(setup, sys)
         A_dimless = symplectic_form() @ dimensionless_hamiltonian(sys)
         e1 = np.sort(np.linalg.eigvals(A_si).imag)
         e2 = np.sort(np.linalg.eigvals(A_dimless).imag)
@@ -331,8 +331,8 @@ def test_non_sampling_paths_load_no_scipy():
             "sys_lin = model.linearize(setup)\n"
             "gamma = bounds.minimal_diffusion(setup, 'mixed', omega=sys_lin.Omega1)\n"
             "bounds.final_bound(gamma, setup, sys_lin.Omega1)\n"
-            "bounds.dimensional_bound(gamma, sys_lin, hbar=setup.hbar)\n"
-            "_, gamma_bar = model.to_dimensionless(sys_lin, gamma, setup.hbar)\n"
+            "bounds.dimensional_bound(gamma, sys_lin)\n"
+            "_, gamma_bar = model.to_dimensionless(sys_lin, gamma)\n"
             "bounds.strongest_bound(gamma_bar, sys_lin)\n"
             "bounds.weak_bound(gamma_bar, sys_lin)\n"
             "period = sys_lin.min_period()\n"

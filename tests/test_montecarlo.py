@@ -14,6 +14,7 @@ from gravdiff.errors import ConfigError, ProtocolError, SeedError, StabilityErro
 from gravdiff.model import (
     DiffusionMatrix,
     PhysicalSetup,
+    langevin_drift,
     linearize,
     pendulum_system,
     propagator,
@@ -24,7 +25,6 @@ from gravdiff.montecarlo import (
     TrajectoryEnsemble,
     desk_rescale,
     diffusion_2x2,
-    drift_2x2,
     effective_frequency,
     phonon_heating_rate,
     read_raw_trajectories,
@@ -104,7 +104,7 @@ class TestStationaryCovariance:
             gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=10 ** rng.uniform(40, 62))[0])
             noise = NoiseModel.from_setup(setup, gamma, seed=1)
             V = stationary_covariance(setup, sys, noise)
-            V_ref = solve_continuous_lyapunov(drift_2x2(setup, sys), -diffusion_2x2(setup, noise))
+            V_ref = solve_continuous_lyapunov(langevin_drift(setup, sys, partner_fixed=True), -diffusion_2x2(setup, noise))
             assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
 
     def test_table1_pendulum_positive_definite(self):
@@ -117,7 +117,7 @@ class TestStationaryCovariance:
         sys = pendulum_system(setup, p.Omega)
         noise = NoiseModel.from_setup(setup, minimal_diffusion(setup, "position-only"), seed=1)
         V = stationary_covariance(setup, sys, noise)
-        A, D = drift_2x2(setup, sys), diffusion_2x2(setup, noise)
+        A, D = langevin_drift(setup, sys, partner_fixed=True), diffusion_2x2(setup, noise)
         assert np.all(np.linalg.eigvalsh(V) > 0.0)
         assert np.linalg.norm(A @ V + V @ A.T + D) <= 1e-12 * np.linalg.norm(D)
         # thermal equipartition dominates: V_pp = m kB T
@@ -207,7 +207,7 @@ class TestSimulateStatistics:
         t_end = 2.0
         ens = simulate(setup, sys, noise, n_traj=512, dt=0.002, duration=t_end,
                        init=(x0, p0))
-        A = drift_2x2(setup, sys)
+        A = langevin_drift(setup, sys, partner_fixed=True)
         D = diffusion_2x2(setup, noise)
         mean_oracle = expm(A * t_end) @ np.array([x0, p0])
         V_oracle = lyapunov_oracle(A, D, np.zeros((2, 2)), t_end)
@@ -230,7 +230,7 @@ class TestSimulateStatistics:
         dt = 0.004
         ens = simulate(setup, sys, noise, n_traj=20000, dt=dt, duration=dt,
                        init=(0.0, 0.0))
-        _, Q = propagator(drift_2x2(setup, sys), diffusion_2x2(setup, noise), dt)
+        _, Q = propagator(langevin_drift(setup, sys, partner_fixed=True), diffusion_2x2(setup, noise), dt)
         z = np.stack([ens.x[:, 1], ens.p[:, 1]])
         n = z.shape[1]
         S = z @ z.T / n
