@@ -29,12 +29,9 @@ from .model import (
     GaussianState,
     LinearizedSystem,
     PhysicalSetup,
-    from_dimensionless,
     ground_state,
     linearize,
     propagator,
-    state_from_dimensionless,
-    state_to_dimensionless,
     symplectic_form,
     to_dimensionless,
 )
@@ -56,9 +53,7 @@ from .bounds import (
     weak_bound,
 )
 from .spectra import (
-    DetectionCondition,
     NoiseSpectrum,
-    detection_condition,
     dns_fixed_source,
     dns_symmetric_pair,
     gravitational_frequency,

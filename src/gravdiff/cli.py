@@ -45,6 +45,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# The FeasibilityReport.to_dict() keys that ``sweep`` writes, one column each.
+SWEEP_COLUMNS = ("m_kg", "omega_G_per_s", "Gamma_G_per_s", "Gamma_th_per_s", "Q_required",
+                 "Q_required_relaxed", "t_int_s", "margin_conservative_s2", "margin_relaxed_s2")
+
 
 def _resolve_inputs(args):
     """(cfg dict, config sha) from --config/--table1."""
@@ -53,9 +57,8 @@ def _resolve_inputs(args):
         cfg = {
             "m1_kg": p.m, "m2_kg": p.m,
             "omega1_rad_s": p.Omega, "omega2_rad_s": p.Omega,
-            "d_m": p.d, "T_K": p.T, "eta_per_s": p.eta,
-            "Omega_rad_s": p.Omega, "rho_kg_m3": p.rho, "R_m": p.R,
-            "beta": p.beta, "Q": p.Q, "N_quanta": p.N, "r_fraction": p.r,
+            "d_m": p.d, "eta_per_s": p.eta,
+            **cfgmod.pendulum_config(p),
         }
         return cfg, None
     if getattr(args, "config", None) is None:
@@ -204,6 +207,8 @@ def _resolve_seed(args, cfg):
         seed, source = args.seed, "--seed"
     elif "seed" in cfg:
         seed, source = cfg["seed"], "config key 'seed'"
+        if seed >= 2**53:  # a config value is a float, so larger seeds were rounded
+            raise ConfigError(f"{source} must be below 2**53, got {seed:.17g}; use --seed")
     else:
         return int.from_bytes(os.urandom(8), "little") & (2**63 - 1)
     if not (0 <= seed < 2**64 and seed == int(seed)):
@@ -316,15 +321,12 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for v in values:
-        rep = feasibility_report(cfgmod.feasibility_from_config({**cfg, args.param: v}))
-        rows.append((v, rep.m, rep.omega_G, rep.Gamma_G, rep.Gamma_th, rep.Q_required,
-                     rep.Q_required_relaxed, rep.t_int, rep.margin_conservative,
-                     rep.margin_relaxed, 1.0 if rep.verdict == "feasible-in-principle" else 0.0))
+        rep = feasibility_report(cfgmod.feasibility_from_config({**cfg, args.param: v})).to_dict()
+        rows.append((v, *(rep[c] for c in SWEEP_COLUMNS),
+                     1.0 if rep["verdict"] == "feasible-in-principle" else 0.0))
 
     path = Path(args.out) / "sweep.csv"
-    header = (args.param, "m_kg", "omega_G_per_s", "Gamma_G_per_s", "Gamma_th_per_s",
-              "Q_required", "Q_required_relaxed", "t_int_s",
-              "margin_conservative_s2", "margin_relaxed_s2", "feasible")
+    header = (args.param, *SWEEP_COLUMNS, "feasible")
     _emit(args, cfg, sha, [(path, mani.write_csv, header, rows)])
     print(f"{len(rows)} sweep points written to {path}")
     return EXIT_OK

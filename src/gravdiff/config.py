@@ -22,7 +22,7 @@ N_quanta                  detector noise [quanta]
 r_fraction                resolvable thermal-noise fraction
 gamma11 .. gamma44        SI diffusion-matrix entries (symmetric completion;
                           units as in gravdiff.model.DiffusionMatrix)
-seed                      master seed (unsigned 64-bit)
+seed                      master seed, below 2**53 (larger seeds: use --seed)
 G_m3_kg_s2, hbar_Js, kB_J_K  constant overrides (default CODATA)
 ========================  =====================================================
 
@@ -53,6 +53,7 @@ __all__ = [
     "setup_from_config",
     "gamma_from_config",
     "feasibility_from_config",
+    "pendulum_config",
 ]
 
 _CONSTANT_KEYS = ("G_m3_kg_s2", "hbar_Js", "kB_J_K")
@@ -139,6 +140,8 @@ def setup_from_config(cfg: dict) -> PhysicalSetup:
     require_keys(cfg, ["m1_kg", "omega1_rad_s", "d_m"])
     m1 = cfg["m1_kg"]
     omega1 = cfg["omega1_rad_s"]
+    if cfg.get("Q", 1.0) <= 0.0:
+        raise ConfigError(f"Q must be positive, got {cfg['Q']!r}")
     eta = cfg.get("eta_per_s")
     if eta is None and "Q" in cfg:
         eta = omega1 / cfg["Q"]
@@ -173,3 +176,9 @@ def feasibility_from_config(cfg: dict) -> FeasibilityParams:
     require_keys(cfg, ["Omega_rad_s", "rho_kg_m3", "R_m"])
     return FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
                                 if key in cfg})
+
+
+def pendulum_config(params: FeasibilityParams) -> dict[str, float]:
+    """The design-dial keys (:data:`SWEEP_KEYS`) of ``params``; with default
+    constants, :func:`feasibility_from_config` rebuilds ``params`` from them."""
+    return {key: getattr(params, _PENDULUM_FIELDS[key]) for key in SWEEP_KEYS}

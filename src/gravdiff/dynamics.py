@@ -1,6 +1,7 @@
 """Covariance-matrix evolution, uncertainty relation and PPT separability.
 
-The dimensionless covariance matrix obeys the linear matrix ODE
+Every state here is dimensionless (see :class:`gravdiff.model.GaussianState`).
+The covariance matrix obeys the linear matrix ODE
 
     dV/dt = J Hbar V - V Hbar J - J gamma_bar J
           = A V + V A^T + D,   A = J Hbar,   D = J gamma_bar J^T,
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
 from .errors import NonPhysicalInputError, StepSizeError
 from .model import (
     DiffusionMatrix,
@@ -70,30 +70,20 @@ def _min_eig_hermitian(V: np.ndarray, X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(V + 0.5j * X).min())
 
 
-def uncertainty_valid(state: GaussianState, hbar: float = HBAR,
-                      tol: float = EIG_TOL) -> tuple[bool, float]:
-    """Check V + (i/2) J_units >= 0; returns (valid, min eigenvalue).
-
-    J_units is hbar*J in SI mode and J in dimensionless mode.
-    """
-    J = symplectic_form()
-    if not state.dimensionless:
-        J = hbar * J
-    min_eig = _min_eig_hermitian(state.V, J)
-    scale = 1.0 if state.dimensionless else hbar
-    return bool(min_eig >= -tol * scale), min_eig
+def uncertainty_valid(state: GaussianState, tol: float = EIG_TOL) -> tuple[bool, float]:
+    """Check V + (i/2) J >= 0; returns (valid, min eigenvalue)."""
+    min_eig = _min_eig_hermitian(state.V, symplectic_form())
+    return bool(min_eig >= -tol), min_eig
 
 
 def ppt_separable(state: GaussianState, tol: float = EIG_TOL,
                   mode: int = 2) -> tuple[bool, float]:
     """Minimum eigenvalue of V + (i/2) L J L and the separability flag.
 
-    Requires a dimensionless state. A negative eigenvalue certifies
-    entanglement; a non-negative one is reported as PPT-separable, which is
-    necessary and sufficient for a 1x1-mode Gaussian split.
+    A negative eigenvalue certifies entanglement; a non-negative one is
+    reported as PPT-separable, which is necessary and sufficient for a
+    1x1-mode Gaussian split.
     """
-    if not state.dimensionless:
-        raise ValueError("ppt_separable expects a dimensionless state; convert first")
     L = ppt_reflector(mode)
     J = symplectic_form()
     min_eig = _min_eig_hermitian(state.V, L @ J @ L)
@@ -122,7 +112,7 @@ class EvolutionResult:
     @property
     def states(self) -> tuple[GaussianState, ...]:
         """Per-sample GaussianState view of ``mean`` and ``V``, built on access."""
-        return tuple(GaussianState(m, V, dimensionless=True) for m, V in zip(self.mean, self.V))
+        return tuple(GaussianState(m, V) for m, V in zip(self.mean, self.V))
 
     def first_ppt_violation(self, tol: float = 1e-8):
         """Index of the first time ppt_min_eig < -tol, or None."""
@@ -216,15 +206,7 @@ def evolve_covariance(
     t_end: float,
     dt: float,
 ) -> EvolutionResult:
-    """Typed front end: converts (sys, gamma) to dimensionless form and evolves.
-
-    ``V0`` must already be a dimensionless state (convert with
-    :func:`gravdiff.model.state_to_dimensionless`).
-    """
-    if not V0.dimensionless:
-        raise NonPhysicalInputError(
-            "evolve_covariance integrates in dimensionless units; convert V0 first"
-        )
+    """Typed front end: converts (sys, gamma) to dimensionless form and evolves."""
     Hbar, gamma_bar = to_dimensionless(sys, gamma)
     return evolve_covariance_dimensionless(
         V0.V, Hbar, gamma_bar, t_end, dt, mean0=V0.mean
@@ -248,10 +230,6 @@ def entanglement_onset(
     t_max.
     """
     _check_span("t_max", t_max, dt)
-    if not V0.dimensionless:
-        raise NonPhysicalInputError(
-            "entanglement_onset integrates in dimensionless units; convert V0 first"
-        )
     Hbar, gamma_bar = to_dimensionless(sys, gamma)
     res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_max, dt, mean0=V0.mean)
     idx = res.first_ppt_violation(tol)

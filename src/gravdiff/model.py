@@ -4,12 +4,13 @@ Conventions used throughout the package (documented once, here):
 
 * Quadrature ordering is ``c = (x1, x2, p1, p2)``. Every 4x4 matrix in the
   package (H, J, gamma, V, drift, diffusion) uses this ordering.
-* SI units internally. The dimensionless picture (tilde quadratures
+* Setups, H, gamma and the Langevin drift and diffusion are in SI units.
+  Gaussian states are in the dimensionless quadratures
   ``xbar_j = sqrt(m_j Omega_j / hbar) x_j``, ``pbar_j = p_j / sqrt(m_j hbar
-  Omega_j)``) is an explicit converted view produced by
-  :func:`to_dimensionless` and friends, never an implicit one. Its hbar is
-  the setup's: :class:`LinearizedSystem` carries ``PhysicalSetup.hbar``, so
-  hbar is chosen in one place and no conversion takes it again.
+  Omega_j)``, the only form the uncertainty and PPT checks read;
+  :func:`to_dimensionless` carries (H, gamma) there. Its hbar is the setup's:
+  :class:`LinearizedSystem` carries ``PhysicalSetup.hbar``, so hbar is
+  chosen in one place and no conversion takes it again.
 * The quadratic Hamiltonian is stored as the symmetric coefficient matrix H
   with ``H_total = 1/2 c^T H c``; the symplectic form J satisfies
   ``[c_i, c_j] = i*hbar*J_ij`` in SI units and ``i*J_ij`` in dimensionless
@@ -39,11 +40,8 @@ __all__ = [
     "propagator",
     "quadrature_scales",
     "to_dimensionless",
-    "from_dimensionless",
     "dimensionless_hamiltonian",
     "dimensionless_coupling",
-    "state_to_dimensionless",
-    "state_from_dimensionless",
     "ground_state",
 ]
 
@@ -75,7 +73,8 @@ class PhysicalSetup:
 
     Masses in kg, angular frequencies in rad/s, separation in m, temperature
     in K, momentum damping rate eta in 1/s. G, hbar, kB default to the CODATA
-    values in :mod:`gravdiff.constants`.
+    values in :mod:`gravdiff.constants`; G may be 0 (no gravity), hbar and kB
+    must be positive.
     """
 
     m1: float
@@ -95,6 +94,11 @@ class PhysicalSetup:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.T < 0.0 or self.eta < 0.0:
             raise ValueError("T and eta must be non-negative")
+        if not 0.0 <= self.G < math.inf:
+            raise ValueError(f"G must be non-negative and finite, got {self.G!r}")
+        for name in ("hbar", "kB"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
 
     @property
     def coupling(self) -> float:
@@ -193,17 +197,16 @@ class DiffusionMatrix:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second moments of the four quadratures.
+    """First and second moments of the four dimensionless quadratures.
 
-    ``V_ij = <{dc_i, dc_j}>/2`` is the symmetrized covariance matrix. The
-    ``dimensionless`` flag records the unit convention V is expressed in; the
-    uncertainty relation reads ``V + (i hbar/2) J >= 0`` in SI units and
-    ``V + (i/2) J >= 0`` in the dimensionless ones.
+    ``V_ij = <{dc_i, dc_j}>/2`` is the symmetrized covariance matrix; the
+    uncertainty relation reads ``V + (i/2) J >= 0``. An SI state (mean m, V)
+    of the system ``sys`` enters as ``GaussianState(m / s, V / outer(s, s))``
+    with ``s = quadrature_scales(sys)``.
     """
 
     mean: np.ndarray
     V: np.ndarray
-    dimensionless: bool = False
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(4)
@@ -218,7 +221,7 @@ class GaussianState:
 
 def ground_state() -> GaussianState:
     """Dimensionless two-mode ground state: zero mean, V = I/2."""
-    return GaussianState(np.zeros(4), 0.5 * np.eye(4), dimensionless=True)
+    return GaussianState(np.zeros(4), 0.5 * np.eye(4))
 
 
 def linearize(setup: PhysicalSetup) -> LinearizedSystem:
@@ -406,26 +409,3 @@ def to_dimensionless(sys: LinearizedSystem,
     gamma_bar = gamma.matrix * np.outer(s, s)
     return Hbar, gamma_bar
 
-
-def from_dimensionless(Hbar: np.ndarray, gamma_bar: np.ndarray,
-                       sys: LinearizedSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`to_dimensionless`; exact up to rounding."""
-    s = quadrature_scales(sys)
-    outer = np.outer(s, s)
-    return np.asarray(Hbar) * sys.hbar / outer, np.asarray(gamma_bar) / outer
-
-
-def state_to_dimensionless(state: GaussianState, sys: LinearizedSystem) -> GaussianState:
-    """Convert an SI-units Gaussian state to dimensionless quadratures."""
-    if state.dimensionless:
-        return state
-    s = quadrature_scales(sys)
-    return GaussianState(state.mean / s, state.V / np.outer(s, s), dimensionless=True)
-
-
-def state_from_dimensionless(state: GaussianState, sys: LinearizedSystem) -> GaussianState:
-    """Convert a dimensionless Gaussian state back to SI units."""
-    if not state.dimensionless:
-        return state
-    s = quadrature_scales(sys)
-    return GaussianState(state.mean * s, state.V * np.outer(s, s), dimensionless=False)

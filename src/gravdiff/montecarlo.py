@@ -8,20 +8,20 @@ the equilibrium shift,
 
 where (dW1..dW4) are correlated increments with E[dW_i dW_j] = gamma_ij dt
 and dXi is classical white thermal noise of intensity 2 eta m kB T. The
-gravitational and thermal noises are independent. ``keep_static_force=True``
-retains the constant -K d term instead (the mean then settles at the shifted
-equilibrium).
+gravitational and thermal noises are independent. x is the deviation from
+the shifted equilibrium, so a trajectory started at rest without noise stays
+at rest.
 
 Integration is exact (exact Ornstein-Uhlenbeck updating, D. T. Gillespie,
 PRE 54:2084, 1996): the pair (Phi, Q) from :func:`gravdiff.model.propagator`
 is the drift exponential and the covariance that one step of length dt adds,
-so each step is z <- z* + Phi (z - z*) + C u with C C^T = Q and u two
+so each step is z <- Phi z + C u with C C^T = Q and u two
 standard normals. The sampled chain has the continuous process's transition
 law at every admissible step, with no step-size bias in any moment.
 
 The recursion runs without a per-step Python loop. By Cayley-Hamilton,
-Phi^2 = tr(Phi) Phi - det(Phi) I, so each coordinate of the deviation z - z*
-obeys the AR(2) recursion
+Phi^2 = tr(Phi) Phi - det(Phi) I, so each coordinate of z obeys the AR(2)
+recursion
 
     z[k+2] - tr(Phi) z[k+1] + det(Phi) z[k] = C u[k+1] + (Phi - tr(Phi) I) C u[k],
 
@@ -209,7 +209,6 @@ def simulate(
     dt: float,
     duration: float,
     init="stationary",
-    keep_static_force: bool = False,
     stream_offset: int = 0,
 ) -> TrajectoryEnsemble:
     """Sample an ensemble of monitored-oscillator paths exactly at spacing dt.
@@ -220,9 +219,6 @@ def simulate(
         "stationary" samples each trajectory's initial (x, p) from the
         steady-state covariance (falls back to rest when there is no noise);
         a pair starts every trajectory deterministically there.
-    keep_static_force : bool
-        Retain the constant -K d force instead of absorbing it into the
-        equilibrium shift; the mean then relaxes to x = -K d/(m Omega^2 + K).
     stream_offset : int
         Index of the first trajectory stream. Trajectory k of this run is
         stream ``stream_offset + k`` of the master seed, so a big ensemble
@@ -247,24 +243,17 @@ def simulate(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    A = langevin_drift(setup, sys, partner_fixed=True)
-    Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
-
-    if keep_static_force:
-        # Fixed point of dz/dt = A z + (0, -K d): propagate deviations exactly.
-        b = np.array([0.0, -sys.K * setup.d])
-        z_star = -np.linalg.solve(A, b)
-    else:
-        z_star = np.zeros(2)
+    Phi, Q = propagator(langevin_drift(setup, sys, partner_fixed=True),
+                        diffusion_2x2(setup, noise), dt)
 
     V0 = np.zeros((2, 2))
+    z0 = np.zeros(2)
     if isinstance(init, str):
         if init == "stationary":
             if setup.eta > 0:
                 V0 = stationary_covariance(setup, sys, noise)
         elif init != "rest":
             raise ValueError(f"unknown init mode {init!r}")
-        z0 = z_star
     else:
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
@@ -285,7 +274,7 @@ def simulate(
     band = np.empty((3, n_steps + 1), order="F")
     band[0], band[1], band[2] = 1.0, -tr, det
     band[1, 0] = 0.0
-    # zs[:, k, j] is the deviation z - z* of trajectory k at step j, so
+    # zs[:, k, j] is the state z of trajectory k at step j, so
     # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
     zs = np.empty((2, n_traj, n_steps + 1))
     draws = np.zeros(n_init + 2 * n_steps)
@@ -295,7 +284,7 @@ def simulate(
         if n_draws:
             noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
         z = zs[:, k, 0]
-        z[:] = z0 - z_star
+        z[:] = z0
         if L0 is not None:
             z += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
         # Elementwise products with scalar coefficients, into reused buffers:
@@ -316,8 +305,6 @@ def simulate(
     sol, _ = dtbtrs(band, zs.reshape(2 * n_traj, n_steps + 1).T,
                     uplo="L", diag="U", overwrite_b=1)
     zs = sol.T.reshape(2, n_traj, n_steps + 1)
-    if keep_static_force:
-        zs += z_star[:, None, None]
 
     times = np.arange(n_steps + 1) * dt
     return TrajectoryEnsemble(
@@ -376,9 +363,6 @@ class ReheatResult:
     stderr: float
     n_cycles: int
     cycle_time: float
-
-    def __iter__(self):
-        return iter((self.Gamma_hat, self.rel_err))
 
 
 def reheating_run(

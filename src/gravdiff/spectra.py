@@ -1,4 +1,4 @@
-"""Displacement-noise spectra from one resolvent, and the detection condition.
+"""Displacement-noise spectra from one resolvent.
 
 All spectra are two-sided densities over angular frequency (Wiener-Khinchin
 convention): the position variance is the integral of S_xx(w) dw / (2 pi),
@@ -44,8 +44,6 @@ __all__ = [
     "thermal_force_density",
     "dns_fixed_source",
     "dns_symmetric_pair",
-    "DetectionCondition",
-    "detection_condition",
     "gravitational_frequency",
 ]
 
@@ -190,65 +188,3 @@ def gravitational_frequency(rho: float, G: float) -> float:
         raise DomainError("density must be positive")
     return float(np.sqrt(G * rho))
 
-
-@dataclass(frozen=True)
-class DetectionCondition:
-    """Result of the on-resonance detectability comparison.
-
-    Iterable as (margin, satisfied); margin is the scale-invariant form
-    w_G^2 - (12/pi) beta^3 Omega Gamma [s^-2], independent of the sphere
-    radius. ``margin_resonance`` is the direct on-resonance comparison
-    G m^2/(hbar d^3) - (eta m Omega/hbar) coth(hbar Omega / 2 kB T)
-    [m^-2 s^-1] without the classical-limit approximation.
-    """
-
-    margin: float
-    satisfied: bool
-    margin_resonance: float
-    omega_G: float
-    Gamma: float
-
-    def __iter__(self):
-        return iter((self.margin, self.satisfied))
-
-
-def detection_condition(setup: PhysicalSetup, beta: float, rho: float) -> DetectionCondition:
-    """Can bound-saturating gravitational noise beat thermal noise on resonance?
-
-    The sphere radius is derived from (m1, rho) and the separation from
-    d = 2 beta R; Omega is taken as setup.omega1 (the resonance frequency of
-    the monitored oscillator) and the heating rate as
-    Gamma = eta kB T / (hbar Omega).
-    """
-    if beta < 1.0:
-        raise DomainError(f"beta must be >= 1 (touching spheres), got {beta}")
-    if rho <= 0:
-        raise DomainError("density must be positive")
-    m = setup.m1
-    Omega = setup.omega1
-    R = (3.0 * m / (4.0 * np.pi * rho)) ** (1.0 / 3.0)
-    d = 2.0 * beta * R
-
-    w_G = gravitational_frequency(rho, setup.G)
-    n_T = setup.kB * setup.T / (setup.hbar * Omega)
-    Gamma = setup.eta * n_T
-
-    lhs_scale_inv = (12.0 / np.pi) * beta**3 * Omega * Gamma
-    margin = w_G**2 - lhs_scale_inv
-
-    # Direct resonance form, exact coth.
-    rhs_res = setup.G * m**2 / (setup.hbar * d**3)
-    if setup.T == 0.0:
-        lhs_res = setup.eta * m * Omega / setup.hbar
-    else:
-        x = setup.hbar * Omega / (2.0 * setup.kB * setup.T)
-        lhs_res = setup.eta * m * Omega / setup.hbar / np.tanh(x)
-    margin_res = rhs_res - lhs_res
-
-    return DetectionCondition(
-        margin=float(margin),
-        satisfied=bool(margin >= -1e-9 * max(abs(w_G**2), abs(lhs_scale_inv))),
-        margin_resonance=float(margin_res),
-        omega_G=float(w_G),
-        Gamma=float(Gamma),
-    )

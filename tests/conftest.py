@@ -144,12 +144,12 @@ def symmetric_pair_oracle(setup, sys, gamma, w):
 
 
 def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
-                   keep_static_force=False, stream_offset=0):
+                   stream_offset=0):
     """Step-by-step reference for :func:`gravdiff.montecarlo.simulate`.
 
-    A plain Python loop z <- z* + Phi (z - z*) + C u over the same per-stream
-    draws: 2 normals for a sampled initial state, then 2 per step. It shares
-    the model pieces (Phi, Q, z*, V0) with the sampler but not its banded
+    A plain Python loop z <- Phi z + C u over the same per-stream draws:
+    2 normals for a sampled initial state, then 2 per step. It shares the
+    model pieces (Phi, Q, V0) with the sampler but not its banded
     solve. Returns the (x, p) arrays, one row per trajectory.
     """
     from gravdiff.model import langevin_drift, propagator
@@ -158,9 +158,6 @@ def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
     A = langevin_drift(setup, sys, partner_fixed=True)
     Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
     C = _noise_factor(Q)
-    z_star = np.zeros(2)
-    if keep_static_force:
-        z_star = -np.linalg.solve(A, [0.0, -sys.K * setup.d])
     V0 = np.zeros((2, 2))
     if init == "stationary" and setup.eta > 0:
         V0 = stationary_covariance(setup, sys, noise)
@@ -168,12 +165,12 @@ def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
     p = np.empty_like(x)
     for k in range(n_traj):
         rng = noise.stream(stream_offset + k)
-        z = z_star.copy() if isinstance(init, str) else np.array(init, dtype=float)
+        z = np.zeros(2) if isinstance(init, str) else np.array(init, dtype=float)
         if np.any(V0):
             z = z + _noise_factor(V0) @ rng.standard_normal(2)
         x[k, 0], p[k, 0] = z
         for j in range(n_steps):
             u = rng.standard_normal(2) if np.any(C) else np.zeros(2)
-            z = z_star + Phi @ (z - z_star) + C @ u
+            z = Phi @ z + C @ u
             x[k, j + 1], p[k, j + 1] = z
     return x, p

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,27 @@ class TestExitCodes:
         assert rc == 2
         assert "T_K" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("Q", "0"), ("Q", "-100"), ("hbar_Js", "0"), ("hbar_Js", "-1.05e-34"),
+        ("kB_J_K", "0"), ("G_m3_kg_s2", "-6.6743e-11"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["linearize"], ["evolve"], ["spectrum"],
+        ["simulate", "--seed", "1", "--traj", "2", "--dt", "0.005", "--duration", "1.0"],
+        ["reheat", "--seed", "1", "--cycles", "8", "--cycle-time", "0.1"],
+    ])
+    def test_bad_constant_or_q_exit_2_writes_nothing(self, tmp_path, capsys, argv, key, value):
+        # without eta_per_s, Q sets eta = omega1 / Q
+        path = tmp_path / "bad.cfg"
+        path.write_text(STABLE_PAIR.replace("eta_per_s", "# eta_per_s") + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert {"Q": "Q", "hbar_Js": "hbar", "kB_J_K": "kB", "G_m3_kg_s2": "G"}[key] in err
+        assert not out.exists()
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["linearize", "--out", str(tmp_path)]) == 2
@@ -365,6 +387,22 @@ class TestSimulateCommand:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "simulate.manifest.json").exists()
 
+    def test_config_seed_at_or_above_2_53_exit_2(self, tmp_path, capsys):
+        # a config value is a float: 2**60 + 1 would run as 2**60
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text(STABLE_PAIR + "seed = 1152921504606846977\n")
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", str(cfg), "--traj", "2",
+                       "--dt", "0.005", "--duration", "1.0", "--out", str(out)])
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(STABLE_PAIR + f"seed = {2**53 - 1}\n")
+        rc = cli.main(["simulate", "--config", str(cfg), "--traj", "2",
+                       "--dt", "0.005", "--duration", "1.0", "--out", str(out)])
+        assert rc == 0
+        assert load_manifest(out / "simulate.manifest.json")["seed"] == 2**53 - 1
+
     def test_manifest_replay_reproduces_hashes(self, stable_config, tmp_path):
         out1 = tmp_path / "first"
         rc = cli.main(["simulate", "--config", str(stable_config), "--traj", "4",
@@ -443,6 +481,11 @@ class TestReheatCommand:
 
 
 class TestFeasibilityCommand:
+    def test_table1_config_is_reference_pendulum(self):
+        cfg, sha = cli._resolve_inputs(types.SimpleNamespace(table1=True))
+        assert sha is None
+        assert cfgmod.feasibility_from_config(cfg) == REFERENCE_PENDULUM
+
     def test_table1_verdict(self, tmp_path, capsys):
         rc = cli.main(["feasibility", "--table1", "--out", str(tmp_path)])
         assert rc == 0

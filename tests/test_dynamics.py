@@ -71,21 +71,14 @@ class TestUncertainty:
         assert eig == pytest.approx(0.0, abs=1e-14)
 
     def test_thermal_like(self):
-        ok, eig = uncertainty_valid(GaussianState(np.zeros(4), np.eye(4), dimensionless=True))
+        ok, eig = uncertainty_valid(GaussianState(np.zeros(4), np.eye(4)))
         assert ok
         assert eig == pytest.approx(0.5, rel=1e-12)
 
     def test_sub_heisenberg_invalid(self):
-        ok, eig = uncertainty_valid(GaussianState(np.zeros(4), 0.25 * np.eye(4), dimensionless=True))
+        ok, eig = uncertainty_valid(GaussianState(np.zeros(4), 0.25 * np.eye(4)))
         assert not ok
         assert eig == pytest.approx(-0.25, rel=1e-12)
-
-    def test_si_units_use_hbar_scale(self, lab_system):
-        from gravdiff.model import state_from_dimensionless
-        si_ground = state_from_dimensionless(ground_state(), lab_system)
-        ok, eig = uncertainty_valid(si_ground)
-        assert ok
-        assert abs(eig) < 1e-10 * HBAR
 
 
 class TestPPT:
@@ -95,13 +88,13 @@ class TestPPT:
         assert eig == pytest.approx(0.0, abs=1e-14)
 
     def test_two_mode_squeezed_entangled(self):
-        state = GaussianState(np.zeros(4), tmsv_covariance(0.5), dimensionless=True)
+        state = GaussianState(np.zeros(4), tmsv_covariance(0.5))
         ok, eig = ppt_separable(state)
         assert not ok
         assert eig == pytest.approx(TMSV_R05_PPT_MIN, rel=1e-12)
 
     def test_thermal_identity_separable(self):
-        ok, _ = ppt_separable(GaussianState(np.zeros(4), np.eye(4), dimensionless=True))
+        ok, _ = ppt_separable(GaussianState(np.zeros(4), np.eye(4)))
         assert ok
 
     def test_reflecting_either_mode_is_equivalent(self, rng):
@@ -112,10 +105,6 @@ class TestPPT:
             e1 = np.linalg.eigvalsh(V + 0.5j * (L1 @ J @ L1)).min()
             e2 = np.linalg.eigvalsh(V + 0.5j * (L2 @ J @ L2)).min()
             assert e1 == pytest.approx(e2, rel=1e-12, abs=1e-14)
-
-    def test_requires_dimensionless(self):
-        with pytest.raises(ValueError, match="dimensionless"):
-            ppt_separable(GaussianState(np.zeros(4), np.eye(4), dimensionless=False))
 
     def test_reflected_state_form_is_equivalent(self, rng):
         # L V L + (i/2) J and V + (i/2) L J L have identical spectra
@@ -233,12 +222,6 @@ class TestEvolve:
         with pytest.raises(NonPhysicalInputError):
             evolve_covariance_dimensionless(0.25 * np.eye(4), Hbar, np.zeros((4, 4)), 1.0, 0.01)
 
-    def test_wrapper_requires_dimensionless_state(self, lab_system):
-        gamma = DiffusionMatrix(np.zeros((4, 4)))
-        si_state = GaussianState(np.zeros(4), np.eye(4), dimensionless=False)
-        with pytest.raises(NonPhysicalInputError):
-            evolve_covariance(si_state, lab_system, gamma, 1.0, 0.001)
-
     def test_wrapper_runs_on_physical_setup(self):
         setup = strong_coupling_setup(kbar_over_omega=0.2)
         sys = linearize(setup)
@@ -246,6 +229,22 @@ class TestEvolve:
         period = sys.min_period()
         res = evolve_covariance(ground_state(), sys, gamma, 2 * period, period / 400)
         assert res.unc_min_eig.min() >= -1e-8
+
+    def test_state_as_built_runs_through_both_front_ends(self):
+        # GaussianState(mean, V) is dimensionless: no flag, no conversion step
+        setup = strong_coupling_setup(kbar_over_omega=0.3)
+        sys = linearize(setup)
+        period = sys.min_period()
+        zero = DiffusionMatrix.zero()
+        mean0 = np.array([0.3, 0.0, 0.0, -0.2])
+        state = GaussianState(mean0, 0.5 * np.eye(4))
+        res = evolve_covariance(state, sys, zero, period, period / 200)
+        ref = evolve_covariance(ground_state(), sys, zero, period, period / 200)
+        assert np.array_equal(res.mean[0], mean0)
+        assert np.array_equal(res.V, ref.V)
+        onset = entanglement_onset(state, sys, zero, 2 * period, period / 200)
+        assert onset == entanglement_onset(ground_state(), sys, zero, 2 * period, period / 200)
+        assert 0.0 < onset <= period
 
     def test_natural_units_setup_uses_its_hbar(self):
         # hbar = 1 with unit masses and traps: the dimensionless view, the
@@ -363,7 +362,7 @@ class TestOnset:
         period = sys.min_period()
         dt = period / 200
         V0 = 0.52 * np.eye(4)
-        onset = entanglement_onset(GaussianState(np.zeros(4), V0, dimensionless=True),
+        onset = entanglement_onset(GaussianState(np.zeros(4), V0),
                                    sys, DiffusionMatrix.zero(), period, dt)
         Hbar, _ = to_dimensionless(sys, DiffusionMatrix.zero())
         J = symplectic_form()

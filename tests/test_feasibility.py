@@ -18,11 +18,11 @@ from gravdiff.feasibility import (
     thermal_heating_rate,
 )
 from gravdiff.model import PhysicalSetup
-from gravdiff.spectra import detection_condition
 
 # Independent one-line evaluations (see test_spectra for omega_G):
 GAMMA_G_REF = 0.0006284965833333332        # pi w_G^2 / (12 * 2pi*1e-4), beta = 1
 GAMMA_TH_10MK_2E12 = 0.0006546016960360321  # kB * 0.01 / (hbar * 2e12)
+OMEGA_G_OSMIUM = 0.0012281660311211997      # sqrt(G * 2.26e4)
 
 
 def params(**overrides):
@@ -113,6 +113,14 @@ class TestReport:
             assert scaled.margin_relaxed == pytest.approx(base.margin_relaxed, rel=1e-12)
             assert scaled.verdict == base.verdict
 
+    def test_margin_threshold(self):
+        # Q set so that Gamma_th is 1% below, then 1% above, the bound rate
+        below, above = (feasibility_report(params(Q=KB * 0.01 / (HBAR * f * GAMMA_G_REF)))
+                        for f in (0.99, 1.01))
+        assert below.margin_conservative > 0
+        assert above.margin_conservative < 0
+        assert below.omega_G == pytest.approx(OMEGA_G_OSMIUM, rel=1e-12)
+
     def test_margin_monotonicity(self):
         betas = [1.0, 1.5, 2.0, 4.0]
         temps = [0.005, 0.01, 0.05, 0.2]
@@ -128,6 +136,9 @@ class TestReport:
         assert all(a <= b for a, b in zip(mq, mq[1:]))
 
     def test_agrees_with_detection_condition(self, rng):
+        """margin_conservative equals the detection condition written in the
+        terms of a PhysicalSetup: Omega = omega1, Gamma = eta n_T with
+        n_T = kB T / (hbar Omega)."""
         for _ in range(1000):
             p = params(
                 Omega=2 * math.pi * 10 ** rng.uniform(-5, -2),
@@ -140,9 +151,10 @@ class TestReport:
             rep = feasibility_report(p)
             setup = PhysicalSetup(m1=p.m, m2=p.m, omega1=p.Omega, omega2=p.Omega,
                                   d=p.d, T=p.T, eta=p.eta)
-            det = detection_condition(setup, p.beta, p.rho)
-            assert det.margin == pytest.approx(rep.margin_conservative, rel=1e-9)
-            assert det.satisfied == (rep.margin_conservative >= -1e-9 * p.omega_G**2)
+            Gamma = setup.eta * setup.kB * setup.T / (setup.hbar * setup.omega1)
+            margin = (math.sqrt(setup.G * p.rho) ** 2
+                      - (12.0 / math.pi) * p.beta**3 * setup.omega1 * Gamma)
+            assert margin == pytest.approx(rep.margin_conservative, rel=1e-9)
 
     def test_serialization(self):
         rep = table1_report()

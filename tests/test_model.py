@@ -18,14 +18,11 @@ from gravdiff.model import (
     GaussianState,
     PhysicalSetup,
     dimensionless_hamiltonian,
-    from_dimensionless,
     ground_state,
     langevin_drift,
     linearize,
     propagator,
     quadrature_scales,
-    state_from_dimensionless,
-    state_to_dimensionless,
     symplectic_form,
     to_dimensionless,
 )
@@ -270,22 +267,6 @@ class TestDimensionless:
         assert gamma_bar[1, 1] == pytest.approx(g * HBAR / (m * lab_system.Omega2), rel=1e-12)
         assert np.all(gamma_bar[2:, 2:] == 0.0)
 
-    def test_round_trip(self, lab_system, rng):
-        gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=1e3)[0])
-        Hbar, gamma_bar = to_dimensionless(lab_system, gamma)
-        H_back, gamma_back = from_dimensionless(Hbar, gamma_bar, lab_system)
-        assert np.allclose(H_back, lab_system.H, rtol=1e-12)
-        assert np.allclose(gamma_back, gamma.matrix, rtol=1e-12)
-
-    def test_state_round_trip(self, lab_system, rng):
-        V = random_psd_batch(rng, 1)[0] + 0.5 * np.eye(4)
-        state = GaussianState(rng.standard_normal(4), V, dimensionless=True)
-        si = state_from_dimensionless(state, lab_system)
-        assert not si.dimensionless
-        back = state_to_dimensionless(si, lab_system)
-        assert np.allclose(back.V, state.V, rtol=1e-12)
-        assert np.allclose(back.mean, state.mean, rtol=1e-12)
-
     def test_scales_are_zero_point_units(self, lab_system):
         s = quadrature_scales(lab_system)
         m, Om = lab_system.m1, lab_system.Omega1
@@ -307,7 +288,6 @@ class TestDimensionless:
 class TestGaussianState:
     def test_ground_state(self):
         g = ground_state()
-        assert g.dimensionless
         assert np.allclose(g.V, 0.5 * np.eye(4))
         assert np.all(g.mean == 0.0)
 

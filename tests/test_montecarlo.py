@@ -150,18 +150,13 @@ class TestSimulateDeterministic:
         x_exact = envelope * (x0 * np.cos(w_d * t) + (eta * x0 / 2) / w_d * np.sin(w_d * t))
         assert np.max(np.abs(ens.x[0] - x_exact)) <= 1e-6 * x0
 
-    def test_static_force_shifts_equilibrium(self):
+    def test_rest_stays_at_rest(self):
+        # x is the deviation from the shifted equilibrium: no static force acts
         setup = desk_pair(Q=5.0, T=0.0)
         sys = linearize(setup)
-        m = setup.m1
         ens = simulate(setup, sys, zero_noise(), n_traj=1, dt=0.002,
-                       duration=80.0, init=(0.0, 0.0), keep_static_force=True)
-        x_star = -sys.K * setup.d / (m * sys.Omega1**2 + sys.K)
-        assert ens.x[0, -1] == pytest.approx(x_star, rel=1e-6)
-        # default removes the force: starting at rest stays at rest
-        ens0 = simulate(setup, sys, zero_noise(), n_traj=1, dt=0.002,
-                        duration=10.0, init=(0.0, 0.0))
-        assert np.max(np.abs(ens0.x[0])) == 0.0
+                       duration=10.0, init=(0.0, 0.0))
+        assert np.max(np.abs(ens.x[0])) == 0.0
 
 
 class TestSimulateStatistics:
@@ -309,8 +304,6 @@ LOOP_ORACLE_CASES = {
     "overdamped": lambda: (desk_pair(Q=0.2, T=250.0),
                            dict(dt=3e-4, duration=1.5, stream_offset=5)),
     "near_critical": near_critical_case,
-    "static_force": lambda: (desk_pair(Q=5.0, T=250.0),
-                             dict(dt=0.002, duration=4.0, keep_static_force=True)),
     "rest_init": lambda: (desk_pair(Q=10.0, T=250.0),
                           dict(dt=0.005, duration=3.0, init="rest")),
     "tuple_init": lambda: (desk_pair(Q=10.0, T=250.0),
