@@ -284,3 +284,27 @@ class TestDetectionCondition:
     def test_omega_g_value(self):
         assert gravitational_frequency(2.26e4, 6.67430e-11) == pytest.approx(
             OMEGA_G_OSMIUM, rel=1e-12)
+
+    def test_margin_is_radius_invariant(self):
+        """The detection margin of a PhysicalSetup depends on its size only
+        through rho: 10x the radius (1000x the mass) at fixed density, bath
+        and damping leaves it unchanged."""
+        from gravdiff.constants import HBAR, KB, OSMIUM_DENSITY
+        from gravdiff.feasibility import FeasibilityParams, feasibility_report
+
+        Omega, T = 2 * np.pi * 1e-4, 0.01
+        m = 4 * np.pi / 3 * OSMIUM_DENSITY * 0.03**3
+        # eta chosen so eta * n_T is half the gravitational rate pi w_G^2 / (12 Omega)
+        eta = 0.5 * np.pi * OMEGA_G_OSMIUM**2 / (12 * Omega) * HBAR * Omega / (KB * T)
+        base = PhysicalSetup(m1=m, m2=m, omega1=Omega, omega2=Omega, d=0.06,
+                             eta=eta, T=T)
+        big = dataclasses.replace(base, m1=base.m1 * 1000.0, m2=base.m2 * 1000.0)
+
+        def margin(setup):
+            R = (3 * setup.m1 / (4 * np.pi * OSMIUM_DENSITY)) ** (1 / 3)
+            p = FeasibilityParams(Omega=setup.omega1, rho=OSMIUM_DENSITY, R=R,
+                                  beta=1.0, T=setup.T, Q=setup.omega1 / setup.eta)
+            return feasibility_report(p).margin_conservative
+
+        assert margin(base) > 0
+        assert margin(base) == pytest.approx(margin(big), rel=1e-12)
