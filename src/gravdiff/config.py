@@ -38,7 +38,7 @@ import numpy as np
 
 from .constants import G_NEWTON, HBAR, KB
 from .errors import ConfigError
-from .model import DiffusionMatrix, PhysicalSetup
+from .model import DiffusionMatrix, PhysicalSetup, check_constants
 from .feasibility import FeasibilityParams
 
 __all__ = [
@@ -128,11 +128,18 @@ def require_keys(cfg: dict, keys) -> None:
 
 
 def _constants(cfg: dict) -> dict:
-    return {
-        "G": cfg.get("G_m3_kg_s2", G_NEWTON),
-        "hbar": cfg.get("hbar_Js", HBAR),
-        "kB": cfg.get("kB_J_K", KB),
-    }
+    """The constant overrides, or their CODATA defaults, by field name; a
+    ConfigError naming the key for an override out of its domain."""
+    out = {"G": G_NEWTON, "hbar": HBAR, "kB": KB}
+    for key in _CONSTANT_KEYS:
+        if key in cfg:
+            field = _PENDULUM_FIELDS[key]
+            try:
+                check_constants(**{field: cfg[key]})
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+            out[field] = cfg[key]
+    return out
 
 
 def setup_from_config(cfg: dict) -> PhysicalSetup:
@@ -172,8 +179,10 @@ def gamma_from_config(cfg: dict) -> DiffusionMatrix:
 
 def feasibility_from_config(cfg: dict) -> FeasibilityParams:
     """FeasibilityParams from the pendulum keys; an absent optional key takes
-    the field's default."""
+    the field's default, and a constant override out of its domain is a
+    ConfigError that names its key."""
     require_keys(cfg, ["Omega_rad_s", "rho_kg_m3", "R_m"])
+    _constants(cfg)
     return FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
                                 if key in cfg})
 

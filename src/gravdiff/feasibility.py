@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .constants import G_NEWTON, HBAR, KB, OSMIUM_DENSITY
 from .errors import DomainError
+from .model import check_constants
 from .spectra import gravitational_frequency
 
 __all__ = [
@@ -83,6 +84,10 @@ class FeasibilityParams:
             raise DomainError(f"N must be non-negative and finite, got {self.N}")
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"r must lie in (0, 1], got {self.r}")
+        try:
+            check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
 
     @property
     def m(self) -> float:

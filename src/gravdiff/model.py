@@ -29,6 +29,7 @@ from .errors import PSDError, StabilityError
 
 __all__ = [
     "PhysicalSetup",
+    "check_constants",
     "LinearizedSystem",
     "DiffusionMatrix",
     "GaussianState",
@@ -67,6 +68,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_constants(**constants: float) -> None:
+    """ValueError unless each given constant (G, hbar or kB) is finite, G
+    non-negative (0 switches gravity off) and hbar and kB positive."""
+    for name, value in constants.items():
+        if not (0.0 <= value if name == "G" else 0.0 < value) or not value < math.inf:
+            sign = "non-negative" if name == "G" else "positive"
+            raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalSetup:
     """Raw experimental dials: masses, traps, separation, environment.
@@ -94,11 +104,7 @@ class PhysicalSetup:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.T < 0.0 or self.eta < 0.0:
             raise ValueError("T and eta must be non-negative")
-        if not 0.0 <= self.G < math.inf:
-            raise ValueError(f"G must be non-negative and finite, got {self.G!r}")
-        for name in ("hbar", "kB"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
 
     @property
     def coupling(self) -> float:

@@ -19,26 +19,33 @@ so each step is z <- Phi z + C u with C C^T = Q and u two
 standard normals. The sampled chain has the continuous process's transition
 law at every admissible step, with no step-size bias in any moment.
 
-The recursion runs without a per-step Python loop. By Cayley-Hamilton,
-Phi^2 = tr(Phi) Phi - det(Phi) I, so each coordinate of z obeys the AR(2)
-recursion
+The run is propagated in blocks of B = 16 steps, with no per-step Python
+loop and no linear solve. From a block's start state s, the state after
+step j of the block is
 
-    z[k+2] - tr(Phi) z[k+1] + det(Phi) z[k] = C u[k+1] + (Phi - tr(Phi) I) C u[k],
+    z = sum_{i <= j} Phi^(j-i) C u[i] + Phi^(j+1) s,
 
-a unit lower-triangular banded system of bandwidth 2. A whole run is one
-LAPACK ``dtbtrs`` solve over all 2 n_traj columns, in place in the output
-array, whose first two rows per column are the initial state and the exact
-first step. Each trajectory's stream is drawn into one reused buffer, so the
-work memory beyond the output (those draws, one temporary row and the band)
-does not grow with the ensemble. The forcing is built by elementwise
-arithmetic, so a row does not depend on the ensemble width or on the run
+so a block's B states are one product of its 2B draws and s with a fixed
+kernel: lower block-Toeplitz in the entries Phi^(j-i) C, plus the rows
+Phi^(j+1). The block starts obey s[b+1] = Phi^B s[b] + e[b], where e[b] is
+the noise part of block b's last state: the same recursion with (Phi^B, I)
+in place of (Phi, C). It is solved the same way, in blocks of 16 blocks,
+and the starts of those come from a log-depth elementwise prefix scan
+(Hillis-Steele doubling; G. E. Blelloch, CMU-CS-90-190, 1990). Nothing in
+this is specific to two dimensions: the kernels are built for any Phi and
+noise factor C.
+
+Each trajectory's stream is drawn into one reused buffer and propagated
+into its rows of the output, so the work memory beyond the output (those
+draws, the block starts and a few chunk-sized buffers) does not grow with
+the ensemble. Every matrix product is issued in chunks of 256 blocks,
+zero-padded at the end of the run: a BLAS product's rounding can depend on
+its shape, and with fixed shapes each state depends only on the draws
+before it, so a row is bit-identical for any ensemble width and any run
 length. The draws and their order are those of the step-by-step recursion;
-only rounding differs from it (about 1e-12 relative).
-
-scipy is imported only where it is used: ``simulate`` imports LAPACK's
-``dtbtrs`` when called, so importing the package and every path that does
-not sample loads no scipy module. The stationary covariance that starts a
-run has a closed form (:func:`stationary_covariance`).
+only rounding differs from it (about 1e-14 relative). The sampler needs
+numpy only; the stationary covariance that starts a run has a closed form
+(:func:`stationary_covariance`).
 
 Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
 so trajectories are reproducible and order-independent regardless of how the
@@ -92,6 +99,12 @@ _RAW_VERSION = 1
 _DOMAIN_TRAJECTORY = 0
 _DOMAIN_CYCLE = 1 << 56
 
+# Blocked propagation (see the module docstring): steps per block, and blocks
+# per matrix product. Together they fix the shape of every BLAS call.
+_BLOCK_STEPS = 16
+_CHUNK_BLOCKS = 256
+
+
 def _noise_factor(V: np.ndarray) -> np.ndarray:
     """L with L L^T = V: the Cholesky factor when V is positive definite.
 
@@ -105,6 +118,87 @@ def _noise_factor(V: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         lam, U = np.linalg.eigh(V)
         return U * np.sqrt(np.clip(lam, 0.0, None))
+
+
+def _block_operators(Phi: np.ndarray, C: np.ndarray):
+    """(K, F) of the blocked propagator of z[k+1] = Phi z[k] + C u[k].
+
+    For a state of dimension n and m draws per step, a block of B steps from
+    the start state s has states sum_{i <= j} Phi^(j-i) C u[i] + Phi^(j+1) s,
+    j < B. K[r] is the (B m + n, B) kernel of component r: row i m + c of
+    column j holds (Phi^(j-i) C)[r, c] for i <= j and 0 above, and row B m + c
+    holds Phi^(j+1)[r, c]; so a block's draws followed by its start state,
+    times K[r], give component r of its B states. F = Phi^B.
+    """
+    n, m = C.shape
+    B = _BLOCK_STEPS
+    powers = np.eye(n)[None]
+    while len(powers) <= B:                      # powers[k] = Phi^k, by doubling
+        powers = np.concatenate([powers, powers @ (powers[-1] @ Phi)])
+    lag = np.arange(B) - np.arange(B)[:, None]   # lag[i, j] = j - i
+    noise = (powers[:B] @ C)[np.maximum(lag, 0)] * (lag >= 0)[:, :, None, None]
+    K = np.concatenate([noise.transpose(2, 0, 3, 1).reshape(n, B * m, B),
+                        powers[1:B + 1].transpose(1, 2, 0)], axis=1)
+    return K, powers[B]
+
+
+def _levels(Phi: np.ndarray, C: np.ndarray) -> list:
+    """The :func:`_propagate` levels of z[k+1] = Phi z[k] + C u[k]: the
+    steps, with (Phi, C), and the block starts, with (Phi^B, I)."""
+    K, F = _block_operators(Phi, C)
+    return [(K, F), _block_operators(F, np.eye(len(F)))]
+
+
+def _scan_block_starts(s: np.ndarray, F: np.ndarray) -> None:
+    """In place, s[:, b] <- sum_{c <= b} F^(b-c) s[:, c]: Hillis-Steele
+    doubling in log2(s.shape[1]) elementwise passes, so s[:, b] depends on
+    s[:, :b + 1] only."""
+    d = 1
+    while d < s.shape[1]:
+        s[:, d:] += (F[:, :, None] * s[None, :, :-d]).sum(axis=1)
+        F = F @ F
+        d *= 2
+
+
+def _propagate(levels, u: np.ndarray, z: np.ndarray) -> None:
+    """Fill z[:, 1:] by z[:, j + 1] = Phi z[:, j] + C u[j] from z[:, 0].
+
+    ``levels`` is :func:`_levels` of (Phi, C) and ``u`` holds the draws,
+    zero-padded to whole chunks of _CHUNK_BLOCKS blocks. The block
+    starts obey the same recursion with (Phi^B, I) in place of (Phi, C) and
+    the noise parts e[b] of the blocks' last states as draws: ``levels[1]``
+    solves it the same way, and the last level by a scan.
+    """
+    (K, F), inner = levels[0], levels[1:]
+    n, n_steps = z.shape[0], z.shape[1] - 1
+    R, B = _CHUNK_BLOCKS, _BLOCK_STEPS
+    span = R * B
+    width = K.shape[1] - n                       # draws per block
+    n_blocks = -(-n_steps // B)
+    n_chunks = -(-n_blocks // R)
+    draws = u[:n_chunks * R * width].reshape(n_chunks, R, width)
+    # e[b], zero-padded to whole chunks of the inner level.
+    ends = np.zeros((-(-n_blocks // span) * span if inner else n_chunks * R, n))
+    np.matmul(draws, np.ascontiguousarray(K[:, :width, -1].T),
+              out=ends[:n_chunks * R].reshape(n_chunks, R, n))
+    starts = np.zeros((n, n_chunks * R + 1))     # starts[:, b]: block b's start
+    starts[:, 0] = z[:, 0]
+    if n_blocks > 1 and inner:
+        _propagate(inner, ends.ravel(), starts[:, :n_blocks])
+    elif n_blocks > 1:
+        starts[:, 1:n_blocks] = ends[:n_blocks - 1].T
+        _scan_block_starts(starts[:, :n_blocks], F)
+    rows = np.empty((R, K.shape[1]))             # a chunk's draws and starts
+    tail = np.empty((n, span))                   # a last chunk that overhangs z
+    for c in range(n_chunks):
+        a = c * span
+        out = z[:, 1 + a:1 + a + span] if a + span <= n_steps else tail
+        rows[:, :width] = draws[c]
+        rows[:, width:] = starts[:, c * R:(c + 1) * R].T
+        for r in range(n):
+            np.matmul(rows, K[r], out=out[r].reshape(R, B))
+    if out is tail:
+        z[:, 1 + a:] = tail[:, :n_steps - a]
 
 
 @dataclass(frozen=True)
@@ -258,53 +352,25 @@ def simulate(
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
 
-    from scipy.linalg.lapack import dtbtrs
-
     C = _noise_factor(Q)
     L0 = _noise_factor(V0) if np.any(V0) else None
     n_init = 0 if L0 is None else 2
     n_draws = n_init + (2 * n_steps if np.any(C) else 0)
-    # AR(2) form of z[k+1] = Phi z[k] + C u[k] (see the module docstring). In
-    # each column, row 0 is z[0], row 1 is Phi z[0] + C u[0] (so A[1, 0] = 0)
-    # and row k >= 2 is C u[k-1] + MC u[k-2]; z[0] enters row 2 through the
-    # band's A[2, 0] = det.
-    tr = Phi[0, 0] + Phi[1, 1]
-    det = Phi[0, 0] * Phi[1, 1] - Phi[0, 1] * Phi[1, 0]
-    MC = (Phi - tr * np.eye(2)) @ C
-    band = np.empty((3, n_steps + 1), order="F")
-    band[0], band[1], band[2] = 1.0, -tr, det
-    band[1, 0] = 0.0
+    levels = _levels(Phi, C)
+    span = _CHUNK_BLOCKS * _BLOCK_STEPS
     # zs[:, k, j] is the state z of trajectory k at step j, so
     # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
     zs = np.empty((2, n_traj, n_steps + 1))
-    draws = np.zeros(n_init + 2 * n_steps)
-    u0, u1 = draws[n_init::2], draws[n_init + 1::2]
-    tmp = np.empty(n_steps)
+    # One trajectory's draws, zero beyond the run to a whole number of chunks.
+    draws = np.zeros(n_init + 2 * span * -(-n_steps // span))
     for k in range(n_traj):
         if n_draws:
             noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
-        z = zs[:, k, 0]
-        z[:] = z0
+        z = zs[:, k]
+        z[:, 0] = z0
         if L0 is not None:
-            z += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
-        # Elementwise products with scalar coefficients, into reused buffers:
-        # no BLAS kernel that depends on the ensemble width, so every row is
-        # bit-identical for any n_traj and any run length.
-        for i in range(2):
-            r = zs[i, k, 1:]
-            np.multiply(u0, C[i, 0], out=r)
-            np.multiply(u1, C[i, 1], out=tmp)
-            r += tmp
-            np.multiply(u0[:-1], MC[i, 0], out=tmp[1:])
-            r[1:] += tmp[1:]
-            np.multiply(u1[:-1], MC[i, 1], out=tmp[1:])
-            r[1:] += tmp[1:]
-            r[0] += Phi[i, 0] * z[0] + Phi[i, 1] * z[1]
-    # The rows of zs are the columns of its Fortran-ordered transpose: one
-    # unit lower-triangular banded solve for all of them, in place.
-    sol, _ = dtbtrs(band, zs.reshape(2 * n_traj, n_steps + 1).T,
-                    uplo="L", diag="U", overwrite_b=1)
-    zs = sol.T.reshape(2, n_traj, n_steps + 1)
+            z[:, 0] += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
+        _propagate(levels, draws[n_init:], z)
 
     times = np.arange(n_steps + 1) * dt
     return TrajectoryEnsemble(

@@ -149,8 +149,8 @@ def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
 
     A plain Python loop z <- Phi z + C u over the same per-stream draws:
     2 normals for a sampled initial state, then 2 per step. It shares the
-    model pieces (Phi, Q, V0) with the sampler but not its banded
-    solve. Returns the (x, p) arrays, one row per trajectory.
+    model pieces (Phi, Q, V0) with the sampler but not its blocked
+    propagator. Returns the (x, p) arrays, one row per trajectory.
     """
     from gravdiff.model import langevin_drift, propagator
     from gravdiff.montecarlo import _noise_factor, diffusion_2x2, stationary_covariance

@@ -514,6 +514,20 @@ class TestFeasibilityCommand:
         assert "floating-point range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cmd", ["feasibility", "sweep"])
+    @pytest.mark.parametrize("key,value", [("G_m3_kg_s2", "-6.6e-11"),
+                                           ("hbar_Js", "-1.05e-34"),
+                                           ("kB_J_K", "-1.38e-23")])
+    def test_bad_constant_config_exit_2_writes_nothing(self, tmp_path, capsys, cmd, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(PENDULUM + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        flags = ["--param", "Q", "--values", "1e9,1e10"] if cmd == "sweep" else []
+        rc = cli.main([cmd, "--config", str(cfg), *flags, "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_values_and_repeatability(self, tmp_path):

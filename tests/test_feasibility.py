@@ -184,6 +184,21 @@ class TestValidation:
         with pytest.raises(DomainError, match=f"{field} must be"):
             params(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("G", -6.6e-11), ("G", math.inf), ("G", math.nan),
+        ("hbar", -1.05e-34), ("hbar", 0.0), ("hbar", math.nan),
+        ("kB", -1.38e-23), ("kB", 0.0), ("kB", math.inf),
+    ])
+    def test_constants_follow_the_physical_setup_rule(self, field, value):
+        # finite G >= 0 and finite positive hbar and kB, as for PhysicalSetup
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            params(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1, **{field: value})
+
+    def test_zero_G_allowed(self):
+        assert params(G=0.0).G == 0.0
+
     @pytest.mark.parametrize("overrides", [
         {"R": 1e200},                 # (4 pi/3) rho R^3 overflows
         {"beta": 1e120},              # beta^3 overflows

@@ -298,13 +298,14 @@ class TestGaussianState:
             GaussianState(np.zeros(4), V)
 
 
-def test_non_sampling_paths_load_no_scipy():
-    # Only the sampler needs scipy (LAPACK's banded solve); importing the
-    # package and every other path, the stationary covariance included, must
-    # not load it.
+def test_no_runtime_path_loads_scipy():
+    # scipy is a test-only dependency: importing the package and every path,
+    # sampling, Welch estimation, reheating and the CLI simulate and reheat
+    # commands included, must not load it.
     import gravdiff
     env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
     code = ("import sys, tempfile\n"
+            "from pathlib import Path\n"
             "from gravdiff import bounds, cli, dynamics, feasibility, model, montecarlo, spectra\n"
             "setup = model.PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1,\n"
             "                            eta=0.1, T=300.0)\n"
@@ -324,8 +325,20 @@ def test_non_sampling_paths_load_no_scipy():
             "feasibility.feasibility_report(feasibility.REFERENCE_PENDULUM)\n"
             "noise = montecarlo.NoiseModel.from_setup(setup, gamma, seed=1)\n"
             "montecarlo.stationary_covariance(setup, sys_lin, noise)\n"
+            "ens = montecarlo.simulate(setup, sys_lin, noise, n_traj=2, dt=0.05, duration=300.0)\n"
+            "montecarlo.welch_spectrum(ens, segment_len=1024)\n"
+            "montecarlo.reheating_run(setup, sys_lin, noise, n_cycles=8, cycle_time=0.1)\n"
             "with tempfile.TemporaryDirectory() as out:\n"
             "    assert cli.main(['bound', '--table1', '--out', out]) == 0\n"
+            "    cfg = Path(out) / 'pair.cfg'\n"
+            "    cfg.write_text('m1_kg = 1.0\\nomega1_rad_s = 6.0\\nd_m = 0.1\\n'\n"
+            "                   'T_K = 300.0\\neta_per_s = 0.1\\ngamma11 = 1e-3\\n')\n"
+            "    for cmd, flags in (('simulate', ['--traj', '2', '--duration', '20',\n"
+            "                                     '--welch-segment', '256']),\n"
+            "                       ('reheat', ['--cycles', '8', '--cycle-time', '0.5'])):\n"
+            "        argv = [cmd, '--config', str(cfg), '--seed', '3', *flags,\n"
+            "                '--out', str(Path(out) / cmd)]\n"
+            "        assert cli.main(argv) == 0, cmd\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -33,7 +33,11 @@ from gravdiff.montecarlo import (
     stationary_covariance,
     welch_spectrum,
     write_raw_trajectories,
+    _BLOCK_STEPS,
+    _CHUNK_BLOCKS,
+    _levels,
     _noise_factor,
+    _propagate,
 )
 
 from conftest import lyapunov_oracle, make_diffusion, ou_loop_oracle, strong_coupling_setup
@@ -259,13 +263,16 @@ class TestSimulateStatistics:
         # depends only on (seed, k)
         big = simulate(setup, sys, noise, n_traj=9, dt=0.005, duration=3.0)
         assert np.array_equal(big.x[:6], a.x)
-        # a shorter run is the prefix of a longer one
-        short = simulate(setup, sys, noise, n_traj=2, dt=0.005, duration=6144 * 0.005)
-        long = simulate(setup, sys, noise, n_traj=2, dt=0.005, duration=10240 * 0.005)
-        n = short.x.shape[1]
-        assert n == 6145 and long.x.shape[1] == 10241
-        assert np.array_equal(long.x[:, :n], short.x)
-        assert np.array_equal(long.p[:, :n], short.p)
+        # a shorter run is the prefix of a longer one, also when the two end
+        # on either side of a chunk boundary of the blocked propagator
+        chunk = _CHUNK_BLOCKS * _BLOCK_STEPS
+        for n_short, n_long in ((6144, 10240), (chunk - 1, chunk + 1)):
+            short = simulate(setup, sys, noise, n_traj=2, dt=0.005, duration=n_short * 0.005)
+            long = simulate(setup, sys, noise, n_traj=2, dt=0.005, duration=n_long * 0.005)
+            n = short.x.shape[1]
+            assert n == n_short + 1 and long.x.shape[1] == n_long + 1
+            assert np.array_equal(long.x[:, :n], short.x)
+            assert np.array_equal(long.p[:, :n], short.p)
 
     def test_rest_init(self):
         setup = desk_pair(Q=10.0, T=150.0)
@@ -312,11 +319,19 @@ LOOP_ORACLE_CASES = {
                          dict(dt=0.005, duration=0.005, init=(2e-6, 0.0))),
     "past_two_blocks": lambda: (desk_pair(Q=10.0, T=250.0),
                                 dict(dt=0.005, duration=10240 * 0.005)),
+    # run lengths that straddle the block and chunk edges of the propagator
+    "block_minus_one": lambda: (desk_pair(Q=10.0, T=250.0),
+                                dict(dt=0.005, duration=(_BLOCK_STEPS - 1) * 0.005)),
+    "block_plus_one": lambda: (desk_pair(Q=10.0, T=250.0),
+                               dict(dt=0.005, duration=(_BLOCK_STEPS + 1) * 0.005)),
+    "chunk_plus_one": lambda: (desk_pair(Q=10.0, T=250.0),
+                               dict(dt=0.005,
+                                    duration=(_CHUNK_BLOCKS * _BLOCK_STEPS + 1) * 0.005)),
 }
 
 
 class TestSimulateMatchesLoopOracle:
-    """The banded AR(2) solve reproduces the step-by-step recursion on the
+    """The blocked propagator reproduces the step-by-step recursion on the
     same draws, to rounding."""
 
     @pytest.mark.parametrize("case", sorted(LOOP_ORACLE_CASES))
@@ -336,13 +351,36 @@ class TestSimulateMatchesLoopOracle:
             assert n_steps == 10240
         if case == "underdamped":
             assert n_steps == 600
+        if case == "chunk_plus_one":
+            assert n_steps == _CHUNK_BLOCKS * _BLOCK_STEPS + 1
         for got, ref in ((ens.x, x_ref), (ens.p, p_ref)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n,m", [(4, 4), (3, 2), (1, 1)])
+    def test_any_dimension(self, rng, n, m):
+        # Phi and C of any shape: a stable n-dimensional drift with m draws
+        # per step, over a run one step past a chunk edge
+        A = rng.standard_normal((n, n))
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+        X = rng.standard_normal((n, n))
+        Phi, Q = propagator(A, X @ X.T, 0.01)
+        C = np.linalg.cholesky(Q)[:, :m]
+        span = _CHUNK_BLOCKS * _BLOCK_STEPS
+        n_steps = span + 1
+        u = np.zeros(2 * span * m)
+        u[:n_steps * m] = rng.standard_normal(n_steps * m)
+        z = np.empty((n, n_steps + 1))
+        z[:, 0] = rng.standard_normal(n)
+        _propagate(_levels(Phi, C), u, z)
+        ref = z.copy()
+        for j, u_j in enumerate(u[:n_steps * m].reshape(n_steps, m)):
+            ref[:, j + 1] = Phi @ ref[:, j] + C @ u_j
+        assert np.max(np.abs(z - ref)) <= 1e-10 * np.max(np.abs(ref))
+
 
 class TestSimulateWorkMemory:
-    """The whole run is one banded solve; work memory is one trajectory's."""
+    """Work memory is one trajectory's draws and chunk buffers."""
 
     def run(self, n_traj, n_steps=4000):
         setup = desk_pair(Q=10.0, T=250.0)
@@ -351,19 +389,6 @@ class TestSimulateWorkMemory:
         noise = NoiseModel.from_setup(setup, gamma, seed=99)
         return simulate(setup, sys, noise, n_traj=n_traj, dt=0.005,
                         duration=n_steps * 0.005)
-
-    def test_one_banded_solve_per_call(self, monkeypatch):
-        import scipy.linalg.lapack as lapack
-        shapes = []
-        real = lapack.dtbtrs
-
-        def counting(ab, b, *args, **kwargs):
-            shapes.append(b.shape)
-            return real(ab, b, *args, **kwargs)
-
-        monkeypatch.setattr(lapack, "dtbtrs", counting)
-        self.run(n_traj=5, n_steps=10240)
-        assert shapes == [(10241, 10)]
 
     def test_work_memory_independent_of_ensemble_width(self):
         import tracemalloc
@@ -379,9 +404,10 @@ class TestSimulateWorkMemory:
             return peak - (ens.x.nbytes + ens.p.nbytes + ens.times.nbytes)
 
         narrow, wide = work_bytes(1), work_bytes(32)
-        # one trajectory's draws, one temporary row and the 3-row band are
-        # about 6 doubles per step (192 kB here); work arrays that grew with
-        # the ensemble would add about 160 kB per extra trajectory
+        # one trajectory's draws and block ends, each padded to a whole
+        # chunk, and each level's chunk buffers come to about 270 kB here;
+        # work arrays that grew with the ensemble would add about 160 kB per
+        # extra trajectory
         assert narrow < 400_000
         assert abs(wide - narrow) <= 16_384
 
