@@ -39,7 +39,7 @@ import numpy as np
 from .constants import G_NEWTON, HBAR, KB
 from .errors import ConfigError
 from .model import DiffusionMatrix, PhysicalSetup, check_constants
-from .feasibility import FeasibilityParams
+from .feasibility import CONSTANT_FIELDS, DIAL_FIELDS, FeasibilityParams
 
 __all__ = [
     "KNOWN_KEYS",
@@ -56,20 +56,15 @@ __all__ = [
     "pendulum_config",
 ]
 
-_CONSTANT_KEYS = ("G_m3_kg_s2", "hbar_Js", "kB_J_K")
 SETUP_KEYS = ("m1_kg", "m2_kg", "omega1_rad_s", "omega2_rad_s", "d_m",
-              "T_K", "eta_per_s", "Q") + _CONSTANT_KEYS
+              "T_K", "eta_per_s", "Q") + tuple(CONSTANT_FIELDS)
 _GAMMA_ENTRIES = [(f"gamma{i + 1}{j + 1}", i, j) for i in range(4) for j in range(i, 4)]
 GAMMA_KEYS = tuple(key for key, _, _ in _GAMMA_ENTRIES)
 # Pendulum config key -> FeasibilityParams field.
-_PENDULUM_FIELDS = {
-    "Omega_rad_s": "Omega", "rho_kg_m3": "rho", "R_m": "R", "beta": "beta", "T_K": "T",
-    "Q": "Q", "N_quanta": "N", "r_fraction": "r",
-    "G_m3_kg_s2": "G", "hbar_Js": "hbar", "kB_J_K": "kB",
-}
+_PENDULUM_FIELDS = {**DIAL_FIELDS, **CONSTANT_FIELDS}
 PENDULUM_KEYS = tuple(_PENDULUM_FIELDS)
-# The design dials ``gravdiff sweep`` varies: the pendulum keys but the constants.
-SWEEP_KEYS = tuple(k for k in PENDULUM_KEYS if k not in _CONSTANT_KEYS)
+# The design dials ``gravdiff sweep`` varies.
+SWEEP_KEYS = tuple(DIAL_FIELDS)
 KNOWN_KEYS = frozenset(SETUP_KEYS + GAMMA_KEYS + PENDULUM_KEYS + ("seed",))
 
 
@@ -131,9 +126,8 @@ def _constants(cfg: dict) -> dict:
     """The constant overrides, or their CODATA defaults, by field name; a
     ConfigError naming the key for an override out of its domain."""
     out = {"G": G_NEWTON, "hbar": HBAR, "kB": KB}
-    for key in _CONSTANT_KEYS:
+    for key, field in CONSTANT_FIELDS.items():
         if key in cfg:
-            field = _PENDULUM_FIELDS[key]
             try:
                 check_constants(**{field: cfg[key]})
             except ValueError as exc:

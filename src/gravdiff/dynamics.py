@@ -65,14 +65,22 @@ def ppt_reflector(mode: int = 2) -> np.ndarray:
     raise ValueError(f"mode must be 1 or 2, got {mode}")
 
 
-def _min_eig_hermitian(V: np.ndarray, X: np.ndarray) -> float:
-    """Minimum eigenvalue of the Hermitian matrix V + (i/2) X."""
-    return float(np.linalg.eigvalsh(V + 0.5j * X).min())
+# J and the PPT form L J L of the printed convention (mode 2).
+_J = symplectic_form()
+_LJL = ppt_reflector(2) @ _J @ ppt_reflector(2)
+_J.setflags(write=False)
+_LJL.setflags(write=False)
+
+
+def _min_eig_hermitian(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of the Hermitian matrix V + (i/2) X, for one V or
+    for each of a stack of them."""
+    return np.linalg.eigvalsh(V + 0.5j * X)[..., 0]
 
 
 def uncertainty_valid(state: GaussianState, tol: float = EIG_TOL) -> tuple[bool, float]:
     """Check V + (i/2) J >= 0; returns (valid, min eigenvalue)."""
-    min_eig = _min_eig_hermitian(state.V, symplectic_form())
+    min_eig = float(_min_eig_hermitian(state.V, _J))
     return bool(min_eig >= -tol), min_eig
 
 
@@ -85,8 +93,7 @@ def ppt_separable(state: GaussianState, tol: float = EIG_TOL,
     1x1-mode Gaussian split.
     """
     L = ppt_reflector(mode)
-    J = symplectic_form()
-    min_eig = _min_eig_hermitian(state.V, L @ J @ L)
+    min_eig = float(_min_eig_hermitian(state.V, L @ _J @ L))
     return bool(min_eig >= -tol), min_eig
 
 
@@ -130,6 +137,11 @@ class EvolutionResult:
     )
 
 
+def _drift_diffusion(Hbar: np.ndarray, gamma_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, D) = (J Hbar, J gamma_bar J^T) of the dimensionless moment equations."""
+    return _J @ Hbar, _J @ gamma_bar @ _J.T
+
+
 def _check_span(name: str, t_end: float, dt: float) -> None:
     """StepSizeError unless dt is positive and finite and the time span
     t_end, called ``name`` in the message, is non-negative and finite."""
@@ -163,16 +175,14 @@ def evolve_covariance_dimensionless(
         )
 
     V0 = 0.5 * (np.array(V0, dtype=float) + np.array(V0, dtype=float).T)
-    J = symplectic_form()
-    L = ppt_reflector(2)
-    unc0 = _min_eig_hermitian(V0, J)
+    unc0 = _min_eig_hermitian(V0, _J)
     if unc0 < -1e-8:
         raise NonPhysicalInputError(
             f"initial covariance violates the uncertainty relation: "
             f"min eig(V + iJ/2) = {unc0:.3e}"
         )
 
-    A, D = J @ Hbar, J @ gamma_bar @ J.T
+    A, D = _drift_diffusion(Hbar, gamma_bar)
     Phi, Q = propagator(A, D, dt)
 
     n_steps = int(np.ceil(t_end / dt - 1e-12))
@@ -194,8 +204,8 @@ def evolve_covariance_dimensionless(
 
     return EvolutionResult(
         times=times, V=V, mean=mean,
-        ppt_min_eig=np.linalg.eigvalsh(V + 0.5j * (L @ J @ L))[:, 0],
-        unc_min_eig=np.linalg.eigvalsh(V + 0.5j * J)[:, 0],
+        ppt_min_eig=_min_eig_hermitian(V, _LJL),
+        unc_min_eig=_min_eig_hermitian(V, _J),
     )
 
 
@@ -242,15 +252,12 @@ def entanglement_onset(
     t_lo = t_start = float(res.times[idx - 1])
     t_hi = float(res.times[idx])
     V_start = res.V[idx - 1]
-    J = symplectic_form()
-    A, D = J @ Hbar, J @ gamma_bar @ J.T
-    L = ppt_reflector(2)
-    LJL = L @ J @ L
+    A, D = _drift_diffusion(Hbar, gamma_bar)
 
     while t_hi - t_lo > dt / 100.0:
         t_mid = 0.5 * (t_lo + t_hi)
         Phi, Q = propagator(A, D, t_mid - t_start)
-        if _min_eig_hermitian(Phi @ V_start @ Phi.T + Q, LJL) < -tol:
+        if _min_eig_hermitian(Phi @ V_start @ Phi.T + Q, _LJL) < -tol:
             t_hi = t_mid
         else:
             t_lo = t_mid

@@ -29,6 +29,8 @@ from .model import check_constants
 from .spectra import gravitational_frequency
 
 __all__ = [
+    "DIAL_FIELDS",
+    "CONSTANT_FIELDS",
     "FeasibilityParams",
     "FeasibilityReport",
     "REFERENCE_PENDULUM",
@@ -51,6 +53,13 @@ def _cube(value: float, name: str) -> float:
         return value**3
     except OverflowError:
         raise DomainError(f"{name}**3 is out of floating-point range for {name} = {value:g}") from None
+
+
+# Config key -> FeasibilityParams field: the design dials, in report order,
+# and the constant overrides, which physical setups read too.
+DIAL_FIELDS = {"Omega_rad_s": "Omega", "rho_kg_m3": "rho", "R_m": "R", "beta": "beta",
+               "T_K": "T", "Q": "Q", "N_quanta": "N", "r_fraction": "r"}
+CONSTANT_FIELDS = {"G_m3_kg_s2": "G", "hbar_Js": "hbar", "kB_J_K": "kB"}
 
 
 @dataclass(frozen=True)
@@ -165,14 +174,7 @@ class FeasibilityReport:
 
     def to_dict(self) -> dict:
         d = {
-            "Omega_rad_s": self.params.Omega,
-            "rho_kg_m3": self.params.rho,
-            "R_m": self.params.R,
-            "beta": self.params.beta,
-            "T_K": self.params.T,
-            "Q": self.params.Q,
-            "N_quanta": self.params.N,
-            "r_fraction": self.params.r,
+            **{key: getattr(self.params, field) for key, field in DIAL_FIELDS.items()},
             "m_kg": self.m,
             "omega_G_per_s": self.omega_G,
             "omega_G_mHz_style": self.omega_G * 1e3,

@@ -11,14 +11,16 @@ Conventions used throughout the package (documented once, here):
   :func:`to_dimensionless` carries (H, gamma) there. Its hbar is the setup's:
   :class:`LinearizedSystem` carries ``PhysicalSetup.hbar``, so hbar is
   chosen in one place and no conversion takes it again.
-* The quadratic Hamiltonian is stored as the symmetric coefficient matrix H
-  with ``H_total = 1/2 c^T H c``; the symplectic form J satisfies
+* The quadratic Hamiltonian is the symmetric coefficient matrix H with
+  ``H_total = 1/2 c^T H c``, derived by :class:`LinearizedSystem` from its
+  parameters and stored nowhere else; the symplectic form J satisfies
   ``[c_i, c_j] = i*hbar*J_ij`` in SI units and ``i*J_ij`` in dimensionless
   units.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,12 +137,12 @@ class PhysicalSetup:
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """Quadratic model around equilibrium: frequencies, coupling, H and J.
+    """Quadratic model around equilibrium: frequencies, coupling and masses.
 
-    ``H`` is the symmetric 4x4 coefficient matrix of the quadratic form over
-    (x1, x2, p1, p2); ``equilibrium_shift`` carries the constant-force offsets
-    (a1, a2) [m] absorbed when removing the terms linear in the coordinates.
-    ``hbar`` is the setup's and sets the dimensionless quadratures.
+    ``equilibrium_shift`` carries the constant-force offsets (a1, a2) [m]
+    absorbed when removing the terms linear in the coordinates. ``hbar`` is
+    the setup's and sets the dimensionless quadratures. The fields are the
+    independent parameters; :attr:`H` is derived from them.
     """
 
     Omega1: float
@@ -148,14 +150,19 @@ class LinearizedSystem:
     K: float
     m1: float
     m2: float
-    H: np.ndarray
-    J: np.ndarray
     equilibrium_shift: tuple[float, float]
     hbar: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "H", _readonly(self.H))
-        object.__setattr__(self, "J", _readonly(self.J))
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """Read-only symmetric 4x4 coefficient matrix of the quadratic form
+        over (x1, x2, p1, p2): oscillators m_i Omega_i^2 coupled by the
+        bilinear spring K."""
+        H = np.diag([self.m1 * self.Omega1**2, self.m2 * self.Omega2**2,
+                     1.0 / self.m1, 1.0 / self.m2])
+        H[0, 1] = H[1, 0] = self.K
+        H.setflags(write=False)
+        return H
 
     def min_period(self) -> float:
         return 2.0 * np.pi / max(self.Omega1, self.Omega2)
@@ -262,21 +269,8 @@ def linearize(setup: PhysicalSetup) -> LinearizedSystem:
         a1 = rhs * (m2 * Om2**2 + K) / det_x
         a2 = rhs * (m1 * Om1**2 + K) / det_x
 
-    return LinearizedSystem(
-        Omega1=Om1, Omega2=Om2, K=K, m1=m1, m2=m2, H=_quadratic_form(m1, m2, Om1, Om2, K),
-        J=symplectic_form(), equilibrium_shift=(float(a1), float(a2)), hbar=setup.hbar,
-    )
-
-
-def _quadratic_form(m1: float, m2: float, Om1: float, Om2: float, K: float) -> np.ndarray:
-    """H of two oscillators m_i Omega_i^2 coupled by the bilinear spring K."""
-    H = np.zeros((4, 4))
-    H[0, 0] = m1 * Om1**2
-    H[1, 1] = m2 * Om2**2
-    H[0, 1] = H[1, 0] = K
-    H[2, 2] = 1.0 / m1
-    H[3, 3] = 1.0 / m2
-    return H
+    return LinearizedSystem(Omega1=Om1, Omega2=Om2, K=K, m1=m1, m2=m2,
+                            equilibrium_shift=(float(a1), float(a2)), hbar=setup.hbar)
 
 
 def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
@@ -286,12 +280,8 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
     output of the trap linearization (the two-trap renormalization does not
     apply to a torsion mode).
     """
-    K = setup.coupling
-    return LinearizedSystem(
-        Omega1=Omega, Omega2=Omega, K=K, m1=setup.m1, m2=setup.m2,
-        H=_quadratic_form(setup.m1, setup.m2, Omega, Omega, K),
-        J=symplectic_form(), equilibrium_shift=(0.0, 0.0), hbar=setup.hbar,
-    )
+    return LinearizedSystem(Omega1=Omega, Omega2=Omega, K=setup.coupling, m1=setup.m1,
+                            m2=setup.m2, equilibrium_shift=(0.0, 0.0), hbar=setup.hbar)
 
 
 def langevin_drift(setup: PhysicalSetup, sys: LinearizedSystem,
@@ -306,7 +296,7 @@ def langevin_drift(setup: PhysicalSetup, sys: LinearizedSystem,
     H = np.array(sys.H)
     if partner_fixed:
         H[0, 0] += sys.K
-    A = sys.J @ H - setup.eta * np.diag([0.0, 0.0, 1.0, 1.0])
+    A = symplectic_form() @ H - setup.eta * np.diag([0.0, 0.0, 1.0, 1.0])
     return A[np.ix_(MONITORED, MONITORED)] if partner_fixed else A
 
 

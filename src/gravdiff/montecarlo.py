@@ -265,6 +265,14 @@ def effective_frequency(sys: LinearizedSystem) -> float:
     return float(np.sqrt(sys.Omega1**2 + sys.K / sys.m1))
 
 
+def _energy_form(setup: PhysicalSetup, sys: LinearizedSystem) -> tuple[np.ndarray, float]:
+    """(W, hbar Omega_eff): the monitored oscillator's energy is z^T W z over
+    z = (x, p), W = diag(m Omega_eff^2, 1/m) / 2, and its quantum."""
+    om_eff = effective_frequency(sys)
+    m = setup.m1
+    return np.diag([0.5 * m * om_eff**2, 0.5 / m]), setup.hbar * om_eff
+
+
 def diffusion_2x2(setup: PhysicalSetup, noise: NoiseModel) -> np.ndarray:
     """Noise covariance rate D of (x, p): the drift-augmented covariance ODE
     dV/dt = A V + V A^T + D is the moment oracle for the sampler."""
@@ -460,19 +468,16 @@ def reheating_run(
         raise ProtocolError(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"
         )
-    om_eff = effective_frequency(sys)
-    m = setup.m1
-    hb = setup.hbar
+    W, quantum = _energy_form(setup, sys)
     Phi, Q = propagator(langevin_drift(setup, sys, partner_fixed=True),
                         diffusion_2x2(setup, noise), cycle_time)
-    V_g = np.diag([hb / (2.0 * m * om_eff), m * hb * om_eff / 2.0])
+    V_g = 0.25 * quantum * np.linalg.inv(W)
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
 
     u = np.stack([noise.stream(i, domain=_DOMAIN_CYCLE).standard_normal(3)
                   for i in range(n_cycles)])
     z = u[:, :2] @ C.T
-    energy = z[:, 1] ** 2 / (2.0 * m) + 0.5 * m * om_eff**2 * z[:, 0] ** 2
-    n_hat = energy / (hb * om_eff) - 0.5
+    n_hat = ((z @ W) * z).sum(axis=1) / quantum - 0.5
     if detector_noise_N > 0:
         n_hat = n_hat + detector_noise_N * u[:, 2]
 
@@ -487,14 +492,11 @@ def phonon_heating_rate(setup: PhysicalSetup, sys: LinearizedSystem,
                         noise: NoiseModel) -> float:
     """Injected phonon heating rate of the monitored oscillator [1/s].
 
-    Gamma = (D_pp / 2m + m Omega_eff^2 D_xx / 2) / (hbar Omega_eff), the
-    small-time energy growth of the sampler divided by the quantum.
+    Gamma = tr(W D) / (hbar Omega_eff) for the energy form W, the small-time
+    energy growth of the sampler divided by the quantum.
     """
-    D = diffusion_2x2(setup, noise)
-    om_eff = effective_frequency(sys)
-    m = setup.m1
-    dE_dt = D[1, 1] / (2.0 * m) + 0.5 * m * om_eff**2 * D[0, 0]
-    return float(dE_dt / (setup.hbar * om_eff))
+    W, quantum = _energy_form(setup, sys)
+    return float(np.trace(W @ diffusion_2x2(setup, noise)) / quantum)
 
 
 def desk_rescale(setup: PhysicalSetup, gamma: DiffusionMatrix,

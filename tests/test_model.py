@@ -1,5 +1,6 @@
 """Linearization, matrix construction and unit conversions."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from gravdiff.errors import PSDError, StabilityError
 from gravdiff.model import (
     DiffusionMatrix,
     GaussianState,
+    LinearizedSystem,
     PhysicalSetup,
     dimensionless_hamiltonian,
     ground_state,
@@ -114,6 +116,32 @@ class TestLinearize:
             )
             quadratic = 0.5 * np.trace(sys.H @ V) + 0.5 * mu @ sys.H @ mu
             assert quadratic == pytest.approx(direct, rel=1e-12)
+
+
+class TestLinearizedSystemParameters:
+    """The system stores its independent parameters only; H follows them."""
+
+    def test_fields_are_the_parameters(self):
+        assert [f.name for f in dataclasses.fields(LinearizedSystem)] == [
+            "Omega1", "Omega2", "K", "m1", "m2", "equilibrium_shift", "hbar"]
+
+    def test_replaced_coupling_reaches_h_and_drift(self, lab_setup, lab_system):
+        assert lab_system.H[0, 1] == lab_system.K > 0.0
+        bare = dataclasses.replace(lab_system, K=0.0)
+        assert bare.H[0, 1] == bare.H[1, 0] == 0.0
+        np.testing.assert_array_equal(np.diag(bare.H), np.diag(lab_system.H))
+        A = langevin_drift(lab_setup, bare)
+        assert A[2, 1] == A[3, 0] == 0.0      # no force of one body on the other
+
+    def test_h_is_read_only(self, lab_system):
+        with pytest.raises(ValueError):
+            lab_system.H[0, 1] = 0.0
+
+    def test_equal_and_hashable(self, lab_setup):
+        a, b = linearize(lab_setup), linearize(lab_setup)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != dataclasses.replace(a, K=0.0)
 
 
 class TestDriftMatrix:
