@@ -8,8 +8,10 @@ path, which writes them as CSV/JSON and then a manifest recording the
 resolved parameters, the master seed, the tool version, the input hash and
 each output's hash.
 
-Exit codes: 0 success, 2 configuration problems (including a run too large
-to allocate), 3 numeric/stability problems, 4 I/O problems.
+Exit codes: 0 success, 2 configuration problems (including a config value
+out of its domain and a run too large to allocate), 3 numeric/stability
+problems (including arithmetic that overflows or divides by zero on finite
+but extreme values), 4 I/O problems.
 """
 
 from __future__ import annotations
@@ -72,7 +74,10 @@ def _spectrum_model(cfg, args):
     """(setup, sys, gamma) for spectrum/simulate/reheat commands."""
     setup = cfgmod.setup_from_config(cfg)
     if "Omega_rad_s" in cfg:
-        sys_lin = pendulum_system(setup, cfg["Omega_rad_s"])
+        try:
+            sys_lin = pendulum_system(setup, cfg["Omega_rad_s"])
+        except ValueError as exc:
+            raise ConfigError(f"Omega_rad_s: {exc}") from None
     else:
         sys_lin = linearize(setup)
     if getattr(args, "table1", False):
@@ -89,10 +94,13 @@ def _require_positive(flag: str, value) -> None:
         raise ConfigError(f"{flag} must be positive and finite, got {value}")
 
 
-def _require_count(flag: str, value: int, least: int) -> None:
-    """ConfigError naming ``flag`` unless ``value`` is at least ``least``."""
+def _require_count(flag: str, value: int, least: int, item_bytes: int = 8) -> None:
+    """ConfigError naming ``flag`` unless ``value`` is at least ``least`` and
+    ``value`` items of ``item_bytes`` fit in numpy's largest array."""
     if value < least:
         raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    if value * item_bytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{flag} {value} is too large to run in memory")
 
 
 def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:
@@ -261,7 +269,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reheat(args) -> int:
-    _require_count("--cycles", args.cycles, 2)
+    _require_count("--cycles", args.cycles, 2, item_bytes=24)  # 3 normals per cycle
     _require_positive("--cycle-time", args.cycle_time)
     if not 0.0 <= args.detector_noise < np.inf:
         raise ConfigError(
@@ -452,8 +460,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     args._argv = list(argv)
     try:
-        # looked up per call, so a replaced cmd_<command> attribute is the one run
-        return globals()[f"cmd_{args.command}"](args)
+        # Looked up per call, so a replaced cmd_<command> attribute is the one
+        # run. Floating-point overflow, division by zero and invalid operations
+        # raise, so extreme inputs end in exit 3 instead of a traceback or NaN.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
@@ -464,6 +475,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except GravdiffError as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:
+        print(f"error: arithmetic out of floating-point range ({exc})", file=_sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)

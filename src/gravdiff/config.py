@@ -37,7 +37,7 @@ import difflib
 import numpy as np
 
 from .constants import G_NEWTON, HBAR, KB
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, PSDError
 from .model import DiffusionMatrix, PhysicalSetup, check_constants
 from .feasibility import CONSTANT_FIELDS, DIAL_FIELDS, FeasibilityParams
 
@@ -162,23 +162,33 @@ def setup_from_config(cfg: dict) -> PhysicalSetup:
 
 
 def gamma_from_config(cfg: dict) -> DiffusionMatrix:
-    """Assemble the SI diffusion matrix from gammaXY keys (missing -> 0)."""
+    """Assemble the SI diffusion matrix from gammaXY keys (missing -> 0); a
+    matrix that is not PSD is a ConfigError naming the keys given."""
     g = np.zeros((4, 4))
     for key, i, j in _GAMMA_ENTRIES:
         val = cfg.get(key, 0.0)
         g[i, j] = val
         g[j, i] = val
-    return DiffusionMatrix(g)
+    try:
+        return DiffusionMatrix(g)
+    except PSDError as exc:
+        keys = ", ".join(key for key in GAMMA_KEYS if key in cfg)
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def feasibility_from_config(cfg: dict) -> FeasibilityParams:
     """FeasibilityParams from the pendulum keys; an absent optional key takes
-    the field's default, and a constant override out of its domain is a
+    the field's default, and a value out of its field's domain is a
     ConfigError that names its key."""
     require_keys(cfg, ["Omega_rad_s", "rho_kg_m3", "R_m"])
-    _constants(cfg)
-    return FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
-                                if key in cfg})
+    try:
+        return FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
+                                    if key in cfg})
+    except DomainError as exc:
+        # FeasibilityParams' domain messages open with the field's name.
+        field = str(exc).split(" ", 1)[0]
+        key = next((k for k, f in _PENDULUM_FIELDS.items() if f == field), "pendulum config")
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def pendulum_config(params: FeasibilityParams) -> dict[str, float]:

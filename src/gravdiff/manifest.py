@@ -36,10 +36,6 @@ def tool_version() -> str:
         return "unknown"
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

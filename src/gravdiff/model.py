@@ -278,8 +278,10 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
 
     Used when Omega is the measured pendulum frequency rather than the
     output of the trap linearization (the two-trap renormalization does not
-    apply to a torsion mode).
+    apply to a torsion mode). ValueError unless Omega is positive and finite.
     """
+    if not 0.0 < Omega < math.inf:
+        raise ValueError(f"Omega must be positive and finite, got {Omega!r}")
     return LinearizedSystem(Omega1=Omega, Omega2=Omega, K=setup.coupling, m1=setup.m1,
                             m2=setup.m2, equilibrium_shift=(0.0, 0.0), hbar=setup.hbar)
 

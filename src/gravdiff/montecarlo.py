@@ -474,8 +474,9 @@ def reheating_run(
     V_g = 0.25 * quantum * np.linalg.inv(W)
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
 
-    u = np.stack([noise.stream(i, domain=_DOMAIN_CYCLE).standard_normal(3)
-                  for i in range(n_cycles)])
+    u = np.empty((n_cycles, 3))
+    for i in range(n_cycles):
+        noise.stream(i, domain=_DOMAIN_CYCLE).standard_normal(out=u[i])
     z = u[:, :2] @ C.T
     n_hat = ((z @ W) * z).sum(axis=1) / quantum - 0.5
     if detector_noise_N > 0:

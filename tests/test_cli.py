@@ -148,6 +148,68 @@ class TestExitCodes:
         assert {"Q": "Q", "hbar_Js": "hbar", "kB_J_K": "kB", "G_m3_kg_s2": "G"}[key] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base,key,value,argv", [
+        ("pair", "Omega_rad_s", -1.0, ["spectrum"]),
+        ("pair", "Omega_rad_s", -1.0, ["reheat", "--seed", "1", "--cycle-time", "0.1"]),
+        ("pair", "Omega_rad_s", 0.0, ["evolve"]),
+        ("pendulum", "R_m", -1.0, ["feasibility"]),
+        ("pendulum", "beta", 0.5, ["feasibility"]),
+        ("pendulum", "r_fraction", 2.0, ["sweep", "--param", "Q", "--values", "1e9"]),
+        ("pair", "gamma12", 1.0, ["bound"]),
+        ("pair", "gamma12", 1.0, ["spectrum"]),
+    ])
+    def test_value_out_of_domain_exit_2_names_key(self, tmp_path, capsys, base, key, value, argv):
+        cfg = {k: v for k, v in parse_config(PENDULUM if base == "pendulum" else STABLE_PAIR).items()
+               if not k.startswith("gamma")}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in {**cfg, key: value}.items()))
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+        assert not out.exists()
+
+    KEYS = sorted(set(cfgmod.SETUP_KEYS) | set(cfgmod.GAMMA_KEYS) | set(cfgmod.PENDULUM_KEYS))
+
+    @pytest.mark.parametrize("argv", [["linearize"], ["bound"], ["spectrum", "--grid", "8"],
+                                      ["feasibility"]])
+    def test_extreme_values_end_in_documented_exit(self, tmp_path, capsys, argv):
+        # Each key at 0, -1, 1e-300 and 1e300 on top of a valid config: no
+        # exception (numpy's floating-point warnings included) escapes main.
+        base = parse_config(PENDULUM if argv[0] == "feasibility" else STABLE_PAIR)
+        path = tmp_path / "extreme.cfg"
+        codes = {}
+        for key in self.KEYS:
+            for value in (0.0, -1.0, 1e-300, 1e300):
+                path.write_text("".join(f"{k} = {v!r}\n" for k, v in {**base, key: value}.items()))
+                codes[key, value] = cli.main(argv + ["--config", str(path),
+                                                     "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert {case: rc for case, rc in codes.items() if rc not in (0, 2, 3)} == {}
+        if argv[0] != "feasibility":
+            # d**3 underflows to 0 or overflows: Python's ZeroDivisionError/OverflowError
+            assert codes["d_m", 1e-300] == codes["d_m", 1e300] == 3
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["spectrum", "--grid", "10000000000000000000"], "--grid"),
+        (["sweep", "--param", "Q", "--start", "1e9", "--stop", "1e10",
+          "--num", "10000000000000000000"], "--num"),
+        (["reheat", "--seed", "1", "--cycle-time", "1", "--cycles", "10000000000000000000"],
+         "--cycles"),
+    ])
+    def test_count_beyond_largest_array_exit_2(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("reheating_run ran before --cycles was checked")
+
+        monkeypatch.setattr(cli, "reheating_run", must_not_run)
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--table1", "--out", str(out)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["linearize", "--out", str(tmp_path)]) == 2
 

@@ -23,6 +23,7 @@ from gravdiff.model import (
     ground_state,
     langevin_drift,
     linearize,
+    pendulum_system,
     propagator,
     quadrature_scales,
     symplectic_form,
@@ -92,6 +93,11 @@ class TestLinearize:
         setup = PhysicalSetup(m1=2.55, m2=2.55, omega1=1.6e-3, omega2=1.6e-3, d=0.06)
         with pytest.raises(StabilityError, match="coupled"):
             linearize(setup)
+
+    @pytest.mark.parametrize("Omega", [0.0, -1.0, float("inf"), float("nan")])
+    def test_pendulum_system_rejects_bad_omega(self, lab_setup, Omega):
+        with pytest.raises(ValueError, match="Omega must be positive and finite"):
+            pendulum_system(lab_setup, Omega)
 
     @settings(max_examples=50, deadline=None)
     @given(s=st.floats(min_value=0.01, max_value=100.0))

@@ -542,6 +542,16 @@ class TestReheat:
             reheating_run(setup, sys, zero_noise(), n_cycles=10,
                           cycle_time=0.2 / setup.eta)
 
+    def test_draws_allocated_before_any_stream(self, monkeypatch):
+        # a cycle count past numpy's largest array fails at once
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a cycle stream was created before the draws were allocated")
+
+        monkeypatch.setattr(NoiseModel, "stream", no_stream)
+        setup = self.protocol_setup()
+        with pytest.raises(ValueError):
+            reheating_run(setup, linearize(setup), zero_noise(), n_cycles=10**19, cycle_time=1.0)
+
     @pytest.mark.parametrize("detector_noise", [-5.0, float("nan"), float("inf")])
     def test_detector_noise_guard(self, detector_noise):
         setup = self.protocol_setup()
