@@ -224,6 +224,30 @@ def _resolve_seed(args, cfg):
     return int(seed)
 
 
+# Kept samples summarized per block of about this many: bounds the mean and
+# variance temporaries to one block whatever the run's length.
+_SUMMARY_BLOCK = 512
+
+
+def _ensemble_summary(ens) -> np.ndarray:
+    """(t, mean_x, var_x, mean_p, var_p) across trajectories at every
+    ``n_samples // 2000``-th sample (every sample of a shorter run)."""
+    stride = max(1, ens.x.shape[1] // 2000)
+    times = ens.times[::stride]
+    x, p = ens.x[:, ::stride], ens.p[:, ::stride]
+    table = np.empty((len(times), 5))
+    table[:, 0] = times
+    # Balanced blocks keep at least two samples each (for a block size of 4
+    # or more): numpy sums a one-column block pairwise instead of trajectory
+    # by trajectory, which rounds apart from the whole-ensemble reduction.
+    n_blocks = -(-len(times) // _SUMMARY_BLOCK)
+    edges = [len(times) * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        table[lo:hi, 1:] = np.column_stack((x[:, lo:hi].mean(axis=0), x[:, lo:hi].var(axis=0),
+                                            p[:, lo:hi].mean(axis=0), p[:, lo:hi].var(axis=0)))
+    return table
+
+
 def cmd_simulate(args) -> int:
     _require_count("--traj", args.traj, 1)
     _require_positive("--dt", args.dt)
@@ -252,11 +276,8 @@ def cmd_simulate(args) -> int:
     ens = simulate(setup, sys_lin, noise, args.traj, dt, duration)
 
     out = Path(args.out)
-    stride = max(1, ens.x.shape[1] // 2000)
-    summary = np.column_stack((ens.times, ens.x.mean(axis=0), ens.x.var(axis=0),
-                               ens.p.mean(axis=0), ens.p.var(axis=0)))[::stride]
     outputs = [(out / "simulate_summary.csv", mani.write_csv,
-                ("t", "mean_x", "var_x", "mean_p", "var_p"), summary)]
+                ("t", "mean_x", "var_x", "mean_p", "var_p"), _ensemble_summary(ens))]
     if args.welch_segment is not None:
         spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
         outputs.append((out / "simulate_spectrum.csv", mani.write_csv,
@@ -380,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the printed (dimensionally inconsistent) form of the dimensional bound")
 
     p = sub.add_parser("evolve",
-                       help="integrate the covariance ODE from the ground state",
+                       help="propagate the covariance exactly from the ground state",
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
     p.add_argument("--periods", type=float, default=3.0, help="evolution length in oscillator periods")

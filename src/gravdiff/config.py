@@ -178,12 +178,17 @@ def gamma_from_config(cfg: dict) -> DiffusionMatrix:
 
 def feasibility_from_config(cfg: dict) -> FeasibilityParams:
     """FeasibilityParams from the pendulum keys; an absent optional key takes
-    the field's default, and a value out of its field's domain is a
-    ConfigError that names its key."""
+    the field's default, and a value out of its field's domain, or a zero
+    G_m3_kg_s2, is a ConfigError that names its key."""
     require_keys(cfg, ["Omega_rad_s", "rho_kg_m3", "R_m"])
     try:
-        return FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
-                                    if key in cfg})
+        params = FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
+                                      if key in cfg})
+        if params.G == 0.0:
+            # FeasibilityParams allows G = 0 as PhysicalSetup does, but the
+            # budget divides by the gravitational heating rate.
+            raise DomainError(f"G must be positive for a feasibility budget, got {params.G}")
+        return params
     except DomainError as exc:
         # FeasibilityParams' domain messages open with the field's name.
         field = str(exc).split(" ", 1)[0]

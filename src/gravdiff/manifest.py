@@ -7,15 +7,15 @@ command with the same build reproduces the outputs bit for bit; the
 determinism contract is floating-point determinism within one build.
 
 CSV output uses '.' decimals, a header row, LF line endings and repr-exact
-floats, from one 2-D table checked in one vectorized pass; JSON is UTF-8
-with sorted keys. Neither writer accepts NaN or infinity: a non-finite value
-raises DomainError and leaves no file. The tool version is read from the
-package metadata once per process, on first use.
+floats, from one 2-D table checked in one vectorized pass and then written in
+fixed-size row blocks, so the writer's memory does not grow with the table;
+JSON is UTF-8 with sorted keys. Neither writer accepts NaN or infinity: a
+non-finite value raises DomainError and leaves no file. The tool version is
+the package's ``__version__``.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -24,16 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import DomainError
 
 
-@functools.cache
 def tool_version() -> str:
-    from importlib import metadata
-    try:
-        return metadata.version("gravdiff")
-    except metadata.PackageNotFoundError:
-        return "unknown"
+    return __version__
 
 
 def sha256_file(path) -> str:
@@ -44,6 +40,11 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+# Rows formatted and written per block: bounds the writer's Python floats
+# and text to one block whatever the table's length.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path, header, rows, preamble: str | None = None) -> None:
     """Write a 2-D table of floats (an ``(n, len(header))`` array or a list of
     rows) with LF endings, each value as ``repr(float(value))``.
@@ -52,16 +53,26 @@ def write_csv(path, header, rows, preamble: str | None = None) -> None:
     sign conventions in the file itself). Strict like the JSON writers: a NaN
     or infinity raises DomainError, naming its line, before anything is written.
     """
-    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    lines = ["# " + preamble] if preamble else []
-    lines.append(",".join(header))
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError(f"refusing to write non-finite CSV line {len(lines) + i + 1} "
-                          f"of {Path(path).name}: {tuple(table[i].tolist())}")
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    lead = ["# " + preamble] if preamble else []
+    lead.append(",".join(header))
+    width = len(header)
+
+    def blocks():
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float)
+            yield start, block.reshape(len(block), width)
+
+    for start, block in blocks():
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError(f"refusing to write non-finite CSV line {len(lead) + start + i + 1} "
+                              f"of {Path(path).name}: {tuple(block[i].tolist())}")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lead) + "\n").encode("utf-8"))
+        for _, block in blocks():
+            lines = [",".join(map(repr, row)) for row in block.tolist()]
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _dumps(obj, **kwargs) -> str:

@@ -183,16 +183,24 @@ class DiffusionMatrix:
         g = np.array(self.gamma, dtype=float)
         if g.shape != (4, 4):
             raise ValueError(f"gamma must be 4x4, got shape {g.shape}")
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, np.linalg.norm(g))):
+        if not np.isfinite(g).all():
+            raise PSDError("gamma must be finite")
+        # Both checks run on g / s with s the power of two at or below
+        # max |g_ij|: exact, and the norm cannot overflow.
+        peak = float(np.abs(g).max())
+        s = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
+        u = g / s
+        asym = float(np.abs(u - u.T).max())
+        # |g - g^T| <= 1e-12 max(1, ||g||), entry by entry
+        if asym > 1e-12 * float(np.linalg.norm(u)) and asym * s > 1e-12:
             raise PSDError("gamma must be symmetric")
-        g = 0.5 * (g + g.T)
-        scale = np.linalg.norm(g)
-        min_eig = float(np.linalg.eigvalsh(g).min()) if scale > 0 else 0.0
-        if min_eig < -PSD_RTOL * scale:
+        u = 0.5 * (u + u.T)
+        min_eig = float(np.linalg.eigvalsh(u).min()) if peak > 0 else 0.0
+        if min_eig < -PSD_RTOL * float(np.linalg.norm(u)):
             raise PSDError(
-                f"gamma is not PSD: min eigenvalue {min_eig:.3e} < -{PSD_RTOL:.0e} * ||gamma||"
+                f"gamma is not PSD: min eigenvalue {min_eig * s:.3e} < -{PSD_RTOL:.0e} * ||gamma||"
             )
-        object.__setattr__(self, "gamma", _readonly(g))
+        object.__setattr__(self, "gamma", _readonly(0.5 * (g + g.T)))
 
     @classmethod
     def zero(cls) -> "DiffusionMatrix":

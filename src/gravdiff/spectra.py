@@ -120,20 +120,17 @@ def thermal_force_density(omega, setup: PhysicalSetup) -> np.ndarray:
     return setup.hbar**2 * vals
 
 
+# Frequencies solved per block: bounds the batched solve's matrices and the
+# quadratic forms' temporaries to one block whatever the grid's length.
+_FREQ_BLOCK = 1024
+
+
 def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: DiffusionMatrix,
                         omega_grid, partner_fixed: bool) -> NoiseSpectrum:
     """S_x1x1(w) = Re[r D(w) r^H] with r = row 0 of (-i w - A)^{-1}, per part of D."""
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     A = langevin_drift(setup, sys, partner_fixed)
     n = len(A)
-    e0 = np.zeros((len(w), n, 1))
-    e0[:, 0] = 1.0
-    try:
-        # r^T solves (-i w - A)^T r^T = e0
-        r = np.linalg.solve((-1j * w)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
-    except np.linalg.LinAlgError:
-        raise DomainError("spectrum diverges: an undamped resonance lies on the grid") from None
-
     g = gamma.matrix
     diag = np.diag(g)
     parts = np.stack([
@@ -142,17 +139,31 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
                      np.diag(diag * [0.0, 0.0, 1.0, 1.0]),   # momentum diffusion
                      g - np.diag(diag))                      # every cross entry
     ])
-    S_gp, S_gm, S_cr = np.real(np.sum((r @ parts) * r.conj(), axis=-1))
-
     # Thermal force on each mobile body's momentum, with that body's mass.
     masses = (setup.m1,) if partner_fixed else (setup.m1, setup.m2)
-    S_th = np.zeros_like(w)
-    for j, m in enumerate(masses):
-        kernel, substituted = _coth_term(w, setup, m)
-        S_th += setup.hbar**2 * np.abs(r[:, len(masses) + j]) ** 2 * kernel
+
+    S_total, S_gp, S_gm, S_th, S_cr = np.empty((5, len(w)))
+    substituted = False
+    for start in range(0, len(w), _FREQ_BLOCK):
+        cut = slice(start, start + _FREQ_BLOCK)
+        wb = w[cut]
+        e0 = np.zeros((len(wb), n, 1))
+        e0[:, 0] = 1.0
+        try:
+            # r^T solves (-i w - A)^T r^T = e0
+            r = np.linalg.solve((-1j * wb)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
+        except np.linalg.LinAlgError:
+            raise DomainError("spectrum diverges: an undamped resonance lies on the grid") from None
+        S_gp[cut], S_gm[cut], S_cr[cut] = np.real(np.sum((r @ parts) * r.conj(), axis=-1))
+        S_th[cut] = 0.0
+        for j, m in enumerate(masses):
+            kernel, substituted_here = _coth_term(wb, setup, m)
+            substituted |= substituted_here
+            S_th[cut] += setup.hbar**2 * np.abs(r[:, len(masses) + j]) ** 2 * kernel
+        S_total[cut] = S_gp[cut] + S_gm[cut] + S_th[cut] + S_cr[cut]
     return NoiseSpectrum(
         omega=w,
-        S_total=S_gp + S_gm + S_th + S_cr,
+        S_total=S_total,
         S_grav_position=S_gp,
         S_grav_momentum=S_gm,
         S_thermal=S_th,

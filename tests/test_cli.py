@@ -578,6 +578,7 @@ class TestFeasibilityCommand:
 
     @pytest.mark.parametrize("cmd", ["feasibility", "sweep"])
     @pytest.mark.parametrize("key,value", [("G_m3_kg_s2", "-6.6e-11"),
+                                           ("G_m3_kg_s2", "0"),
                                            ("hbar_Js", "-1.05e-34"),
                                            ("kB_J_K", "-1.38e-23")])
     def test_bad_constant_config_exit_2_writes_nothing(self, tmp_path, capsys, cmd, key, value):
@@ -912,3 +913,10 @@ def test_cli_import_leaves_package_metadata_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
     assert out == ["False", "False", tool_version()]
+
+
+def test_manifest_records_package_version(stable_config, tmp_path):
+    import gravdiff
+
+    assert cli.main(["linearize", "--config", str(stable_config), "--out", str(tmp_path)]) == 0
+    assert load_manifest(tmp_path / "linearize.manifest.json")["version"] == gravdiff.__version__

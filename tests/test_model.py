@@ -261,6 +261,36 @@ class TestDiffusionMatrix:
         with pytest.raises(PSDError):
             DiffusionMatrix(g)
 
+    def test_rejects_indefinite_with_huge_entries(self):
+        # ||g|| overflows past about 1e154; the checks must not go blind there
+        g = np.zeros((4, 4))
+        g[0, 0] = g[1, 1] = 1e300
+        g[0, 1] = g[1, 0] = -1e301
+        with pytest.raises(PSDError, match="not PSD"):
+            DiffusionMatrix(g)
+        asym = np.diag([1e300, 1e300, 1.0, 1.0])
+        asym[0, 1] = 1e299
+        with pytest.raises(PSDError, match="symmetric"):
+            DiffusionMatrix(asym)
+        DiffusionMatrix(np.diag([1e300, 1e300, 1e-300, 0.0]))
+
+    @pytest.mark.parametrize("exponent", [-600, -300, 0, 150, 600])
+    def test_verdicts_do_not_depend_on_scale(self, rng, exponent):
+        # The tolerances are relative, so a power-of-two rescaling keeps each
+        # verdict; at 2**600 ||gamma|| overflows, at 2**-600 its square underflows.
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        def scaled(min_eig, asym=0.0):
+            g = Q @ np.diag([1.0, 0.5, 0.25, min_eig]) @ Q.T
+            g[0, 1] += asym * np.linalg.norm(g)
+            return np.ldexp(g, exponent)
+        DiffusionMatrix(scaled(-1e-11))
+        DiffusionMatrix(scaled(0.1, asym=0.5e-12))
+        with pytest.raises(PSDError, match="not PSD"):
+            DiffusionMatrix(scaled(-1e-9))
+        if exponent >= 0:  # below ||gamma|| = 1 the absolute 1e-12 floor takes over
+            with pytest.raises(PSDError, match="symmetric"):
+                DiffusionMatrix(scaled(0.1, asym=2e-12))
+
     def test_accepts_boundary(self):
         # rank-deficient PSD matrix, exactly on the cone boundary
         v = np.array([1.0, 0.0, 0.0, -1.0])
