@@ -11,6 +11,9 @@ Submodules:
 * :mod:`gravdiff.cli` - command-line front end
 """
 
+# Before the submodules: gravdiff.manifest reads it at import.
+__version__ = "0.1.0"
+
 from .constants import G_NEWTON, HBAR, KB, OSMIUM_DENSITY
 from .errors import (
     ConfigError,
@@ -78,5 +81,3 @@ from .feasibility import (
     table1_report,
     thermal_heating_rate,
 )
-
-__version__ = "0.1.0"

@@ -257,7 +257,12 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args, cfg)
     noise = NoiseModel.from_setup(setup, gamma, seed)
     om_eff = effective_frequency(sys_lin)
-    dt = args.dt if args.dt is not None else 0.005 * 2.0 * np.pi / om_eff
+    # Half the sampler's limit 0.01 * min(2 pi/Omega_eff, 1/eta).
+    dt = args.dt
+    if dt is None:
+        dt = 0.005 * 2.0 * np.pi / om_eff
+        if setup.eta > 0:
+            dt = min(dt, 0.005 / setup.eta)
     duration = args.duration if args.duration is not None else (
         20.0 / setup.eta if setup.eta > 0 else 50.0 * 2.0 * np.pi / om_eff
     )
@@ -420,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                                            ("Omega_rad_s", "seed")))
     common(p, needs_seed=True)
     p.add_argument("--traj", type=int, default=64, help="number of trajectories")
-    p.add_argument("--dt", type=float, default=None, help="step [s]")
+    p.add_argument("--dt", type=float, default=None,
+                   help="step [s] (default: 0.005 * min(2 pi/Omega_eff, 1/eta))")
     p.add_argument("--duration", type=float, default=None, help="trajectory length [s]")
     p.add_argument("--welch-segment", type=int, default=None,
                    help="Welch segment length in samples (enables spectrum output)")

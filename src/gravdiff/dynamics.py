@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPhysicalInputError, StepSizeError
+from .manifest import ColumnTable
 from .model import (
     DiffusionMatrix,
     GaussianState,
@@ -130,10 +131,11 @@ class EvolutionResult:
         hits = np.nonzero(self.ppt_min_eig < -tol)[0]
         return int(hits[0]) if hits.size else None
 
-    def csv_rows(self) -> np.ndarray:
-        """(n, 13) table matching CSV_HEADER: t, V11..V44 (upper triangle), ppt, unc."""
-        i, j = np.triu_indices(4)
-        return np.column_stack((self.times, self.V[:, i, j], self.ppt_min_eig, self.unc_min_eig))
+    def csv_rows(self) -> ColumnTable:
+        """(n, 13) table matching CSV_HEADER, stacked per row slice: t,
+        V11..V44 (upper triangle), ppt, unc."""
+        upper = [self.V[:, i, j] for i, j in zip(*np.triu_indices(4))]
+        return ColumnTable(self.times, *upper, self.ppt_min_eig, self.unc_min_eig)
 
     CSV_HEADER = (
         "t", "V11", "V12", "V13", "V14", "V22", "V23", "V24",

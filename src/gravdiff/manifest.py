@@ -7,8 +7,13 @@ command with the same build reproduces the outputs bit for bit; the
 determinism contract is floating-point determinism within one build.
 
 CSV output uses '.' decimals, a header row, LF line endings and repr-exact
-floats, from one 2-D table checked in one vectorized pass and then written in
-fixed-size row blocks, so the writer's memory does not grow with the table;
+floats: each value is written as its shortest round-trip digits, the same
+bytes as ``repr``, computed for a whole block of rows in one vectorized pass
+by ``gravdiff.ryu`` (Ryu's algorithm, Adams, PLDI 2018); the tests hold it
+against ``repr`` as the oracle. The table, a 2-D array, a list of rows or a
+``ColumnTable``, is checked for NaN and infinity block by block before the
+file is opened, then formatted and written in blocks of at most 1024 rows
+and 4096 values, so the writer's memory does not grow with the table.
 JSON is UTF-8 with sorted keys. Neither writer accepts NaN or infinity: a
 non-finite value raises DomainError and leaves no file. The tool version is
 the package's ``__version__``.
@@ -26,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
+from .ryu import repr_lines
 
 
 def tool_version() -> str:
@@ -40,14 +46,31 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-# Rows formatted and written per block: bounds the writer's Python floats
-# and text to one block whatever the table's length.
+# Rows checked, formatted and written per block, and at most this many
+# values per block: bounds the writer's work memory (about 230 B per value
+# while formatting) to one block whatever the table's length and width.
 _CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_VALUES = 4096
+
+
+class ColumnTable:
+    """Equal-length columns read as an ``(n, k)`` table without stacking it:
+    a row slice ``table[a:b]`` stacks only those rows, so ``write_csv``
+    holds one block of the table at a time."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.column_stack([c[rows] for c in self.columns])
 
 
 def write_csv(path, header, rows, preamble: str | None = None) -> None:
-    """Write a 2-D table of floats (an ``(n, len(header))`` array or a list of
-    rows) with LF endings, each value as ``repr(float(value))``.
+    """Write a 2-D table of floats (an ``(n, len(header))`` array, a list of
+    rows or a ColumnTable) with LF endings, each value as ``repr(float(value))``.
 
     ``preamble`` adds a leading '#' comment line (used to record unit and
     sign conventions in the file itself). Strict like the JSON writers: a NaN
@@ -56,10 +79,11 @@ def write_csv(path, header, rows, preamble: str | None = None) -> None:
     lead = ["# " + preamble] if preamble else []
     lead.append(",".join(header))
     width = len(header)
+    step = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_VALUES // width))
 
     def blocks():
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float)
+        for start in range(0, len(rows), step):
+            block = np.asarray(rows[start:start + step], dtype=float)
             yield start, block.reshape(len(block), width)
 
     for start, block in blocks():
@@ -71,8 +95,7 @@ def write_csv(path, header, rows, preamble: str | None = None) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(lead) + "\n").encode("utf-8"))
         for _, block in blocks():
-            lines = [",".join(map(repr, row)) for row in block.tolist()]
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+            fh.write(repr_lines(block))
 
 
 def _dumps(obj, **kwargs) -> str:

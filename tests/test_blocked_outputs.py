@@ -85,6 +85,34 @@ class TestStreamedCsv:
         assert short < 2_000_000
         assert abs(long - short) <= 65_536
 
+    def test_wide_table_work_memory_independent_of_rows(self, tmp_path):
+        # evolve's 13 columns: blocks hold a bounded number of values, not rows
+        def work_bytes(n):
+            table = np.random.default_rng(1).standard_normal((n, 13))
+            return traced_peak(lambda: write_csv(tmp_path / "w.csv", "abcdefghijklm", table))[1]
+
+        short, long = work_bytes(2 * B_CSV), work_bytes(20 * B_CSV)
+        assert short < 2_000_000
+        assert abs(long - short) <= 65_536
+
+    def test_spectrum_command_work_memory_independent_of_grid(self, tmp_path):
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text("m1_kg = 1.0\nm2_kg = 1.0\nomega1_rad_s = 6.283185307179586\n"
+                       "omega2_rad_s = 6.283185307179586\nd_m = 0.1\nT_K = 300.0\n"
+                       "eta_per_s = 0.6283185307179586\ngamma11 = 1e59\ngamma22 = 1e59\n")
+
+        def work_bytes(n):
+            argv = ["spectrum", "--config", str(cfg), "--grid", str(n), "--out", str(tmp_path)]
+            code, peak = traced_peak(lambda: cli.main(argv))
+            assert code == 0
+            return peak - 6 * 8 * n                  # the grid and its five spectrum columns
+
+        # Both CSVs exceed the 1 MB chunk the output hash reads at a time.
+        small, large = work_bytes(16 * B_CSV), work_bytes(40 * B_CSV)
+        # one block of the resolvent and of the CSV; stacking the whole
+        # (n, 6) table before writing holds 48 B per frequency more
+        assert abs(large - small) <= 65_536
+
 
 class TestBlockedResolvent:
     def model(self):

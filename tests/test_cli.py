@@ -414,6 +414,17 @@ class TestSimulateCommand:
         h2 = sha256_file(out2 / "simulate_summary.csv")
         assert h1 == h2
 
+    def test_default_dt_within_sampler_limit_at_low_q(self, tmp_path):
+        # Q = 2: the 1/eta timescale is the shorter one, and the default step
+        # 0.005 * 2 pi/Omega_eff would exceed the sampler's 0.01/eta
+        cfg = tmp_path / "lowq.cfg"
+        cfg.write_text(STABLE_PAIR.replace("eta_per_s", "# eta_per_s") + "Q = 2\n")
+        rc = cli.main(["simulate", "--config", str(cfg), "--seed", "1", "--traj", "2",
+                       "--duration", "1.0", "--out", str(tmp_path)])
+        assert rc == 0
+        times = np.loadtxt(tmp_path / "simulate_summary.csv", delimiter=",", skiprows=1)[:, 0]
+        assert times[1] == 0.005 / (6.283185307179586 / 2)
+
     def test_seed_recorded_when_omitted(self, stable_config, tmp_path):
         rc = cli.main(["simulate", "--config", str(stable_config), "--traj", "2",
                        "--dt", "0.005", "--duration", "1.0", "--out", str(tmp_path)])
