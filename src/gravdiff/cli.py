@@ -112,8 +112,9 @@ def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:
 
 def _emit(args, cfg, sha, outputs, seed=None) -> int:
     """Write each ``(path, writer, *data)`` output as ``writer(path, *data)``,
-    then ``<command>.manifest.json`` in --out listing every output with its
-    sha256. The manifest is written last, so a failed write leaves none.
+    then ``<command>.manifest.json`` in --out listing every output with the
+    sha256 its writer returned, hashed as it was written. The manifest is
+    written last, so a failed write leaves none.
     """
     manifest = mani.RunManifest(
         command=args.command,
@@ -125,8 +126,7 @@ def _emit(args, cfg, sha, outputs, seed=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for path, writer, *data in outputs:
-        writer(path, *data)
-        manifest.add_output(path)
+        manifest.add_output(path, writer(path, *data))
     manifest.write(out / f"{args.command}.manifest.json")
     return EXIT_OK
 

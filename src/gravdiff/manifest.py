@@ -2,7 +2,9 @@
 
 Every CLI run writes a manifest recording the subcommand, the fully resolved
 parameter set, the master seed, the tool version, the input-config hash and
-the list (with hashes) of every file produced. Re-running the recorded
+the list (with hashes) of every file produced. Each writer hashes the bytes
+as it writes them and returns the sha256, so no output is read back; only
+the input config is hashed from disk (``sha256_file``). Re-running the recorded
 command with the same build reproduces the outputs bit for bit; the
 determinism contract is floating-point determinism within one build.
 
@@ -22,6 +24,7 @@ the package's ``__version__``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -46,8 +49,18 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _write_hashed(path, chunks) -> str:
+    """Write the byte chunks to ``path``; return the sha256 of what was written."""
+    h = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            h.update(chunk)
+    return h.hexdigest()
+
+
 # Rows checked, formatted and written per block, and at most this many
-# values per block: bounds the writer's work memory (about 230 B per value
+# values per block: bounds the writer's work memory (about 190 B per value
 # while formatting) to one block whatever the table's length and width.
 _CSV_BLOCK_ROWS = 1024
 _CSV_BLOCK_VALUES = 4096
@@ -68,9 +81,10 @@ class ColumnTable:
         return np.column_stack([c[rows] for c in self.columns])
 
 
-def write_csv(path, header, rows, preamble: str | None = None) -> None:
+def write_csv(path, header, rows, preamble: str | None = None) -> str:
     """Write a 2-D table of floats (an ``(n, len(header))`` array, a list of
-    rows or a ColumnTable) with LF endings, each value as ``repr(float(value))``.
+    rows or a ColumnTable) with LF endings, each value as ``repr(float(value))``,
+    and return the file's sha256.
 
     ``preamble`` adds a leading '#' comment line (used to record unit and
     sign conventions in the file itself). Strict like the JSON writers: a NaN
@@ -92,10 +106,8 @@ def write_csv(path, header, rows, preamble: str | None = None) -> None:
             i = int(np.argmin(finite))
             raise DomainError(f"refusing to write non-finite CSV line {len(lead) + start + i + 1} "
                               f"of {Path(path).name}: {tuple(block[i].tolist())}")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lead) + "\n").encode("utf-8"))
-        for _, block in blocks():
-            fh.write(repr_lines(block))
+    head = ("\n".join(lead) + "\n").encode("utf-8")
+    return _write_hashed(path, itertools.chain([head], (repr_lines(b) for _, b in blocks())))
 
 
 def _dumps(obj, **kwargs) -> str:
@@ -106,13 +118,15 @@ def _dumps(obj, **kwargs) -> str:
         raise DomainError(f"refusing to write non-finite JSON: {exc}") from exc
 
 
-def write_json(path, obj) -> None:
-    Path(path).write_bytes((_dumps(obj, indent=2) + "\n").encode("utf-8"))
+def write_json(path, obj) -> str:
+    """Write ``obj`` as indented JSON; return the file's sha256."""
+    return _write_hashed(path, [(_dumps(obj, indent=2) + "\n").encode("utf-8")])
 
 
-def write_json_lines(path, objs) -> None:
+def write_json_lines(path, objs) -> str:
+    """Write one JSON object per line; return the file's sha256."""
     lines = [_dumps(o) for o in objs]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return _write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 @dataclass
@@ -128,10 +142,11 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
     created_unix: float = field(default_factory=lambda: time.time())
 
-    def add_output(self, path) -> None:
+    def add_output(self, path, sha256: str) -> None:
+        """List an output with the sha256 its writer returned."""
         self.outputs.append({
             "path": str(path),
-            "sha256": sha256_file(path),
+            "sha256": sha256,
         })
 
     def to_dict(self) -> dict:

@@ -57,6 +57,7 @@ readout.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -64,6 +65,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ProtocolError, SeedError, StabilityError
+from .manifest import _write_hashed
 from .model import (
     DiffusionMatrix,
     LinearizedSystem,
@@ -530,8 +532,9 @@ def desk_rescale(setup: PhysicalSetup, gamma: DiffusionMatrix,
     return new_setup, DiffusionMatrix(gamma.matrix * block)
 
 
-def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> None:
-    """Dump the ensemble to the documented little-endian binary record.
+def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> str:
+    """Dump the ensemble to the documented little-endian binary record and
+    return the file's sha256.
 
     Layout: magic ``GDMC`` (4 bytes), version uint32, n_traj uint64,
     n_samples uint64, dt float64, duration float64, master_seed uint64, then
@@ -542,11 +545,9 @@ def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> None:
         "<IQQddQ", _RAW_VERSION, ens.n_traj, n_samples, ens.dt, ens.duration,
         ens.master_seed,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for i in range(ens.n_traj):
-            fh.write(np.ascontiguousarray(ens.x[i], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(ens.p[i], dtype="<f8").tobytes())
+    samples = (np.ascontiguousarray(row, dtype="<f8").tobytes()
+               for i in range(ens.n_traj) for row in (ens.x[i], ens.p[i]))
+    return _write_hashed(path, itertools.chain([header], samples))
 
 
 def read_raw_trajectories(path) -> TrajectoryEnsemble:

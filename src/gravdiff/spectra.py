@@ -73,7 +73,8 @@ class NoiseSpectrum:
                      "S_thermal", "S_cross"):
             val = getattr(self, name)
             if val is not None:
-                arr = np.asarray(val, dtype=float)
+                # a read-only view: a caller's array keeps its own flags
+                arr = np.asarray(val, dtype=float).view()
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 

@@ -1,6 +1,9 @@
 """Config parsing, subcommand behavior, exit codes, manifests, determinism."""
 
+import builtins
 import dataclasses
+import hashlib
+import io
 import json
 import types
 from pathlib import Path
@@ -712,6 +715,31 @@ class TestEmitContract:
         assert set(listed) == set(out.iterdir()) - set(manifests)
         for path, digest in listed.items():
             assert sha256_file(path) == digest
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_outputs_hashed_as_written(self, stable_config, pendulum_config, tmp_path,
+                                       monkeypatch, command):
+        # the writers hash the bytes they write: no output is read back
+        out = tmp_path / "out"
+        config = pendulum_config if command in ("feasibility", "sweep") else stable_config
+        flags = [str(out / "raw.bin") if a == "RAW" else a for a in self.CASES[command]]
+        opened = []
+        real_open = io.open
+
+        def spy(file, mode="r", *args, **kwargs):
+            opened.append((Path(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        assert cli.main([command, "--config", str(config), *flags, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        reads = [path for path, mode in opened if "r" in mode and path.parent == out]
+        assert reads == []
+        outputs = load_manifest(out / f"{command}.manifest.json")["outputs"]
+        assert {Path(o["path"]) for o in outputs} <= {path for path, mode in opened if "w" in mode}
+        for o in outputs:
+            assert hashlib.sha256(Path(o["path"]).read_bytes()).hexdigest() == o["sha256"]
 
 
 class TestStrictJson:

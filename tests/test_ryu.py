@@ -115,3 +115,62 @@ def test_import_builds_no_table():
     tables = dict(line.split() for line in out.splitlines())
     assert {"_exponent_table", "_digit_pairs", "_kept"} <= set(tables)
     assert set(tables.values()) == {"0"}
+
+
+def layout(value):
+    """(significant digit count, layout class) of repr(value): the decimal
+    point position -3..16 (value = 0.d1d2... * 10**point) when positional,
+    else 'sci' or 'sci3' by the exponent's digit count."""
+    mantissa, _, exp = repr(abs(float(value))).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    n = len((whole + frac).strip("0"))
+    if exp:
+        return n, "sci3" if abs(int(exp)) >= 100 else "sci"
+    whole = whole.lstrip("0")
+    return n, len(whole) if whole else len(frac.lstrip("0")) - len(frac)
+
+
+def with_digits(n, point, rng):
+    """Positive floats whose repr has n significant digits and its decimal
+    point at ``point``: value = 0.d1..dn * 10**point."""
+    if n <= 15:                      # any 15-digit decimal round-trips
+        digits = int(rng.integers(10 ** (n - 1), 10**n))
+        digits += digits % 10 == 0
+        return [float(f"{digits}e{point - n}")]
+    # 16 and 17 digits: draw in [10**(point - 1), 10**point) until repr agrees
+    lo = float(f"1e{point - 1}")
+    found = []
+    while len(found) < 2:
+        value = lo * float(rng.uniform(1.0, 10.0))
+        if layout(value)[0] == n and 1e-307 < value < 1e308:
+            found.append(value)
+    return found
+
+
+def test_every_layout_with_both_signs():
+    # every digit count at every positional point -3..16 (1e-4 <= |x| < 1e16),
+    # and scientific on both sides of them with two- and three-digit exponents
+    rng = np.random.default_rng(18)
+    points = list(range(-3, 17)) + [-98, -4, 17, 100, -99, 101, -300, 300]
+    values = [v for n in range(1, 18) for p in points for v in with_digits(n, p, rng)]
+    values = np.array(values)
+    seen = {layout(v) for v in values}
+    assert seen == {(n, c) for n in range(1, 18) for c in [*range(-3, 17), "sci", "sci3"]}
+    # -0.0, subnormals down to 5e-324, and the smallest normals
+    subnormal = np.ldexp(rng.integers(1, 2**52, 64).astype(float), -1074)
+    values = np.concatenate([values, [0.0, -0.0, TINY, 2 * TINY, 3 * TINY, 2.2250738585072014e-308],
+                             subnormal])
+    values = np.concatenate([values, -values])
+    rng.shuffle(values)
+    for width in (1, 3, 6, 13):
+        assert_repr_exact(values, width)
+
+
+def test_zero_heavy_welch_table():
+    # a Welch output: frequency and PSD columns, four component columns of zeros
+    rng = np.random.default_rng(1024)
+    table = np.zeros((1024, 6))
+    table[:, 0] = np.arange(1024) * (2 * np.pi / 1024 / 0.01)
+    table[:, 1] = rng.lognormal(-46.0, 3.0, 1024)
+    table[::9, 2] = -0.0
+    assert repr_lines(table[:682]) + repr_lines(table[682:]) == oracle(table)

@@ -272,6 +272,21 @@ class TestSymmetricPair:
             assert np.allclose(plus.S_total, minus.S_total, rtol=1e-8, atol=0.0)
 
 
+@pytest.mark.parametrize("dns", [dns_fixed_source, dns_symmetric_pair])
+def test_caller_grid_stays_writeable(rng, dns):
+    # the spectrum's omega is a read-only view; the caller's grid is not frozen
+    setup = damped_setup()
+    gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=1e60)[0])
+    w = np.linspace(0.1, 3.0, 64)
+    before = w.copy()
+    spec = dns(setup, linearize(setup), gamma, w)
+    assert np.array_equal(w, before) and np.array_equal(spec.omega, before)
+    w[0] = 2.0
+    assert w[0] == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.omega[0] = 2.0
+
+
 def self_channel_weights(setup, sys, w):
     """|A11|^2, |A12|^2 of the pair susceptibility at frequency w."""
     m, eta = setup.m1, setup.eta
