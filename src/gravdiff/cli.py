@@ -36,6 +36,7 @@ from .montecarlo import (
     effective_frequency,
     reheating_run,
     simulate,
+    step_limit,
     welch_segments,
     welch_spectrum,
     write_raw_trajectories,
@@ -257,12 +258,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args, cfg)
     noise = NoiseModel.from_setup(setup, gamma, seed)
     om_eff = effective_frequency(sys_lin)
-    # Half the sampler's limit 0.01 * min(2 pi/Omega_eff, 1/eta).
-    dt = args.dt
-    if dt is None:
-        dt = 0.005 * 2.0 * np.pi / om_eff
-        if setup.eta > 0:
-            dt = min(dt, 0.005 / setup.eta)
+    dt = args.dt if args.dt is not None else 0.5 * step_limit(setup, sys_lin)
     duration = args.duration if args.duration is not None else (
         20.0 / setup.eta if setup.eta > 0 else 50.0 * 2.0 * np.pi / om_eff
     )

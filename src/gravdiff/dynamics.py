@@ -6,7 +6,8 @@ The covariance matrix obeys the linear matrix ODE
     dV/dt = J Hbar V - V Hbar J - J gamma_bar J
           = A V + V A^T + D,   A = J Hbar,   D = J gamma_bar J^T,
 
-with D positive semidefinite whenever gamma_bar is. Physicality is the matrix
+the eta = 0, hbar = 1 case of :func:`gravdiff.model.drift_diffusion`, with D
+positive semidefinite whenever gamma_bar is. Physicality is the matrix
 inequality V + (i/2) J >= 0; separability of the 1x1-mode split is certified
 by V + (i/2) L J L >= 0 with the partial reflection L = diag(1, 1, 1, -1).
 A negative minimum eigenvalue of the PPT matrix certifies entanglement; a
@@ -30,6 +31,7 @@ from .model import (
     DiffusionMatrix,
     GaussianState,
     LinearizedSystem,
+    drift_diffusion,
     propagator,
     symplectic_form,
     to_dimensionless,
@@ -143,11 +145,6 @@ class EvolutionResult:
     )
 
 
-def _drift_diffusion(Hbar: np.ndarray, gamma_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, D) = (J Hbar, J gamma_bar J^T) of the dimensionless moment equations."""
-    return _J @ Hbar, _J @ gamma_bar @ _J.T
-
-
 def _check_span(name: str, t_end: float, dt: float) -> None:
     """StepSizeError unless dt is positive and finite and the time span
     t_end, called ``name`` in the message, is non-negative and finite."""
@@ -188,7 +185,7 @@ def evolve_covariance_dimensionless(
             f"min eig(V + iJ/2) = {unc0:.3e}"
         )
 
-    A, D = _drift_diffusion(Hbar, gamma_bar)
+    A, D = drift_diffusion(Hbar, gamma_bar)
     Phi, Q = propagator(A, D, dt)
 
     n_steps = int(np.ceil(t_end / dt - 1e-12))
@@ -260,7 +257,7 @@ def entanglement_onset(
     t_lo = t_start = float(res.times[idx - 1])
     t_hi = float(res.times[idx])
     V_start = res.V[idx - 1]
-    A, D = _drift_diffusion(Hbar, gamma_bar)
+    A, D = drift_diffusion(Hbar, gamma_bar)
 
     while t_hi - t_lo > dt / 100.0:
         t_mid = 0.5 * (t_lo + t_hi)

@@ -38,8 +38,9 @@ __all__ = [
     "symplectic_form",
     "linearize",
     "pendulum_system",
-    "langevin_drift",
-    "langevin_diffusion",
+    "drift_diffusion",
+    "langevin_model",
+    "mobile_momenta",
     "propagator",
     "quadrature_scales",
     "to_dimensionless",
@@ -294,34 +295,36 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
                             m2=setup.m2, equilibrium_shift=(0.0, 0.0), hbar=setup.hbar)
 
 
-def langevin_drift(setup: PhysicalSetup, sys: LinearizedSystem,
-                   partner_fixed: bool = False) -> np.ndarray:
-    """Damped drift generator A of the Langevin dynamics dz = A z dt + noise.
+def drift_diffusion(H: np.ndarray, gamma: np.ndarray, eta: float = 0.0,
+                    hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(A, D) = (J H - eta diag(0, 0, 1, 1), hbar^2 J gamma J^T), one D per
+    4x4 part when ``gamma`` is a stack: the one place J meets H and gamma."""
+    J = symplectic_form()
+    A = J @ H - np.diag([0.0, 0.0, eta, eta])
+    return A, hbar**2 * (J @ np.asarray(gamma, dtype=float) @ J.T)
 
-    Both bodies mobile: A = J H - eta diag(0, 0, 1, 1) over (x1, x2, p1, p2).
-    Partner held fixed: the (x1, p1) block of the same form, with the
-    partner's spring K added to x1's restoring force (m1 Omega1^2 + K), i.e.
-    A = [[0, 1/m1], [-(m1 Omega1^2 + K), -eta]].
-    """
+
+def langevin_model(setup: PhysicalSetup, sys: LinearizedSystem, gamma: np.ndarray,
+                   partner_fixed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """SI (A, D) of the Langevin dynamics dz = A z dt + noise: :func:`drift_diffusion`
+    of H with the setup's eta and hbar, for a 4x4 ``gamma`` or a stack of parts.
+    Partner held fixed: the (x1, p1) blocks, with the partner's spring K added to
+    x1's restoring force, A = [[0, 1/m1], [-(m1 Omega1^2 + K), -eta]]. The bath
+    damps and drives :func:`mobile_momenta`."""
     H = np.array(sys.H)
     if partner_fixed:
         H[0, 0] += sys.K
-    A = symplectic_form() @ H - setup.eta * np.diag([0.0, 0.0, 1.0, 1.0])
-    return A[np.ix_(MONITORED, MONITORED)] if partner_fixed else A
+    A, D = drift_diffusion(H, gamma, setup.eta, setup.hbar)
+    if partner_fixed:
+        kept = np.ix_(MONITORED, MONITORED)
+        A, D = A[kept], D[(...,) + kept]
+    return A, D
 
 
-def langevin_diffusion(setup: PhysicalSetup, gamma: np.ndarray,
-                       partner_fixed: bool = False) -> np.ndarray:
-    """Gravitational noise rate D = hbar^2 J gamma J^T of the Langevin dynamics.
-
-    ``gamma`` is a 4x4 array over (x1, x2, p1, p2): the matrix of a
-    :class:`DiffusionMatrix` or any additive part of it. Position diffusion
-    kicks the momenta and vice versa. With the partner fixed, D is the
-    (x1, p1) block.
-    """
-    J = symplectic_form()
-    D = setup.hbar**2 * (J @ np.asarray(gamma, dtype=float) @ J.T)
-    return D[np.ix_(MONITORED, MONITORED)] if partner_fixed else D
+def mobile_momenta(setup: PhysicalSetup, partner_fixed: bool = False) -> list[tuple[int, float]]:
+    """(index in the :func:`langevin_model` state, mass) per mobile body's momentum."""
+    kept = MONITORED if partner_fixed else (0, 1, 2, 3)
+    return [(kept.index(2 + j), m) for j, m in enumerate((setup.m1, setup.m2)) if 2 + j in kept]
 
 
 def propagator(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,12 @@
 """Time-domain Monte Carlo of the monitored oscillator's Langevin dynamics.
 
-The monitored mass (mode 1) obeys, after removing the static force through
-the equilibrium shift,
-
-    dx = (p/m) dt + hbar dW3
-    dp = (-(m Omega^2 + K) x - eta p) dt + dXi - hbar dW1,
-
-where (dW1..dW4) are correlated increments with E[dW_i dW_j] = gamma_ij dt
-and dXi is classical white thermal noise of intensity 2 eta m kB T. The
-gravitational and thermal noises are independent. x is the deviation from
-the shifted equilibrium, so a trajectory started at rest without noise stays
-at rest.
+The monitored mass (mode 1) obeys dz = A z dt + dN over z = (x, p): the
+partner-fixed drift A and gravitational noise rate D of
+:func:`gravdiff.model.langevin_model`, which the spectra read too, plus
+classical white thermal noise of intensity 2 eta m kB T, independent of the
+gravitational noise, on the momentum :func:`~gravdiff.model.mobile_momenta`
+names. x is the deviation from the equilibrium shifted by the static force,
+so a trajectory started at rest without noise stays at rest.
 
 Integration is exact (exact Ornstein-Uhlenbeck updating, D. T. Gillespie,
 PRE 54:2084, 1996): the pair (Phi, Q) from :func:`gravdiff.model.propagator`
@@ -70,8 +66,8 @@ from .model import (
     DiffusionMatrix,
     LinearizedSystem,
     PhysicalSetup,
-    langevin_diffusion,
-    langevin_drift,
+    langevin_model,
+    mobile_momenta,
     propagator,
 )
 from .spectra import NoiseSpectrum
@@ -86,8 +82,8 @@ __all__ = [
     "reheating_run",
     "desk_rescale",
     "effective_frequency",
+    "step_limit",
     "phonon_heating_rate",
-    "diffusion_2x2",
     "stationary_covariance",
     "write_raw_trajectories",
     "read_raw_trajectories",
@@ -275,12 +271,23 @@ def _energy_form(setup: PhysicalSetup, sys: LinearizedSystem) -> tuple[np.ndarra
     return np.diag([0.5 * m * om_eff**2, 0.5 / m]), setup.hbar * om_eff
 
 
-def diffusion_2x2(setup: PhysicalSetup, noise: NoiseModel) -> np.ndarray:
-    """Noise covariance rate D of (x, p): the drift-augmented covariance ODE
-    dV/dt = A V + V A^T + D is the moment oracle for the sampler."""
-    D = langevin_diffusion(setup, noise.gamma.matrix, partner_fixed=True)
-    D[1, 1] += noise.thermal_intensity
-    return D
+def _monitored_model(setup: PhysicalSetup, sys: LinearizedSystem,
+                     noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """(A, D) of (x, p) with the white thermal force: dV/dt = A V + V A^T + D
+    is the moment oracle for the sampler."""
+    A, D = langevin_model(setup, sys, noise.gamma.matrix, partner_fixed=True)
+    for i, _ in mobile_momenta(setup, partner_fixed=True):
+        D[i, i] += noise.thermal_intensity
+    return A, D
+
+
+def step_limit(setup: PhysicalSetup, sys: LinearizedSystem) -> float:
+    """The sampler's largest step [s]: 1% of the fastest timescale,
+    0.01 * min(2 pi / Omega_eff, 1/eta)."""
+    limit = 0.01 * 2.0 * np.pi / effective_frequency(sys)
+    if setup.eta > 0:
+        limit = min(limit, 0.01 / setup.eta)
+    return limit
 
 
 def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
@@ -292,8 +299,7 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
     V_xx = (a V_pp - eta V_xp + D_xp)/b. This stays exact at the Table-1
     pendulum's eta = 5e-11 Omega, where a general Lyapunov solver loses V.
     """
-    A = langevin_drift(setup, sys, partner_fixed=True)
-    D = diffusion_2x2(setup, noise)
+    A, D = _monitored_model(setup, sys, noise)
     if np.linalg.norm(D) == 0.0:
         return np.zeros((2, 2))
     if setup.eta <= 0.0:
@@ -329,17 +335,16 @@ def simulate(
         produced in batches is bit-identical to one single run: batching and
         scheduling cannot change results.
 
-    Raises StabilityError when dt exceeds 1% of the fastest timescale
-    min(2 pi / Omega_eff, 1/eta) and SeedError for an empty ensemble.
+    Raises ValueError unless dt and duration are positive and finite,
+    StabilityError when dt exceeds :func:`step_limit` and SeedError for an
+    empty ensemble.
     """
     if n_traj <= 0:
         raise SeedError("ensemble must contain at least one trajectory")
-    if dt <= 0 or duration <= 0:
-        raise ValueError("dt and duration must be positive")
-    om_eff = effective_frequency(sys)
-    limit = 0.01 * (2.0 * np.pi / om_eff)
-    if setup.eta > 0:
-        limit = min(limit, 0.01 / setup.eta)
+    for name, value in (("dt", dt), ("duration", duration)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    limit = step_limit(setup, sys)
     if dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt = {dt:.3e} exceeds 0.01 * min(2 pi/Omega, 1/eta) = {limit:.3e}")
 
@@ -347,8 +352,7 @@ def simulate(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    Phi, Q = propagator(langevin_drift(setup, sys, partner_fixed=True),
-                        diffusion_2x2(setup, noise), dt)
+    Phi, Q = propagator(*_monitored_model(setup, sys, noise), dt)
 
     V0 = np.zeros((2, 2))
     z0 = np.zeros(2)
@@ -460,19 +464,20 @@ def reheating_run(
     Gamma_hat = <n_hat>/cycle_time estimates the total heating rate; the
     quoted relative error is the standard error of that mean across cycles.
 
-    Requires cycle_time < 0.1 / eta so damping does not bend the growth.
+    Requires 0 < cycle_time < 0.1 / eta so damping does not bend the growth.
     """
     if n_cycles < 2:
         raise SeedError("need at least two cycles to estimate a rate")
     if not 0.0 <= detector_noise_N < np.inf:
         raise ValueError(f"detector_noise_N must be non-negative and finite, got {detector_noise_N}")
+    if not 0.0 < cycle_time < np.inf:
+        raise ValueError(f"cycle_time must be positive and finite, got {cycle_time}")
     if setup.eta > 0 and cycle_time >= 0.1 / setup.eta:
         raise ProtocolError(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"
         )
     W, quantum = _energy_form(setup, sys)
-    Phi, Q = propagator(langevin_drift(setup, sys, partner_fixed=True),
-                        diffusion_2x2(setup, noise), cycle_time)
+    Phi, Q = propagator(*_monitored_model(setup, sys, noise), cycle_time)
     V_g = 0.25 * quantum * np.linalg.inv(W)
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
 
@@ -499,7 +504,7 @@ def phonon_heating_rate(setup: PhysicalSetup, sys: LinearizedSystem,
     energy growth of the sampler divided by the quantum.
     """
     W, quantum = _energy_form(setup, sys)
-    return float(np.trace(W @ diffusion_2x2(setup, noise)) / quantum)
+    return float(np.trace(W @ _monitored_model(setup, sys, noise)[1]) / quantum)
 
 
 def desk_rescale(setup: PhysicalSetup, gamma: DiffusionMatrix,

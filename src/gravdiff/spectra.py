@@ -13,15 +13,16 @@ factor w; this form is the one consistent with the spectrum and with the
 classical limit.)
 
 Both models are linear Langevin systems with the damped drift A and noise
-rate D = hbar^2 J gamma J^T of :func:`gravdiff.model.langevin_drift` and
-:func:`~gravdiff.model.langevin_diffusion`, plus S_xi on each mobile body's
-momentum. Their spectrum is the resolvent form (C. W. Gardiner, Handbook of
-Stochastic Methods, sec. 4.4)
+rate D = hbar^2 J gamma J^T of :func:`gravdiff.model.langevin_model`, the
+builder the sampler reads too, plus S_xi on each momentum that
+:func:`gravdiff.model.mobile_momenta` names, with that body's mass. Their
+spectrum is the resolvent form (C. W. Gardiner, Handbook of Stochastic
+Methods, sec. 4.4)
 
     S(w) = (-i w - A)^{-1} D(w) (i w - A^T)^{-1},
 
-evaluated on each additive part of D for the component breakdown. The
-closed forms of both models serve the test suite as oracles.
+evaluated on each additive part of D, built as one stack, for the component
+breakdown. The closed forms of both models serve the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .model import (
     DiffusionMatrix,
     LinearizedSystem,
     PhysicalSetup,
-    langevin_diffusion,
-    langevin_drift,
+    langevin_model,
+    mobile_momenta,
 )
 
 __all__ = [
@@ -132,18 +133,14 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
                         omega_grid, partner_fixed: bool) -> NoiseSpectrum:
     """S_x1x1(w) = Re[r D(w) r^H] with r = row 0 of (-i w - A)^{-1}, per part of D."""
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    A = langevin_drift(setup, sys, partner_fixed)
-    n = len(A)
     g = gamma.matrix
     diag = np.diag(g)
-    parts = np.stack([
-        langevin_diffusion(setup, part, partner_fixed)
-        for part in (np.diag(diag * [1.0, 1.0, 0.0, 0.0]),   # position diffusion
-                     np.diag(diag * [0.0, 0.0, 1.0, 1.0]),   # momentum diffusion
-                     g - np.diag(diag))                      # every cross entry
-    ])
-    # Thermal force on each mobile body's momentum, with that body's mass.
-    masses = (setup.m1,) if partner_fixed else (setup.m1, setup.m2)
+    A, parts = langevin_model(setup, sys, np.stack([
+        np.diag(diag * [1.0, 1.0, 0.0, 0.0]),   # position diffusion
+        np.diag(diag * [0.0, 0.0, 1.0, 1.0]),   # momentum diffusion
+        g - np.diag(diag),                      # every cross entry
+    ]), partner_fixed)
+    n = len(A)
 
     S_total, S_gp, S_gm, S_th, S_cr = np.empty((5, len(w)))
     substituted = False
@@ -159,10 +156,10 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
             raise DomainError("spectrum diverges: an undamped resonance lies on the grid") from None
         S_gp[cut], S_gm[cut], S_cr[cut] = np.real(np.sum((r @ parts) * r.conj(), axis=-1))
         S_th[cut] = 0.0
-        for j, m in enumerate(masses):
+        for i, m in mobile_momenta(setup, partner_fixed):
             kernel, substituted_here = _coth_term(wb, setup, m)
             substituted |= substituted_here
-            S_th[cut] += setup.hbar**2 * np.abs(r[:, len(masses) + j]) ** 2 * kernel
+            S_th[cut] += setup.hbar**2 * np.abs(r[:, i]) ** 2 * kernel
         S_total[cut] = S_gp[cut] + S_gm[cut] + S_th[cut] + S_cr[cut]
     return NoiseSpectrum(
         omega=w,

@@ -152,11 +152,10 @@ def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
     model pieces (Phi, Q, V0) with the sampler but not its blocked
     propagator. Returns the (x, p) arrays, one row per trajectory.
     """
-    from gravdiff.model import langevin_drift, propagator
-    from gravdiff.montecarlo import _noise_factor, diffusion_2x2, stationary_covariance
+    from gravdiff.model import propagator
+    from gravdiff.montecarlo import _monitored_model, _noise_factor, stationary_covariance
     n_steps = int(round(duration / dt))
-    A = langevin_drift(setup, sys, partner_fixed=True)
-    Phi, Q = propagator(A, diffusion_2x2(setup, noise), dt)
+    Phi, Q = propagator(*_monitored_model(setup, sys, noise), dt)
     C = _noise_factor(Q)
     V0 = np.zeros((2, 2))
     if init == "stationary" and setup.eta > 0:

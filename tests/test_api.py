@@ -1,6 +1,6 @@
 """The public namespace: every exported name resolves, and the removed
 second forms (SI states, the spectra copy of the detection margin, the
-static-force sampler mode) stay gone."""
+static-force sampler mode, the per-module (A, D) builders) stay gone."""
 
 import dataclasses
 import importlib
@@ -17,7 +17,10 @@ from gravdiff.montecarlo import ReheatResult, simulate
 MODULES = sorted(f"gravdiff.{m.name}" for m in pkgutil.iter_modules(gravdiff.__path__))
 
 REMOVED = {
-    "gravdiff.model": ("from_dimensionless", "state_to_dimensionless", "state_from_dimensionless"),
+    "gravdiff.dynamics": ("_drift_diffusion",),
+    "gravdiff.model": ("from_dimensionless", "state_to_dimensionless", "state_from_dimensionless",
+                       "langevin_drift", "langevin_diffusion"),
+    "gravdiff.montecarlo": ("diffusion_2x2",),
     "gravdiff.spectra": ("DetectionCondition", "detection_condition"),
 }
 

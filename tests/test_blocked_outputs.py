@@ -107,7 +107,7 @@ class TestStreamedCsv:
             assert code == 0
             return peak - 6 * 8 * n                  # the grid and its five spectrum columns
 
-        # Both CSVs exceed the 1 MB chunk the output hash reads at a time.
+        # Both CSVs span many write blocks, each hashed as it is written.
         small, large = work_bytes(16 * B_CSV), work_bytes(40 * B_CSV)
         # one block of the resolvent and of the CSV; stacking the whole
         # (n, 6) table before writing holds 48 B per frequency more

@@ -21,7 +21,7 @@ from gravdiff.model import (
     PhysicalSetup,
     dimensionless_hamiltonian,
     ground_state,
-    langevin_drift,
+    langevin_model,
     linearize,
     pendulum_system,
     propagator,
@@ -136,7 +136,7 @@ class TestLinearizedSystemParameters:
         bare = dataclasses.replace(lab_system, K=0.0)
         assert bare.H[0, 1] == bare.H[1, 0] == 0.0
         np.testing.assert_array_equal(np.diag(bare.H), np.diag(lab_system.H))
-        A = langevin_drift(lab_setup, bare)
+        A, _ = langevin_model(lab_setup, bare, np.zeros((4, 4)))
         assert A[2, 1] == A[3, 0] == 0.0      # no force of one body on the other
 
     def test_h_is_read_only(self, lab_system):
@@ -153,14 +153,14 @@ class TestLinearizedSystemParameters:
 class TestDriftMatrix:
     def test_uncoupled_is_block_decoupled(self):
         setup = PhysicalSetup(m1=1.0, m2=2.0, omega1=3.0, omega2=4.0, d=0.5, G=0.0)
-        A = langevin_drift(setup, linearize(setup))
+        A, _ = langevin_model(setup, linearize(setup), np.zeros((4, 4)))
         # no cross-oscillator entries
         assert A[0, 1] == A[1, 0] == A[2, 3] == A[3, 2] == 0.0
         assert A[0, 3] == A[3, 0] == A[1, 2] == A[2, 1] == 0.0
 
     def test_eigenvalues_are_normal_mode_pairs(self, lab_setup):
         sys = linearize(lab_setup)
-        A = langevin_drift(lab_setup, sys)
+        A, _ = langevin_model(lab_setup, sys, np.zeros((4, 4)))
         eigs = np.linalg.eigvals(A)
         m = lab_setup.m1
         w_plus = np.sqrt(sys.Omega1**2 + sys.K / m)
@@ -170,7 +170,8 @@ class TestDriftMatrix:
         assert np.allclose(np.sort(eigs.imag), expected, rtol=1e-10, atol=1e-12)
 
     def test_trace_free(self, lab_setup, lab_system):
-        assert np.trace(langevin_drift(lab_setup, lab_system)) == pytest.approx(0.0, abs=1e-15)
+        A, _ = langevin_model(lab_setup, lab_system, np.zeros((4, 4)))
+        assert np.trace(A) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSymplecticForm:
@@ -342,7 +343,7 @@ class TestDimensionless:
         # generator keeps its spectrum; catches unequal-mass scaling slips
         setup = PhysicalSetup(m1=1.0, m2=3.0, omega1=0.7, omega2=1.3, d=0.2)
         sys = linearize(setup)
-        A_si = langevin_drift(setup, sys)
+        A_si, _ = langevin_model(setup, sys, np.zeros((4, 4)))
         A_dimless = symplectic_form() @ dimensionless_hamiltonian(sys)
         e1 = np.sort(np.linalg.eigvals(A_si).imag)
         e2 = np.sort(np.linalg.eigvals(A_dimless).imag)

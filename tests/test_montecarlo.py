@@ -14,7 +14,6 @@ from gravdiff.errors import ConfigError, ProtocolError, SeedError, StabilityErro
 from gravdiff.model import (
     DiffusionMatrix,
     PhysicalSetup,
-    langevin_drift,
     linearize,
     pendulum_system,
     propagator,
@@ -24,18 +23,19 @@ from gravdiff.montecarlo import (
     NoiseModel,
     TrajectoryEnsemble,
     desk_rescale,
-    diffusion_2x2,
     effective_frequency,
     phonon_heating_rate,
     read_raw_trajectories,
     reheating_run,
     simulate,
     stationary_covariance,
+    step_limit,
     welch_spectrum,
     write_raw_trajectories,
     _BLOCK_STEPS,
     _CHUNK_BLOCKS,
     _levels,
+    _monitored_model,
     _noise_factor,
     _propagate,
 )
@@ -108,7 +108,8 @@ class TestStationaryCovariance:
             gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=10 ** rng.uniform(40, 62))[0])
             noise = NoiseModel.from_setup(setup, gamma, seed=1)
             V = stationary_covariance(setup, sys, noise)
-            V_ref = solve_continuous_lyapunov(langevin_drift(setup, sys, partner_fixed=True), -diffusion_2x2(setup, noise))
+            A, D = _monitored_model(setup, sys, noise)
+            V_ref = solve_continuous_lyapunov(A, -D)
             assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
 
     def test_table1_pendulum_positive_definite(self):
@@ -121,7 +122,7 @@ class TestStationaryCovariance:
         sys = pendulum_system(setup, p.Omega)
         noise = NoiseModel.from_setup(setup, minimal_diffusion(setup, "position-only"), seed=1)
         V = stationary_covariance(setup, sys, noise)
-        A, D = langevin_drift(setup, sys, partner_fixed=True), diffusion_2x2(setup, noise)
+        A, D = _monitored_model(setup, sys, noise)
         assert np.all(np.linalg.eigvalsh(V) > 0.0)
         assert np.linalg.norm(A @ V + V @ A.T + D) <= 1e-12 * np.linalg.norm(D)
         # thermal equipartition dominates: V_pp = m kB T
@@ -206,8 +207,7 @@ class TestSimulateStatistics:
         t_end = 2.0
         ens = simulate(setup, sys, noise, n_traj=512, dt=0.002, duration=t_end,
                        init=(x0, p0))
-        A = langevin_drift(setup, sys, partner_fixed=True)
-        D = diffusion_2x2(setup, noise)
+        A, D = _monitored_model(setup, sys, noise)
         mean_oracle = expm(A * t_end) @ np.array([x0, p0])
         V_oracle = lyapunov_oracle(A, D, np.zeros((2, 2)), t_end)
         xf, pf = ens.x[:, -1], ens.p[:, -1]
@@ -229,7 +229,7 @@ class TestSimulateStatistics:
         dt = 0.004
         ens = simulate(setup, sys, noise, n_traj=20000, dt=dt, duration=dt,
                        init=(0.0, 0.0))
-        _, Q = propagator(langevin_drift(setup, sys, partner_fixed=True), diffusion_2x2(setup, noise), dt)
+        _, Q = propagator(*_monitored_model(setup, sys, noise), dt)
         z = np.stack([ens.x[:, 1], ens.p[:, 1]])
         n = z.shape[1]
         S = z @ z.T / n
@@ -292,6 +292,22 @@ class TestSimulateStatistics:
         with pytest.raises(ValueError):
             simulate(setup, sys, zero_noise(), n_traj=1, dt=0.001, duration=1.0,
                      init="warm")
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["dt", "duration"])
+    def test_bad_time_argument(self, name, value):
+        setup = desk_pair()
+        times = {"dt": 0.001, "duration": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            simulate(setup, linearize(setup), zero_noise(), n_traj=1, **times)
+
+    def test_step_limit_halved_is_the_cli_default(self, rng):
+        # 0.005 * 2 pi / Omega_eff and 0.005 / eta, as the CLI wrote them
+        for _ in range(200):
+            setup = desk_pair(Q=10 ** rng.uniform(-1.0, 4.0), omega=10 ** rng.uniform(-4.0, 4.0))
+            sys = linearize(setup)
+            default = min(0.005 * 2.0 * np.pi / effective_frequency(sys), 0.005 / setup.eta)
+            assert 0.5 * step_limit(setup, sys) == default
 
 
 def near_critical_case():
@@ -551,6 +567,13 @@ class TestReheat:
         setup = self.protocol_setup()
         with pytest.raises(ValueError):
             reheating_run(setup, linearize(setup), zero_noise(), n_cycles=10**19, cycle_time=1.0)
+
+    @pytest.mark.parametrize("cycle_time", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_cycle_time(self, cycle_time):
+        setup = self.protocol_setup()
+        with pytest.raises(ValueError, match="cycle_time must be positive and finite"):
+            reheating_run(setup, linearize(setup), zero_noise(), n_cycles=10,
+                          cycle_time=cycle_time)
 
     @pytest.mark.parametrize("detector_noise", [-5.0, float("nan"), float("inf")])
     def test_detector_noise_guard(self, detector_noise):

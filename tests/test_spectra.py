@@ -12,10 +12,10 @@ from gravdiff.errors import DomainError
 from gravdiff.model import (
     DiffusionMatrix,
     PhysicalSetup,
-    langevin_diffusion,
-    langevin_drift,
+    langevin_model,
     linearize,
 )
+from gravdiff.montecarlo import NoiseModel, effective_frequency, stationary_covariance
 from gravdiff.spectra import (
     dns_fixed_source,
     dns_symmetric_pair,
@@ -170,6 +170,25 @@ class TestFixedSource:
         S = thermal_force_density(w, setup)
         assert np.allclose(S, 2 * setup.eta * setup.m1 * setup.kB * setup.T, rtol=1e-3, atol=0.0)
 
+    def test_variance_matches_sampler_stationary_covariance(self, rng):
+        # the spectra and the sampler build the monitored oscillator in
+        # different modules: int S_total dw / 2 pi is the sampler's
+        # stationary V_xx, with a white thermal force as kB T >> hbar Omega
+        for _ in range(6):
+            setup = damped_setup(eta=10 ** rng.uniform(-2.0, -0.5), T=rng.uniform(1.0, 300.0),
+                                 kbar=rng.uniform(0.0, 0.3))
+            sys = linearize(setup)
+            gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=10 ** rng.uniform(44, 50))[0])
+            om = effective_frequency(sys)
+            assert setup.hbar * om < 1e-9 * setup.kB * setup.T
+
+            def f(wi):  # S(w) + S(-w): the w < 0 half folded onto w > 0
+                return dns_fixed_source(setup, sys, gamma, np.array([wi, -wi])).S_total.sum()
+            peak = quad(f, 0.0, 3.0 * om, points=[om], limit=400, epsabs=0.0, epsrel=1e-12)[0]
+            tail = quad(f, 3.0 * om, np.inf, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+            V = stationary_covariance(setup, sys, NoiseModel.from_setup(setup, gamma, seed=1))
+            assert (peak + tail) / (2.0 * np.pi) == pytest.approx(V[0, 0], rel=1e-8, abs=0.0)
+
 
 class TestSymmetricPair:
     def test_decoupled_matches_fixed_source(self, rng):
@@ -207,7 +226,7 @@ class TestSymmetricPair:
         sys = linearize(setup)
         assert sys.Omega1 != sys.Omega2
         gamma = DiffusionMatrix(random_psd_batch(rng, 1, scale=1e58)[0])
-        A = langevin_drift(setup, sys)
+        A, D_grav = langevin_model(setup, sys, gamma.matrix)
         modes = np.unique(np.abs(np.linalg.eigvals(A).imag))
         top = 3.0 * modes.max()
 
@@ -218,7 +237,6 @@ class TestSymmetricPair:
             tail = quad(f, top, np.inf, limit=400, epsabs=0.0, epsrel=1e-12)[0]
             return (peaks + tail) / (2.0 * np.pi)
 
-        D_grav = langevin_diffusion(setup, gamma.matrix)
         assert variance(lambda s: s.S_grav_position + s.S_grav_momentum + s.S_cross) == \
             pytest.approx(solve_continuous_lyapunov(A, -D_grav)[0, 0], rel=1e-8, abs=0.0)
         kT = setup.kB * setup.T
