@@ -14,8 +14,9 @@ bytes as ``repr``, computed for a whole block of rows in one vectorized pass
 by ``gravdiff.ryu`` (Ryu's algorithm, Adams, PLDI 2018); the tests hold it
 against ``repr`` as the oracle. The table, a 2-D array, a list of rows or a
 ``ColumnTable``, is checked for NaN and infinity block by block before the
-file is opened, then formatted and written in blocks of at most 1024 rows
-and 4096 values, so the writer's memory does not grow with the table.
+file is opened, then formatted and written in as few blocks as hold at most
+1024 rows and 5120 values each, their sizes within one row of each other, so
+the writer's memory does not grow with the table.
 JSON is UTF-8 with sorted keys. Neither writer accepts NaN or infinity: a
 non-finite value raises DomainError and leaves no file. The tool version is
 the package's ``__version__``.
@@ -59,11 +60,11 @@ def _write_hashed(path, chunks) -> str:
     return h.hexdigest()
 
 
-# Rows checked, formatted and written per block, and at most this many
-# values per block: bounds the writer's work memory (about 190 B per value
+# At most this many rows, and at most this many values, checked, formatted
+# and written per block: bounds the writer's work memory (about 190 B per value
 # while formatting) to one block whatever the table's length and width.
 _CSV_BLOCK_ROWS = 1024
-_CSV_BLOCK_VALUES = 4096
+_CSV_BLOCK_VALUES = 5120
 
 
 class ColumnTable:
@@ -93,11 +94,16 @@ def write_csv(path, header, rows, preamble: str | None = None) -> str:
     lead = ["# " + preamble] if preamble else []
     lead.append(",".join(header))
     width = len(header)
-    step = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_VALUES // width))
+    # As few blocks as the bounds allow, their sizes within one row of each
+    # other: each block's formatting call has a fixed cost, so a short
+    # remainder block would cost about as much as a full one.
+    n = len(rows)
+    n_blocks = -(-n // max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_VALUES // width)))
 
     def blocks():
-        for start in range(0, len(rows), step):
-            block = np.asarray(rows[start:start + step], dtype=float)
+        for i in range(n_blocks):
+            start, stop = i * n // n_blocks, (i + 1) * n // n_blocks
+            block = np.asarray(rows[start:stop], dtype=float)
             yield start, block.reshape(len(block), width)
 
     for start, block in blocks():

@@ -53,6 +53,7 @@ readout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -101,6 +102,9 @@ _DOMAIN_CYCLE = 1 << 56
 # per matrix product. Together they fix the shape of every BLAS call.
 _BLOCK_STEPS = 16
 _CHUNK_BLOCKS = 256
+
+# Welch constants kept for this many (segment length, step) pairs.
+_WELCH_CACHE = 4
 
 
 def _noise_factor(V: np.ndarray) -> np.ndarray:
@@ -299,10 +303,14 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
     V_xx = (a V_pp - eta V_xp + D_xp)/b. This stays exact at the Table-1
     pendulum's eta = 5e-11 Omega, where a general Lyapunov solver loses V.
     """
-    A, D = _monitored_model(setup, sys, noise)
+    return _stationary(*_monitored_model(setup, sys, noise), setup.eta)
+
+
+def _stationary(A: np.ndarray, D: np.ndarray, eta: float) -> np.ndarray:
+    """:func:`stationary_covariance` of the model (A, D) with damping eta."""
     if np.linalg.norm(D) == 0.0:
         return np.zeros((2, 2))
-    if setup.eta <= 0.0:
+    if eta <= 0.0:
         raise StabilityError("no stationary state: eta = 0 with non-zero noise")
     a, b, eta = A[0, 1], -A[1, 0], -A[1, 1]
     V_xp = -D[0, 0] / (2.0 * a)
@@ -335,9 +343,9 @@ def simulate(
         produced in batches is bit-identical to one single run: batching and
         scheduling cannot change results.
 
-    Raises ValueError unless dt and duration are positive and finite,
-    StabilityError when dt exceeds :func:`step_limit` and SeedError for an
-    empty ensemble.
+    Raises ValueError unless dt and duration are positive and finite and a
+    pair ``init`` is finite, StabilityError when dt exceeds
+    :func:`step_limit` and SeedError for an empty ensemble.
     """
     if n_traj <= 0:
         raise SeedError("ensemble must contain at least one trajectory")
@@ -352,20 +360,21 @@ def simulate(
     if n_steps < 1:
         raise ValueError("duration shorter than one step")
 
-    Phi, Q = propagator(*_monitored_model(setup, sys, noise), dt)
-
-    V0 = np.zeros((2, 2))
+    stationary = False
     z0 = np.zeros(2)
     if isinstance(init, str):
-        if init == "stationary":
-            if setup.eta > 0:
-                V0 = stationary_covariance(setup, sys, noise)
-        elif init != "rest":
+        if init not in ("stationary", "rest"):
             raise ValueError(f"unknown init mode {init!r}")
+        stationary = init == "stationary" and setup.eta > 0
     else:
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
+        if not np.isfinite(z0).all():
+            raise ValueError(f"init must be finite, got {init!r}")
 
+    A, D = _monitored_model(setup, sys, noise)
+    Phi, Q = propagator(A, D, dt)
+    V0 = _stationary(A, D, setup.eta) if stationary else np.zeros((2, 2))
     C = _noise_factor(Q)
     L0 = _noise_factor(V0) if np.any(V0) else None
     n_init = 0 if L0 is None else 2
@@ -375,8 +384,10 @@ def simulate(
     # zs[:, k, j] is the state z of trajectory k at step j, so
     # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
     zs = np.empty((2, n_traj, n_steps + 1))
-    # One trajectory's draws, zero beyond the run to a whole number of chunks.
-    draws = np.zeros(n_init + 2 * span * -(-n_steps // span))
+    # One trajectory's draws: its first n_draws are refilled from its stream,
+    # the rest stay zero to a whole number of chunks.
+    draws = np.empty(n_init + 2 * span * -(-n_steps // span))
+    draws[n_draws:] = 0.0
     for k in range(n_traj):
         if n_draws:
             noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
@@ -408,6 +419,21 @@ def welch_segments(n_samples: int, segment_len: int, overlap: float) -> tuple[in
     return (n_samples - segment_len) // hop + 1, hop
 
 
+@functools.lru_cache(maxsize=_WELCH_CACHE)
+def _welch_constants(L: int, dt: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """(window, sum of its squares, grid) of :func:`welch_spectrum`: the
+    periodic Hann window of length L and the angular grid sorted by
+    increasing omega, 2 pi k / (L dt) for k = -floor(L/2) ... ceil(L/2) - 1.
+    The grid is evaluated as 2 pi fftshift(fftfreq(L, dt)) evaluates it,
+    2 pi (k (1 / (L dt))), so it has the same bits. Both arrays are backed by
+    immutable bytes, so no caller can make them writeable and change what a
+    later call returns."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
+    omega = 2.0 * np.pi * (np.arange(-(L // 2), (L + 1) // 2) * (1.0 / (L * dt)))
+    return (np.frombuffer(window.tobytes()), float((window * window).sum()),
+            np.frombuffer(omega.tobytes()))
+
+
 def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
                    overlap: float = 0.5) -> NoiseSpectrum:
     """Hann-windowed, overlap- and ensemble-averaged two-sided periodogram.
@@ -419,18 +445,22 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
     ``segment_len - int(overlap * segment_len)`` samples, are not detrended
     and are transformed one trajectory at a time, so the working memory is
     that of one trajectory's segments.
+
+    The window, its power sum and the grid are built once per segment length
+    and step, on first use, and kept read-only for the 4 most recent
+    (segment length, step) pairs: at most 4 x 16 L bytes for segments of at
+    most L samples. The outputs are those of building them on every call.
     """
     n_seg, hop = welch_segments(ens.x.shape[1], segment_len, overlap)
     L = segment_len
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)   # periodic Hann
+    window, window_power, omega = _welch_constants(L, ens.dt)
     power = np.zeros(L // 2 + 1)
     for x in ens.x:
         X = np.fft.rfft(sliding_window_view(x, L)[::hop] * window, axis=-1)
         power += (X.real**2 + X.imag**2).sum(axis=0)
-    power *= ens.dt / (window * window).sum() / (n_seg * ens.n_traj)
+    power *= ens.dt / window_power / (n_seg * ens.n_traj)
     # A real input has S(-omega) = S(omega): mirror the non-negative bins.
     S = np.concatenate([power[1:L // 2 + 1][::-1], power[:(L + 1) // 2]])
-    omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(L, ens.dt))
     return NoiseSpectrum(omega=omega, S_total=S)
 
 

@@ -79,11 +79,14 @@ class TestStreamedCsv:
             table = np.random.default_rng(1).standard_normal((n, 6))
             return traced_peak(lambda: write_csv(tmp_path / "w.csv", "abcdef", table))[1]
 
-        short, long = work_bytes(2 * B_CSV), work_bytes(20 * B_CSV)
-        # one block's Python floats and text; a one-shot writer holds the
-        # whole table's (7.9 MB more for the long one, measured)
-        assert short < 2_000_000
-        assert abs(long - short) <= 65_536
+        # two full blocks bound the work memory (one formatted while the
+        # other's text is written): the balanced blocks of any longer table
+        # are no larger; a one-shot writer holds the whole table's Python
+        # floats and text (7.9 MB more at 20 B_CSV, measured)
+        full = work_bytes(2 * (manifest._CSV_BLOCK_VALUES // 6))
+        assert full < 2_000_000
+        for n in (2 * B_CSV, 20 * B_CSV):
+            assert work_bytes(n) <= full + 65_536
 
     def test_wide_table_work_memory_independent_of_rows(self, tmp_path):
         # evolve's 13 columns: blocks hold a bounded number of values, not rows
@@ -91,9 +94,36 @@ class TestStreamedCsv:
             table = np.random.default_rng(1).standard_normal((n, 13))
             return traced_peak(lambda: write_csv(tmp_path / "w.csv", "abcdefghijklm", table))[1]
 
-        short, long = work_bytes(2 * B_CSV), work_bytes(20 * B_CSV)
-        assert short < 2_000_000
-        assert abs(long - short) <= 65_536
+        full = work_bytes(2 * (manifest._CSV_BLOCK_VALUES // 13))
+        assert full < 2_000_000
+        for n in (2 * B_CSV, 20 * B_CSV):
+            assert work_bytes(n) <= full + 65_536
+
+    @pytest.mark.parametrize("n,width,calls", [
+        (2048, 6, 3),                        # the spectrum's default grid
+        (2001, 5, 2),                        # simulate's summary at 2000 steps
+        (32, 11, 1),                         # the sweep table
+        (0, 3, 0),
+        (1, 9000, 1),                        # wider than a block: one row each
+        (3, 9000, 3),
+        (5 * B_CSV + 1, 2, 6),               # held by the row bound
+    ])
+    def test_balanced_blocks_one_formatting_call_each(self, tmp_path, monkeypatch,
+                                                      n, width, calls):
+        rows, repr_lines = [], manifest.repr_lines
+
+        def counting(block):
+            rows.append(len(block))
+            return repr_lines(block)
+
+        monkeypatch.setattr(manifest, "repr_lines", counting)
+        table = np.random.default_rng(n).standard_normal((n, width))
+        header = [f"c{i}" for i in range(width)]
+        write_csv(tmp_path / "b.csv", header, table)
+        assert len(rows) == calls and sum(rows) == n
+        assert max(rows, default=0) - min(rows, default=0) <= 1
+        assert max(rows, default=0) <= max(1, min(B_CSV, manifest._CSV_BLOCK_VALUES // width))
+        assert (tmp_path / "b.csv").read_bytes() == one_shot_csv(header, table)
 
     def test_spectrum_command_work_memory_independent_of_grid(self, tmp_path):
         cfg = tmp_path / "pair.cfg"

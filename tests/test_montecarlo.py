@@ -301,6 +301,14 @@ class TestSimulateStatistics:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             simulate(setup, linearize(setup), zero_noise(), n_traj=1, **times)
 
+    @pytest.mark.parametrize("init", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                      (0.0, float("-inf"))])
+    def test_non_finite_init_pair(self, init):
+        setup = desk_pair()
+        with pytest.raises(ValueError, match="init must be finite"):
+            simulate(setup, linearize(setup), zero_noise(), n_traj=1, dt=0.001,
+                     duration=1.0, init=init)
+
     def test_step_limit_halved_is_the_cli_default(self, rng):
         # 0.005 * 2 pi / Omega_eff and 0.005 / eta, as the CLI wrote them
         for _ in range(200):
@@ -497,6 +505,54 @@ class TestWelch:
         assert spec.omega.shape == omega_ref.shape == (segment_len,)
         assert np.max(np.abs(spec.omega - omega_ref)) <= 1e-12 * np.max(np.abs(omega_ref))
         assert np.max(np.abs(spec.S_total - S_ref)) <= 1e-12 * np.max(S_ref)
+
+    @staticmethod
+    def reference_welch(ens, L, overlap):
+        """Welch with the window and grid built on every call."""
+        hop = L - int(overlap * L)
+        n_seg = (ens.x.shape[1] - L) // hop + 1
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
+        power = np.zeros(L // 2 + 1)
+        for x in ens.x:
+            X = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(x, L)[::hop] * window,
+                            axis=-1)
+            power += (X.real**2 + X.imag**2).sum(axis=0)
+        power *= ens.dt / (window * window).sum() / (n_seg * ens.n_traj)
+        S = np.concatenate([power[1:L // 2 + 1][::-1], power[:(L + 1) // 2]])
+        return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(L, ens.dt)), S
+
+    def test_same_bits_as_per_call_window_and_grid(self):
+        # alternating lengths and steps: a stale cached window or grid would show
+        cases = [(L, ov, n_traj, dt)
+                 for dt in (0.01, 1.0 / 128.0)
+                 for L in (256, 255, 1000, 7)
+                 for ov in (0.0, 0.5)
+                 for n_traj in (1, 3)]
+        for L, ov, n_traj, dt in cases + cases[::-1]:
+            ens = self.white_ensemble(1.3, dt=dt, n_traj=n_traj, n_samples=2000, seed=L)
+            spec = welch_spectrum(ens, segment_len=L, overlap=ov)
+            omega, S = self.reference_welch(ens, L, ov)
+            assert np.array_equal(spec.S_total, S), (L, ov, n_traj, dt)
+            assert np.array_equal(spec.omega, omega), (L, ov, n_traj, dt)
+
+    def test_outputs_read_only_and_cache_unchangeable(self):
+        ens = self.white_ensemble(1.0, n_traj=2, n_samples=1000)
+        first = welch_spectrum(ens, segment_len=100)
+        omega, S = first.omega.copy(), first.S_total.copy()
+        for arr in (first.omega, first.S_total):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the grid is shared with later calls: no array along its base chain
+        # can be made writeable
+        arr = first.omega
+        while isinstance(arr, np.ndarray):
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+            arr = arr.base
+        first.S_total.setflags(write=True)     # a fresh array, the caller's own
+        first.S_total[:] = 0.0
+        again = welch_spectrum(ens, segment_len=100)
+        assert np.array_equal(again.omega, omega) and np.array_equal(again.S_total, S)
 
     def test_segmentation_errors(self):
         ens = self.white_ensemble(1.0, n_samples=1000)
