@@ -66,13 +66,8 @@ class BoundReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "satisfied": self.satisfied,
-        }
+        """The fields by name, as a shallow copy."""
+        return dict(vars(self))
 
 
 def _report(bound_id: str, lhs: float, rhs: float) -> BoundReport:

@@ -3,13 +3,13 @@
 Subcommands: linearize, bound, evolve, spectrum, simulate, reheat,
 feasibility, sweep. Each run resolves its parameters from a flat key-value
 config file (see gravdiff.config for the key table) or the built-in
-reference pendulum design (--table1) and hands its outputs to one emit
-path, which writes them as CSV/JSON and then a manifest recording the
-resolved parameters, the master seed, the tool version, the input hash and
-each output's hash.
+Table-1 config (--table1) and hands its outputs to one emit path, which
+writes them as CSV/JSON and then a manifest recording the resolved
+parameters, the master seed, the tool version, the input hash and each
+output's hash. The parser checks each flag's own domain as it reads it.
 
-Exit codes: 0 success, 2 configuration problems (including a config value
-out of its domain and a run too large to allocate), 3 numeric/stability
+Exit codes: 0 success, 2 configuration problems (including a flag or config
+value out of its domain and a run too large to allocate), 3 numeric/stability
 problems (including arithmetic that overflows or divides by zero on finite
 but extreme values), 4 I/O problems.
 """
@@ -26,10 +26,10 @@ import numpy as np
 
 from . import config as cfgmod
 from . import manifest as mani
-from .bounds import dimensional_bound, final_bound, minimal_diffusion, strongest_bound, weak_bound
+from .bounds import dimensional_bound, final_bound, strongest_bound, weak_bound
 from .dynamics import EvolutionResult, evolve_covariance
 from .errors import ConfigError, GravdiffError
-from .feasibility import REFERENCE_PENDULUM, feasibility_report
+from .feasibility import feasibility_report
 from .model import ground_state, linearize, pendulum_system, to_dimensionless
 from .montecarlo import (
     NoiseModel,
@@ -55,23 +55,16 @@ SWEEP_COLUMNS = ("m_kg", "omega_G_per_s", "Gamma_G_per_s", "Gamma_th_per_s", "Q_
 
 def _resolve_inputs(args):
     """(cfg dict, config sha) from --config/--table1."""
-    if getattr(args, "table1", False):
-        p = REFERENCE_PENDULUM
-        cfg = {
-            "m1_kg": p.m, "m2_kg": p.m,
-            "omega1_rad_s": p.Omega, "omega2_rad_s": p.Omega,
-            "d_m": p.d, "eta_per_s": p.eta,
-            **cfgmod.pendulum_config(p),
-        }
-        return cfg, None
-    if getattr(args, "config", None) is None:
+    if args.table1:
+        return dict(cfgmod.TABLE1_CONFIG), None
+    if args.config is None:
         raise ConfigError("either --config FILE or --table1 is required")
     path = Path(args.config)
     cfg = cfgmod.load_config(path)
     return cfg, mani.sha256_file(path)
 
 
-def _spectrum_model(cfg, args):
+def _spectrum_model(cfg):
     """(setup, sys, gamma) for spectrum/simulate/reheat commands."""
     setup = cfgmod.setup_from_config(cfg)
     if "Omega_rad_s" in cfg:
@@ -81,27 +74,7 @@ def _spectrum_model(cfg, args):
             raise ConfigError(f"Omega_rad_s: {exc}") from None
     else:
         sys_lin = linearize(setup)
-    if getattr(args, "table1", False):
-        gamma = minimal_diffusion(setup, "position-only")
-    else:
-        gamma = cfgmod.gamma_from_config(cfg)
-    return setup, sys_lin, gamma
-
-
-def _require_positive(flag: str, value) -> None:
-    """ConfigError naming ``flag`` unless ``value`` is omitted (None) or a
-    positive finite number."""
-    if value is not None and not 0.0 < value < np.inf:
-        raise ConfigError(f"{flag} must be positive and finite, got {value}")
-
-
-def _require_count(flag: str, value: int, least: int, item_bytes: int = 8) -> None:
-    """ConfigError naming ``flag`` unless ``value`` is at least ``least`` and
-    ``value`` items of ``item_bytes`` fit in numpy's largest array."""
-    if value < least:
-        raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    if value * item_bytes > np.iinfo(np.intp).max:
-        raise ConfigError(f"{flag} {value} is too large to run in memory")
+    return setup, sys_lin, cfgmod.gamma_from_config(cfg)
 
 
 def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:
@@ -154,7 +127,7 @@ def cmd_linearize(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg, args)
+    setup, sys_lin, gamma = _spectrum_model(cfg)
     reports = [final_bound(gamma, setup, sys_lin.Omega1)]
     reports.append(dimensional_bound(gamma, sys_lin, paper_literal=args.paper_literal))
     _, gamma_bar = to_dimensionless(sys_lin, gamma)
@@ -173,10 +146,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    _require_positive("--periods", args.periods)
-    _require_positive("--dt", args.dt)
     cfg, sha = _resolve_inputs(args)
-    _, sys_lin, gamma = _spectrum_model(cfg, args)
+    _, sys_lin, gamma = _spectrum_model(cfg)
     period = sys_lin.min_period()
     dt = args.dt if args.dt is not None else 0.002 * period
     t_end = args.periods * period
@@ -193,9 +164,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _require_count("--grid", args.grid, 1)
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg, args)
+    setup, sys_lin, gamma = _spectrum_model(cfg)
     Om = sys_lin.Omega1
     w = np.linspace(0.25 * Om, 2.0 * Om, args.grid)
     if args.model == "fixed":
@@ -213,15 +183,13 @@ def cmd_spectrum(args) -> int:
 def _resolve_seed(args, cfg):
     """--seed wins, then a config 'seed' key, then recorded entropy."""
     if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    elif "seed" in cfg:
-        seed, source = cfg["seed"], "config key 'seed'"
-        if seed >= 2**53:  # a config value is a float, so larger seeds were rounded
-            raise ConfigError(f"{source} must be below 2**53, got {seed:.17g}; use --seed")
-    else:
+        return args.seed
+    if "seed" not in cfg:
         return int.from_bytes(os.urandom(8), "little") & (2**63 - 1)
-    if not (0 <= seed < 2**64 and seed == int(seed)):
-        raise ConfigError(f"{source} must be an integer in [0, 2**64), got {seed!r}")
+    seed = cfg["seed"]  # a float, so seeds from 2**53 on were rounded
+    if not (0 <= seed < 2**53 and seed == int(seed)):
+        raise ConfigError(f"config key 'seed' must be an integer in [0, 2**53), got {seed:.17g}; "
+                          "larger seeds go to --seed")
     return int(seed)
 
 
@@ -250,11 +218,8 @@ def _ensemble_summary(ens) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    _require_count("--traj", args.traj, 1)
-    _require_positive("--dt", args.dt)
-    _require_positive("--duration", args.duration)
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg, args)
+    setup, sys_lin, gamma = _spectrum_model(cfg)
     seed = _resolve_seed(args, cfg)
     noise = NoiseModel.from_setup(setup, gamma, seed)
     om_eff = effective_frequency(sys_lin)
@@ -291,13 +256,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reheat(args) -> int:
-    _require_count("--cycles", args.cycles, 2, item_bytes=24)  # 3 normals per cycle
-    _require_positive("--cycle-time", args.cycle_time)
-    if not 0.0 <= args.detector_noise < np.inf:
-        raise ConfigError(
-            f"--detector-noise must be non-negative and finite, got {args.detector_noise}")
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg, args)
+    setup, sys_lin, gamma = _spectrum_model(cfg)
     seed = _resolve_seed(args, cfg)
     noise = NoiseModel.from_setup(setup, gamma, seed)
     res = reheating_run(setup, sys_lin, noise, args.cycles, args.cycle_time,
@@ -326,28 +286,15 @@ def cmd_feasibility(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    if args.param not in cfgmod.SWEEP_KEYS:
-        raise ConfigError(
-            f"unknown sweep parameter {args.param!r}; choose from {sorted(cfgmod.SWEEP_KEYS)}"
-        )
-    if args.values is not None:
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --values list: {exc}") from exc
-        if not np.isfinite(values).all():
-            raise ConfigError(f"--values must all be finite, got {args.values}")
-    else:
+    values = args.values
+    if values is None:
         if args.start is None or args.stop is None:
             raise ConfigError("sweep needs --values or --start/--stop")
-        _require_count("--num", args.num, 1)
         for flag, value in (("--start", args.start), ("--stop", args.stop)):
-            if not (0.0 if args.log else -np.inf) < value < np.inf:
-                raise ConfigError(f"{flag} must be finite (and positive with --log), got {value}")
+            if args.log and value <= 0.0:
+                raise ConfigError(f"{flag} must be positive with --log, got {value}")
         spacing = np.geomspace if args.log else np.linspace
         values = spacing(args.start, args.stop, args.num).tolist()
-    if not values:
-        raise ConfigError("empty sweep")
 
     rows = []
     for v in values:
@@ -363,6 +310,36 @@ def cmd_sweep(args) -> int:
 
 
 # ------------------------------------------------------------------- parser
+
+def _flag(convert, ok, domain):
+    """argparse ``type=``: ``convert(text)``, refused (exit 2, naming the
+    flag) unless it converts and ``ok`` holds for the value."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+    return parse
+
+
+def _count(least, item_bytes=8):
+    """A count of at least ``least`` whose items of ``item_bytes`` fit in
+    numpy's largest array."""
+    most = np.iinfo(np.intp).max // item_bytes
+    return _flag(int, lambda n: least <= n <= most, f"an integer in [{least}, {most}]")
+
+
+_POSITIVE = _flag(float, lambda v: 0.0 < v < np.inf, "positive and finite")
+_NON_NEGATIVE = _flag(float, lambda v: 0.0 <= v < np.inf, "non-negative and finite")
+_SEED = _flag(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_FINITE = _flag(float, np.isfinite, "finite")
+_VALUES = _flag(lambda text: [float(v) for v in text.split(",") if v.strip()],
+                lambda vs: len(vs) > 0 and np.isfinite(vs).all(),
+                "a non-empty comma-separated list of finite numbers")
+
 
 def _keys_epilog(*groups) -> str:
     keys = []
@@ -383,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_seed=False):
         p.add_argument("--config", help="flat key-value config file (see gravdiff.config docs)")
         p.add_argument("--table1", action="store_true",
-                       help="use the built-in reference pendulum parameter set")
+                       help="use the built-in Table-1 config (gravdiff.config.TABLE1_CONFIG)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if needs_seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_SEED, default=None,
                            help="master seed; omitted -> entropy seed recorded in the manifest")
 
     p = sub.add_parser("linearize",
@@ -405,14 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="propagate the covariance exactly from the ground state",
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
-    p.add_argument("--periods", type=float, default=3.0, help="evolution length in oscillator periods")
-    p.add_argument("--dt", type=float, default=None, help="sampling step [s] (default: period/500)")
+    p.add_argument("--periods", type=_POSITIVE, default=3.0,
+                   help="evolution length in oscillator periods")
+    p.add_argument("--dt", type=_POSITIVE, default=None,
+                   help="sampling step [s] (default: period/500)")
 
     p = sub.add_parser("spectrum",
                        help="analytic displacement-noise spectrum to CSV",
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
     common(p)
-    p.add_argument("--grid", type=int, default=1024, help="number of frequency points")
+    p.add_argument("--grid", type=_count(1), default=1024, help="number of frequency points")
     p.add_argument("--model", choices=("fixed", "pair"), default="fixed",
                    help="fixed partner mass or both masses mobile")
 
@@ -420,10 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
                                            ("Omega_rad_s", "seed")))
     common(p, needs_seed=True)
-    p.add_argument("--traj", type=int, default=64, help="number of trajectories")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--traj", type=_count(1), default=64, help="number of trajectories")
+    p.add_argument("--dt", type=_POSITIVE, default=None,
                    help="step [s] (default: 0.005 * min(2 pi/Omega_eff, 1/eta))")
-    p.add_argument("--duration", type=float, default=None, help="trajectory length [s]")
+    p.add_argument("--duration", type=_POSITIVE, default=None,
+                   help="trajectory length [s] (default: 20/eta, or 50 periods of "
+                        "Omega_eff when eta = 0)")
     p.add_argument("--welch-segment", type=int, default=None,
                    help="Welch segment length in samples (enables spectrum output)")
     p.add_argument("--welch-overlap", type=float, default=0.5)
@@ -433,9 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
                                            ("Omega_rad_s", "seed")))
     common(p, needs_seed=True)
-    p.add_argument("--cycles", type=int, default=256)
-    p.add_argument("--cycle-time", type=float, required=True, help="dark time per cycle [s]")
-    p.add_argument("--detector-noise", type=float, default=1.0, help="readout noise [quanta]")
+    p.add_argument("--cycles", type=_count(2, item_bytes=24), default=256)  # 3 normals per cycle
+    p.add_argument("--cycle-time", type=_POSITIVE, required=True, help="dark time per cycle [s]")
+    p.add_argument("--detector-noise", type=_NON_NEGATIVE, default=1.0,
+                   help="readout noise [quanta]")
 
     p = sub.add_parser("feasibility", help="heating-rate budget and verdict",
                        epilog=_keys_epilog(cfgmod.PENDULUM_KEYS))
@@ -444,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep one design parameter of the feasibility report",
                        epilog=_keys_epilog(cfgmod.PENDULUM_KEYS))
     common(p)
-    p.add_argument("--param", required=True, help="config key to sweep (e.g. Q, T_K, Omega_rad_s)")
-    p.add_argument("--values", default=None, help="comma-separated values")
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--num", type=int, default=16)
+    p.add_argument("--param", required=True, choices=cfgmod.SWEEP_KEYS, help="design dial to sweep")
+    p.add_argument("--values", type=_VALUES, default=None, help="comma-separated values")
+    p.add_argument("--start", type=_FINITE, default=None)
+    p.add_argument("--stop", type=_FINITE, default=None)
+    p.add_argument("--num", type=_count(1), default=16)
     p.add_argument("--log", action="store_true", help="geometric spacing")
 
     return parser
@@ -458,7 +440,8 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
     """Re-run the command recorded in a manifest (optionally into out_dir)."""
     record = mani.load_manifest(manifest_path)
     argv = list(record["argv"])
-    if record.get("seed") is not None and "--seed" not in " ".join(argv):
+    seeded = any(a == "--seed" or a.startswith("--seed=") for a in argv)
+    if record.get("seed") is not None and not seeded:
         argv += ["--seed", str(record["seed"])]
     if out_dir is not None:
         if "--out" in argv:

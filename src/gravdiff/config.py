@@ -27,19 +27,23 @@ G_m3_kg_s2, hbar_Js, kB_J_K  constant overrides (default CODATA)
 ========================  =====================================================
 
 :data:`KNOWN_KEYS` is the registry of these keys; :func:`load_config`
-rejects any other key.
+rejects any other key. :data:`TABLE1_CONFIG` is the built-in Table-1 config
+(``--table1``): the reference torsion pendulum's pair setup, its design dials
+and ``gamma11 = gamma22``, the position-only diffusion at the final bound.
 """
 
 from __future__ import annotations
 
 import difflib
+from types import MappingProxyType
 
 import numpy as np
 
+from .bounds import minimal_diffusion
 from .constants import G_NEWTON, HBAR, KB
 from .errors import ConfigError, DomainError, PSDError
 from .model import DiffusionMatrix, PhysicalSetup, check_constants
-from .feasibility import CONSTANT_FIELDS, DIAL_FIELDS, FeasibilityParams
+from .feasibility import CONSTANT_FIELDS, DIAL_FIELDS, REFERENCE_PENDULUM, FeasibilityParams
 
 __all__ = [
     "KNOWN_KEYS",
@@ -53,7 +57,7 @@ __all__ = [
     "setup_from_config",
     "gamma_from_config",
     "feasibility_from_config",
-    "pendulum_config",
+    "TABLE1_CONFIG",
 ]
 
 SETUP_KEYS = ("m1_kg", "m2_kg", "omega1_rad_s", "omega2_rad_s", "d_m",
@@ -196,7 +200,15 @@ def feasibility_from_config(cfg: dict) -> FeasibilityParams:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def pendulum_config(params: FeasibilityParams) -> dict[str, float]:
-    """The design-dial keys (:data:`SWEEP_KEYS`) of ``params``; with default
-    constants, :func:`feasibility_from_config` rebuilds ``params`` from them."""
-    return {key: getattr(params, _PENDULUM_FIELDS[key]) for key in SWEEP_KEYS}
+def _table1_config() -> MappingProxyType:
+    p = REFERENCE_PENDULUM
+    cfg = {"m1_kg": p.m, "m2_kg": p.m, "omega1_rad_s": p.Omega, "omega2_rad_s": p.Omega,
+           "d_m": p.d, "eta_per_s": p.eta,
+           **{key: getattr(p, _PENDULUM_FIELDS[key]) for key in SWEEP_KEYS}}
+    budget = minimal_diffusion(setup_from_config(cfg), "position-only").matrix[0, 0]
+    cfg["gamma11"] = cfg["gamma22"] = float(budget)
+    return MappingProxyType(cfg)
+
+
+# Read-only; each run takes a copy.
+TABLE1_CONFIG = _table1_config()

@@ -91,16 +91,16 @@ def uncertainty_valid(state: GaussianState, tol: float = EIG_TOL) -> tuple[bool,
     return bool(min_eig >= -tol), min_eig
 
 
-def ppt_separable(state: GaussianState, tol: float = EIG_TOL,
-                  mode: int = 2) -> tuple[bool, float]:
-    """Minimum eigenvalue of V + (i/2) L J L and the separability flag.
+def ppt_separable(state: GaussianState, tol: float = EIG_TOL) -> tuple[bool, float]:
+    """Minimum eigenvalue of V + (i/2) L J L and the separability flag, with
+    L the printed convention's reflection (mode 2; mode 1 gives the same
+    spectrum).
 
     A negative eigenvalue certifies entanglement; a non-negative one is
     reported as PPT-separable, which is necessary and sufficient for a
     1x1-mode Gaussian split.
     """
-    L = ppt_reflector(mode)
-    min_eig = float(_min_eig_hermitian(state.V, L @ _J @ L))
+    min_eig = float(_min_eig_hermitian(state.V, _LJL))
     return bool(min_eig >= -tol), min_eig
 
 

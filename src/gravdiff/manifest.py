@@ -156,16 +156,8 @@ class RunManifest:
         })
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": self.argv,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "outputs": self.outputs,
-            "created_unix": self.created_unix,
-        }
+        """The fields by name, as a shallow copy."""
+        return dict(vars(self))
 
     def write(self, path) -> None:
         write_json(path, self.to_dict())

@@ -586,21 +586,23 @@ def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> str:
 
 
 def read_raw_trajectories(path) -> TrajectoryEnsemble:
-    """Read a record written by :func:`write_raw_trajectories`."""
+    """Read a record written by :func:`write_raw_trajectories`; a file that
+    is not one, has another version or is cut short is a ConfigError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _RAW_MAGIC:
             raise ConfigError(f"not a trajectory record (magic {magic!r})")
-        version, n_traj, n_samples, dt, duration, master_seed = struct.unpack(
-            "<IQQddQ", fh.read(4 + 8 + 8 + 8 + 8 + 8)
-        )
+        head = fh.read(4 + 8 + 8 + 8 + 8 + 8)
+        if len(head) < 44:
+            raise ConfigError(f"record header cut short: {len(head)} of 44 bytes")
+        version, n_traj, n_samples, dt, duration, master_seed = struct.unpack("<IQQddQ", head)
         if version != _RAW_VERSION:
             raise ConfigError(f"unsupported record version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
+        body = fh.read()
     expected = 2 * n_traj * n_samples
-    if data.size != expected:
-        raise ConfigError(f"truncated record: {data.size} values, expected {expected}")
-    data = data.reshape(n_traj, 2, n_samples)
+    if len(body) != 8 * expected:
+        raise ConfigError(f"record holds {len(body)} sample bytes, expected {8 * expected}")
+    data = np.frombuffer(body, dtype="<f8").reshape(n_traj, 2, n_samples)
     return TrajectoryEnsemble(
         n_traj=n_traj, dt=dt, duration=duration,
         times=np.arange(n_samples) * dt,

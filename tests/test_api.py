@@ -1,6 +1,7 @@
 """The public namespace: every exported name resolves, and the removed
 second forms (SI states, the spectra copy of the detection margin, the
-static-force sampler mode, the per-module (A, D) builders) stay gone."""
+static-force sampler mode, the per-module (A, D) builders, the CLI-only
+pendulum config helper) stay gone."""
 
 import dataclasses
 import importlib
@@ -10,13 +11,14 @@ import pkgutil
 import pytest
 
 import gravdiff
-from gravdiff.dynamics import uncertainty_valid
+from gravdiff.dynamics import ppt_separable, uncertainty_valid
 from gravdiff.model import GaussianState
 from gravdiff.montecarlo import ReheatResult, simulate
 
 MODULES = sorted(f"gravdiff.{m.name}" for m in pkgutil.iter_modules(gravdiff.__path__))
 
 REMOVED = {
+    "gravdiff.config": ("pendulum_config",),
     "gravdiff.dynamics": ("_drift_diffusion",),
     "gravdiff.model": ("from_dimensionless", "state_to_dimensionless", "state_from_dimensionless",
                        "langevin_drift", "langevin_diffusion"),
@@ -44,5 +46,6 @@ def test_removed_names_absent(name):
 def test_removed_keywords_and_fields_absent():
     assert [f.name for f in dataclasses.fields(GaussianState)] == ["mean", "V"]
     assert "hbar" not in inspect.signature(uncertainty_valid).parameters
+    assert "mode" not in inspect.signature(ppt_separable).parameters
     assert "keep_static_force" not in inspect.signature(simulate).parameters
     assert not hasattr(ReheatResult, "__iter__")

@@ -20,7 +20,7 @@ from gravdiff.feasibility import REFERENCE_PENDULUM, feasibility_report
 from gravdiff.manifest import (load_manifest, sha256_file, write_csv, write_json,
                                write_json_lines)
 from gravdiff.model import PhysicalSetup, linearize, pendulum_system
-from gravdiff.montecarlo import ReheatResult
+from gravdiff.montecarlo import ReheatResult, effective_frequency, read_raw_trajectories
 
 from conftest import fixed_source_oracle, symmetric_pair_oracle
 
@@ -345,6 +345,16 @@ class TestBoundCommand:
         assert final["satisfied"]
         assert final["margin"] == pytest.approx(0.0, abs=1e-9 * final["rhs"])
 
+    def test_table1_manifest_records_diffusion_run(self, tmp_path):
+        # the position-only allocation at the final bound, as the run used it
+        assert cli.main(["bound", "--table1", "--out", str(tmp_path)]) == 0
+        params = load_manifest(tmp_path / "bound.manifest.json")["parameters"]
+        assert params["gamma11"] == params["gamma22"] == pytest.approx(TABLE1_FINAL_RHS,
+                                                                      rel=1e-12)
+        gamma = gamma_from_config(params)
+        assert np.array_equal(gamma.matrix, minimal_diffusion(setup_from_config(params),
+                                                              "position-only").matrix)
+
     def test_paper_literal_flag(self, tmp_path):
         rc = cli.main(["bound", "--table1", "--paper-literal", "--out", str(tmp_path)])
         assert rc == 0
@@ -428,6 +438,19 @@ class TestSimulateCommand:
         times = np.loadtxt(tmp_path / "simulate_summary.csv", delimiter=",", skiprows=1)[:, 0]
         assert times[1] == 0.005 / (6.283185307179586 / 2)
 
+    def test_default_duration_without_damping_is_50_periods(self, tmp_path, capsys):
+        # eta = 0: 20/eta is unbounded, so the run lasts 50 periods of Omega_eff
+        text = STABLE_PAIR.replace("eta_per_s", "# eta_per_s")
+        cfg = tmp_path / "undamped.cfg"
+        cfg.write_text(text)
+        raw = tmp_path / "raw.bin"
+        rc = cli.main(["simulate", "--config", str(cfg), "--seed", "1", "--traj", "1",
+                       "--raw", str(raw), "--out", str(tmp_path)])
+        assert rc == 0
+        assert "1 trajectories x 10001 samples" in capsys.readouterr().out
+        period = 2.0 * np.pi / effective_frequency(linearize(setup_from_config(parse_config(text))))
+        assert read_raw_trajectories(raw).duration == pytest.approx(50.0 * period, rel=1e-12)
+
     def test_seed_recorded_when_omitted(self, stable_config, tmp_path):
         rc = cli.main(["simulate", "--config", str(stable_config), "--traj", "2",
                        "--dt", "0.005", "--duration", "1.0", "--out", str(tmp_path)])
@@ -493,6 +516,19 @@ class TestSimulateCommand:
         h1 = {o["path"].split("/")[-1]: o["sha256"] for o in first["outputs"]}
         h2 = {o["path"].split("/")[-1]: o["sha256"] for o in second["outputs"]}
         assert h1 == h2
+
+    def test_replay_keeps_entropy_seed_when_out_path_contains_flag_name(self, stable_config,
+                                                                        tmp_path):
+        out1 = tmp_path / "out--seed"
+        rc = cli.main(["reheat", "--config", str(stable_config), "--cycles", "8",
+                       "--cycle-time", "0.1", "--out", str(out1)])
+        assert rc == 0
+        out2 = tmp_path / "replayed"
+        assert cli.replay_manifest(out1 / "reheat.manifest.json", out_dir=out2) == 0
+        first = load_manifest(out1 / "reheat.manifest.json")
+        second = load_manifest(out2 / "reheat.manifest.json")
+        assert second["seed"] == first["seed"]
+        assert [o["sha256"] for o in second["outputs"]] == [o["sha256"] for o in first["outputs"]]
 
     def test_raw_dump(self, stable_config, tmp_path):
         raw = tmp_path / "raw.bin"
@@ -561,6 +597,13 @@ class TestFeasibilityCommand:
         cfg, sha = cli._resolve_inputs(types.SimpleNamespace(table1=True))
         assert sha is None
         assert cfgmod.feasibility_from_config(cfg) == REFERENCE_PENDULUM
+
+    def test_table1_config_read_only_and_copied(self):
+        with pytest.raises(TypeError):
+            cfgmod.TABLE1_CONFIG["Q"] = 1.0
+        cfg, _ = cli._resolve_inputs(types.SimpleNamespace(table1=True))
+        cfg["Q"] = 1.0
+        assert cfgmod.TABLE1_CONFIG["Q"] == REFERENCE_PENDULUM.Q
 
     def test_table1_verdict(self, tmp_path, capsys):
         rc = cli.main(["feasibility", "--table1", "--out", str(tmp_path)])
@@ -639,6 +682,24 @@ class TestSweepCommand:
         (["--start", "nan", "--stop", "10"], "--start"),
     ])
     def test_bad_flag_exit_2_writes_nothing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--table1", "--param", "Q", *flags, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        ([], "--values"),
+        (["--start", "1"], "--stop"),
+        (["--values", ","], "--values"),
+        (["--values", " , ,"], "--values"),
+    ])
+    def test_no_sweep_values_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                   flags, named):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("feasibility_report ran without sweep values")
+
+        monkeypatch.setattr(cli, "feasibility_report", must_not_run)
         out = tmp_path / "out"
         rc = cli.main(["sweep", "--table1", "--param", "Q", *flags, "--out", str(out)])
         assert rc == 2

@@ -327,6 +327,14 @@ class TestOnset:
         assert onset is not None
         assert onset <= period
 
+    def test_entangled_start_onset_is_zero(self):
+        # a two-mode squeezed start already violates PPT at t = 0
+        sys = linearize(strong_coupling_setup(kbar_over_omega=0.3))
+        period = sys.min_period()
+        state = GaussianState(np.zeros(4), tmsv_covariance(0.5))
+        onset = entanglement_onset(state, sys, DiffusionMatrix.zero(), period, period / 200)
+        assert onset == 0.0
+
     def test_trace_saturating_diffusion_prevents_onset(self):
         # gamma_bar = diag(Kbar, Kbar, 0, 0) sits exactly on the trace bound
         setup = strong_coupling_setup(kbar_over_omega=0.3)

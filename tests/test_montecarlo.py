@@ -713,3 +713,22 @@ class TestRawRecord:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ConfigError):
             read_raw_trajectories(path)
+
+    @pytest.mark.parametrize("mangle,message", [
+        pytest.param(lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], "version 2",
+                     id="other-version"),
+        pytest.param(lambda b: b[:-8], "sample bytes", id="one-value-short"),
+        pytest.param(lambda b: b[:-1], "sample bytes", id="one-byte-short"),
+        pytest.param(lambda b: b + b"\x00", "sample bytes", id="one-byte-long"),
+        pytest.param(lambda b: b[:48], "sample bytes", id="header-only"),
+        pytest.param(lambda b: b[:20], "header", id="cut-header"),
+    ])
+    def test_rejects_other_version_or_cut_record(self, tmp_path, mangle, message):
+        setup = desk_pair(Q=10.0, T=100.0)
+        noise = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=5)
+        ens = simulate(setup, linearize(setup), noise, n_traj=2, dt=0.005, duration=0.1)
+        path = tmp_path / "traj.bin"
+        write_raw_trajectories(path, ens)
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(ConfigError, match=message):
+            read_raw_trajectories(path)
