@@ -437,13 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def replay_manifest(manifest_path, out_dir=None) -> int:
-    """Re-run the command recorded in a manifest (optionally into out_dir)."""
+    """Re-run a manifest's command, optionally into out_dir (its --raw file too)."""
     record = mani.load_manifest(manifest_path)
     argv = list(record["argv"])
     seeded = any(a == "--seed" or a.startswith("--seed=") for a in argv)
     if record.get("seed") is not None and not seeded:
         argv += ["--seed", str(record["seed"])]
     if out_dir is not None:
+        for i, a in enumerate(argv):
+            if a.startswith("--raw="):
+                argv[i] = f"--raw={Path(out_dir) / Path(a[len('--raw='):]).name}"
+            elif a == "--raw" and i + 1 < len(argv):
+                argv[i + 1] = str(Path(out_dir) / Path(argv[i + 1]).name)
         if "--out" in argv:
             i = argv.index("--out")
             argv[i + 1] = str(out_dir)

@@ -13,10 +13,10 @@ by V + (i/2) L J L >= 0 with the partial reflection L = diag(1, 1, 1, -1).
 A negative minimum eigenvalue of the PPT matrix certifies entanglement; a
 non-negative one certifies separability for two single modes.
 
-The equation is linear-Gaussian, so each sampling step is exact:
-V <- Phi V Phi^T + Q and <c> <- Phi <c>, with (Phi, Q) from
-:func:`gravdiff.model.propagator`. The sampling step only sets how finely the
-trajectory and its eigenvalue diagnostics are resolved, not its accuracy.
+The equation is linear-Gaussian, so each sample is one exact propagation from
+t = 0, V(t) = Phi(t) V0 Phi(t)^T + Q(t) and <c>(t) = Phi(t) <c>(0), with
+(Phi, Q) from :func:`gravdiff.model.propagator`: no sample depends on the last,
+and the sampling step only sets how finely the trajectory is resolved.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ __all__ = [
 # Absolute eigenvalue tolerance in dimensionless units.
 EIG_TOL = 1e-10
 
-# Samples symmetrized and eigen-checked per block: bounds the complex
-# Hermitian copies to one block whatever the trajectory's length.
-_EIG_BLOCK = 4096
+# Samples propagated and eigen-checked per block: bounds the stacked
+# exponentials and Hermitian copies to one block whatever the run's length.
+_EIG_BLOCK = 1024
 
 # Each step is exact, but a coarse sampling grid can step over a transient
 # PPT dip; reject anything coarser than 1% of the fastest period.
@@ -164,10 +164,13 @@ def evolve_covariance_dimensionless(
 ) -> EvolutionResult:
     """Propagate V and the mean exactly, sampled every ``dt`` up to ``t_end``.
 
-    All inputs are in dimensionless units. Raises StepSizeError when dt is
-    not positive and finite or exceeds 1% of the fastest oscillation period,
-    or when t_end is negative or not finite, and NonPhysicalInputError when
-    V0 violates the uncertainty relation by more than 1e-8.
+    Sample k is at exactly k dt, the last at ``t_end`` (a remainder below
+    1e-12 dt is dropped), and is one exact propagation of (V0, mean0) from
+    t = 0; each block of samples is one stacked propagator call. All inputs
+    are in dimensionless units. Raises StepSizeError when dt is not positive
+    and finite or exceeds 1% of the fastest oscillation period, or when t_end
+    is negative or not finite, and NonPhysicalInputError when V0 violates the
+    uncertainty relation by more than 1e-8.
     """
     _check_span("t_end", t_end, dt)
     Omegas = np.diagonal(Hbar)[2:]
@@ -186,28 +189,18 @@ def evolve_covariance_dimensionless(
         )
 
     A, D = drift_diffusion(Hbar, gamma_bar)
-    Phi, Q = propagator(A, D, dt)
-
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    times = np.zeros(n_steps + 1)
-    V = np.empty((n_steps + 1, 4, 4))
-    mean = np.empty((n_steps + 1, 4))
-    V[0] = V0
-    mean[0] = 0.0 if mean0 is None else np.array(mean0, dtype=float).reshape(4)
-    t = 0.0
-    for i in range(1, n_steps + 1):
-        h = min(dt, t_end - t)
-        if h != dt:
-            Phi, Q = propagator(A, D, h)
-        V[i] = Phi @ V[i - 1] @ Phi.T + Q
-        mean[i] = Phi @ mean[i - 1]
-        t += h
-        times[i] = t
-    ppt = np.empty(n_steps + 1)
-    unc = np.empty(n_steps + 1)
-    for start in range(0, n_steps + 1, _EIG_BLOCK):
+    n = int(np.ceil(t_end / dt - 1e-12))
+    times = np.minimum(np.arange(n + 1) * dt, t_end)
+    mean0 = np.zeros(4) if mean0 is None else np.array(mean0, dtype=float).reshape(4)
+    V = np.empty((n + 1, 4, 4))
+    mean = np.empty((n + 1, 4))
+    ppt, unc = np.empty((2, n + 1))
+    for start in range(0, n + 1, _EIG_BLOCK):
         cut = slice(start, start + _EIG_BLOCK)
-        V[cut] = 0.5 * (V[cut] + V[cut].transpose(0, 2, 1))
+        Phi, Q = propagator(A, D, times[cut])
+        Vk = Phi @ V0 @ Phi.transpose(0, 2, 1) + Q
+        V[cut] = 0.5 * (Vk + Vk.transpose(0, 2, 1))
+        mean[cut] = Phi @ mean0
         ppt[cut] = _min_eig_hermitian(V[cut], _LJL)
         unc[cut] = _min_eig_hermitian(V[cut], _J)
 
@@ -239,10 +232,10 @@ def entanglement_onset(
     """First time the PPT minimum eigenvalue drops below -tol, or None.
 
     Scans the trajectory on the coarse grid, then refines the bracketing step
-    by bisection to a resolution of dt/100; each probe propagates exactly from
-    the last separable grid point. Returns the bracket midpoint. Raises
-    StepSizeError as :func:`evolve_covariance_dimensionless` does, naming
-    t_max.
+    by bisection to a resolution of dt/100; each probe, like each sample, is
+    one exact propagation of the start state from t = 0. Returns the bracket
+    midpoint. Raises StepSizeError as :func:`evolve_covariance_dimensionless`
+    does, naming t_max.
     """
     _check_span("t_max", t_max, dt)
     Hbar, gamma_bar = to_dimensionless(sys, gamma)
@@ -254,15 +247,14 @@ def entanglement_onset(
         return 0.0
 
     # Bracket [t_lo, t_hi] with separable at t_lo, entangled at t_hi.
-    t_lo = t_start = float(res.times[idx - 1])
+    t_lo = float(res.times[idx - 1])
     t_hi = float(res.times[idx])
-    V_start = res.V[idx - 1]
     A, D = drift_diffusion(Hbar, gamma_bar)
 
     while t_hi - t_lo > dt / 100.0:
         t_mid = 0.5 * (t_lo + t_hi)
-        Phi, Q = propagator(A, D, t_mid - t_start)
-        if _min_eig_hermitian(Phi @ V_start @ Phi.T + Q, _LJL) < -tol:
+        Phi, Q = propagator(A, D, t_mid)
+        if _min_eig_hermitian(Phi @ res.V[0] @ Phi.T + Q, _LJL) < -tol:
             t_hi = t_mid
         else:
             t_lo = t_mid

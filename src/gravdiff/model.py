@@ -327,8 +327,9 @@ def mobile_momenta(setup: PhysicalSetup, partner_fixed: bool = False) -> list[tu
     return [(kept.index(2 + j), m) for j, m in enumerate((setup.m1, setup.m2)) if 2 + j in kept]
 
 
-def propagator(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact step of length h for d<c>/dt = A <c> and dV/dt = A V + V A^T + D.
+def propagator(A: np.ndarray, D: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """Exact step of length h for d<c>/dt = A <c> and dV/dt = A V + V A^T + D,
+    or a stack of them for an array h, each bit for bit its scalar call's.
 
     Returns Phi = e^{A h} and Q = int_0^h e^{A s} D e^{A^T s} ds, so that
     <c>(t + h) = Phi <c>(t) and V(t + h) = Phi V(t) Phi^T + Q. Both come from
@@ -349,29 +350,30 @@ def propagator(A: np.ndarray, D: np.ndarray, h: float) -> tuple[np.ndarray, np.n
     # units. Unscaled, a D 1e24 times A took 73 squarings and lost 1e-10 of
     # Phi and Q.
     k = _norm_exponent(D) - _norm_exponent(A)
-    E = _expm(np.block([[-A, np.ldexp(D, -k)], [np.zeros((n, n)), A.T]]) * h)
-    Phi = E[n:, n:].T.copy()
-    Q = np.ldexp(Phi @ E[:n, n:], k)
-    return Phi, 0.5 * (Q + Q.T)
+    block = np.block([[-A, np.ldexp(D, -k)], [np.zeros((n, n)), A.T]])
+    E = _expm(block * np.asarray(h, dtype=float)[..., None, None])
+    Phi = E[..., n:, n:].swapaxes(-1, -2).copy()
+    Q = np.ldexp(Phi @ E[..., :n, n:], k)
+    return Phi, 0.5 * (Q + Q.swapaxes(-1, -2))
 
 
-def _norm_exponent(M: np.ndarray) -> int:
-    """e with 2^(e-1) <= ||M||_1 < 2^e, or 0 for M = 0."""
-    return math.frexp(np.abs(M).sum(axis=0).max())[1]
+def _norm_exponent(M: np.ndarray) -> np.ndarray:
+    """e with 2^(e-1) <= ||M||_1 < 2^e, or 0 for M = 0; one per matrix of a stack."""
+    return np.frexp(np.abs(M).sum(axis=-2).max(axis=-1))[1]
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
-    """e^X by scaling and squaring: X / 2^s has 1-norm at most 1/2, where the
-    degree-16 Taylor polynomial is exact to below 1e-19 relative; it is
-    evaluated by Horner's rule and squared s times."""
-    s = max(0, _norm_exponent(X) + 1)
-    X = X / 2.0**s
-    eye = np.eye(len(X))
+    """e^X by scaling and squaring, s per matrix of a stack: X / 2^s has 1-norm
+    at most 1/2, where the degree-16 Taylor polynomial is exact to below 1e-19
+    relative; it is evaluated by Horner's rule and squared s times."""
+    s = np.maximum(0, _norm_exponent(X) + 1)[..., None, None]
+    X = np.ldexp(X, -s)
+    eye = np.eye(X.shape[-1])
     E = eye
     for k in range(16, 0, -1):
         E = eye + X @ E / k
-    for _ in range(s):
-        E = E @ E
+    for j in range(s.max()):
+        E = np.where(s > j, E @ E, E)
     return E
 
 

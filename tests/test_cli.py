@@ -517,6 +517,25 @@ class TestSimulateCommand:
         h2 = {o["path"].split("/")[-1]: o["sha256"] for o in second["outputs"]}
         assert h1 == h2
 
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_replay_writes_raw_file_into_new_directory(self, stable_config, tmp_path, joined):
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        raw1 = out1 / "raw.bin"
+        raw_flag = [f"--raw={raw1}"] if joined else ["--raw", str(raw1)]
+        rc = cli.main(["simulate", "--config", str(stable_config), "--seed", "3",
+                       "--traj", "2", "--duration", "2", *raw_flag, "--out", str(out1)])
+        assert rc == 0
+        raw_bytes, raw_mtime = raw1.read_bytes(), raw1.stat().st_mtime_ns
+        assert cli.replay_manifest(out1 / "simulate.manifest.json", out_dir=out2) == 0
+        assert (out2 / "raw.bin").read_bytes() == raw_bytes
+        assert raw1.read_bytes() == raw_bytes
+        assert raw1.stat().st_mtime_ns == raw_mtime
+        first = load_manifest(out1 / "simulate.manifest.json")["outputs"]
+        second = load_manifest(out2 / "simulate.manifest.json")["outputs"]
+        assert [Path(o["path"]).parent for o in second] == [out2] * len(second)
+        assert ({Path(o["path"]).name: o["sha256"] for o in second}
+                == {Path(o["path"]).name: o["sha256"] for o in first})
+
     def test_replay_keeps_entropy_seed_when_out_path_contains_flag_name(self, stable_config,
                                                                         tmp_path):
         out1 = tmp_path / "out--seed"

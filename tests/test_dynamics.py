@@ -204,6 +204,41 @@ class TestEvolve:
         quarter = len(res.times) // 4
         assert res.states[quarter].mean[2] == pytest.approx(-1.0, abs=1e-6)
 
+    def test_long_run_matches_closed_form_rotation(self):
+        # Uncoupled modes without diffusion rotate phase space: (x, p) of
+        # mode j turns by Omega_j t. Over 50 periods of mode 1 (10,001
+        # samples) a sample is one propagation from t = 0, so rounding does
+        # not build up with the sample's index.
+        Omega = np.array([1.0, np.sqrt(2.0)])
+        Hbar = np.diag(np.tile(Omega, 2))
+        V0 = np.diag([0.5 * np.exp(-1.0), 0.5 * np.exp(0.6), 0.5 * np.exp(1.0), 0.5 * np.exp(-0.6)])
+        mean0 = np.array([0.3, -0.7, 1.1, 0.4])
+        period = 2.0 * np.pi
+        res = evolve_covariance_dimensionless(
+            V0, Hbar, np.zeros((4, 4)), 50 * period, period / 200, mean0=mean0
+        )
+        assert len(res.times) == 10_001
+        c = np.cos(np.outer(res.times, Omega))
+        s = np.sin(np.outer(res.times, Omega))
+        Phi = np.zeros((len(res.times), 4, 4))
+        for j in range(2):
+            Phi[:, j, j] = Phi[:, 2 + j, 2 + j] = c[:, j]
+            Phi[:, j, 2 + j] = s[:, j]
+            Phi[:, 2 + j, j] = -s[:, j]
+        V_exact = Phi @ V0 @ Phi.transpose(0, 2, 1)
+        mean_exact = Phi @ mean0
+        assert np.abs(res.V - V_exact).max() <= 1e-12 * np.abs(V_exact).max()
+        assert np.abs(res.mean - mean_exact).max() <= 1e-12 * np.abs(mean_exact).max()
+
+    def test_times_are_exact_multiples_ending_at_t_end(self):
+        Hbar = np.diag([1.0, 1.3, 1.0, 1.3])
+        dt, t_end = 0.01, 12.3456
+        res = evolve_covariance_dimensionless(0.5 * np.eye(4), Hbar, np.zeros((4, 4)), t_end, dt)
+        n = len(res.times) - 1
+        assert n == 1235
+        assert np.array_equal(res.times[:-1], np.arange(n) * dt)
+        assert res.times[-1] == t_end
+
     def test_step_size_error(self):
         Hbar = np.diag([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(StepSizeError):

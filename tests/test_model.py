@@ -249,6 +249,22 @@ class TestPropagator:
         assert np.abs(Phi - Phi_ref).max() <= self.RTOL * np.abs(Phi_ref).max()
         assert not np.any(Q)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_stacked_steps_equal_scalar_calls(self, rng, n):
+        # h = 0 and steps over five decades: each matrix of the stack takes
+        # its own number of squarings, so a sample's bits cannot depend on
+        # the other steps it is stacked with.
+        A = damped_block(1.3, 0.2) if n == 2 else symplectic_form() @ np.diag([1.0, 1.3, 1.0, 1.3])
+        D = random_psd_batch(rng, 1, n=n)[0]
+        hs = np.array([0.0, 3e-4, 2e-3, 0.05, 0.7, 9.0, 31.0])
+        assert len(set(np.frexp(np.abs(A).sum(axis=0).max() * hs)[1])) > 4
+        Phis, Qs = propagator(A, D, hs)
+        assert Phis.shape == Qs.shape == (len(hs), n, n)
+        for h, Phi_k, Q_k in zip(hs, Phis, Qs):
+            Phi, Q = propagator(A, D, h)
+            assert np.array_equal(Phi_k, Phi)
+            assert np.array_equal(Q_k, Q)
+
 
 class TestDiffusionMatrix:
     def test_rejects_negative(self):
