@@ -436,24 +436,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _names(token: str, option: str) -> bool:
+    """Whether an argv token names ``option``, alone or as ``option=value``,
+    in full or abbreviated: the parser expands any unique prefix of a long
+    option (``--ra`` for ``--raw``). No option's name is a prefix of another
+    one's, so in an argv that parsed the prefix has no other reading."""
+    name = token.split("=", 1)[0]
+    return len(name) > 2 and name.startswith("--") and option.startswith(name)
+
+
 def replay_manifest(manifest_path, out_dir=None) -> int:
     """Re-run a manifest's command, optionally into out_dir (its --raw file too)."""
     record = mani.load_manifest(manifest_path)
     argv = list(record["argv"])
-    seeded = any(a == "--seed" or a.startswith("--seed=") for a in argv)
-    if record.get("seed") is not None and not seeded:
+    if record.get("seed") is not None and not any(_names(a, "--seed") for a in argv):
         argv += ["--seed", str(record["seed"])]
     if out_dir is not None:
+        out = Path(out_dir)
+        moves = {"--raw": lambda path: out / Path(path).name, "--out": lambda path: out}
+        if not any(_names(a, "--out") for a in argv):
+            argv += ["--out", str(out)]
         for i, a in enumerate(argv):
-            if a.startswith("--raw="):
-                argv[i] = f"--raw={Path(out_dir) / Path(a[len('--raw='):]).name}"
-            elif a == "--raw" and i + 1 < len(argv):
-                argv[i + 1] = str(Path(out_dir) / Path(argv[i + 1]).name)
-        if "--out" in argv:
-            i = argv.index("--out")
-            argv[i + 1] = str(out_dir)
-        else:
-            argv += ["--out", str(out_dir)]
+            for option, move in moves.items():
+                if _names(a, option):
+                    name, joined, value = a.partition("=")
+                    if joined:
+                        argv[i] = f"{name}={move(value)}"
+                    elif i + 1 < len(argv):
+                        argv[i + 1] = str(move(argv[i + 1]))
     return main(argv)
 
 

@@ -31,16 +31,20 @@ and the starts of those come from a log-depth elementwise prefix scan
 this is specific to two dimensions: the kernels are built for any Phi and
 noise factor C.
 
-Each trajectory's stream is drawn into one reused buffer and propagated
-into its rows of the output, so the work memory beyond the output (those
-draws, the block starts and a few chunk-sized buffers) does not grow with
-the ensemble. Every matrix product is issued in chunks of 256 blocks,
-zero-padded at the end of the run: a BLAS product's rounding can depend on
-its shape, and with fixed shapes each state depends only on the draws
-before it, so a row is bit-identical for any ensemble width and any run
-length. The draws and their order are those of the step-by-step recursion;
-only rounding differs from it (about 1e-14 relative). The sampler needs
-numpy only; the stationary covariance that starts a run has a closed form
+The trajectories are independent, so they run on one thread per CPU in
+the process's affinity mask (restrict it with ``taskset`` to use fewer),
+at most one per trajectory; runs shorter than four chunks (below) stay on
+the calling thread. Each thread draws its trajectories' streams into its
+own reused buffer and propagates them into their rows of the output, so
+the work memory beyond the output (per thread: those draws, the block
+starts and a few chunk-sized buffers) does not grow with the ensemble.
+Every matrix product is issued in chunks of 256 blocks, zero-padded at the
+end of the run: a BLAS product's rounding can depend on its shape, and with
+fixed shapes each state depends only on the draws before it, so a row is
+bit-identical for any ensemble width, run length and thread count. The
+draws and their order are those of the step-by-step recursion; only
+rounding differs from it (about 1e-14 relative). The sampler needs numpy
+only; the stationary covariance that starts a run has a closed form
 (:func:`stationary_covariance`).
 
 Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
@@ -53,9 +57,12 @@ readout.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +110,89 @@ _DOMAIN_CYCLE = 1 << 56
 _BLOCK_STEPS = 16
 _CHUNK_BLOCKS = 256
 
-# Welch constants kept for this many (segment length, step) pairs.
+# Welch constants kept for this many (segment length, step) pairs, and
+# sampler kernels for this many (A, D, step) models.
 _WELCH_CACHE = 4
+_KERNEL_CACHE = 4
+
+# Trajectories shorter than this many samples are simulated and transformed
+# on the calling thread: below about four chunks a job is too short for a
+# thread to pay for its hand-offs.
+_THREADED_SAMPLES = 4 * _CHUNK_BLOCKS * _BLOCK_STEPS
+
+
+def _workers(n_jobs: int, job_samples: int) -> int:
+    """Threads for n_jobs independent jobs of job_samples samples each: the
+    CPUs in this process's affinity mask (``os.cpu_count()`` where there is
+    none), at most n_jobs, and 1 for jobs shorter than _THREADED_SAMPLES."""
+    if job_samples < _THREADED_SAMPLES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                       # no affinity masks here
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_jobs))
+
+
+def _in_order(make_job, n_jobs: int, job_samples: int):
+    """Yield job(0), ..., job(n_jobs - 1) in that order.
+
+    The jobs run on W = :func:`_workers` (n_jobs, job_samples) threads. Each
+    thread runs its own ``make_job()``, so its own buffers, built here before
+    any thread starts, in a copy of the caller's context, so numpy's errstate
+    holds there too. At most 2 W jobs are started ahead of the one yielded
+    last, which bounds the results held. The first exception a thread raises
+    is raised here. With W = 1 the jobs run inline and no thread is started.
+    """
+    n_threads = _workers(n_jobs, job_samples)
+    if n_threads == 1:
+        yield from map(make_job(), range(n_jobs))
+        return
+    jobs = [make_job() for _ in range(n_threads)]   # each thread's buffers, held throughout
+    cond = threading.Condition()
+    done = {}                                    # finished job -> its result
+    issued = yielded = 0
+    stop, error = False, None
+
+    def work(job):
+        nonlocal issued, stop, error
+        try:
+            while True:
+                with cond:
+                    cond.wait_for(lambda: stop or issued >= n_jobs
+                                  or issued < yielded + 2 * n_threads)
+                    if stop or issued >= n_jobs:
+                        return
+                    k, issued = issued, issued + 1
+                out = job(k)
+                with cond:
+                    done[k] = out
+                    cond.notify_all()
+        except BaseException as exc:
+            with cond:
+                stop, error = True, error or exc
+                cond.notify_all()
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, job),
+                                daemon=True) for job in jobs]
+    for t in threads:
+        t.start()
+    try:
+        for k in range(n_jobs):
+            with cond:
+                cond.wait_for(lambda: k in done or error is not None)
+                if error is not None:
+                    raise error
+                out = done.pop(k)
+                yielded += 1
+                cond.notify_all()
+            yield out
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for t in threads:
+            t.join()
 
 
 def _noise_factor(V: np.ndarray) -> np.ndarray:
@@ -151,6 +239,24 @@ def _levels(Phi: np.ndarray, C: np.ndarray) -> list:
     return [(K, F), _block_operators(F, np.eye(len(F)))]
 
 
+@functools.lru_cache(maxsize=_KERNEL_CACHE)
+def _sampler_kernels(A: bytes, D: bytes, dt: float) -> tuple[np.ndarray, tuple]:
+    """(C, levels) of :func:`simulate` for the 2 x 2 model (A, D), given by
+    its bytes, at step dt: the noise factor C C^T = Q of the step's
+    :func:`~gravdiff.model.propagator` (Phi, Q) and :func:`_levels` of
+    (Phi, C). Every array is backed by immutable bytes, like the Welch
+    constants, so a cached kernel cannot change."""
+    Phi, Q = propagator(np.frombuffer(A).reshape(2, 2), np.frombuffer(D).reshape(2, 2), dt)
+    C = _noise_factor(Q)
+    levels = tuple((_frozen(K), _frozen(F)) for K, F in _levels(Phi, C))
+    return _frozen(C), levels
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of a backed by immutable bytes."""
+    return np.frombuffer(a.tobytes()).reshape(a.shape)
+
+
 def _scan_block_starts(s: np.ndarray, F: np.ndarray) -> None:
     """In place, s[:, b] <- sum_{c <= b} F^(b-c) s[:, c]: Hillis-Steele
     doubling in log2(s.shape[1]) elementwise passes, so s[:, b] depends on
@@ -162,16 +268,40 @@ def _scan_block_starts(s: np.ndarray, F: np.ndarray) -> None:
         d *= 2
 
 
-def _propagate(levels, u: np.ndarray, z: np.ndarray) -> None:
+def _workspace(levels, n_steps: int) -> list:
+    """The buffers of :func:`_propagate` for runs of n_steps steps: per
+    level, the block ends e[b] (zero-padded to whole chunks of the inner
+    level), the block starts, a chunk's draws and starts, and a last chunk
+    that overhangs z. A level's chunk loop runs after the inner levels
+    return, so the levels share the last two. Built once, they serve any
+    number of runs: a run writes no padding, so the padding stays zero."""
+    R, B = _CHUNK_BLOCKS, _BLOCK_STEPS
+    n = len(levels[0][1])
+    rows = np.empty(R * max(K.shape[1] for K, _ in levels))
+    tail = np.empty((n, R * B))
+    work = []
+    for i, (K, _) in enumerate(levels):
+        n_blocks = -(-n_steps // B)
+        n_chunks = -(-n_blocks // R)
+        n_ends = -(-n_blocks // (R * B)) * R * B if i + 1 < len(levels) else n_chunks * R
+        work.append((np.zeros((n_ends, n)), np.zeros((n, n_chunks * R + 1)),
+                     rows[:R * K.shape[1]].reshape(R, K.shape[1]), tail))
+        n_steps = n_blocks - 1                   # the next level steps between starts
+    return work
+
+
+def _propagate(levels, work, u: np.ndarray, z: np.ndarray) -> None:
     """Fill z[:, 1:] by z[:, j + 1] = Phi z[:, j] + C u[j] from z[:, 0].
 
-    ``levels`` is :func:`_levels` of (Phi, C) and ``u`` holds the draws,
+    ``levels`` is :func:`_levels` of (Phi, C), ``work`` its
+    :func:`_workspace` for z's run length and ``u`` holds the draws,
     zero-padded to whole chunks of _CHUNK_BLOCKS blocks. The block
     starts obey the same recursion with (Phi^B, I) in place of (Phi, C) and
     the noise parts e[b] of the blocks' last states as draws: ``levels[1]``
     solves it the same way, and the last level by a scan.
     """
     (K, F), inner = levels[0], levels[1:]
+    ends, starts, rows, tail = work[0]           # starts[:, b]: block b's start
     n, n_steps = z.shape[0], z.shape[1] - 1
     R, B = _CHUNK_BLOCKS, _BLOCK_STEPS
     span = R * B
@@ -179,19 +309,14 @@ def _propagate(levels, u: np.ndarray, z: np.ndarray) -> None:
     n_blocks = -(-n_steps // B)
     n_chunks = -(-n_blocks // R)
     draws = u[:n_chunks * R * width].reshape(n_chunks, R, width)
-    # e[b], zero-padded to whole chunks of the inner level.
-    ends = np.zeros((-(-n_blocks // span) * span if inner else n_chunks * R, n))
     np.matmul(draws, np.ascontiguousarray(K[:, :width, -1].T),
               out=ends[:n_chunks * R].reshape(n_chunks, R, n))
-    starts = np.zeros((n, n_chunks * R + 1))     # starts[:, b]: block b's start
     starts[:, 0] = z[:, 0]
     if n_blocks > 1 and inner:
-        _propagate(inner, ends.ravel(), starts[:, :n_blocks])
+        _propagate(inner, work[1:], ends.ravel(), starts[:, :n_blocks])
     elif n_blocks > 1:
         starts[:, 1:n_blocks] = ends[:n_blocks - 1].T
         _scan_block_starts(starts[:, :n_blocks], F)
-    rows = np.empty((R, K.shape[1]))             # a chunk's draws and starts
-    tail = np.empty((n, span))                   # a last chunk that overhangs z
     for c in range(n_chunks):
         a = c * span
         out = z[:, 1 + a:1 + a + span] if a + span <= n_steps else tail
@@ -373,29 +498,36 @@ def simulate(
             raise ValueError(f"init must be finite, got {init!r}")
 
     A, D = _monitored_model(setup, sys, noise)
-    Phi, Q = propagator(A, D, dt)
     V0 = _stationary(A, D, setup.eta) if stationary else np.zeros((2, 2))
-    C = _noise_factor(Q)
+    C, levels = _sampler_kernels(A.tobytes(), D.tobytes(), float(dt))
     L0 = _noise_factor(V0) if np.any(V0) else None
     n_init = 0 if L0 is None else 2
     n_draws = n_init + (2 * n_steps if np.any(C) else 0)
-    levels = _levels(Phi, C)
     span = _CHUNK_BLOCKS * _BLOCK_STEPS
     # zs[:, k, j] is the state z of trajectory k at step j, so
     # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
     zs = np.empty((2, n_traj, n_steps + 1))
-    # One trajectory's draws: its first n_draws are refilled from its stream,
-    # the rest stay zero to a whole number of chunks.
-    draws = np.empty(n_init + 2 * span * -(-n_steps // span))
-    draws[n_draws:] = 0.0
-    for k in range(n_traj):
-        if n_draws:
-            noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
-        z = zs[:, k]
-        z[:, 0] = z0
-        if L0 is not None:
-            z[:, 0] += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
-        _propagate(levels, draws[n_init:], z)
+
+    def worker_job():
+        # One worker's draws and workspace. The first n_draws draws are
+        # refilled from each trajectory's stream, the rest stay zero to a
+        # whole number of chunks.
+        draws = np.empty(n_init + 2 * span * -(-n_steps // span))
+        draws[n_draws:] = 0.0
+        work = _workspace(levels, n_steps)
+
+        def trajectory(k):
+            if n_draws:
+                noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
+            z = zs[:, k]
+            z[:, 0] = z0
+            if L0 is not None:
+                z[:, 0] += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
+            _propagate(levels, work, draws[n_init:], z)
+        return trajectory
+
+    for _ in _in_order(worker_job, n_traj, n_steps + 1):
+        pass
 
     times = np.arange(n_steps + 1) * dt
     return TrajectoryEnsemble(
@@ -430,8 +562,7 @@ def _welch_constants(L: int, dt: float) -> tuple[np.ndarray, float, np.ndarray]:
     later call returns."""
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
     omega = 2.0 * np.pi * (np.arange(-(L // 2), (L + 1) // 2) * (1.0 / (L * dt)))
-    return (np.frombuffer(window.tobytes()), float((window * window).sum()),
-            np.frombuffer(omega.tobytes()))
+    return _frozen(window), float((window * window).sum()), _frozen(omega)
 
 
 def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
@@ -442,9 +573,12 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
     sigma^2/dt) estimates a flat density sigma^2 in the angular two-sided
     convention of :mod:`gravdiff.spectra`. Returns the spectrum on the
     fft-ordered grid sorted by increasing omega. Segments start every
-    ``segment_len - int(overlap * segment_len)`` samples, are not detrended
-    and are transformed one trajectory at a time, so the working memory is
-    that of one trajectory's segments.
+    ``segment_len - int(overlap * segment_len)`` samples and are not
+    detrended. Each trajectory's periodogram is computed on one of the
+    threads that :func:`simulate` would use, and the periodograms are added
+    up in trajectory order, at most two per thread waiting, so the result is
+    bit-identical for any thread count and the working memory is that of a
+    few trajectories' segments per thread.
 
     The window, its power sum and the grid are built once per segment length
     and step, on first use, and kept read-only for the 4 most recent
@@ -454,10 +588,23 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
     n_seg, hop = welch_segments(ens.x.shape[1], segment_len, overlap)
     L = segment_len
     window, window_power, omega = _welch_constants(L, ens.dt)
+
+    def worker_job():
+        # One thread's windowed segments; their powers reuse the buffer.
+        segments = np.empty((n_seg, L))
+
+        def periodogram(k):
+            np.multiply(sliding_window_view(ens.x[k], L)[::hop], window, out=segments)
+            X = np.fft.rfft(segments, axis=-1)
+            np.square(X.real, out=X.real)
+            np.square(X.imag, out=X.imag)
+            powers = segments.ravel()[:X.size].reshape(X.shape)
+            return np.add(X.real, X.imag, out=powers).sum(axis=0)
+        return periodogram
+
     power = np.zeros(L // 2 + 1)
-    for x in ens.x:
-        X = np.fft.rfft(sliding_window_view(x, L)[::hop] * window, axis=-1)
-        power += (X.real**2 + X.imag**2).sum(axis=0)
+    for pk in _in_order(worker_job, ens.n_traj, ens.x.shape[1]):
+        power += pk
     power *= ens.dt / window_power / (n_seg * ens.n_traj)
     # A real input has S(-omega) = S(omega): mirror the non-negative bins.
     S = np.concatenate([power[1:L // 2 + 1][::-1], power[:(L + 1) // 2]])

@@ -536,6 +536,32 @@ class TestSimulateCommand:
         assert ({Path(o["path"]).name: o["sha256"] for o in second}
                 == {Path(o["path"]).name: o["sha256"] for o in first})
 
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_replay_resolves_abbreviated_raw_and_out(self, stable_config, tmp_path, joined):
+        # the parser expands --ra to --raw and --ou to --out
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        raw1 = out1 / "raw.bin"
+        flags = ([f"--ra={raw1}", f"--ou={out1}"] if joined
+                 else ["--ra", str(raw1), "--ou", str(out1)])
+        rc = cli.main(["simulate", "--config", str(stable_config), "--se", "3",
+                       "--traj", "2", "--duration", "2", *flags])
+        assert rc == 0
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out1.iterdir()}
+        assert cli.replay_manifest(out1 / "simulate.manifest.json", out_dir=out2) == 0
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out1.iterdir()} == before
+        assert (out2 / "raw.bin").read_bytes() == raw1.read_bytes()
+        second = load_manifest(out2 / "simulate.manifest.json")
+        assert second["seed"] == 3
+        assert [Path(o["path"]).parent for o in second["outputs"]] == [out2] * len(second["outputs"])
+
+    def test_no_option_name_is_a_prefix_of_another(self):
+        # replay reads any prefix of --raw, --out or --seed as that option,
+        # which holds while no option's name is a prefix of another one's
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        for command, parser in commands.items():
+            names = [n for n in parser._option_string_actions if n.startswith("--")]
+            assert not [(a, b) for a in names for b in names if a != b and b.startswith(a)], command
+
     def test_replay_keeps_entropy_seed_when_out_path_contains_flag_name(self, stable_config,
                                                                         tmp_path):
         out1 = tmp_path / "out--seed"

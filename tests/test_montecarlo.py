@@ -5,10 +5,13 @@ relevant estimator unless stated otherwise.
 """
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from gravdiff import montecarlo
 from gravdiff.constants import HBAR, KB
 from gravdiff.errors import ConfigError, ProtocolError, SeedError, StabilityError
 from gravdiff.model import (
@@ -38,6 +41,7 @@ from gravdiff.montecarlo import (
     _monitored_model,
     _noise_factor,
     _propagate,
+    _workspace,
 )
 
 from conftest import lyapunov_oracle, make_diffusion, ou_loop_oracle, strong_coupling_setup
@@ -396,15 +400,27 @@ class TestSimulateMatchesLoopOracle:
         u[:n_steps * m] = rng.standard_normal(n_steps * m)
         z = np.empty((n, n_steps + 1))
         z[:, 0] = rng.standard_normal(n)
-        _propagate(_levels(Phi, C), u, z)
+        levels = _levels(Phi, C)
+        work = _workspace(levels, n_steps)
+        _propagate(levels, work, u, z)
+        again = np.empty_like(z)
+        again[:, 0] = z[:, 0]
+        _propagate(levels, work, u, again)       # a reused workspace
+        assert np.array_equal(again, z)
         ref = z.copy()
         for j, u_j in enumerate(u[:n_steps * m].reshape(n_steps, m)):
             ref[:, j + 1] = Phi @ ref[:, j] + C @ u_j
         assert np.max(np.abs(z - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def force_workers(monkeypatch, n_threads):
+    """Run every ensemble on n_threads threads (fewer for fewer jobs),
+    whatever the CPUs and the run length."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda n_jobs, job_samples: min(n_threads, n_jobs))
+
+
 class TestSimulateWorkMemory:
-    """Work memory is one trajectory's draws and chunk buffers."""
+    """Work memory is one trajectory's draws and workspace per thread."""
 
     def run(self, n_traj, n_steps=4000):
         setup = desk_pair(Q=10.0, T=250.0)
@@ -414,7 +430,7 @@ class TestSimulateWorkMemory:
         return simulate(setup, sys, noise, n_traj=n_traj, dt=0.005,
                         duration=n_steps * 0.005)
 
-    def test_work_memory_independent_of_ensemble_width(self):
+    def test_work_memory_independent_of_ensemble_width(self, monkeypatch):
         import tracemalloc
 
         def work_bytes(n_traj):
@@ -427,13 +443,92 @@ class TestSimulateWorkMemory:
                 tracemalloc.stop()
             return peak - (ens.x.nbytes + ens.p.nbytes + ens.times.nbytes)
 
-        narrow, wide = work_bytes(1), work_bytes(32)
-        # one trajectory's draws and block ends, each padded to a whole
-        # chunk, and each level's chunk buffers come to about 270 kB here;
-        # work arrays that grew with the ensemble would add about 160 kB per
-        # extra trajectory
-        assert narrow < 400_000
-        assert abs(wide - narrow) <= 16_384
+        # each thread's draws and block ends, each padded to a whole chunk,
+        # and its chunk buffers come to about 270 kB here, all built before
+        # the threads start; work arrays that grew with the ensemble would
+        # add about 160 kB per extra trajectory
+        for n_threads in (1, 2, 3):
+            force_workers(monkeypatch, n_threads)
+            narrow, wide = work_bytes(n_threads), work_bytes(32)
+            assert narrow < 400_000 * n_threads
+            assert abs(wide - narrow) <= 16_384
+
+
+class TestWorkerCount:
+    """Trajectories run on threads, and no output depends on their number."""
+
+    def ensemble(self, n_traj, stream_offset=0):
+        setup = desk_pair(Q=10.0, T=250.0)
+        sys = linearize(setup)
+        gamma = make_diffusion({(0, 0): 1e59, (1, 1): 1e59, (0, 1): 3e58})
+        noise = NoiseModel.from_setup(setup, gamma, seed=2024)
+        return simulate(setup, sys, noise, n_traj=n_traj, dt=0.005,
+                        duration=5000 * 0.005, stream_offset=stream_offset)
+
+    @pytest.mark.parametrize("n_traj", [1, 5])
+    def test_outputs_bit_identical_for_any_thread_count(self, monkeypatch, n_traj):
+        runs = []
+        for n_threads in (1, 2, 3):
+            force_workers(monkeypatch, n_threads)
+            ens = self.ensemble(n_traj)
+            runs.append((ens.x, ens.p, welch_spectrum(ens, segment_len=1024).S_total))
+        for run in runs[1:]:
+            for a, b in zip(run, runs[0]):
+                assert np.array_equal(a, b)
+
+    def test_batches_on_threads_repeat_one_serial_run(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        whole = self.ensemble(5)
+        force_workers(monkeypatch, 2)
+        first, rest = self.ensemble(3), self.ensemble(2, stream_offset=3)
+        assert np.array_equal(np.vstack([first.x, rest.x]), whole.x)
+        assert np.array_equal(np.vstack([first.p, rest.p]), whole.p)
+
+    def test_worker_count(self):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        long_run = montecarlo._THREADED_SAMPLES
+        assert montecarlo._workers(64, long_run) == min(cpus, 64)
+        assert montecarlo._workers(1, long_run) == 1
+        assert montecarlo._workers(64, long_run - 1) == 1
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_in_order_yields_in_order_with_bounded_lookahead(self, monkeypatch, n_threads):
+        force_workers(monkeypatch, n_threads)
+        started, yielded, ahead = set(), [], []
+
+        def job(k):
+            started.add(k)
+            return k
+
+        for k in montecarlo._in_order(lambda: job, 40, 1):
+            ahead.append(len(started) - len(yielded))   # k and the jobs after it
+            yielded.append(k)
+        assert yielded == list(range(40))
+        assert max(ahead) <= 2 * n_threads + 1
+
+    def test_thread_error_reaches_the_caller(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+
+        def job(k):
+            if k == 7:
+                raise ValueError("job 7")
+            return k
+
+        with pytest.raises(ValueError, match="job 7"):
+            list(montecarlo._in_order(lambda: job, 40, 1))
+        assert threading.active_count() == before
+
+    def test_threads_keep_the_callers_errstate(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        x = np.full((4, 256), 1e200)
+        ens = TrajectoryEnsemble(n_traj=4, dt=0.01, duration=2.55, times=np.arange(256) * 0.01,
+                                 x=x, p=np.zeros_like(x), seeds=(0, 1, 2, 3), master_seed=0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            welch_spectrum(ens, segment_len=64)
 
 
 class TestWelch:
