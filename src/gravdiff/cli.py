@@ -436,34 +436,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _names(token: str, option: str) -> bool:
-    """Whether an argv token names ``option``, alone or as ``option=value``,
-    in full or abbreviated: the parser expands any unique prefix of a long
-    option (``--ra`` for ``--raw``). No option's name is a prefix of another
-    one's, so in an argv that parsed the prefix has no other reading."""
-    name = token.split("=", 1)[0]
-    return len(name) > 2 and name.startswith("--") and option.startswith(name)
-
-
 def replay_manifest(manifest_path, out_dir=None) -> int:
-    """Re-run a manifest's command, optionally into out_dir (its --raw file too)."""
-    record = mani.load_manifest(manifest_path)
-    argv = list(record["argv"])
-    if record.get("seed") is not None and not any(_names(a, "--seed") for a in argv):
+    """Re-run a manifest's command, optionally into out_dir (its --raw file too).
+
+    The command's own parser reads the recorded argv; the seed, --out and --raw
+    are appended, and the parser keeps an option's last value. A config whose
+    sha256 is not the recorded one exits 2 before anything runs."""
+    try:
+        record = mani.load_manifest(manifest_path)
+        argv = list(record["argv"])
+        args = _parser().parse_args(argv)
+        sha = record.get("config_sha256")
+        found = mani.sha256_file(args.config) if sha and args.config else sha
+    except SystemExit as exc:                        # argparse has printed why
+        return int(exc.code) if exc.code else 0
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # an unreadable manifest or config, as main reports an unreadable config
+        print(f"config error: cannot replay {manifest_path}: {exc!r}", file=_sys.stderr)
+        return EXIT_CONFIG
+    if found != sha:
+        print(f"config error: {args.config} has sha256 {found}, but {manifest_path} "
+              f"recorded {sha}", file=_sys.stderr)
+        return EXIT_CONFIG
+    if record.get("seed") is not None and getattr(args, "seed", None) is None:
         argv += ["--seed", str(record["seed"])]
     if out_dir is not None:
-        out = Path(out_dir)
-        moves = {"--raw": lambda path: out / Path(path).name, "--out": lambda path: out}
-        if not any(_names(a, "--out") for a in argv):
-            argv += ["--out", str(out)]
-        for i, a in enumerate(argv):
-            for option, move in moves.items():
-                if _names(a, option):
-                    name, joined, value = a.partition("=")
-                    if joined:
-                        argv[i] = f"{name}={move(value)}"
-                    elif i + 1 < len(argv):
-                        argv[i + 1] = str(move(argv[i + 1]))
+        argv += ["--out", str(out_dir)]
+        raw = getattr(args, "raw", None)
+        if raw is not None:
+            argv += ["--raw", str(Path(out_dir) / Path(raw).name)]
     return main(argv)
 
 

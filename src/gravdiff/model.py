@@ -87,7 +87,7 @@ class PhysicalSetup:
     Masses in kg, angular frequencies in rad/s, separation in m, temperature
     in K, momentum damping rate eta in 1/s. G, hbar, kB default to the CODATA
     values in :mod:`gravdiff.constants`; G may be 0 (no gravity), hbar and kB
-    must be positive.
+    must be positive. Every dial must be finite; ValueError otherwise.
     """
 
     m1: float
@@ -103,10 +103,11 @@ class PhysicalSetup:
 
     def __post_init__(self):
         for name in ("m1", "m2", "omega1", "omega2", "d"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.T < 0.0 or self.eta < 0.0:
-            raise ValueError("T and eta must be non-negative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not (0.0 <= self.T < math.inf and 0.0 <= self.eta < math.inf):
+            raise ValueError(f"T and eta must be non-negative and finite, got T = {self.T!r}, "
+                             f"eta = {self.eta!r}")
         check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
 
     @property

@@ -31,13 +31,15 @@ and the starts of those come from a log-depth elementwise prefix scan
 this is specific to two dimensions: the kernels are built for any Phi and
 noise factor C.
 
-The trajectories are independent, so they run on one thread per CPU in
-the process's affinity mask (restrict it with ``taskset`` to use fewer),
-at most one per trajectory; runs shorter than four chunks (below) stay on
-the calling thread. Each thread draws its trajectories' streams into its
-own reused buffer and propagates them into their rows of the output, so
-the work memory beyond the output (per thread: those draws, the block
-starts and a few chunk-sized buffers) does not grow with the ensemble.
+The trajectories are independent, so they run on the standard library's
+thread pool (``concurrent.futures.ThreadPoolExecutor``) with one thread per
+CPU in the process's affinity mask (restrict it with ``taskset`` to use
+fewer), at most one per trajectory; runs shorter than four chunks (below)
+stay on the calling thread. Each running job draws its trajectory's
+stream into one of W reused buffer sets, one per thread, and propagates it
+into its row of the output, so the work memory beyond the output (per
+thread: those draws, the block starts and a few chunk-sized buffers) does
+not grow with the ensemble.
 Every matrix product is issued in chunks of 256 blocks, zero-padded at the
 end of the run: a BLAS product's rounding can depend on its shape, and with
 fixed shapes each state depends only on the draws before it, so a row is
@@ -57,12 +59,12 @@ readout.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import functools
 import itertools
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,62 +139,48 @@ def _workers(n_jobs: int, job_samples: int) -> int:
 def _in_order(make_job, n_jobs: int, job_samples: int):
     """Yield job(0), ..., job(n_jobs - 1) in that order.
 
-    The jobs run on W = :func:`_workers` (n_jobs, job_samples) threads. Each
-    thread runs its own ``make_job()``, so its own buffers, built here before
-    any thread starts, in a copy of the caller's context, so numpy's errstate
-    holds there too. At most 2 W jobs are started ahead of the one yielded
-    last, which bounds the results held. The first exception a thread raises
-    is raised here. With W = 1 the jobs run inline and no thread is started.
+    The jobs run on a thread pool of W = :func:`_workers` (n_jobs,
+    job_samples) threads. The W ``make_job()`` buffer sets are built here
+    before any job is submitted; each running job takes one set and puts it
+    back, so no two running jobs share buffers. Each job runs in a copy of
+    the caller's context, so numpy's errstate holds there too. At most 2 W
+    jobs are submitted ahead of the one yielded last, which bounds the
+    results held. A job's exception is raised here when its result is due.
+    With W = 1 the jobs run inline and no thread is started.
     """
     n_threads = _workers(n_jobs, job_samples)
     if n_threads == 1:
         yield from map(make_job(), range(n_jobs))
         return
-    jobs = [make_job() for _ in range(n_threads)]   # each thread's buffers, held throughout
-    cond = threading.Condition()
-    done = {}                                    # finished job -> its result
-    issued = yielded = 0
-    stop, error = False, None
+    # Imported here, not at module level: concurrent.futures pulls in
+    # logging, 8-9 ms of imports on a 2-vCPU x86 host (-X importtime), which
+    # importing gravdiff and every inline run should not pay.
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work(job):
-        nonlocal issued, stop, error
+    free = queue.SimpleQueue()                   # buffer sets not in use
+    for _ in range(n_threads):
+        free.put(make_job())
+
+    def run(k):
+        job = free.get()
         try:
-            while True:
-                with cond:
-                    cond.wait_for(lambda: stop or issued >= n_jobs
-                                  or issued < yielded + 2 * n_threads)
-                    if stop or issued >= n_jobs:
-                        return
-                    k, issued = issued, issued + 1
-                out = job(k)
-                with cond:
-                    done[k] = out
-                    cond.notify_all()
-        except BaseException as exc:
-            with cond:
-                stop, error = True, error or exc
-                cond.notify_all()
+            return job(k)
+        finally:
+            free.put(job)
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, job),
-                                daemon=True) for job in jobs]
-    for t in threads:
-        t.start()
-    try:
-        for k in range(n_jobs):
-            with cond:
-                cond.wait_for(lambda: k in done or error is not None)
-                if error is not None:
-                    raise error
-                out = done.pop(k)
-                yielded += 1
-                cond.notify_all()
-            yield out
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for t in threads:
-            t.join()
+    with ThreadPoolExecutor(n_threads) as pool:
+        pending = collections.deque()
+        try:
+            for k in range(n_jobs):
+                if len(pending) == 2 * n_threads:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(contextvars.copy_context().run, run, k))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _noise_factor(V: np.ndarray) -> np.ndarray:
@@ -342,8 +330,9 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if self.thermal_intensity < 0:
-            raise ValueError("thermal_intensity must be non-negative")
+        if not 0.0 <= self.thermal_intensity < np.inf:
+            raise ValueError(f"thermal_intensity must be non-negative and finite, "
+                             f"got {self.thermal_intensity!r}")
         if not isinstance(self.seed, (int, np.integer)):
             raise SeedError(f"seed must be an integer, got {type(self.seed).__name__}")
         seed = int(self.seed)
@@ -574,10 +563,11 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
     convention of :mod:`gravdiff.spectra`. Returns the spectrum on the
     fft-ordered grid sorted by increasing omega. Segments start every
     ``segment_len - int(overlap * segment_len)`` samples and are not
-    detrended. Each trajectory's periodogram is computed on one of the
-    threads that :func:`simulate` would use, and the periodograms are added
-    up in trajectory order, at most two per thread waiting, so the result is
-    bit-identical for any thread count and the working memory is that of a
+    detrended. Each trajectory's periodogram is computed on the thread pool
+    that :func:`simulate` would use, with at most two per thread submitted
+    ahead of the one added, so at most two per thread waiting. The
+    periodograms are added up in trajectory order, so the result is
+    bit-identical for any thread count, and the working memory is that of a
     few trajectories' segments per thread.
 
     The window, its power sum and the grid are built once per segment length

@@ -554,9 +554,38 @@ class TestSimulateCommand:
         assert second["seed"] == 3
         assert [Path(o["path"]).parent for o in second["outputs"]] == [out2] * len(second["outputs"])
 
+    def test_replay_refuses_an_edited_config(self, pendulum_config, tmp_path, capsys):
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["feasibility", "--config", str(pendulum_config), "--out", str(out1)]) == 0
+        recorded = load_manifest(out1 / "feasibility.manifest.json")["config_sha256"]
+        pendulum_config.write_text(PENDULUM.replace("T_K = 1.0", "T_K = 2.0"))
+        capsys.readouterr()
+        assert cli.replay_manifest(out1 / "feasibility.manifest.json", out_dir=out2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(pendulum_config) in err
+        assert recorded in err and sha256_file(pendulum_config) in err
+        assert not out2.exists()
+
+    @pytest.mark.parametrize("text", [
+        None,                                             # no manifest
+        "not json",
+        '{"command": "bound"}',                           # no argv
+        '{"argv": ["bound", "--no-such-flag"]}',
+        '{"argv": ["bound", "--config", "missing.cfg"], "config_sha256": "00"}',
+    ])
+    def test_replay_of_a_broken_manifest_exits_2(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bound.manifest.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli.replay_manifest(path, out_dir=tmp_path / "again") == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
     def test_no_option_name_is_a_prefix_of_another(self):
-        # replay reads any prefix of --raw, --out or --seed as that option,
-        # which holds while no option's name is a prefix of another one's
+        # an abbreviated option in a recorded argv has one reading, which
+        # holds while no option's name is a prefix of another one's
         commands = cli.build_parser()._subparsers._group_actions[0].choices
         for command, parser in commands.items():
             names = [n for n in parser._option_string_actions if n.startswith("--")]

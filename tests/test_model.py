@@ -124,6 +124,29 @@ class TestLinearize:
             assert quadratic == pytest.approx(direct, rel=1e-12)
 
 
+class TestPhysicalSetupDomain:
+    """Every dial is finite: a NaN or infinite one would reach the sampler
+    and the spectra as NaN outputs with no error."""
+
+    BASE = dict(m1=1.0, m2=2.0, omega1=3.0, omega2=4.0, d=0.5, T=300.0, eta=0.1)
+
+    @pytest.mark.parametrize("name", ["m1", "m2", "omega1", "omega2", "d"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_positive_dials_are_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            PhysicalSetup(**{**self.BASE, name: value})
+
+    @pytest.mark.parametrize("name", ["T", "eta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_environment_dials_are_finite(self, name, value):
+        with pytest.raises(ValueError, match="T and eta must be non-negative"):
+            PhysicalSetup(**{**self.BASE, name: value})
+
+    def test_zero_temperature_and_damping_are_accepted(self):
+        setup = PhysicalSetup(**{**self.BASE, "T": 0.0, "eta": 0.0})
+        assert setup.T == setup.eta == 0.0
+
+
 class TestLinearizedSystemParameters:
     """The system stores its independent parameters only; H follows them."""
 
@@ -424,6 +447,20 @@ def test_no_runtime_path_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures pulls in logging; only a threaded Monte Carlo run
+    # may load it, not importing the package or its command-line front end.
+    import gravdiff
+    env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
+    code = ("import sys\n"
+            "import gravdiff.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging', 'queue')\n"
+            "             if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_import_loads_no_scipy_signal_or_optimize():

@@ -93,6 +93,11 @@ class TestNoiseModel:
         with pytest.raises(SeedError):
             NoiseModel(gamma=DiffusionMatrix.zero(), thermal_intensity=0.0, seed=1.5)
 
+    @pytest.mark.parametrize("intensity", [np.nan, np.inf, -1.0])
+    def test_thermal_intensity_is_finite_and_non_negative(self, intensity):
+        with pytest.raises(ValueError, match="thermal_intensity must be non-negative"):
+            NoiseModel(gamma=DiffusionMatrix.zero(), thermal_intensity=intensity, seed=1)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, seed):
         with pytest.raises(SeedError, match="2\\*\\*64"):
@@ -521,6 +526,21 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match="job 7"):
             list(montecarlo._in_order(lambda: job, 40, 1))
         assert threading.active_count() == before
+
+    def test_closing_early_stops_every_thread(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        started = []
+
+        def job(k):
+            started.append(k)
+            return k
+
+        results = montecarlo._in_order(lambda: job, 40, 1)
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == before
+        assert len(started) <= 2 * 3 + 1
 
     def test_threads_keep_the_callers_errstate(self, monkeypatch):
         force_workers(monkeypatch, 2)
