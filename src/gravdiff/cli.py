@@ -30,7 +30,7 @@ from .bounds import dimensional_bound, final_bound, strongest_bound, weak_bound
 from .dynamics import EvolutionResult, evolve_covariance
 from .errors import ConfigError, GravdiffError
 from .feasibility import feasibility_report
-from .model import ground_state, linearize, pendulum_system, to_dimensionless
+from .model import ground_state, linearize, to_dimensionless
 from .montecarlo import (
     NoiseModel,
     effective_frequency,
@@ -62,19 +62,6 @@ def _resolve_inputs(args):
     path = Path(args.config)
     cfg = cfgmod.load_config(path)
     return cfg, mani.sha256_file(path)
-
-
-def _spectrum_model(cfg):
-    """(setup, sys, gamma) for spectrum/simulate/reheat commands."""
-    setup = cfgmod.setup_from_config(cfg)
-    if "Omega_rad_s" in cfg:
-        try:
-            sys_lin = pendulum_system(setup, cfg["Omega_rad_s"])
-        except ValueError as exc:
-            raise ConfigError(f"Omega_rad_s: {exc}") from None
-    else:
-        sys_lin = linearize(setup)
-    return setup, sys_lin, cfgmod.gamma_from_config(cfg)
 
 
 def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:
@@ -127,7 +114,7 @@ def cmd_linearize(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg)
+    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
     reports = [final_bound(gamma, setup, sys_lin.Omega1)]
     reports.append(dimensional_bound(gamma, sys_lin, paper_literal=args.paper_literal))
     _, gamma_bar = to_dimensionless(sys_lin, gamma)
@@ -147,7 +134,7 @@ def cmd_bound(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    _, sys_lin, gamma = _spectrum_model(cfg)
+    _, sys_lin, gamma = cfgmod.system_from_config(cfg)
     period = sys_lin.min_period()
     dt = args.dt if args.dt is not None else 0.002 * period
     t_end = args.periods * period
@@ -165,7 +152,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg)
+    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
     Om = sys_lin.Omega1
     w = np.linspace(0.25 * Om, 2.0 * Om, args.grid)
     if args.model == "fixed":
@@ -219,7 +206,7 @@ def _ensemble_summary(ens) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg)
+    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
     seed = _resolve_seed(args, cfg)
     noise = NoiseModel.from_setup(setup, gamma, seed)
     om_eff = effective_frequency(sys_lin)
@@ -229,13 +216,16 @@ def cmd_simulate(args) -> int:
     )
     # The run's sample count is known before sampling: check everything that
     # depends on it first, so a bad flag costs no ensemble.
+    if args.welch_overlap is not None and args.welch_segment is None:
+        raise ConfigError("--welch-overlap needs --welch-segment, which enables the spectrum")
+    overlap = 0.5 if args.welch_overlap is None else args.welch_overlap
     _require_in_memory(duration / dt, 16 * args.traj)  # x and p per trajectory
     n_samples = int(round(duration / dt)) + 1
     if n_samples < 2:
         raise ConfigError(f"--duration {duration:g} s is shorter than one --dt step ({dt:g} s)")
     if args.welch_segment is not None:
         try:
-            welch_segments(n_samples, args.welch_segment, args.welch_overlap)
+            welch_segments(n_samples, args.welch_segment, overlap)
         except ConfigError as exc:
             raise ConfigError(f"--welch-segment/--welch-overlap with {n_samples} samples "
                               f"per trajectory: {exc}") from None
@@ -245,7 +235,7 @@ def cmd_simulate(args) -> int:
     outputs = [(out / "simulate_summary.csv", mani.write_csv,
                 ("t", "mean_x", "var_x", "mean_p", "var_p"), _ensemble_summary(ens))]
     if args.welch_segment is not None:
-        spec = welch_spectrum(ens, args.welch_segment, args.welch_overlap)
+        spec = welch_spectrum(ens, args.welch_segment, overlap)
         outputs.append((out / "simulate_spectrum.csv", mani.write_csv,
                         spec.CSV_HEADER, spec.csv_rows(), spec.convention))
     if args.raw is not None:
@@ -257,7 +247,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reheat(args) -> int:
     cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = _spectrum_model(cfg)
+    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
     seed = _resolve_seed(args, cfg)
     noise = NoiseModel.from_setup(setup, gamma, seed)
     res = reheating_run(setup, sys_lin, noise, args.cycles, args.cycle_time,
@@ -341,10 +331,7 @@ _VALUES = _flag(lambda text: [float(v) for v in text.split(",") if v.strip()],
                 "a non-empty comma-separated list of finite numbers")
 
 
-def _keys_epilog(*groups) -> str:
-    keys = []
-    for g in groups:
-        keys.extend(k for k in g if k not in keys)
+def _keys_epilog(keys) -> str:
     return "config keys read: " + ", ".join(keys)
 
 
@@ -373,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound",
                        help="evaluate the separability-bound chain on the configured gamma",
-                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SYSTEM_KEYS))
     common(p)
     p.add_argument("--paper-literal", action="store_true",
                    help="use the printed (dimensionally inconsistent) form of the dimensional bound")
 
     p = sub.add_parser("evolve",
                        help="propagate the covariance exactly from the ground state",
-                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SYSTEM_KEYS))
     common(p)
     p.add_argument("--periods", type=_POSITIVE, default=3.0,
                    help="evolution length in oscillator periods")
@@ -389,15 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum",
                        help="analytic displacement-noise spectrum to CSV",
-                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS, ("Omega_rad_s",)))
+                       epilog=_keys_epilog(cfgmod.SYSTEM_KEYS))
     common(p)
     p.add_argument("--grid", type=_count(1), default=1024, help="number of frequency points")
     p.add_argument("--model", choices=("fixed", "pair"), default="fixed",
                    help="fixed partner mass or both masses mobile")
 
     p = sub.add_parser("simulate", help="Langevin Monte Carlo ensemble",
-                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
-                                           ("Omega_rad_s", "seed")))
+                       epilog=_keys_epilog(cfgmod.SYSTEM_KEYS + ("seed",)))
     common(p, needs_seed=True)
     p.add_argument("--traj", type=_count(1), default=64, help="number of trajectories")
     p.add_argument("--dt", type=_POSITIVE, default=None,
@@ -405,14 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=_POSITIVE, default=None,
                    help="trajectory length [s] (default: 20/eta, or 50 periods of "
                         "Omega_eff when eta = 0)")
-    p.add_argument("--welch-segment", type=int, default=None,
+    p.add_argument("--welch-segment", type=_count(2), default=None,
                    help="Welch segment length in samples (enables spectrum output)")
-    p.add_argument("--welch-overlap", type=float, default=0.5)
+    p.add_argument("--welch-overlap", type=float, default=None)
     p.add_argument("--raw", default=None, help="also dump raw trajectories to this binary file")
 
     p = sub.add_parser("reheat", help="reheating-rate measurement protocol",
-                       epilog=_keys_epilog(cfgmod.SETUP_KEYS, cfgmod.GAMMA_KEYS,
-                                           ("Omega_rad_s", "seed")))
+                       epilog=_keys_epilog(cfgmod.SYSTEM_KEYS + ("seed",)))
     common(p, needs_seed=True)
     p.add_argument("--cycles", type=_count(2, item_bytes=24), default=256)  # 3 normals per cycle
     p.add_argument("--cycle-time", type=_POSITIVE, required=True, help="dark time per cycle [s]")

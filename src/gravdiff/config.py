@@ -26,8 +26,13 @@ seed                      master seed, below 2**53 (larger seeds: use --seed)
 G_m3_kg_s2, hbar_Js, kB_J_K  constant overrides (default CODATA)
 ========================  =====================================================
 
-:data:`KNOWN_KEYS` is the registry of these keys; :func:`load_config`
-rejects any other key. :data:`TABLE1_CONFIG` is the built-in Table-1 config
+Files are UTF-8, with or without a byte-order mark. :data:`KNOWN_KEYS` is
+the registry of these keys; :func:`load_config` rejects any other key. One
+key -> field table per object maps a config to a :class:`PhysicalSetup`, the
+pendulum's :class:`LinearizedSystem` or :class:`FeasibilityParams`, and a
+value out of its field's domain is a ConfigError that opens with its key
+(``m1_kg: m1 must be positive and finite, got -1.0``).
+:data:`TABLE1_CONFIG` is the built-in Table-1 config
 (``--table1``): the reference torsion pendulum's pair setup, its design dials
 and ``gamma11 = gamma22``, the position-only diffusion at the final bound.
 """
@@ -35,20 +40,22 @@ and ``gamma11 = gamma22``, the position-only diffusion at the final bound.
 from __future__ import annotations
 
 import difflib
+import functools
 from types import MappingProxyType
 
 import numpy as np
 
 from .bounds import minimal_diffusion
-from .constants import G_NEWTON, HBAR, KB
 from .errors import ConfigError, DomainError, PSDError
-from .model import DiffusionMatrix, PhysicalSetup, check_constants
+from .model import (DiffusionMatrix, LinearizedSystem, PhysicalSetup, linearize,
+                    pendulum_system)
 from .feasibility import CONSTANT_FIELDS, DIAL_FIELDS, REFERENCE_PENDULUM, FeasibilityParams
 
 __all__ = [
     "KNOWN_KEYS",
     "SETUP_KEYS",
     "GAMMA_KEYS",
+    "SYSTEM_KEYS",
     "PENDULUM_KEYS",
     "SWEEP_KEYS",
     "parse_config",
@@ -56,20 +63,27 @@ __all__ = [
     "require_keys",
     "setup_from_config",
     "gamma_from_config",
+    "system_from_config",
     "feasibility_from_config",
     "TABLE1_CONFIG",
 ]
 
-SETUP_KEYS = ("m1_kg", "m2_kg", "omega1_rad_s", "omega2_rad_s", "d_m",
-              "T_K", "eta_per_s", "Q") + tuple(CONSTANT_FIELDS)
+# Config key -> field, per object built from a config (see _build).
+_SETUP_DIALS = {"m1_kg": "m1", "m2_kg": "m2", "omega1_rad_s": "omega1",
+                "omega2_rad_s": "omega2", "d_m": "d", "T_K": "T", "eta_per_s": "eta"}
+_SETUP_FIELDS = {**_SETUP_DIALS, **CONSTANT_FIELDS}
+_OMEGA_FIELD = {"Omega_rad_s": "Omega"}
+_PENDULUM_FIELDS = {**DIAL_FIELDS, **CONSTANT_FIELDS}
+# Q sets eta when eta_per_s is absent.
+SETUP_KEYS = (*_SETUP_DIALS, "Q", *CONSTANT_FIELDS)
 _GAMMA_ENTRIES = [(f"gamma{i + 1}{j + 1}", i, j) for i in range(4) for j in range(i, 4)]
 GAMMA_KEYS = tuple(key for key, _, _ in _GAMMA_ENTRIES)
-# Pendulum config key -> FeasibilityParams field.
-_PENDULUM_FIELDS = {**DIAL_FIELDS, **CONSTANT_FIELDS}
+# The keys system_from_config reads.
+SYSTEM_KEYS = SETUP_KEYS + GAMMA_KEYS + tuple(_OMEGA_FIELD)
 PENDULUM_KEYS = tuple(_PENDULUM_FIELDS)
 # The design dials ``gravdiff sweep`` varies.
 SWEEP_KEYS = tuple(DIAL_FIELDS)
-KNOWN_KEYS = frozenset(SETUP_KEYS + GAMMA_KEYS + PENDULUM_KEYS + ("seed",))
+KNOWN_KEYS = frozenset(SYSTEM_KEYS + PENDULUM_KEYS + ("seed",))
 
 
 def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
@@ -104,13 +118,16 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
 
 
 def load_config(path) -> dict[str, float]:
-    """Parse a config file; a key outside :data:`KNOWN_KEYS` is a ConfigError
-    that names the closest known key."""
+    """Parse a UTF-8 config file, with or without a byte-order mark; a key
+    outside :data:`KNOWN_KEYS` is a ConfigError that names the closest known
+    key."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
     cfg = parse_config(text, source=str(path))
     for key in cfg:
         if key not in KNOWN_KEYS:
@@ -126,43 +143,28 @@ def require_keys(cfg: dict, keys) -> None:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
 
-def _constants(cfg: dict) -> dict:
-    """The constant overrides, or their CODATA defaults, by field name; a
-    ConfigError naming the key for an override out of its domain."""
-    out = {"G": G_NEWTON, "hbar": HBAR, "kB": KB}
-    for key, field in CONSTANT_FIELDS.items():
-        if key in cfg:
-            try:
-                check_constants(**{field: cfg[key]})
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-            out[field] = cfg[key]
-    return out
+def _build(cls, fields: dict, cfg: dict):
+    """``cls`` called with the field of each ``fields`` key that ``cfg``
+    holds; a value out of its field's domain is a ConfigError that names its
+    key. The domain messages open with the field's name."""
+    try:
+        return cls(**{field: cfg[key] for key, field in fields.items() if key in cfg})
+    except (ValueError, DomainError) as exc:
+        field = str(exc).split(" ", 1)[0]
+        key = next((k for k, f in fields.items() if f == field), field)
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def setup_from_config(cfg: dict) -> PhysicalSetup:
-    """Build a PhysicalSetup; m2/omega2 default to the mode-1 values."""
+    """Build a PhysicalSetup; m2/omega2 default to the mode-1 values and
+    eta to omega1/Q."""
     require_keys(cfg, ["m1_kg", "omega1_rad_s", "d_m"])
-    m1 = cfg["m1_kg"]
-    omega1 = cfg["omega1_rad_s"]
-    if cfg.get("Q", 1.0) <= 0.0:
-        raise ConfigError(f"Q must be positive, got {cfg['Q']!r}")
-    eta = cfg.get("eta_per_s")
-    if eta is None and "Q" in cfg:
-        eta = omega1 / cfg["Q"]
-    try:
-        return PhysicalSetup(
-            m1=m1,
-            m2=cfg.get("m2_kg", m1),
-            omega1=omega1,
-            omega2=cfg.get("omega2_rad_s", omega1),
-            d=cfg["d_m"],
-            T=cfg.get("T_K", 0.0),
-            eta=0.0 if eta is None else eta,
-            **_constants(cfg),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    defaults = {"m2_kg": cfg["m1_kg"], "omega2_rad_s": cfg["omega1_rad_s"]}
+    if "Q" in cfg:
+        if cfg["Q"] <= 0.0:
+            raise ConfigError(f"Q: Q must be positive, got {cfg['Q']!r}")
+        defaults["eta_per_s"] = cfg["omega1_rad_s"] / cfg["Q"]
+    return _build(PhysicalSetup, _SETUP_FIELDS, {**defaults, **cfg})
 
 
 def gamma_from_config(cfg: dict) -> DiffusionMatrix:
@@ -180,24 +182,29 @@ def gamma_from_config(cfg: dict) -> DiffusionMatrix:
         raise ConfigError(f"{keys}: {exc}") from None
 
 
+def system_from_config(cfg: dict) -> tuple[PhysicalSetup, LinearizedSystem, DiffusionMatrix]:
+    """(setup, system, gamma): the system is the pendulum's when the config
+    gives Omega_rad_s (:func:`gravdiff.model.pendulum_system`), otherwise the
+    trap linearization."""
+    setup = setup_from_config(cfg)
+    if "Omega_rad_s" in cfg:
+        sys_lin = _build(functools.partial(pendulum_system, setup), _OMEGA_FIELD, cfg)
+    else:
+        sys_lin = linearize(setup)
+    return setup, sys_lin, gamma_from_config(cfg)
+
+
 def feasibility_from_config(cfg: dict) -> FeasibilityParams:
     """FeasibilityParams from the pendulum keys; an absent optional key takes
     the field's default, and a value out of its field's domain, or a zero
     G_m3_kg_s2, is a ConfigError that names its key."""
     require_keys(cfg, ["Omega_rad_s", "rho_kg_m3", "R_m"])
-    try:
-        params = FeasibilityParams(**{field: cfg[key] for key, field in _PENDULUM_FIELDS.items()
-                                      if key in cfg})
-        if params.G == 0.0:
-            # FeasibilityParams allows G = 0 as PhysicalSetup does, but the
-            # budget divides by the gravitational heating rate.
-            raise DomainError(f"G must be positive for a feasibility budget, got {params.G}")
-        return params
-    except DomainError as exc:
-        # FeasibilityParams' domain messages open with the field's name.
-        field = str(exc).split(" ", 1)[0]
-        key = next((k for k, f in _PENDULUM_FIELDS.items() if f == field), "pendulum config")
-        raise ConfigError(f"{key}: {exc}") from None
+    params = _build(FeasibilityParams, _PENDULUM_FIELDS, cfg)
+    if params.G == 0.0:
+        # FeasibilityParams allows G = 0 as PhysicalSetup does, but the
+        # budget divides by the gravitational heating rate.
+        raise ConfigError(f"G_m3_kg_s2: G must be positive for a feasibility budget, got {params.G}")
+    return params
 
 
 def _table1_config() -> MappingProxyType:

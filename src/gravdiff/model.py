@@ -105,9 +105,9 @@ class PhysicalSetup:
         for name in ("m1", "m2", "omega1", "omega2", "d"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not (0.0 <= self.T < math.inf and 0.0 <= self.eta < math.inf):
-            raise ValueError(f"T and eta must be non-negative and finite, got T = {self.T!r}, "
-                             f"eta = {self.eta!r}")
+        for name in ("T", "eta"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
         check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
 
     @property

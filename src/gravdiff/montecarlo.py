@@ -724,7 +724,8 @@ def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> str:
 
 def read_raw_trajectories(path) -> TrajectoryEnsemble:
     """Read a record written by :func:`write_raw_trajectories`; a file that
-    is not one, has another version or is cut short is a ConfigError."""
+    is not one, has another version, a non-positive or non-finite dt, a
+    negative or non-finite duration or is cut short is a ConfigError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _RAW_MAGIC:
@@ -735,6 +736,10 @@ def read_raw_trajectories(path) -> TrajectoryEnsemble:
         version, n_traj, n_samples, dt, duration, master_seed = struct.unpack("<IQQddQ", head)
         if version != _RAW_VERSION:
             raise ConfigError(f"unsupported record version {version}")
+        if not 0.0 < dt < np.inf:
+            raise ConfigError(f"record dt must be positive and finite, got {dt!r}")
+        if not 0.0 <= duration < np.inf:
+            raise ConfigError(f"record duration must be non-negative and finite, got {duration!r}")
         body = fh.read()
     expected = 2 * n_traj * n_samples
     if len(body) != 8 * expected:

@@ -100,6 +100,16 @@ class TestConfigParsing:
         for key in cfgmod.KNOWN_KEYS - set(cfgmod.GAMMA_KEYS):
             assert key in cfgmod.__doc__, key
 
+    @pytest.mark.parametrize("builder,key", [
+        *(("system", key) for key in cfgmod.SETUP_KEYS + ("Omega_rad_s",)),
+        *(("feasibility", key) for key in cfgmod.PENDULUM_KEYS),
+    ])
+    def test_out_of_domain_value_opens_with_its_key(self, builder, key):
+        # -1 is outside every field's domain; the builders name the key, not the field
+        base = parse_config(STABLE_PAIR if builder == "system" else PENDULUM)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            getattr(cfgmod, f"{builder}_from_config")({**base, key: -1.0})
+
     def test_q_sets_eta(self):
         setup = setup_from_config(
             {"m1_kg": 1.0, "omega1_rad_s": 2.0, "d_m": 0.1, "Q": 100.0})
@@ -160,6 +170,9 @@ class TestExitCodes:
         ("pendulum", "r_fraction", 2.0, ["sweep", "--param", "Q", "--values", "1e9"]),
         ("pair", "gamma12", 1.0, ["bound"]),
         ("pair", "gamma12", 1.0, ["spectrum"]),
+        *(("pair", key, value, ["linearize"]) for key, value in (
+            ("m1_kg", -1.0), ("m2_kg", 0.0), ("omega1_rad_s", -1.0), ("omega2_rad_s", 0.0),
+            ("d_m", -0.1), ("T_K", -1.0), ("eta_per_s", -0.5))),
     ])
     def test_value_out_of_domain_exit_2_names_key(self, tmp_path, capsys, base, key, value, argv):
         cfg = {k: v for k, v in parse_config(PENDULUM if base == "pendulum" else STABLE_PAIR).items()
@@ -169,9 +182,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         rc = cli.main(argv + ["--config", str(path), "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert key in err
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
         assert not out.exists()
 
     KEYS = sorted(set(cfgmod.SETUP_KEYS) | set(cfgmod.GAMMA_KEYS) | set(cfgmod.PENDULUM_KEYS))
@@ -215,6 +226,27 @@ class TestExitCodes:
 
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["linearize", "--out", str(tmp_path)]) == 2
+
+    def test_config_not_utf8_exit_2_names_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(STABLE_PAIR.replace("# bench-scale", "# caf\u00e9 bench-scale")
+                         .encode("latin-1"))
+        out = tmp_path / "out"
+        rc = cli.main(["linearize", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: config is not UTF-8")
+        assert not out.exists()
+
+    def test_config_with_byte_order_mark_reads_as_without(self, tmp_path, stable_config):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + stable_config.read_bytes())
+        assert cfgmod.load_config(path) == cfgmod.load_config(stable_config)
+        assert cli.main(["linearize", "--config", str(path), "--out", str(tmp_path / "bom")]) == 0
+        assert cli.main(["linearize", "--config", str(stable_config),
+                         "--out", str(tmp_path / "plain")]) == 0
+        assert ((tmp_path / "bom" / "linearize.json").read_bytes()
+                == (tmp_path / "plain" / "linearize.json").read_bytes())
 
     def test_unknown_key_exit_2_names_closest(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
@@ -260,6 +292,7 @@ class TestExitCodes:
         ["--welch-segment", "64", "--welch-overlap", "-0.5"],
         ["--duration", "0.002"],             # shorter than one step
         ["--welch-segment", "1"],            # a one-sample Hann window is zero
+        ["--welch-overlap", "0.7"],          # no segment: there is no spectrum to overlap
     ])
     def test_simulate_flags_checked_before_sampling(self, stable_config, tmp_path, capsys,
                                                     monkeypatch, flags):

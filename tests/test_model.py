@@ -139,7 +139,7 @@ class TestPhysicalSetupDomain:
     @pytest.mark.parametrize("name", ["T", "eta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
     def test_environment_dials_are_finite(self, name, value):
-        with pytest.raises(ValueError, match="T and eta must be non-negative"):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite, got "):
             PhysicalSetup(**{**self.BASE, name: value})
 
     def test_zero_temperature_and_damping_are_accepted(self):

@@ -6,6 +6,7 @@ relevant estimator unless stated otherwise.
 
 import dataclasses
 import os
+import struct
 import threading
 
 import numpy as np
@@ -837,6 +838,12 @@ class TestRawRecord:
         pytest.param(lambda b: b + b"\x00", "sample bytes", id="one-byte-long"),
         pytest.param(lambda b: b[:48], "sample bytes", id="header-only"),
         pytest.param(lambda b: b[:20], "header", id="cut-header"),
+        # the header's dt (bytes 24-32) or duration (32-40) out of its domain
+        *(pytest.param(lambda b, at=at, v=v: b[:at] + struct.pack("<d", v) + b[at + 8:],
+                       f"{name} must be", id=f"{name}={v}")
+          for name, at, values in (("dt", 24, (np.nan, np.inf, 0.0, -1.0)),
+                                   ("duration", 32, (np.nan, np.inf, -1.0)))
+          for v in values),
     ])
     def test_rejects_other_version_or_cut_record(self, tmp_path, mangle, message):
         setup = desk_pair(Q=10.0, T=100.0)
