@@ -59,9 +59,7 @@ def _resolve_inputs(args):
         return dict(cfgmod.TABLE1_CONFIG), None
     if args.config is None:
         raise ConfigError("either --config FILE or --table1 is required")
-    path = Path(args.config)
-    cfg = cfgmod.load_config(path)
-    return cfg, mani.sha256_file(path)
+    return cfgmod.load_config(Path(args.config))
 
 
 def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import difflib
 import functools
+import hashlib
 from types import MappingProxyType
 
 import numpy as np
@@ -117,15 +118,18 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, float]:
     return out
 
 
-def load_config(path) -> dict[str, float]:
-    """Parse a UTF-8 config file, with or without a byte-order mark; a key
-    outside :data:`KNOWN_KEYS` is a ConfigError that names the closest known
-    key."""
+def load_config(path) -> tuple[dict[str, float], str]:
+    """(config, sha256 of the file's bytes) from one read of a UTF-8 config
+    file, with or without a byte-order mark, so that the digest is that of
+    the text parsed; a key outside :data:`KNOWN_KEYS` is a ConfigError that
+    names the closest known key."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from None
     cfg = parse_config(text, source=str(path))
@@ -134,7 +138,7 @@ def load_config(path) -> dict[str, float]:
             close = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"{path}: unknown config key {key!r}{hint}")
-    return cfg
+    return cfg, hashlib.sha256(data).hexdigest()
 
 
 def require_keys(cfg: dict, keys) -> None:
@@ -164,6 +168,8 @@ def setup_from_config(cfg: dict) -> PhysicalSetup:
         if cfg["Q"] <= 0.0:
             raise ConfigError(f"Q: Q must be positive, got {cfg['Q']!r}")
         defaults["eta_per_s"] = cfg["omega1_rad_s"] / cfg["Q"]
+        if "eta_per_s" not in cfg and defaults["eta_per_s"] == np.inf:
+            raise ConfigError(f"Q: the damping rate omega1/Q it sets overflows, got Q = {cfg['Q']!r}")
     return _build(PhysicalSetup, _SETUP_FIELDS, {**defaults, **cfg})
 
 

@@ -3,8 +3,9 @@
 Every CLI run writes a manifest recording the subcommand, the fully resolved
 parameter set, the master seed, the tool version, the input-config hash and
 the list (with hashes) of every file produced. Each writer hashes the bytes
-as it writes them and returns the sha256, so no output is read back; only
-the input config is hashed from disk (``sha256_file``). Re-running the recorded
+as it writes them and returns the sha256, so no output is read back; the
+input config's hash is that of the bytes ``gravdiff.config.load_config``
+parsed, from the same single read. Re-running the recorded
 command with the same build reproduces the outputs bit for bit; the
 determinism contract is floating-point determinism within one build.
 

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ProtocolError, SeedError, StabilityError
+from .errors import ConfigError, DomainError, ProtocolError, SeedError, StabilityError
 from .manifest import _write_hashed
 from .model import (
     DiffusionMatrix,
@@ -342,9 +342,13 @@ class NoiseModel:
 
     @classmethod
     def from_setup(cls, setup: PhysicalSetup, gamma: DiffusionMatrix, seed: int) -> "NoiseModel":
-        return cls(gamma=gamma,
-                   thermal_intensity=2.0 * setup.eta * setup.m1 * setup.kB * setup.T,
-                   seed=seed)
+        """The setup's bath as a NoiseModel; DomainError when its finite
+        eta, m1, kB and T multiply past the floating-point range."""
+        intensity = 2.0 * setup.eta * setup.m1 * setup.kB * setup.T
+        if not intensity < np.inf:
+            raise DomainError(f"thermal intensity 2 eta m1 kB T overflows: eta = {setup.eta!r}, "
+                              f"m1 = {setup.m1!r}, kB = {setup.kB!r}, T = {setup.T!r}")
+        return cls(gamma=gamma, thermal_intensity=intensity, seed=seed)
 
     def stream(self, index: int, domain: int = _DOMAIN_TRAJECTORY) -> np.random.Generator:
         """Counter-based per-stream generator: Philox keyed by (seed, id)."""

@@ -23,10 +23,29 @@ Methods, sec. 4.4)
 
 evaluated on each additive part of D, built as one stack, for the component
 breakdown. The closed forms of both models serve the test suite as oracles.
+
+Only r(w) = row 0 of (-i w - A)^{-1} is needed, and D is real symmetric, so
+S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call reduces A^T
+once (A. J. Laub, IEEE TAC 26:407, 1981): an exact power-of-two balancing
+t, then Householder reflections on indices >= 1 to upper Hessenberg form,
+A^T = t q h q^T t^-1 with q e0 = e0. Each reflection step first swaps its
+column's largest entry onto the subdiagonal, so both models' drifts reduce
+by a permutation alone, without rounding. Then r^T = t q y / t0, where
+(-i w - h) y = e0 is solved for a block of frequencies at a time by n - 1
+eliminations with partial pivoting between adjacent rows and back
+substitution: O(n^2) work per frequency and no LAPACK call.
+
+Singular pivots: a pivot no larger than 4 n eps (||h||_1 + |w|), eps the
+float64 machine epsilon, is within the rounding of the reduction and the
+elimination of zero, so -i w - A is singular to working precision there and
+the call raises DomainError ("spectrum diverges: an undamped resonance lies on
+the grid"). Because h is balanced first, the rule does not depend on the
+units of the state: a lighter mass does not widen it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,14 +143,118 @@ def thermal_force_density(omega, setup: PhysicalSetup) -> np.ndarray:
     return setup.hbar**2 * vals
 
 
-# Frequencies solved per block: bounds the batched solve's matrices and the
+# Frequencies solved per block: bounds the shifted solves' rows and the
 # quadratic forms' temporaries to one block whatever the grid's length.
 _FREQ_BLOCK = 1024
 
 
+def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, t) with b = t^-1 a t for the diagonal t of powers of two that
+    evens out each index's off-diagonal row and column 1-norms (B. N. Parlett
+    and C. Reinsch, Numer. Math. 13:293, 1969). Exact: only exponents move.
+    It brings a drift's mixed units (1/m against m Omega^2) to one scale
+    before the orthogonal reduction mixes positions with momenta."""
+    b = np.array(a, dtype=float)
+    t = np.ones(len(b))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(b)):
+            col = np.abs(b[:, i]).sum() - abs(b[i, i])
+            row = np.abs(b[i]).sum() - abs(b[i, i])
+            if col == 0.0 or row == 0.0:
+                continue
+            f = math.ldexp(1.0, (math.frexp(row)[1] - math.frexp(col)[1]) // 2)
+            if col * f + row / f < 0.95 * (col + row):
+                b[:, i] *= f
+                b[i] /= f
+                t[i] *= f
+                changed = True
+    return b, t
+
+
+def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, q) with a = q h q^T, h upper Hessenberg and q orthogonal, from
+    Householder reflections on indices >= 1, so that q e0 = e0. Each step
+    first swaps the largest entry below the diagonal onto the subdiagonal: a
+    column with one such entry, as every column of a Langevin drift has,
+    then needs no reflection, and the reduction is exact."""
+    h = np.array(a, dtype=float)
+    q = np.eye(len(h))
+    for k in range(len(h) - 2):
+        swap = [k + 1, k + 1 + int(np.argmax(np.abs(h[k + 1:, k])))]
+        h[swap] = h[swap[::-1]]
+        h[:, swap] = h[:, swap[::-1]]
+        q[:, swap] = q[:, swap[::-1]]
+        v = h[k + 1:, k].copy()
+        if not v[1:].any():
+            continue
+        alpha = -math.copysign(math.hypot(*v), v[0])
+        v[0] -= alpha
+        v *= math.sqrt(2.0) / math.hypot(*v)         # the reflection is I - v v^T
+        h[k + 1:] -= np.outer(v, v @ h[k + 1:])
+        h[:, k + 1:] -= np.outer(h[:, k + 1:] @ v, v)
+        q[:, k + 1:] -= np.outer(q[:, k + 1:] @ v, v)
+        h[k + 1, k] = alpha
+        h[k + 2:, k] = 0.0
+    return h, q
+
+
+def _reduce(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, lift) with h upper Hessenberg and row 0 of (-i w - A)^-1 equal to
+    lift (-i w - h)^-1 e0 at every w: A^T = t q h q^T t^-1 with q e0 = e0."""
+    balanced, t = _balance(A.T)
+    h, q = _hessenberg(balanced)
+    return h, q * (t / t[0])[:, None]
+
+
+def _require_pivots(size: np.ndarray, tol: np.ndarray) -> None:
+    if (size <= tol).any():
+        raise DomainError("spectrum diverges: an undamped resonance lies on the grid")
+
+
+def _resolvent_rows(h: np.ndarray, lift: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[Re r | Im r], an (n, 2 len(w)) array of the real parts' columns, one
+    per frequency, then the imaginary parts', for r = lift y and
+    y = (-i w - h)^-1 e0, h upper Hessenberg:
+    n - 1 eliminations with partial pivoting between adjacent rows, each
+    vectorized over w, then back substitution."""
+    n, size = len(h), len(w)
+    s = -1j * w
+    # A pivot within rounding of zero: see the module docstring.
+    tol = 4 * n * np.finfo(float).eps * (np.abs(h).sum(axis=0).max() + np.abs(w))
+    tol_max = tol.max()
+    carried = np.empty((n, size), complex)          # row k from column k on
+    carried[:] = -h[0, :, None]
+    carried[0] += s
+    b = 1.0                                         # its right-hand side
+    upper = []
+    for k in range(n - 1):
+        below = np.empty((n - k, size), complex)    # row k + 1 from column k on; rhs 0
+        below[:] = -h[k + 1, k:, None]
+        below[1] += s
+        sub, lead = abs(h[k + 1, k]), np.abs(carried[0])
+        if sub <= tol_max:
+            _require_pivots(np.maximum(lead, sub), tol)
+        swap = sub > lead
+        p, o = np.where(swap, below, carried), np.where(swap, carried, below)
+        bp, bo = np.where(swap, 0.0, b), np.where(swap, b, 0.0)
+        m = o[0] / p[0]
+        carried, b = o[1:] - m * p[1:], bo - m * bp
+        upper.append((p, bp))
+    _require_pivots(np.abs(carried[0]), tol)
+    y = np.empty((n, size), complex)
+    y[-1] = b / carried[0]
+    for k in range(n - 2, -1, -1):
+        p, bp = upper[k]
+        y[k] = (bp - (p[1:] * y[k + 1:]).sum(axis=0)) / p[0]
+    return lift @ np.concatenate((y.real, y.imag), axis=1)
+
+
 def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: DiffusionMatrix,
                         omega_grid, partner_fixed: bool) -> NoiseSpectrum:
-    """S_x1x1(w) = Re[r D(w) r^H] with r = row 0 of (-i w - A)^{-1}, per part of D."""
+    """S_x1x1(w) = Re r D(w) Re r^T + Im r D(w) Im r^T with r = row 0 of
+    (-i w - A)^{-1}, per part of D."""
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     g = gamma.matrix
     diag = np.diag(g)
@@ -141,25 +264,24 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
         g - np.diag(diag),                      # every cross entry
     ]), partner_fixed)
     n = len(A)
+    h, lift = _reduce(A)
+    # The thermal part is hbar^2 k(w) sum_i m_i |r_i|^2, k the kernel per unit mass.
+    masses = np.zeros((n, n))
+    for i, m in mobile_momenta(setup, partner_fixed):
+        masses[i, i] = m
+    forms = np.concatenate([parts, masses[None]])
 
     S_total, S_gp, S_gm, S_th, S_cr = np.empty((5, len(w)))
     substituted = False
     for start in range(0, len(w), _FREQ_BLOCK):
         cut = slice(start, start + _FREQ_BLOCK)
         wb = w[cut]
-        e0 = np.zeros((len(wb), n, 1))
-        e0[:, 0] = 1.0
-        try:
-            # r^T solves (-i w - A)^T r^T = e0
-            r = np.linalg.solve((-1j * wb)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
-        except np.linalg.LinAlgError:
-            raise DomainError("spectrum diverges: an undamped resonance lies on the grid") from None
-        S_gp[cut], S_gm[cut], S_cr[cut] = np.real(np.sum((r @ parts) * r.conj(), axis=-1))
-        S_th[cut] = 0.0
-        for i, m in mobile_momenta(setup, partner_fixed):
-            kernel, substituted_here = _coth_term(wb, setup, m)
-            substituted |= substituted_here
-            S_th[cut] += setup.hbar**2 * np.abs(r[:, i]) ** 2 * kernel
+        r = _resolvent_rows(h, lift, wb)
+        quad = ((forms.reshape(-1, n) @ r).reshape(len(forms), n, -1) * r).sum(axis=1)
+        S_gp[cut], S_gm[cut], S_cr[cut], weight = quad[:, :len(wb)] + quad[:, len(wb):]
+        kernel, substituted_here = _coth_term(wb, setup, 1.0)
+        substituted |= substituted_here
+        S_th[cut] = setup.hbar**2 * weight * kernel
         S_total[cut] = S_gp[cut] + S_gm[cut] + S_th[cut] + S_cr[cut]
     return NoiseSpectrum(
         omega=w,

@@ -164,6 +164,18 @@ class TestBlockedResolvent:
         for name in ("S_total", "S_grav_position", "S_grav_momentum", "S_thermal", "S_cross"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
+    @pytest.mark.parametrize("dns", [dns_fixed_source, dns_symmetric_pair])
+    @pytest.mark.parametrize("n", [B_FREQ + 1, 2 * B_FREQ + 1])
+    def test_grid_equals_its_per_block_calls(self, dns, n):
+        setup, sys, gamma = self.model()
+        w = np.linspace(0.25, 2.0, n) * sys.Omega1
+        whole = dns(setup, sys, gamma, w)
+        for start in range(0, n, B_FREQ):
+            cut = slice(start, start + B_FREQ)
+            block = dns(setup, sys, gamma, w[cut])
+            for name in ("S_total", "S_grav_position", "S_grav_momentum", "S_thermal", "S_cross"):
+                assert np.array_equal(getattr(block, name), getattr(whole, name)[cut]), name
+
     def test_work_memory_independent_of_grid(self):
         setup, sys, gamma = self.model()
 

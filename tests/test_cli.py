@@ -115,6 +115,11 @@ class TestConfigParsing:
             {"m1_kg": 1.0, "omega1_rad_s": 2.0, "d_m": 0.1, "Q": 100.0})
         assert setup.eta == pytest.approx(0.02)
 
+    def test_q_whose_eta_overflows_is_named(self):
+        # the config holds no eta_per_s: the key at fault is Q
+        with pytest.raises(ConfigError, match="^Q: "):
+            setup_from_config({"m1_kg": 1.0, "omega1_rad_s": 1.0, "d_m": 0.1, "Q": 1e-320})
+
 
 class TestExitCodes:
     def test_missing_key_exit_2(self, tmp_path, capsys):
@@ -141,7 +146,7 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("key,value", [
-        ("Q", "0"), ("Q", "-100"), ("hbar_Js", "0"), ("hbar_Js", "-1.05e-34"),
+        ("Q", "0"), ("Q", "-100"), ("Q", "1e-320"), ("hbar_Js", "0"), ("hbar_Js", "-1.05e-34"),
         ("kB_J_K", "0"), ("G_m3_kg_s2", "-6.6743e-11"),
     ])
     @pytest.mark.parametrize("argv", [
@@ -159,6 +164,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert {"Q": "Q", "hbar_Js": "hbar", "kB_J_K": "kB", "G_m3_kg_s2": "G"}[key] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "1", "--traj", "2", "--dt", "0.005", "--duration", "1.0"],
+        ["reheat", "--seed", "1", "--cycles", "10", "--cycle-time", "1e-320"],
+    ])
+    def test_overflowing_thermal_intensity_exit_3_writes_nothing(self, tmp_path, capsys, argv):
+        # 2 eta m1 kB T overflows from finite config values
+        path = tmp_path / "big.cfg"
+        path.write_text(STABLE_PAIR.replace("eta_per_s = 0.6283185307179586", "eta_per_s = 1.7e308"))
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: thermal intensity") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("base,key,value,argv", [
@@ -241,7 +260,7 @@ class TestExitCodes:
     def test_config_with_byte_order_mark_reads_as_without(self, tmp_path, stable_config):
         path = tmp_path / "bom.cfg"
         path.write_bytes(b"\xef\xbb\xbf" + stable_config.read_bytes())
-        assert cfgmod.load_config(path) == cfgmod.load_config(stable_config)
+        assert cfgmod.load_config(path)[0] == cfgmod.load_config(stable_config)[0]
         assert cli.main(["linearize", "--config", str(path), "--out", str(tmp_path / "bom")]) == 0
         assert cli.main(["linearize", "--config", str(stable_config),
                          "--out", str(tmp_path / "plain")]) == 0
@@ -908,6 +927,27 @@ class TestEmitContract:
         assert {Path(o["path"]) for o in outputs} <= {path for path, mode in opened if "w" in mode}
         for o in outputs:
             assert hashlib.sha256(Path(o["path"]).read_bytes()).hexdigest() == o["sha256"]
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_config_read_once_and_hashed_as_parsed(self, stable_config, pendulum_config,
+                                                   tmp_path, monkeypatch, command):
+        out = tmp_path / "out"
+        config = pendulum_config if command in ("feasibility", "sweep") else stable_config
+        flags = [str(out / "raw.bin") if a == "RAW" else a for a in self.CASES[command]]
+        opened = []
+        real_open = io.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        assert cli.main([command, "--config", str(config), *flags, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert opened.count(config) == 1
+        recorded = load_manifest(out / f"{command}.manifest.json")["config_sha256"]
+        assert recorded == hashlib.sha256(config.read_bytes()).hexdigest()
 
 
 class TestStrictJson:

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solve_continuous_lyapunov
 
+from gravdiff import spectra
 from gravdiff.errors import DomainError
 from gravdiff.model import (
     DiffusionMatrix,
@@ -311,6 +312,91 @@ def self_channel_weights(setup, sys, w):
     D = sys.Omega1**2 - w**2 - 1j * eta * w
     chi = 1.0 / (m**2 * D**2 - sys.K**2)
     return np.array([abs(chi * m * D) ** 2, abs(chi * sys.K) ** 2])
+
+
+def lapack_rows(A, w):
+    """Row 0 of (-i w - A)^{-1} at each w, one LAPACK solve per frequency."""
+    n = len(A)
+    e0 = np.zeros((len(w), n, 1))
+    e0[:, 0] = 1.0
+    return np.linalg.solve((-1j * w)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
+
+
+def shifted_rows(A, w):
+    """The same rows from one Hessenberg reduction and O(n^2) shifted solves."""
+    h, lift = spectra._reduce(A)
+    r = spectra._resolvent_rows(h, lift, w)
+    return (r[:, :len(w)] + 1j * r[:, len(w):]).T
+
+
+def worst_row_error(A, w):
+    """Largest per-frequency |r - r_lapack|_max / |r_lapack|_2."""
+    ref = lapack_rows(A, w)
+    return float(np.max(np.abs(shifted_rows(A, w) - ref).max(axis=1)
+                        / np.linalg.norm(ref, axis=1)))
+
+
+class TestShiftedSolves:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_random_stable_drifts_match_lapack(self, rng, n):
+        w = np.linspace(-4.0, 4.0, 257)
+        for _ in range(50):
+            M = rng.standard_normal((n, n))
+            A = M - (np.linalg.eigvals(M).real.max() + rng.uniform(0.1, 1.0)) * np.eye(n)
+            assert worst_row_error(A, w) < 1e-12
+
+    @pytest.mark.parametrize("setup", [
+        # critically damped: A is defective, one double eigenvalue per body
+        PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.5, G=0.0, eta=2.0),
+        PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.5, eta=2.0),
+        # overdamped: real eigenvalues
+        PhysicalSetup(m1=1.0, m2=2.0, omega1=1.0, omega2=1.5, d=0.5, eta=10.0),
+        # a levitated pair: 1/m and m Omega^2 twenty decades apart
+        PhysicalSetup(m1=1e-15, m2=1e-15, omega1=1e5, omega2=1e5, d=1e-5, eta=1e-2),
+    ], ids=["critical-decoupled", "critical", "overdamped", "light"])
+    @pytest.mark.parametrize("partner_fixed", [True, False])
+    def test_damping_regimes_and_units_match_lapack(self, setup, partner_fixed):
+        sys = linearize(setup)
+        A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
+        w = np.linspace(-3.0, 3.0, 1001) * sys.Omega1
+        assert worst_row_error(A, w) < 1e-12
+
+    @pytest.mark.parametrize("partner_fixed", [True, False])
+    def test_langevin_drift_reduces_exactly(self, partner_fixed):
+        # one entry below the diagonal per column: the reduction is a
+        # permutation, so h carries A's entries without rounding
+        setup = asymmetric_setup()
+        A, _ = langevin_model(setup, linearize(setup), np.zeros((4, 4)), partner_fixed)
+        balanced, _ = spectra._balance(A.T)
+        h, q = spectra._hessenberg(balanced)
+        assert np.array_equal(np.abs(q), np.abs(q).round())
+        assert np.array_equal(q @ h @ q.T, balanced)
+
+    @staticmethod
+    def random_resonances(eta_over_omega, count=40):
+        """(setup, system) pairs over 18 decades of mass and eight of
+        frequency, decoupled (G = 0) so that Omega1 is an eigenfrequency."""
+        rng = np.random.default_rng(11)
+        for _ in range(count):
+            m, om = 10.0 ** rng.uniform(-15.0, 3.0), 10.0 ** rng.uniform(-3.0, 5.0)
+            setup = PhysicalSetup(m1=m, m2=m * rng.uniform(1.0, 3.0), omega1=om,
+                                  omega2=om * rng.uniform(0.5, 2.0), d=0.5, G=0.0, T=1.0,
+                                  eta=eta_over_omega * om)
+            yield setup, linearize(setup)
+
+    def test_undamped_resonance_within_rounding_raises(self):
+        # the computed last pivot at Omega1 is rounding, not an exact zero
+        for setup, sys in self.random_resonances(0.0):
+            for dns in (dns_fixed_source, dns_symmetric_pair):
+                with pytest.raises(DomainError, match="undamped resonance"):
+                    dns(setup, sys, DiffusionMatrix.zero(), np.array([sys.Omega1]))
+
+    @pytest.mark.parametrize("partner_fixed", [True, False])
+    def test_high_q_resonance_on_grid_is_solved(self, partner_fixed):
+        # Q = 1e10 exactly on resonance: conditioned at about 1e10, not singular
+        for setup, sys in self.random_resonances(1e-10):
+            A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
+            assert worst_row_error(A, np.array([sys.Omega1])) < 1e-4
 
 
 class TestDetectionCondition:
