@@ -12,7 +12,7 @@ Submodules:
 """
 
 # Before the submodules: gravdiff.manifest reads it at import.
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .constants import G_NEWTON, HBAR, KB, OSMIUM_DENSITY
 from .errors import (

@@ -49,11 +49,18 @@ rounding differs from it (about 1e-14 relative). The sampler needs numpy
 only; the stationary covariance that starts a run has a closed form
 (:func:`stationary_covariance`).
 
-Seeding is counter-based: stream k of master seed s is Philox(key=[s, k]),
-so trajectories are reproducible and order-independent regardless of how the
-ensemble is scheduled. Per stream, the draw order is: for ``simulate``,
-2 normals for the initial condition (when sampled), then 2 normals per step;
-for ``reheating_run``, 2 normals for the end-of-cycle state, then 1 for the
+Every stream is a pure function of the master seed s and its index, so
+trajectories are reproducible and order-independent regardless of how the
+ensemble is batched or scheduled. Trajectory k is an SFC64 generator seeded
+by child k of s's ``SeedSequence`` (``SeedSequence(s, spawn_key=(k,))``,
+NumPy NEP 19); it draws normals 1.3-1.6 times faster than Philox, and the
+draws are most of a one-trajectory run. Reheating cycle i keeps the
+counter-based Philox keyed by the 64-bit words [s, 2**56 | i] (J. K. Salmon
+et al., SC'11): a cycle draws only 3 normals, so building its generator is
+most of its cost, and a Philox key is cheaper to build than a
+``SeedSequence``. Per stream, the draw order is: for ``simulate``, 2 normals
+for the initial condition (when sampled), then 2 normals per step; for
+``reheating_run``, 2 normals for the end-of-cycle state, then 1 for the
 readout.
 """
 
@@ -342,8 +349,12 @@ class NoiseModel:
 
     @classmethod
     def from_setup(cls, setup: PhysicalSetup, gamma: DiffusionMatrix, seed: int) -> "NoiseModel":
-        """The setup's bath as a NoiseModel; DomainError when its finite
-        eta, m1, kB and T multiply past the floating-point range."""
+        """The setup's bath as a NoiseModel: intensity exactly 0 when T or
+        eta is 0 (else 2 eta m1 kB T, multiplied left to right), and
+        DomainError when its finite factors multiply past the floating-point
+        range."""
+        if setup.T == 0.0 or setup.eta == 0.0:
+            return cls(gamma=gamma, thermal_intensity=0.0, seed=seed)
         intensity = 2.0 * setup.eta * setup.m1 * setup.kB * setup.T
         if not intensity < np.inf:
             raise DomainError(f"thermal intensity 2 eta m1 kB T overflows: eta = {setup.eta!r}, "
@@ -351,8 +362,22 @@ class NoiseModel:
         return cls(gamma=gamma, thermal_intensity=intensity, seed=seed)
 
     def stream(self, index: int, domain: int = _DOMAIN_TRAJECTORY) -> np.random.Generator:
-        """Counter-based per-stream generator: Philox keyed by (seed, id)."""
-        return np.random.Generator(np.random.Philox(key=[self.seed, domain | index]))
+        """Generator of stream ``index`` (>= 0) in ``domain``.
+
+        A trajectory stream is SFC64 seeded by child ``index`` of the master
+        seed's SeedSequence. Other domains are counter-based: Philox keyed
+        by the two 64-bit words (seed, domain | index). Entropy
+        [seed, index] would not do for the trajectories: SeedSequence hashes
+        a list entropy as one run of 32-bit words, so (5, 7 * 2**32 + 9) and
+        (9 * 2**32 + 5, 7) would give the same stream. The Philox key is
+        built as uint64: a plain list of a seed from 2**63 on goes through
+        float64 and loses its low bits, and those of the stream id with it.
+        """
+        if domain == _DOMAIN_TRAJECTORY:
+            return np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(self.seed, spawn_key=(index,))))
+        key = np.array([self.seed, domain | index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -463,10 +488,13 @@ def simulate(
 
     Raises ValueError unless dt and duration are positive and finite and a
     pair ``init`` is finite, StabilityError when dt exceeds
-    :func:`step_limit` and SeedError for an empty ensemble.
+    :func:`step_limit` and SeedError for an empty ensemble or a negative
+    ``stream_offset``.
     """
     if n_traj <= 0:
         raise SeedError("ensemble must contain at least one trajectory")
+    if stream_offset < 0:
+        raise SeedError(f"stream_offset must be non-negative, got {stream_offset}")
     for name, value in (("dt", dt), ("duration", duration)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")

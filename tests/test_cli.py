@@ -5,11 +5,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gravdiff import cli
 from gravdiff import config as cfgmod
@@ -1167,3 +1171,75 @@ def test_manifest_records_package_version(stable_config, tmp_path):
 
     assert cli.main(["linearize", "--config", str(stable_config), "--out", str(tmp_path)]) == 0
     assert load_manifest(tmp_path / "linearize.manifest.json")["version"] == gravdiff.__version__
+
+
+# Config values of the failure-contract property: signs, zero, subnormals,
+# the float range's edges and ordinary values.
+EXTREME_VALUES = (0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e-30, 1e30, 1e300, 1.7e308, 0.5, 2.0)
+# Each command at a tiny size; feasibility and sweep read the pendulum config.
+TINY_RUNS = {
+    "linearize": [],
+    "bound": [],
+    "evolve": ["--periods", "0.01"],
+    "spectrum": ["--grid", "4"],
+    "simulate": ["--seed", "1", "--traj", "1", "--dt", "0.001", "--duration", "0.004",
+                 "--welch-segment", "4", "--raw", "RAW"],
+    "reheat": ["--seed", "1", "--cycles", "2", "--cycle-time", "0.01"],
+    "feasibility": [],
+    "sweep": ["--param", "Q", "--start", "1e6", "--stop", "1e9", "--num", "2"],
+}
+
+
+def _pendulum_command(command):
+    return command in ("feasibility", "sweep")
+
+
+def _extreme_case(command):
+    keys = cfgmod.PENDULUM_KEYS if _pendulum_command(command) else cfgmod.SYSTEM_KEYS
+    changes = st.dictionaries(st.sampled_from(keys), st.sampled_from(EXTREME_VALUES),
+                              min_size=1, max_size=2)
+    return st.tuples(st.just(command), changes)
+
+
+def _all_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return not isinstance(obj, list) or all(_all_finite(v) for v in obj)
+
+
+def _written_values_finite(path) -> bool:
+    if path.suffix == ".csv":
+        return bool(np.isfinite(read_repr_csv(path)[1]).all())
+    if path.suffix == ".bin":
+        ens = read_raw_trajectories(path)
+        return bool(np.isfinite(ens.x).all() and np.isfinite(ens.p).all())
+    lines = path.read_text().splitlines() if path.suffix == ".jsonl" else [path.read_text()]
+    return all(_all_finite(json.loads(line)) for line in lines)
+
+
+class TestFailureContract:
+    """Every command on a config with one or two extreme values ends in a
+    documented exit code without an escaping exception; a run that exits 0
+    wrote only finite values, and one that fails left no manifest."""
+
+    @given(st.sampled_from(sorted(TINY_RUNS)).flatmap(_extreme_case))
+    @example(("reheat", {"eta_per_s": 1.7e308}))
+    @example(("reheat", {"eta_per_s": 1.7e308, "T_K": 0.0}))
+    @example(("simulate", {"eta_per_s": 1.7e308, "T_K": 0.0}))
+    @settings(derandomize=True, deadline=2000, max_examples=200)
+    def test_documented_exit_and_finite_or_no_record(self, case):
+        command, changes = case
+        base = parse_config(PENDULUM if _pendulum_command(command) else STABLE_PAIR)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config, out = root / "extreme.cfg", root / "out"
+            config.write_text("".join(f"{k} = {v!r}\n" for k, v in {**base, **changes}.items()))
+            flags = [str(out / "raw.bin") if a == "RAW" else a for a in TINY_RUNS[command]]
+            rc = cli.main([command, *flags, "--config", str(config), "--out", str(out)])
+            assert rc in (0, 2, 3, 4)
+            if rc == 0:
+                assert all(_written_values_finite(path) for path in out.iterdir())
+            else:
+                assert not list(root.rglob("*.manifest.json"))

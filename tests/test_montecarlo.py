@@ -38,6 +38,7 @@ from gravdiff.montecarlo import (
     write_raw_trajectories,
     _BLOCK_STEPS,
     _CHUNK_BLOCKS,
+    _DOMAIN_CYCLE,
     _levels,
     _monitored_model,
     _noise_factor,
@@ -78,6 +79,19 @@ class TestNoiseModel:
         assert nm.thermal_intensity == pytest.approx(
             2 * setup.eta * setup.m1 * KB * setup.T, rel=1e-12, abs=0.0)
 
+    def test_thermal_intensity_keeps_its_product_order(self):
+        setup = desk_pair(T=273.16)
+        nm = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=3)
+        assert nm.thermal_intensity == 2.0 * setup.eta * setup.m1 * KB * setup.T
+
+    @pytest.mark.parametrize("eta,T", [(1.7e308, 0.0), (0.0, 1e300), (0.0, 0.0)])
+    def test_thermal_intensity_is_exactly_zero_without_bath(self, eta, T):
+        # 2 eta overflows to inf at eta = 1.7e308, and inf * 0 would be NaN
+        setup = dataclasses.replace(desk_pair(), eta=eta, T=T)
+        with np.errstate(all="raise"):
+            nm = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=3)
+        assert nm.thermal_intensity == 0.0
+
     def test_factor_projects_indefinite_matrix_within_tolerance(self):
         # PSD within PSD_RTOL, but too negative for a jittered Cholesky
         Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
@@ -103,6 +117,76 @@ class TestNoiseModel:
     def test_seed_out_of_range(self, seed):
         with pytest.raises(SeedError, match="2\\*\\*64"):
             NoiseModel(gamma=DiffusionMatrix.zero(), thermal_intensity=0.0, seed=seed)
+
+
+def sfc64_child(seed, k):
+    """Child k of the master seed's SeedSequence, on SFC64."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,))))
+
+
+class TestStreamMap:
+    """The seed-to-stream map: trajectory streams are SFC64 on SeedSequence
+    children, reheating cycle streams counter-based Philox."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 1, 2**64 - 1])
+    @pytest.mark.parametrize("k", [0, 1, 63, 2**32 + 3])
+    def test_trajectory_stream_is_a_seed_sequence_child(self, seed, k):
+        noise = zero_noise(seed=seed)
+        assert np.array_equal(noise.stream(k).standard_normal(8),
+                              sfc64_child(seed, k).standard_normal(8))
+
+    def test_list_entropy_aliases_are_distinct_streams(self):
+        # SeedSequence([s, k]) hashes one run of 32-bit words, so these two
+        # (seed, index) pairs would share a stream under list entropy
+        (s1, k1), (s2, k2) = (5, 7 * 2**32 + 9), (9 * 2**32 + 5, 7)
+
+        def listed(s, k):
+            return np.random.Generator(np.random.SFC64(np.random.SeedSequence([s, k])))
+
+        assert np.array_equal(listed(s1, k1).standard_normal(4), listed(s2, k2).standard_normal(4))
+        assert not np.array_equal(zero_noise(seed=s1).stream(k1).standard_normal(4),
+                                  zero_noise(seed=s2).stream(k2).standard_normal(4))
+
+    @pytest.mark.parametrize("seed", [0, 12, 2**63 - 1])
+    @pytest.mark.parametrize("i", [0, 1, 4095])
+    def test_cycle_stream_is_keyed_philox(self, seed, i):
+        philox = np.random.Generator(np.random.Philox(key=[seed, _DOMAIN_CYCLE | i]))
+        assert np.array_equal(zero_noise(seed=seed).stream(i, domain=_DOMAIN_CYCLE)
+                              .standard_normal(3), philox.standard_normal(3))
+
+    def test_cycle_streams_of_seeds_past_2_63_are_distinct(self):
+        # a list key of such a seed passes through float64: seeds 2**63 and
+        # 2**63 + 1 shared a key, and cycles 0 to 8 of each shared one stream
+        firsts = []
+        for seed in (2**63, 2**63 + 1, 2**64 - 1):
+            for i in (0, 1):
+                gen = zero_noise(seed=seed).stream(i, domain=_DOMAIN_CYCLE)
+                key = gen.bit_generator.state["state"]["key"]
+                assert [int(w) for w in key] == [seed, _DOMAIN_CYCLE | i]
+                firsts.append(gen.standard_normal())
+        assert len(set(firsts)) == len(firsts)
+
+    def test_simulate_draws_each_trajectory_from_its_child(self):
+        # 2 normals for the stationary start, then 2 per step; the start is
+        # L0 u for the noise factor L0 of the stationary covariance
+        setup = desk_pair(Q=10.0, T=250.0)
+        sys = linearize(setup)
+        noise = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=99)
+        ens = simulate(setup, sys, noise, n_traj=3, dt=0.005, duration=0.05, stream_offset=4)
+        L0 = _noise_factor(stationary_covariance(setup, sys, noise))
+        for k in range(3):
+            start = L0 @ sfc64_child(99, 4 + k).standard_normal(2)
+            assert np.allclose((ens.x[k, 0], ens.p[k, 0]), start, rtol=1e-13, atol=0.0)
+
+    def test_reheating_outputs_are_those_of_its_philox_streams(self):
+        # recorded before the trajectory streams moved to SFC64; a changed
+        # cycle stream would move both by far more than rounding
+        setup = TestReheat().protocol_setup()
+        noise = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=12)
+        res = reheating_run(setup, linearize(setup), noise, n_cycles=64, cycle_time=2.0,
+                            detector_noise_N=1.0)
+        assert res.Gamma_hat == pytest.approx(0.5394571293365544, rel=1e-12, abs=0.0)
+        assert res.stderr == pytest.approx(0.10510474865114317, rel=1e-12, abs=0.0)
 
 
 class TestStationaryCovariance:
@@ -297,6 +381,9 @@ class TestSimulateStatistics:
         sys = linearize(setup)
         with pytest.raises(SeedError):
             simulate(setup, sys, zero_noise(), n_traj=0, dt=0.001, duration=1.0)
+        with pytest.raises(SeedError, match="stream_offset"):
+            simulate(setup, sys, zero_noise(), n_traj=1, dt=0.001, duration=1.0,
+                     stream_offset=-1)
         with pytest.raises(StabilityError):
             simulate(setup, sys, zero_noise(), n_traj=1, dt=0.5, duration=1.0)
         with pytest.raises(ValueError):
