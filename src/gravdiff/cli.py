@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands: linearize, bound, evolve, spectrum, simulate, reheat,
-feasibility, sweep. Each run resolves its parameters from a flat key-value
-config file (see gravdiff.config for the key table) or the built-in
-Table-1 config (--table1) and hands its outputs to one emit path, which
-writes them as CSV/JSON and then a manifest recording the resolved
-parameters, the master seed, the tool version, the input hash and each
-output's hash. The parser checks each flag's own domain as it reads it.
+feasibility, sweep. The parser checks each flag's own domain as it reads it,
+and exactly one of --config (a flat key-value file, see gravdiff.config for
+the key table) or --table1 (the built-in Table-1 config) is required. Every
+run then takes one path (_run): it resolves the config and, for simulate and
+reheat, the master seed; the command's ``cmd_<command>(args, cfg)`` computes
+its outputs and report; the outputs are written as CSV/JSON, then a manifest
+recording the resolved parameters, the master seed, the tool version, the
+input hash and each output's hash; and only then is the report printed.
 
 Exit codes: 0 success, 2 configuration problems (including a flag or config
 value out of its domain and a run too large to allocate), 3 numeric/stability
 problems (including arithmetic that overflows or divides by zero on finite
-but extreme values), 4 I/O problems.
+but extreme values), 4 I/O problems. :func:`main` maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ def _resolve_inputs(args):
     """(cfg dict, config sha) from --config/--table1."""
     if args.table1:
         return dict(cfgmod.TABLE1_CONFIG), None
-    if args.config is None:
-        raise ConfigError("either --config FILE or --table1 is required")
     return cfgmod.load_config(Path(args.config))
 
 
@@ -67,102 +67,6 @@ def _require_in_memory(n_samples: float, bytes_per_sample: int) -> None:
     past the largest index it raises ValueError instead of MemoryError."""
     if n_samples * bytes_per_sample > np.iinfo(np.intp).max:
         raise MemoryError(f"{n_samples:.3g} samples")
-
-
-def _emit(args, cfg, sha, outputs, seed=None) -> int:
-    """Write each ``(path, writer, *data)`` output as ``writer(path, *data)``,
-    then ``<command>.manifest.json`` in --out listing every output with the
-    sha256 its writer returned, hashed as it was written. The manifest is
-    written last, so a failed write leaves none.
-    """
-    manifest = mani.RunManifest(
-        command=args.command,
-        argv=list(args._argv),
-        parameters={k: cfg[k] for k in sorted(cfg)},
-        seed=seed,
-        config_sha256=sha,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for path, writer, *data in outputs:
-        manifest.add_output(path, writer(path, *data))
-    manifest.write(out / f"{args.command}.manifest.json")
-    return EXIT_OK
-
-
-# ----------------------------------------------------------------- commands
-
-def cmd_linearize(args) -> int:
-    cfg, sha = _resolve_inputs(args)
-    setup = cfgmod.setup_from_config(cfg)
-    sys_lin = linearize(setup)
-    payload = {
-        "Omega1_rad_s": sys_lin.Omega1,
-        "Omega2_rad_s": sys_lin.Omega2,
-        "K_N_per_m": sys_lin.K,
-        "equilibrium_shift_m": list(sys_lin.equilibrium_shift),
-        "H": [[float(v) for v in row] for row in sys_lin.H],
-    }
-    print(f"Omega1 = {sys_lin.Omega1:.9e} rad/s")
-    print(f"Omega2 = {sys_lin.Omega2:.9e} rad/s")
-    print(f"K      = {sys_lin.K:.9e} N/m")
-    print(f"shift  = ({sys_lin.equilibrium_shift[0]:.9e}, {sys_lin.equilibrium_shift[1]:.9e}) m")
-    return _emit(args, cfg, sha, [(Path(args.out) / "linearize.json", mani.write_json, payload)])
-
-
-def cmd_bound(args) -> int:
-    cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
-    reports = [final_bound(gamma, setup, sys_lin.Omega1)]
-    reports.append(dimensional_bound(gamma, sys_lin, paper_literal=args.paper_literal))
-    _, gamma_bar = to_dimensionless(sys_lin, gamma)
-    reports.append(strongest_bound(gamma_bar, sys_lin))
-    reports.append(weak_bound(gamma_bar, sys_lin))
-
-    final = reports[0]
-    print(f"final bound rhs G m^2/(hbar d^3) = {final.rhs:.9e} m^-2 s^-1")
-    for rep in reports:
-        status = "satisfied" if rep.satisfied else "violated"
-        print(f"{rep.bound_id:20s} lhs = {rep.lhs:.6e}  rhs = {rep.rhs:.6e}  "
-              f"margin = {rep.margin:+.6e}  [{status}]")
-    rows = [{**rep.to_dict(), "inputs_sha256": sha if sha is not None else "table1"}
-            for rep in reports]
-    return _emit(args, cfg, sha, [(Path(args.out) / "bound.jsonl", mani.write_json_lines, rows)])
-
-
-def cmd_evolve(args) -> int:
-    cfg, sha = _resolve_inputs(args)
-    _, sys_lin, gamma = cfgmod.system_from_config(cfg)
-    period = sys_lin.min_period()
-    dt = args.dt if args.dt is not None else 0.002 * period
-    t_end = args.periods * period
-    _require_in_memory(t_end / dt, 128)  # V: 4x4 float64 per sample
-    res = evolve_covariance(ground_state(), sys_lin, gamma, t_end, dt)
-    _emit(args, cfg, sha, [(Path(args.out) / "evolve.csv", mani.write_csv,
-                            EvolutionResult.CSV_HEADER, res.csv_rows())])
-    idx = res.first_ppt_violation()
-    if idx is None:
-        print(f"ppt_min_eig >= -1e-08 throughout [0, {t_end:.6g}] s")
-    else:
-        print(f"ppt_min_eig < -1e-08 first at t = {res.times[idx]:.6g} s")
-    return EXIT_OK
-
-
-def cmd_spectrum(args) -> int:
-    cfg, sha = _resolve_inputs(args)
-    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
-    Om = sys_lin.Omega1
-    w = np.linspace(0.25 * Om, 2.0 * Om, args.grid)
-    if args.model == "fixed":
-        spec = dns_fixed_source(setup, sys_lin, gamma, w)
-    else:
-        spec = dns_symmetric_pair(setup, sys_lin, gamma, w)
-    _emit(args, cfg, sha, [(Path(args.out) / "spectrum.csv", mani.write_csv,
-                            spec.CSV_HEADER, spec.csv_rows(), spec.convention)])
-    peak = int(np.argmax(spec.S_total))
-    print(f"{args.grid} rows written; convention: {spec.convention}")
-    print(f"peak S = {spec.S_total[peak]:.6e} m^2 s at omega = {spec.omega[peak]:.6e} rad/s")
-    return EXIT_OK
 
 
 def _resolve_seed(args, cfg):
@@ -176,6 +80,100 @@ def _resolve_seed(args, cfg):
         raise ConfigError(f"config key 'seed' must be an integer in [0, 2**53), got {seed:.17g}; "
                           "larger seeds go to --seed")
     return int(seed)
+
+
+def _run(args, argv) -> int:
+    """Resolve the config (its sha256 into ``args.config_sha256``) and, for a
+    command with --seed, the master seed into ``args.seed``; compute with
+    ``cmd_<command>(args, cfg)``, looked up per call so a replaced attribute
+    is the one run; write each ``(path, writer, *data)`` output it returns as
+    ``writer(path, *data)``, then ``<command>.manifest.json`` in --out listing
+    every output with the sha256 its writer returned; print its report last.
+    So a failed write leaves no manifest and prints no report.
+    """
+    cfg, args.config_sha256 = _resolve_inputs(args)
+    if hasattr(args, "seed"):
+        args.seed = _resolve_seed(args, cfg)
+    outputs, report = globals()[f"cmd_{args.command}"](args, cfg)
+    manifest = mani.RunManifest(command=args.command, argv=list(argv),
+                                parameters={k: cfg[k] for k in sorted(cfg)},
+                                seed=getattr(args, "seed", None),
+                                config_sha256=args.config_sha256)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for path, writer, *data in outputs:
+        manifest.add_output(path, writer(path, *data))
+    manifest.write(out / f"{args.command}.manifest.json")
+    print(report)
+    return EXIT_OK
+
+
+# ----------------------------------------------------------------- commands
+# Each computes from the resolved config and returns its outputs, as
+# (path, writer, *data), and the report to print once they are written.
+
+def cmd_linearize(args, cfg):
+    setup = cfgmod.setup_from_config(cfg)
+    sys_lin = linearize(setup)
+    payload = {
+        "Omega1_rad_s": sys_lin.Omega1,
+        "Omega2_rad_s": sys_lin.Omega2,
+        "K_N_per_m": sys_lin.K,
+        "equilibrium_shift_m": list(sys_lin.equilibrium_shift),
+        "H": [[float(v) for v in row] for row in sys_lin.H],
+    }
+    report = (f"Omega1 = {sys_lin.Omega1:.9e} rad/s\n"
+              f"Omega2 = {sys_lin.Omega2:.9e} rad/s\n"
+              f"K      = {sys_lin.K:.9e} N/m\n"
+              f"shift  = ({sys_lin.equilibrium_shift[0]:.9e}, "
+              f"{sys_lin.equilibrium_shift[1]:.9e}) m")
+    return [(Path(args.out) / "linearize.json", mani.write_json, payload)], report
+
+
+def cmd_bound(args, cfg):
+    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
+    reports = [final_bound(gamma, setup, sys_lin.Omega1)]
+    reports.append(dimensional_bound(gamma, sys_lin, paper_literal=args.paper_literal))
+    _, gamma_bar = to_dimensionless(sys_lin, gamma)
+    reports.append(strongest_bound(gamma_bar, sys_lin))
+    reports.append(weak_bound(gamma_bar, sys_lin))
+
+    lines = [f"final bound rhs G m^2/(hbar d^3) = {reports[0].rhs:.9e} m^-2 s^-1"]
+    for rep in reports:
+        status = "satisfied" if rep.satisfied else "violated"
+        lines.append(f"{rep.bound_id:20s} lhs = {rep.lhs:.6e}  rhs = {rep.rhs:.6e}  "
+                     f"margin = {rep.margin:+.6e}  [{status}]")
+    rows = [{**rep.to_dict(), "inputs_sha256": args.config_sha256 or "table1"} for rep in reports]
+    return [(Path(args.out) / "bound.jsonl", mani.write_json_lines, rows)], "\n".join(lines)
+
+
+def cmd_evolve(args, cfg):
+    _, sys_lin, gamma = cfgmod.system_from_config(cfg)
+    period = sys_lin.min_period()
+    dt = args.dt if args.dt is not None else 0.002 * period
+    t_end = args.periods * period
+    _require_in_memory(t_end / dt, 128)  # V: 4x4 float64 per sample
+    res = evolve_covariance(ground_state(), sys_lin, gamma, t_end, dt)
+    idx = res.first_ppt_violation()
+    report = (f"ppt_min_eig >= -1e-08 throughout [0, {t_end:.6g}] s" if idx is None
+              else f"ppt_min_eig < -1e-08 first at t = {res.times[idx]:.6g} s")
+    return [(Path(args.out) / "evolve.csv", mani.write_csv,
+             EvolutionResult.CSV_HEADER, res.csv_rows())], report
+
+
+def cmd_spectrum(args, cfg):
+    setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
+    Om = sys_lin.Omega1
+    w = np.linspace(0.25 * Om, 2.0 * Om, args.grid)
+    if args.model == "fixed":
+        spec = dns_fixed_source(setup, sys_lin, gamma, w)
+    else:
+        spec = dns_symmetric_pair(setup, sys_lin, gamma, w)
+    peak = int(np.argmax(spec.S_total))
+    report = (f"{args.grid} rows written; convention: {spec.convention}\n"
+              f"peak S = {spec.S_total[peak]:.6e} m^2 s at omega = {spec.omega[peak]:.6e} rad/s")
+    return [(Path(args.out) / "spectrum.csv", mani.write_csv,
+             spec.CSV_HEADER, spec.csv_rows(), spec.convention)], report
 
 
 # Kept samples summarized per block of about this many: bounds the mean and
@@ -202,11 +200,9 @@ def _ensemble_summary(ens) -> np.ndarray:
     return table
 
 
-def cmd_simulate(args) -> int:
-    cfg, sha = _resolve_inputs(args)
+def cmd_simulate(args, cfg):
     setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
-    seed = _resolve_seed(args, cfg)
-    noise = NoiseModel.from_setup(setup, gamma, seed)
+    noise = NoiseModel.from_setup(setup, gamma, args.seed)
     om_eff = effective_frequency(sys_lin)
     dt = args.dt if args.dt is not None else 0.5 * step_limit(setup, sys_lin)
     duration = args.duration if args.duration is not None else (
@@ -238,16 +234,12 @@ def cmd_simulate(args) -> int:
                         spec.CSV_HEADER, spec.csv_rows(), spec.convention))
     if args.raw is not None:
         outputs.append((args.raw, write_raw_trajectories, ens))
-    _emit(args, cfg, sha, outputs, seed=seed)
-    print(f"{args.traj} trajectories x {ens.x.shape[1]} samples, seed = {seed}")
-    return EXIT_OK
+    return outputs, f"{args.traj} trajectories x {ens.x.shape[1]} samples, seed = {args.seed}"
 
 
-def cmd_reheat(args) -> int:
-    cfg, sha = _resolve_inputs(args)
+def cmd_reheat(args, cfg):
     setup, sys_lin, gamma = cfgmod.system_from_config(cfg)
-    seed = _resolve_seed(args, cfg)
-    noise = NoiseModel.from_setup(setup, gamma, seed)
+    noise = NoiseModel.from_setup(setup, gamma, args.seed)
     res = reheating_run(setup, sys_lin, noise, args.cycles, args.cycle_time,
                         detector_noise_N=args.detector_noise)
     payload = {
@@ -257,23 +249,17 @@ def cmd_reheat(args) -> int:
         "n_cycles": res.n_cycles,
         "cycle_time_s": res.cycle_time,
     }
-    _emit(args, cfg, sha, [(Path(args.out) / "reheat.json", mani.write_json, payload)],
-          seed=seed)
-    print(f"Gamma_hat = {res.Gamma_hat:.6e} 1/s  rel_err = {res.rel_err:.3f}")
-    return EXIT_OK
+    return ([(Path(args.out) / "reheat.json", mani.write_json, payload)],
+            f"Gamma_hat = {res.Gamma_hat:.6e} 1/s  rel_err = {res.rel_err:.3f}")
 
 
-def cmd_feasibility(args) -> int:
-    cfg, sha = _resolve_inputs(args)
+def cmd_feasibility(args, cfg):
     report = feasibility_report(cfgmod.feasibility_from_config(cfg))
-    print(report.to_text())
-    print(f"verdict: {report.verdict}")
-    return _emit(args, cfg, sha, [(Path(args.out) / "feasibility.json", mani.write_json,
-                                   report.to_dict())])
+    return ([(Path(args.out) / "feasibility.json", mani.write_json, report.to_dict())],
+            f"{report.to_text()}\nverdict: {report.verdict}")
 
 
-def cmd_sweep(args) -> int:
-    cfg, sha = _resolve_inputs(args)
+def cmd_sweep(args, cfg):
     values = args.values
     if values is None:
         if args.start is None or args.stop is None:
@@ -292,9 +278,7 @@ def cmd_sweep(args) -> int:
 
     path = Path(args.out) / "sweep.csv"
     header = (args.param, *SWEEP_COLUMNS, "feasible")
-    _emit(args, cfg, sha, [(path, mani.write_csv, header, rows)])
-    print(f"{len(rows)} sweep points written to {path}")
-    return EXIT_OK
+    return [(path, mani.write_csv, header, rows)], f"{len(rows)} sweep points written to {path}"
 
 
 # ------------------------------------------------------------------- parser
@@ -343,9 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_seed=False):
-        p.add_argument("--config", help="flat key-value config file (see gravdiff.config docs)")
-        p.add_argument("--table1", action="store_true",
-                       help="use the built-in Table-1 config (gravdiff.config.TABLE1_CONFIG)")
+        inputs = p.add_mutually_exclusive_group(required=True)
+        inputs.add_argument("--config",
+                            help="flat key-value config file (see gravdiff.config docs)")
+        inputs.add_argument("--table1", action="store_true",
+                            help="use the built-in Table-1 config (gravdiff.config.TABLE1_CONFIG)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         if needs_seed:
             p.add_argument("--seed", type=_SEED, default=None,
@@ -423,11 +409,17 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
     """Re-run a manifest's command, optionally into out_dir (its --raw file too).
 
     The command's own parser reads the recorded argv; the seed, --out and --raw
-    are appended, and the parser keeps an option's last value. A config whose
-    sha256 is not the recorded one exits 2 before anything runs."""
+    are appended, and the parser keeps an option's last value. A manifest from
+    another release, or a config whose sha256 is not the recorded one, exits 2
+    before anything runs."""
     try:
         record = mani.load_manifest(manifest_path)
         argv = list(record["argv"])
+        version = record.get("version")
+        if version != mani.tool_version():
+            print(f"config error: {manifest_path} was recorded by gravdiff {version}, "
+                  f"not by this gravdiff {mani.tool_version()}", file=_sys.stderr)
+            return EXIT_CONFIG
         args = _parser().parse_args(argv)
         sha = record.get("config_sha256")
         found = mani.sha256_file(args.config) if sha and args.config else sha
@@ -463,13 +455,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config exit code
         return int(exc.code) if exc.code else 0
-    args._argv = list(argv)
     try:
-        # Looked up per call, so a replaced cmd_<command> attribute is the one
-        # run. Floating-point overflow, division by zero and invalid operations
+        # Floating-point overflow, division by zero and invalid operations
         # raise, so extreme inputs end in exit 3 instead of a traceback or NaN.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return globals()[f"cmd_{args.command}"](args)
+            return _run(args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

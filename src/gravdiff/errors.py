@@ -1,8 +1,7 @@
 """Exception types raised by the toolkit.
 
-Every error that maps to a CLI exit code derives from GravdiffError; the CLI
-translates ConfigError to exit 2, numeric/stability errors to exit 3 and I/O
-problems to exit 4.
+Every toolkit error derives from GravdiffError. :func:`gravdiff.cli.main` is
+the one place that maps exceptions to the CLI's exit codes.
 """
 
 

@@ -250,6 +250,25 @@ class TestExitCodes:
     def test_no_input_exit_2(self, tmp_path):
         assert cli.main(["linearize", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command,flags", [
+        ("linearize", []), ("bound", []), ("evolve", []), ("spectrum", []),
+        ("simulate", ["--seed", "1"]), ("reheat", ["--seed", "1", "--cycle-time", "0.1"]),
+        ("feasibility", []), ("sweep", ["--param", "Q", "--values", "1e8"]),
+    ])
+    @pytest.mark.parametrize("inputs", ["both", "neither"])
+    def test_config_and_table1_exclusive_and_required(self, tmp_path, capsys, command, flags,
+                                                      inputs):
+        # the parser refuses: the config (which would exit 2) is never read
+        config = tmp_path / "negative_mass.cfg"
+        config.write_text("m1_kg = -1\nomega1_rad_s = 1\nd_m = 0.1\n")
+        out = tmp_path / "out"
+        given = ["--table1", "--config", str(config)] if inputs == "both" else []
+        assert cli.main([command, *given, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("not allowed with argument" if inputs == "both"
+                else "one of the arguments --config --table1 is required") in err
+        assert not out.exists()
+
     def test_config_not_utf8_exit_2_names_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(STABLE_PAIR.replace("# bench-scale", "# caf\u00e9 bench-scale")
@@ -623,6 +642,23 @@ class TestSimulateCommand:
         assert recorded in err and sha256_file(pendulum_config) in err
         assert not out2.exists()
 
+    def test_replay_refuses_a_manifest_from_another_release(self, stable_config, tmp_path,
+                                                             capsys):
+        import gravdiff
+
+        out1, out2 = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["simulate", "--config", str(stable_config), "--seed", "3", "--traj", "2",
+                         "--duration", "2", "--out", str(out1)]) == 0
+        path = out1 / "simulate.manifest.json"
+        path.write_text(json.dumps({**load_manifest(path), "version": "0.1.0"}))
+        capsys.readouterr()
+        assert cli.replay_manifest(path, out_dir=out2) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "0.1.0" in captured.err and gravdiff.__version__ in captured.err
+        assert captured.out == ""
+        assert not out2.exists()
+
     @pytest.mark.parametrize("text", [
         None,                                             # no manifest
         "not json",
@@ -908,6 +944,20 @@ class TestEmitContract:
             assert sha256_file(path) == digest
 
     @pytest.mark.parametrize("command", sorted(CASES))
+    def test_failed_write_prints_no_report(self, stable_config, pendulum_config, tmp_path,
+                                           capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker / "out"
+        config = pendulum_config if command in ("feasibility", "sweep") else stable_config
+        flags = [str(out / "raw.bin") if a == "RAW" else a for a in self.CASES[command]]
+        assert cli.main([command, "--config", str(config), *flags, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert not list(tmp_path.rglob("*.manifest.json"))
+
+    @pytest.mark.parametrize("command", sorted(CASES))
     def test_outputs_hashed_as_written(self, stable_config, pendulum_config, tmp_path,
                                        monkeypatch, command):
         # the writers hash the bytes they write: no output is read back
@@ -1089,15 +1139,30 @@ class TestColumnarCsv:
 
 class TestParserReuse:
     def test_patched_command_runs_after_first_call(self, stable_config, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, capsys):
         assert cli.main(["linearize", "--config", str(stable_config),
                          "--out", str(tmp_path / "a")]) == 0
+        built = cli._parser.cache_info().misses
+        capsys.readouterr()
         seen = []
-        monkeypatch.setattr(cli, "cmd_linearize", lambda args: seen.append(args.command) or 7)
-        assert cli.main(["linearize", "--config", str(stable_config),
-                         "--out", str(tmp_path / "b")]) == 7
+
+        def stand_in(args, cfg):
+            seen.append(args.command)
+            return ([(Path(args.out) / "stand-in.json", write_json, {"m1_kg": cfg["m1_kg"]})],
+                    "stand-in report")
+
+        monkeypatch.setattr(cli, "cmd_linearize", stand_in)
+        out = tmp_path / "b"
+        assert cli.main(["linearize", "--config", str(stable_config), "--out", str(out)]) == 0
+        assert cli._parser.cache_info().misses == built
         assert seen == ["linearize"]
-        assert not (tmp_path / "b").exists()
+        assert capsys.readouterr().out == "stand-in report\n"
+        assert sorted(p.name for p in out.iterdir()) == ["linearize.manifest.json",
+                                                         "stand-in.json"]
+        assert json.loads((out / "stand-in.json").read_text()) == {"m1_kg": 1.0}
+        outputs = load_manifest(out / "linearize.manifest.json")["outputs"]
+        assert [(Path(o["path"]), o["sha256"]) for o in outputs] == [
+            (out / "stand-in.json", sha256_file(out / "stand-in.json"))]
 
     # Each subcommand once with its defaults and once with other flags, so a
     # value left behind by one call would change the next call's outputs.
