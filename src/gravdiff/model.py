@@ -3,7 +3,9 @@
 Conventions used throughout the package (documented once, here):
 
 * Quadrature ordering is ``c = (x1, x2, p1, p2)``. Every 4x4 matrix in the
-  package (H, J, gamma, V, drift, diffusion) uses this ordering.
+  package (H, J, gamma, V, drift, diffusion) uses this ordering. With the
+  partner fixed, mode 1 is the one-mode case over ``(x1, p1)`` of
+  :attr:`LinearizedSystem.H_fixed`, the one place the partner's spring enters.
 * Setups, H, gamma and the Langevin drift and diffusion are in SI units.
   Gaussian states are in the dimensionless quadratures
   ``xbar_j = sqrt(m_j Omega_j / hbar) x_j``, ``pbar_j = p_j / sqrt(m_j hbar
@@ -53,16 +55,10 @@ __all__ = [
 # Boundary matrices built in finite precision sit exactly on the cone edge.
 PSD_RTOL = 1e-10
 
-# Quadratures (x1, p1) of the monitored body, the state when the partner is fixed.
-MONITORED = (0, 2)
-
 
 def symplectic_form() -> np.ndarray:
     """4x4 symplectic form J = [[0, I2], [-I2, 0]] in (x1, x2, p1, p2) order."""
-    J = np.zeros((4, 4))
-    J[0, 2] = J[1, 3] = 1.0
-    J[2, 0] = J[3, 1] = -1.0
-    return J
+    return np.eye(4, k=2) - np.eye(4, k=-2)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -144,7 +140,7 @@ class LinearizedSystem:
     ``equilibrium_shift`` carries the constant-force offsets (a1, a2) [m]
     absorbed when removing the terms linear in the coordinates. ``hbar`` is
     the setup's and sets the dimensionless quadratures. The fields are the
-    independent parameters; :attr:`H` is derived from them.
+    independent parameters; :attr:`H` and :attr:`H_fixed` are derived from them.
     """
 
     Omega1: float
@@ -163,6 +159,14 @@ class LinearizedSystem:
         H = np.diag([self.m1 * self.Omega1**2, self.m2 * self.Omega2**2,
                      1.0 / self.m1, 1.0 / self.m2])
         H[0, 1] = H[1, 0] = self.K
+        H.setflags(write=False)
+        return H
+
+    @functools.cached_property
+    def H_fixed(self) -> np.ndarray:
+        """Read-only 2x2 form over (x1, p1) with the partner held fixed, its
+        spring K added to x1's restoring force: diag(m1 Omega1^2 + K, 1/m1)."""
+        H = np.diag([self.m1 * self.Omega1**2 + self.K, 1.0 / self.m1])
         H.setflags(write=False)
         return H
 
@@ -298,10 +302,11 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
 
 def drift_diffusion(H: np.ndarray, gamma: np.ndarray, eta: float = 0.0,
                     hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(A, D) = (J H - eta diag(0, 0, 1, 1), hbar^2 J gamma J^T), one D per
-    4x4 part when ``gamma`` is a stack: the one place J meets H and gamma."""
-    J = symplectic_form()
-    A = J @ H - np.diag([0.0, 0.0, eta, eta])
+    """(A, D) = (J H - eta P, hbar^2 J gamma J^T) for n modes, J sized from H, P
+    on the momenta; one D per part of a ``gamma`` stack: where J meets H and gamma."""
+    n = len(H) // 2
+    J = np.eye(2 * n, k=n) - np.eye(2 * n, k=-n)
+    A = J @ H - np.diag([0.0] * n + [eta] * n)
     return A, hbar**2 * (J @ np.asarray(gamma, dtype=float) @ J.T)
 
 
@@ -309,23 +314,20 @@ def langevin_model(setup: PhysicalSetup, sys: LinearizedSystem, gamma: np.ndarra
                    partner_fixed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """SI (A, D) of the Langevin dynamics dz = A z dt + noise: :func:`drift_diffusion`
     of H with the setup's eta and hbar, for a 4x4 ``gamma`` or a stack of parts.
-    Partner held fixed: the (x1, p1) blocks, with the partner's spring K added to
-    x1's restoring force, A = [[0, 1/m1], [-(m1 Omega1^2 + K), -eta]]. The bath
-    damps and drives :func:`mobile_momenta`."""
-    H = np.array(sys.H)
-    if partner_fixed:
-        H[0, 0] += sys.K
-    A, D = drift_diffusion(H, gamma, setup.eta, setup.hbar)
-    if partner_fixed:
-        kept = np.ix_(MONITORED, MONITORED)
-        A, D = A[kept], D[(...,) + kept]
-    return A, D
+    Partner held fixed: the one-mode model over (x1, p1) of
+    :attr:`LinearizedSystem.H_fixed` and gamma's (x1, p1) block, so
+    A = [[0, 1/m1], [-(m1 Omega1^2 + K), -eta]]. The bath damps and drives
+    :func:`mobile_momenta`."""
+    if partner_fixed:                            # gamma[..., ::2, ::2]: its (x1, p1) block
+        return drift_diffusion(sys.H_fixed, np.asarray(gamma, dtype=float)[..., ::2, ::2],
+                               setup.eta, setup.hbar)
+    return drift_diffusion(sys.H, gamma, setup.eta, setup.hbar)
 
 
 def mobile_momenta(setup: PhysicalSetup, partner_fixed: bool = False) -> list[tuple[int, float]]:
     """(index in the :func:`langevin_model` state, mass) per mobile body's momentum."""
-    kept = MONITORED if partner_fixed else (0, 1, 2, 3)
-    return [(kept.index(2 + j), m) for j, m in enumerate((setup.m1, setup.m2)) if 2 + j in kept]
+    masses = (setup.m1,) if partner_fixed else (setup.m1, setup.m2)
+    return [(len(masses) + j, m) for j, m in enumerate(masses)]
 
 
 def propagator(A: np.ndarray, D: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:

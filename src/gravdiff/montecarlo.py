@@ -5,8 +5,10 @@ partner-fixed drift A and gravitational noise rate D of
 :func:`gravdiff.model.langevin_model`, which the spectra read too, plus
 classical white thermal noise of intensity 2 eta m kB T, independent of the
 gravitational noise, on the momentum :func:`~gravdiff.model.mobile_momenta`
-names. x is the deviation from the equilibrium shifted by the static force,
-so a trajectory started at rest without noise stays at rest.
+names; its frequency, energy form and quantum are read off the same form,
+:attr:`~gravdiff.model.LinearizedSystem.H_fixed`. x is the deviation from the
+equilibrium shifted by the static force, so a trajectory started at rest
+without noise stays at rest.
 
 Integration is exact (exact Ornstein-Uhlenbeck updating, D. T. Gillespie,
 PRE 54:2084, 1996): the pair (Phi, Q) from :func:`gravdiff.model.propagator`
@@ -395,7 +397,8 @@ class TrajectoryEnsemble:
 
     def __post_init__(self):
         for name in ("times", "x", "p"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # a read-only view: the caller's array stays writeable, uncopied
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.x.shape != (self.n_traj, len(self.times)):
@@ -405,17 +408,11 @@ class TrajectoryEnsemble:
 
 
 def effective_frequency(sys: LinearizedSystem) -> float:
-    """Oscillation frequency of mode 1 with the partner held fixed:
-    sqrt(Omega1^2 + K/m1)."""
-    return float(np.sqrt(sys.Omega1**2 + sys.K / sys.m1))
-
-
-def _energy_form(setup: PhysicalSetup, sys: LinearizedSystem) -> tuple[np.ndarray, float]:
-    """(W, hbar Omega_eff): the monitored oscillator's energy is z^T W z over
-    z = (x, p), W = diag(m Omega_eff^2, 1/m) / 2, and its quantum."""
-    om_eff = effective_frequency(sys)
-    m = setup.m1
-    return np.diag([0.5 * m * om_eff**2, 0.5 / m]), setup.hbar * om_eff
+    """Frequency Omega_eff of mode 1 with the partner held fixed: sqrt(k / m) of
+    its form :attr:`~gravdiff.model.LinearizedSystem.H_fixed` = diag(k, 1/m), which
+    is sqrt(-A[1, 0] A[0, 1]) of that model's drift A bit for bit."""
+    k, inv_m = np.diag(sys.H_fixed)
+    return float(np.sqrt(k * inv_m))
 
 
 def _monitored_model(setup: PhysicalSetup, sys: LinearizedSystem,
@@ -446,16 +443,16 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
     V_xx = (a V_pp - eta V_xp + D_xp)/b. This stays exact at the Table-1
     pendulum's eta = 5e-11 Omega, where a general Lyapunov solver loses V.
     """
-    return _stationary(*_monitored_model(setup, sys, noise), setup.eta)
+    return _stationary(*_monitored_model(setup, sys, noise))
 
 
-def _stationary(A: np.ndarray, D: np.ndarray, eta: float) -> np.ndarray:
-    """:func:`stationary_covariance` of the model (A, D) with damping eta."""
+def _stationary(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """:func:`stationary_covariance` of the model (A, D), damped at eta = -A[1, 1]."""
     if np.linalg.norm(D) == 0.0:
         return np.zeros((2, 2))
+    a, b, eta = A[0, 1], -A[1, 0], -A[1, 1]
     if eta <= 0.0:
         raise StabilityError("no stationary state: eta = 0 with non-zero noise")
-    a, b, eta = A[0, 1], -A[1, 0], -A[1, 1]
     V_xp = -D[0, 0] / (2.0 * a)
     V_pp = (D[1, 1] - 2.0 * b * V_xp) / (2.0 * eta)
     V_xx = (a * V_pp - eta * V_xp + D[0, 1]) / b
@@ -500,7 +497,7 @@ def simulate(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     limit = step_limit(setup, sys)
     if dt > limit * (1.0 + 1e-12):
-        raise StabilityError(f"dt = {dt:.3e} exceeds 0.01 * min(2 pi/Omega, 1/eta) = {limit:.3e}")
+        raise StabilityError(f"dt = {dt:.3e} exceeds 0.01 * min(2 pi/Omega_eff, 1/eta) = {limit:.3e}")
 
     n_steps = int(round(duration / dt))
     if n_steps < 1:
@@ -519,7 +516,7 @@ def simulate(
             raise ValueError(f"init must be finite, got {init!r}")
 
     A, D = _monitored_model(setup, sys, noise)
-    V0 = _stationary(A, D, setup.eta) if stationary else np.zeros((2, 2))
+    V0 = _stationary(A, D) if stationary else np.zeros((2, 2))
     C, levels = _sampler_kernels(A.tobytes(), D.tobytes(), float(dt))
     L0 = _noise_factor(V0) if np.any(V0) else None
     n_init = 0 if L0 is None else 2
@@ -675,7 +672,7 @@ def reheating_run(
         raise ProtocolError(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"
         )
-    W, quantum = _energy_form(setup, sys)
+    W, quantum = 0.5 * sys.H_fixed, setup.hbar * effective_frequency(sys)
     Phi, Q = propagator(*_monitored_model(setup, sys, noise), cycle_time)
     V_g = 0.25 * quantum * np.linalg.inv(W)
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
@@ -699,10 +696,10 @@ def phonon_heating_rate(setup: PhysicalSetup, sys: LinearizedSystem,
                         noise: NoiseModel) -> float:
     """Injected phonon heating rate of the monitored oscillator [1/s].
 
-    Gamma = tr(W D) / (hbar Omega_eff) for the energy form W, the small-time
-    energy growth of the sampler divided by the quantum.
+    Gamma = tr(W D) / (hbar Omega_eff) for the energy form W = H_fixed / 2,
+    the small-time energy growth of the sampler divided by the quantum.
     """
-    W, quantum = _energy_form(setup, sys)
+    W, quantum = 0.5 * sys.H_fixed, setup.hbar * effective_frequency(sys)
     return float(np.trace(W @ _monitored_model(setup, sys, noise)[1]) / quantum)
 
 

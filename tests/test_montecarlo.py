@@ -18,6 +18,7 @@ from gravdiff.errors import ConfigError, ProtocolError, SeedError, StabilityErro
 from gravdiff.model import (
     DiffusionMatrix,
     PhysicalSetup,
+    langevin_model,
     linearize,
     pendulum_system,
     propagator,
@@ -413,6 +414,72 @@ class TestSimulateStatistics:
             sys = linearize(setup)
             default = min(0.005 * 2.0 * np.pi / effective_frequency(sys), 0.005 / setup.eta)
             assert 0.5 * step_limit(setup, sys) == default
+
+
+def random_lab_pairs(rng, n):
+    """n stable pairs with unequal masses, traps and separations, and a
+    gravitational constant large enough that K moves the partner-fixed
+    frequency by up to about half, each with a bath (eta, T)."""
+    pairs = []
+    while len(pairs) < n:
+        m1, m2 = 10 ** rng.uniform(-3.0, 2.0, 2)
+        omega1, omega2 = 10 ** rng.uniform(-1.0, 3.0, 2)
+        setup = PhysicalSetup(m1=m1, m2=m2, omega1=omega1, omega2=omega2,
+                              d=10 ** rng.uniform(-2.0, 0.0), G=10 ** rng.uniform(-11.0, 3.0),
+                              T=rng.uniform(1.0, 300.0), eta=omega1 * 10 ** rng.uniform(-6.0, 0.0))
+        try:
+            pairs.append((setup, linearize(setup)))
+        except StabilityError:
+            pass
+    return pairs
+
+
+def table1_pendulum():
+    from gravdiff.feasibility import REFERENCE_PENDULUM as p
+    setup = PhysicalSetup(m1=p.m, m2=p.m, omega1=p.Omega, omega2=p.Omega, d=p.d,
+                          T=p.T, eta=p.eta)
+    return setup, pendulum_system(setup, p.Omega)
+
+
+class TestPartnerFixedForm:
+    """The partner-fixed oscillator's frequency, step limit, energy form and
+    stationary state are all read off the drift of its one (A, D) builder."""
+
+    def test_effective_frequency_is_the_drifts_frequency(self):
+        zero = np.zeros((4, 4))
+        for setup, sys in random_lab_pairs(np.random.default_rng(29), 1000) + [table1_pendulum()]:
+            A, _ = langevin_model(setup, sys, zero, partner_fixed=True)
+            assert effective_frequency(sys) == np.sqrt(-A[1, 0] * A[0, 1])
+
+    def test_doubled_spring_moves_every_derived_quantity(self):
+        setup = desk_pair(Q=100.0, kbar=0.2)
+        noise = NoiseModel.from_setup(setup, make_diffusion({(0, 0): 1e3, (2, 2): 1e-40}), seed=1)
+        sys = linearize(setup)
+        stiffer = dataclasses.replace(sys, K=2.0 * sys.K)
+        for s in (sys, stiffer):
+            A, D = _monitored_model(setup, s, noise)
+            om = np.sqrt(-A[1, 0] * A[0, 1])
+            W = 0.5 * np.diag([-A[1, 0], A[0, 1]])
+            assert effective_frequency(s) == om
+            assert step_limit(setup, s) == min(0.01 * 2.0 * np.pi / om, 0.01 / setup.eta)
+            assert phonon_heating_rate(setup, s, noise) == pytest.approx(
+                np.trace(W @ D) / (setup.hbar * om), rel=1e-14, abs=0.0)
+        assert effective_frequency(stiffer) > effective_frequency(sys)
+        assert step_limit(setup, stiffer) < step_limit(setup, sys)
+        assert phonon_heating_rate(setup, stiffer, noise) != phonon_heating_rate(setup, sys, noise)
+
+    def test_thermal_stationary_state_is_gibbs(self):
+        # kB T H^-1 with H = diag(m1 Omega1^2 + K, 1/m1): the classical Gibbs
+        # state of the monitored oscillator, at any damping.
+        for setup, sys in random_lab_pairs(np.random.default_rng(12), 200) + [table1_pendulum()]:
+            assert sys.K != 0.0
+            V = stationary_covariance(setup, sys, NoiseModel.from_setup(
+                setup, DiffusionMatrix.zero(), seed=1))
+            kT = setup.kB * setup.T
+            gibbs = np.diag([kT / (sys.m1 * sys.Omega1**2 + sys.K), kT * sys.m1])
+            # per entry, in units of sqrt(V_ii V_jj)
+            scale = np.sqrt(np.outer(np.diag(gibbs), np.diag(gibbs)))
+            assert (np.abs(V - gibbs) / scale).max() <= 1e-12
 
 
 def near_critical_case():
@@ -895,6 +962,19 @@ class TestRescale:
         g_new = phonon_heating_rate(new_setup, sys_new,
                                     NoiseModel.from_setup(new_setup, new_gamma, 0))
         assert g_new / sys_new.Omega1 == pytest.approx(g_old / sys_old.Omega1, rel=1e-9)
+
+
+class TestTrajectoryEnsemble:
+    def test_freezes_a_view_not_the_callers_arrays(self):
+        times, x, p = np.arange(4.0), np.zeros((2, 4)), np.ones((2, 4))
+        ens = TrajectoryEnsemble(n_traj=2, dt=1.0, duration=3.0, times=times, x=x, p=p,
+                                 seeds=(0, 1), master_seed=0)
+        for caller, held in ((times, ens.times), (x, ens.x), (p, ens.p)):
+            assert np.shares_memory(caller, held)   # no copy
+            caller.flat[0] = 7.0
+            assert held.flat[0] == 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                held.flat[0] = 1.0
 
 
 class TestRawRecord:
