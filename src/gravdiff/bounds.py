@@ -85,7 +85,7 @@ def _report(bound_id: str, lhs: float, rhs: float) -> BoundReport:
 def _as_matrix(gamma_bar) -> np.ndarray:
     g = gamma_bar.matrix if isinstance(gamma_bar, DiffusionMatrix) else np.asarray(gamma_bar, dtype=float)
     if g.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
+        raise DomainError(f"expected a 4x4 matrix, got shape {g.shape}")
     return g
 
 
@@ -210,7 +210,8 @@ def minimal_diffusion(setup: PhysicalSetup, mode: str,
         g[2, 2] = g[3, 3] = g11 / (m**2 * omega**2)
         g[0, 3] = g[3, 0] = g[1, 2] = g[2, 1] = -g11 / (m * omega)
     else:
-        raise ValueError(f"unknown mode {mode!r}; expected position-only, momentum-only or mixed")
+        raise DomainError(f"unknown mode {mode!r}; expected position-only, momentum-only "
+                          "or mixed")
     return DiffusionMatrix(g)
 
 
@@ -229,7 +230,7 @@ def com_reduction(Gamma, masses=None, rtol: float = 1e-9) -> float:
     """
     G = np.asarray(Gamma, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError("Gamma must be a square matrix")
+        raise DomainError("Gamma must be a square matrix")
     n = G.shape[0]
     if masses is not None and len(masses) * 2 == n:
         G = G[: len(masses), : len(masses)]

@@ -153,7 +153,7 @@ def _build(cls, fields: dict, cfg: dict):
     key. The domain messages open with the field's name."""
     try:
         return cls(**{field: cfg[key] for key, field in fields.items() if key in cfg})
-    except (ValueError, DomainError) as exc:
+    except DomainError as exc:
         field = str(exc).split(" ", 1)[0]
         key = next((k for k, f in fields.items() if f == field), field)
         raise ConfigError(f"{key}: {exc}") from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalInputError, StepSizeError
+from .errors import DomainError, NonPhysicalInputError, StepSizeError
 from .manifest import ColumnTable
 from .model import (
     DiffusionMatrix,
@@ -69,7 +69,7 @@ def ppt_reflector(mode: int = 2) -> np.ndarray:
         return np.diag([1.0, 1.0, 1.0, -1.0])
     if mode == 1:
         return np.diag([1.0, 1.0, -1.0, 1.0])
-    raise ValueError(f"mode must be 1 or 2, got {mode}")
+    raise DomainError(f"mode must be 1 or 2, got {mode}")
 
 
 # J and the PPT form L J L of the printed convention (mode 2).
@@ -119,9 +119,9 @@ class EvolutionResult:
         n = len(self.times)
         if not (len(self.V) == len(self.mean) == len(self.ppt_min_eig)
                 == len(self.unc_min_eig) == n):
-            raise ValueError("times, V, mean and eigenvalue tracks must have equal length")
+            raise DomainError("times, V, mean and eigenvalue tracks must have equal length")
         if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise DomainError("times must be strictly increasing")
 
     @property
     def states(self) -> tuple[GaussianState, ...]:

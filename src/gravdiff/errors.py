@@ -33,8 +33,9 @@ class PSDError(GravdiffError):
     """Matrix expected to be positive semidefinite is not."""
 
 
-class DomainError(GravdiffError):
-    """Input outside the mathematical domain of the formula."""
+class DomainError(GravdiffError, ValueError):
+    """Input outside the mathematical domain of the formula; a ValueError too,
+    so that callers' ``except ValueError`` keeps catching it."""
 
 
 class SeedError(GravdiffError):

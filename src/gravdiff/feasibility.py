@@ -93,10 +93,7 @@ class FeasibilityParams:
             raise DomainError(f"N must be non-negative and finite, got {self.N}")
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"r must lie in (0, 1], got {self.r}")
-        try:
-            check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
+        check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
 
     @property
     def m(self) -> float:
@@ -240,6 +237,8 @@ def feasibility_report(params: FeasibilityParams) -> FeasibilityReport:
         margin_cons = w_G**2 - pref * Gamma_th
         margin_rel = w_G**2 - params.r * pref * Gamma_th
         gap = math.log10(Q_req_relaxed / params.Q)
+    except DomainError:                         # keeps its own message
+        raise
     except (ArithmeticError, ValueError) as exc:
         # Finite dials can overflow R**3 or beta**3 or underflow Gamma_G to zero.
         raise DomainError(f"feasibility budget out of floating-point range: {exc}") from exc

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON, HBAR, KB
-from .errors import PSDError, StabilityError
+from .errors import DomainError, PSDError, StabilityError
 
 __all__ = [
     "PhysicalSetup",
@@ -68,12 +68,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def check_constants(**constants: float) -> None:
-    """ValueError unless each given constant (G, hbar or kB) is finite, G
+    """DomainError unless each given constant (G, hbar or kB) is finite, G
     non-negative (0 switches gravity off) and hbar and kB positive."""
     for name, value in constants.items():
         if not (0.0 <= value if name == "G" else 0.0 < value) or not value < math.inf:
             sign = "non-negative" if name == "G" else "positive"
-            raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+            raise DomainError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class PhysicalSetup:
     Masses in kg, angular frequencies in rad/s, separation in m, temperature
     in K, momentum damping rate eta in 1/s. G, hbar, kB default to the CODATA
     values in :mod:`gravdiff.constants`; G may be 0 (no gravity), hbar and kB
-    must be positive. Every dial must be finite; ValueError otherwise.
+    must be positive. Every dial must be finite; DomainError otherwise.
     """
 
     m1: float
@@ -100,10 +100,12 @@ class PhysicalSetup:
     def __post_init__(self):
         for name in ("m1", "m2", "omega1", "omega2", "d"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+                raise DomainError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)!r}")
         for name in ("T", "eta"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)!r}")
+                raise DomainError(f"{name} must be non-negative and finite, "
+                                  f"got {getattr(self, name)!r}")
         check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
 
     @property
@@ -188,7 +190,7 @@ class DiffusionMatrix:
     def __post_init__(self):
         g = np.array(self.gamma, dtype=float)
         if g.shape != (4, 4):
-            raise ValueError(f"gamma must be 4x4, got shape {g.shape}")
+            raise DomainError(f"gamma must be 4x4, got shape {g.shape}")
         if not np.isfinite(g).all():
             raise PSDError("gamma must be finite")
         # Both checks run on g / s with s the power of two at or below
@@ -214,7 +216,7 @@ class DiffusionMatrix:
 
     def scaled(self, factor: float) -> "DiffusionMatrix":
         if factor < 0:
-            raise ValueError("scale factor must be non-negative")
+            raise DomainError("scale factor must be non-negative")
         return DiffusionMatrix(factor * self.gamma)
 
     @property
@@ -239,9 +241,9 @@ class GaussianState:
         mean = np.array(self.mean, dtype=float).reshape(4)
         V = np.array(self.V, dtype=float)
         if V.shape != (4, 4):
-            raise ValueError(f"V must be 4x4, got shape {V.shape}")
+            raise DomainError(f"V must be 4x4, got shape {V.shape}")
         if not np.allclose(V, V.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(V))):
-            raise ValueError("covariance matrix must be symmetric")
+            raise DomainError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "V", _readonly(0.5 * (V + V.T)))
 
@@ -292,10 +294,10 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
 
     Used when Omega is the measured pendulum frequency rather than the
     output of the trap linearization (the two-trap renormalization does not
-    apply to a torsion mode). ValueError unless Omega is positive and finite.
+    apply to a torsion mode). DomainError unless Omega is positive and finite.
     """
     if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be positive and finite, got {Omega!r}")
+        raise DomainError(f"Omega must be positive and finite, got {Omega!r}")
     return LinearizedSystem(Omega1=Omega, Omega2=Omega, K=setup.coupling, m1=setup.m1,
                             m2=setup.m2, equilibrium_shift=(0.0, 0.0), hbar=setup.hbar)
 

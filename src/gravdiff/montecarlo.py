@@ -340,8 +340,8 @@ class NoiseModel:
 
     def __post_init__(self):
         if not 0.0 <= self.thermal_intensity < np.inf:
-            raise ValueError(f"thermal_intensity must be non-negative and finite, "
-                             f"got {self.thermal_intensity!r}")
+            raise DomainError(f"thermal_intensity must be non-negative and finite, "
+                              f"got {self.thermal_intensity!r}")
         if not isinstance(self.seed, (int, np.integer)):
             raise SeedError(f"seed must be an integer, got {type(self.seed).__name__}")
         seed = int(self.seed)
@@ -402,9 +402,9 @@ class TrajectoryEnsemble:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.x.shape != (self.n_traj, len(self.times)):
-            raise ValueError("x must have shape (n_traj, n_samples)")
+            raise DomainError("x must have shape (n_traj, n_samples)")
         if self.p.shape != self.x.shape:
-            raise ValueError("p must match x in shape")
+            raise DomainError("p must match x in shape")
 
 
 def effective_frequency(sys: LinearizedSystem) -> float:
@@ -483,7 +483,7 @@ def simulate(
         produced in batches is bit-identical to one single run: batching and
         scheduling cannot change results.
 
-    Raises ValueError unless dt and duration are positive and finite and a
+    Raises DomainError unless dt and duration are positive and finite and a
     pair ``init`` is finite, StabilityError when dt exceeds
     :func:`step_limit` and SeedError for an empty ensemble or a negative
     ``stream_offset``.
@@ -494,26 +494,26 @@ def simulate(
         raise SeedError(f"stream_offset must be non-negative, got {stream_offset}")
     for name, value in (("dt", dt), ("duration", duration)):
         if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     limit = step_limit(setup, sys)
     if dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt = {dt:.3e} exceeds 0.01 * min(2 pi/Omega_eff, 1/eta) = {limit:.3e}")
 
     n_steps = int(round(duration / dt))
     if n_steps < 1:
-        raise ValueError("duration shorter than one step")
+        raise DomainError("duration shorter than one step")
 
     stationary = False
     z0 = np.zeros(2)
     if isinstance(init, str):
         if init not in ("stationary", "rest"):
-            raise ValueError(f"unknown init mode {init!r}")
+            raise DomainError(f"unknown init mode {init!r}")
         stationary = init == "stationary" and setup.eta > 0
     else:
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
         if not np.isfinite(z0).all():
-            raise ValueError(f"init must be finite, got {init!r}")
+            raise DomainError(f"init must be finite, got {init!r}")
 
     A, D = _monitored_model(setup, sys, noise)
     V0 = _stationary(A, D) if stationary else np.zeros((2, 2))
@@ -665,9 +665,10 @@ def reheating_run(
     if n_cycles < 2:
         raise SeedError("need at least two cycles to estimate a rate")
     if not 0.0 <= detector_noise_N < np.inf:
-        raise ValueError(f"detector_noise_N must be non-negative and finite, got {detector_noise_N}")
+        raise DomainError(f"detector_noise_N must be non-negative and finite, "
+                          f"got {detector_noise_N}")
     if not 0.0 < cycle_time < np.inf:
-        raise ValueError(f"cycle_time must be positive and finite, got {cycle_time}")
+        raise DomainError(f"cycle_time must be positive and finite, got {cycle_time}")
     if setup.eta > 0 and cycle_time >= 0.1 / setup.eta:
         raise ProtocolError(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"
@@ -717,7 +718,7 @@ def desk_rescale(setup: PhysicalSetup, gamma: DiffusionMatrix,
     map moves validation runs to desk timescales exactly.
     """
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise DomainError("scale must be positive")
     s = float(scale)
     new_setup = PhysicalSetup(
         m1=setup.m1, m2=setup.m2,

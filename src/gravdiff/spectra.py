@@ -25,22 +25,22 @@ evaluated on each additive part of D, built as one stack, for the component
 breakdown. The closed forms of both models serve the test suite as oracles.
 
 Only r(w) = row 0 of (-i w - A)^{-1} is needed, and D is real symmetric, so
-S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call reduces A^T
-once (A. J. Laub, IEEE TAC 26:407, 1981): an exact power-of-two balancing
-t, then Householder reflections on indices >= 1 to upper Hessenberg form,
-A^T = t q h q^T t^-1 with q e0 = e0. Each reflection step first swaps its
-column's largest entry onto the subdiagonal, so both models' drifts reduce
-by a permutation alone, without rounding. Then r^T = t q y / t0, where
+S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call balances A^T
+once by an exact power-of-two diagonal t and reads it in Hessenberg form h
+(A. J. Laub, IEEE TAC 26:407, 1981) by interleaving each body's position and
+momentum, (x1, p1, x2, p2): a body's position moves with its own momentum
+alone and no momentum drives another, so nothing lies below h's subdiagonal
+and no entry is rounded. Then r^T = t P y / t0, P the interleaving, where
 (-i w - h) y = e0 is solved for a block of frequencies at a time by n - 1
 eliminations with partial pivoting between adjacent rows and back
 substitution: O(n^2) work per frequency and no LAPACK call.
 
 Singular pivots: a pivot no larger than 4 n eps (||h||_1 + |w|), eps the
-float64 machine epsilon, is within the rounding of the reduction and the
-elimination of zero, so -i w - A is singular to working precision there and
-the call raises DomainError ("spectrum diverges: an undamped resonance lies on
-the grid"). Because h is balanced first, the rule does not depend on the
-units of the state: a lighter mass does not widen it.
+float64 machine epsilon, is within the rounding of the elimination of zero,
+so -i w - A is singular to working precision there and the call raises
+DomainError ("spectrum diverges: an undamped resonance lies on the grid").
+Because h is balanced first, the rule does not depend on the units of the
+state: a lighter mass does not widen it.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evens out each index's off-diagonal row and column 1-norms (B. N. Parlett
     and C. Reinsch, Numer. Math. 13:293, 1969). Exact: only exponents move.
     It brings a drift's mixed units (1/m against m Omega^2) to one scale
-    before the orthogonal reduction mixes positions with momenta."""
+    before the pivots are compared."""
     b = np.array(a, dtype=float)
     t = np.ones(len(b))
     changed = True
@@ -173,39 +173,16 @@ def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, t
 
 
-def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, q) with a = q h q^T, h upper Hessenberg and q orthogonal, from
-    Householder reflections on indices >= 1, so that q e0 = e0. Each step
-    first swaps the largest entry below the diagonal onto the subdiagonal: a
-    column with one such entry, as every column of a Langevin drift has,
-    then needs no reflection, and the reduction is exact."""
-    h = np.array(a, dtype=float)
-    q = np.eye(len(h))
-    for k in range(len(h) - 2):
-        swap = [k + 1, k + 1 + int(np.argmax(np.abs(h[k + 1:, k])))]
-        h[swap] = h[swap[::-1]]
-        h[:, swap] = h[:, swap[::-1]]
-        q[:, swap] = q[:, swap[::-1]]
-        v = h[k + 1:, k].copy()
-        if not v[1:].any():
-            continue
-        alpha = -math.copysign(math.hypot(*v), v[0])
-        v[0] -= alpha
-        v *= math.sqrt(2.0) / math.hypot(*v)         # the reflection is I - v v^T
-        h[k + 1:] -= np.outer(v, v @ h[k + 1:])
-        h[:, k + 1:] -= np.outer(h[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= np.outer(q[:, k + 1:] @ v, v)
-        h[k + 1, k] = alpha
-        h[k + 2:, k] = 0.0
-    return h, q
-
-
 def _reduce(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h, lift) with h upper Hessenberg and row 0 of (-i w - A)^-1 equal to
-    lift (-i w - h)^-1 e0 at every w: A^T = t q h q^T t^-1 with q e0 = e0."""
+    lift (-i w - h)^-1 e0 at every w, for A a :func:`langevin_model` drift of
+    one or two bodies, positions before momenta. Balanced, A^T = t b t^-1,
+    and b in the order (x1, p1, x2, p2) is upper Hessenberg: x_j moves with
+    p_j alone and no momentum drives another. So h is b permuted, and lift is
+    that permutation scaled by t / t0."""
     balanced, t = _balance(A.T)
-    h, q = _hessenberg(balanced)
-    return h, q * (t / t[0])[:, None]
+    order = np.arange(len(A)).reshape(2, -1).T.ravel()
+    return balanced[np.ix_(order, order)], np.diag(t / t[0])[:, order]
 
 
 def _require_pivots(size: np.ndarray, tol: np.ndarray) -> None:

@@ -490,6 +490,20 @@ class TestSpectrumCommand:
         assert "--grid" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("model", ["fixed", "pair"])
+    def test_undamped_resonance_on_grid_exit_3_writes_nothing(self, tmp_path, capsys, model):
+        # undamped and decoupled: linspace(0.25, 2, 8) holds omega = Omega1 = 1 exactly
+        path = tmp_path / "undamped.cfg"
+        path.write_text("m1_kg = 1\nomega1_rad_s = 1\nd_m = 0.1\nG_m3_kg_s2 = 0\n")
+        out = tmp_path / "out"
+        rc = cli.main(["spectrum", "--config", str(path), "--grid", "8", "--model", model,
+                       "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == "error: spectrum diverges: an undamped resonance lies on the grid\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_outputs(self, stable_config, tmp_path):
@@ -1293,6 +1307,14 @@ class TestFailureContract:
     @example(("reheat", {"eta_per_s": 1.7e308}))
     @example(("reheat", {"eta_per_s": 1.7e308, "T_K": 0.0}))
     @example(("simulate", {"eta_per_s": 1.7e308, "T_K": 0.0}))
+    # Each DomainError site a config reaches (exit 2, naming the key): a
+    # positive dial, a non-negative dial, the pendulum's Omega, and the
+    # constants through a physical setup and through a design.
+    @example(("linearize", {"m1_kg": 0.0}))
+    @example(("spectrum", {"T_K": -1.0}))
+    @example(("bound", {"Omega_rad_s": 0.0}))
+    @example(("evolve", {"G_m3_kg_s2": -1.0}))
+    @example(("feasibility", {"hbar_Js": 0.0}))
     @settings(derandomize=True, deadline=2000, max_examples=200)
     def test_documented_exit_and_finite_or_no_record(self, case):
         command, changes = case

@@ -336,14 +336,33 @@ def worst_row_error(A, w):
                         / np.linalg.norm(ref, axis=1)))
 
 
+def lab_pair(rng, kbar_over_omega, eta_over_omega, m1=None):
+    """(setup, system): masses over 18 decades and traps over eight, unequal
+    bodies, with G set so that K / (sqrt(m1 m2) Omega1 Omega2) is the given
+    ratio (G = 0 at ratio 0) and eta = eta_over_omega Omega1, at 300 K."""
+    m1 = 10 ** rng.uniform(-15.0, 3.0) if m1 is None else m1
+    m2, Om1 = m1 * rng.uniform(1.0, 3.0), 10 ** rng.uniform(-3.0, 5.0)
+    Om2, d = Om1 * rng.uniform(0.5, 2.0), 10 ** rng.uniform(-2.0, 0.0)
+    K = kbar_over_omega * np.sqrt(m1 * m2) * Om1 * Om2
+    setup = PhysicalSetup(m1=m1, m2=m2, omega1=np.sqrt(Om1**2 + K / m1),
+                          omega2=np.sqrt(Om2**2 + K / m2), d=d, G=K * d**3 / (2 * m1 * m2),
+                          T=300.0, eta=eta_over_omega * Om1)
+    return setup, linearize(setup)
+
+
 class TestShiftedSolves:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_random_stable_drifts_match_lapack(self, rng, n):
+        # the shifted solves on any stable upper-Hessenberg h, not only on the
+        # interleaved Langevin drifts
         w = np.linspace(-4.0, 4.0, 257)
         for _ in range(50):
-            M = rng.standard_normal((n, n))
-            A = M - (np.linalg.eigvals(M).real.max() + rng.uniform(0.1, 1.0)) * np.eye(n)
-            assert worst_row_error(A, w) < 1e-12
+            M = np.triu(rng.standard_normal((n, n)), -1)
+            h = M - (np.linalg.eigvals(M).real.max() + rng.uniform(0.1, 1.0)) * np.eye(n)
+            r = spectra._resolvent_rows(h, np.eye(n), w)
+            ref = lapack_rows(h.T, w)                   # (-i w - h)^-1 e0
+            err = np.abs((r[:, :len(w)] + 1j * r[:, len(w):]).T - ref).max(axis=1)
+            assert np.max(err / np.linalg.norm(ref, axis=1)) < 1e-12
 
     @pytest.mark.parametrize("setup", [
         # critically damped: A is defective, one double eigenvalue per body
@@ -363,14 +382,23 @@ class TestShiftedSolves:
 
     @pytest.mark.parametrize("partner_fixed", [True, False])
     def test_langevin_drift_reduces_exactly(self, partner_fixed):
-        # one entry below the diagonal per column: the reduction is a
-        # permutation, so h carries A's entries without rounding
-        setup = asymmetric_setup()
-        A, _ = langevin_model(setup, linearize(setup), np.zeros((4, 4)), partner_fixed)
-        balanced, _ = spectra._balance(A.T)
-        h, q = spectra._hessenberg(balanced)
-        assert np.array_equal(np.abs(q), np.abs(q).round())
-        assert np.array_equal(q @ h @ q.T, balanced)
+        # in the order (x1, p1, x2, p2) the balanced drift is upper Hessenberg
+        # as it stands: h is a permutation of it, without rounding
+        rng = np.random.default_rng(31)
+        cases = [lab_pair(rng, rng.uniform(0.0, 0.5), 10 ** rng.uniform(-10.0, 0.0))
+                 for _ in range(40)]
+        cases += [lab_pair(rng, 0.0, 0.1), lab_pair(rng, 0.3, 0.0),   # G = 0; eta = 0
+                  lab_pair(rng, 0.0, 2.0), lab_pair(rng, 0.3, 10.0),  # critical; overdamped
+                  lab_pair(rng, 0.3, 0.1, m1=1e-15)]
+        order = [0, 1] if partner_fixed else [0, 2, 1, 3]
+        perm = np.eye(len(order))[:, order]
+        for setup, sys in cases:
+            A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
+            balanced, t = spectra._balance(A.T)
+            h, lift = spectra._reduce(A)
+            assert not np.tril(h, -2).any()
+            assert np.array_equal(h, perm.T @ balanced @ perm)
+            assert np.array_equal(lift, (t / t[0])[:, None] * perm)
 
     @staticmethod
     def random_resonances(eta_over_omega, count=40):
@@ -397,6 +425,26 @@ class TestShiftedSolves:
         for setup, sys in self.random_resonances(1e-10):
             A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
             assert worst_row_error(A, np.array([sys.Omega1])) < 1e-4
+
+
+class TestVarianceAgainstHamiltonian:
+    def test_thermal_variance_is_gibbs(self):
+        # Thermal noise only, classically: int S_total dw / 2 pi is the
+        # Gibbs V_x1x1, kB T (H^-1)_00 with both bodies mobile and
+        # kB T / H_fixed[0, 0] with the partner fixed. The trapezoid on
+        # w = Omega1 tan(theta) is a periodic rule, exact to rounding here.
+        rng = np.random.default_rng(12)
+        theta = np.linspace(-np.pi / 2, np.pi / 2, 40001)[1:-1]
+        for _ in range(12):
+            Q = 10 ** rng.uniform(np.log10(2.0), np.log10(200.0))
+            setup, sys = lab_pair(rng, rng.uniform(0.0, 0.5), 1.0 / Q)
+            w = sys.Omega1 * np.tan(theta)
+            dw = sys.Omega1 * (theta[1] - theta[0]) / np.cos(theta) ** 2
+            kT = setup.kB * setup.T
+            for dns, gibbs in ((dns_symmetric_pair, kT * np.linalg.inv(sys.H)[0, 0]),
+                               (dns_fixed_source, kT / sys.H_fixed[0, 0])):
+                S = dns(setup, sys, DiffusionMatrix.zero(), w).S_total
+                assert (S * dw).sum() / (2 * np.pi) == pytest.approx(gibbs, rel=1e-9, abs=0.0)
 
 
 class TestDetectionCondition:
