@@ -31,7 +31,8 @@ the registry of these keys; :func:`load_config` rejects any other key. One
 key -> field table per object maps a config to a :class:`PhysicalSetup`, the
 pendulum's :class:`LinearizedSystem` or :class:`FeasibilityParams`, and a
 value out of its field's domain is a ConfigError that opens with its key
-(``m1_kg: m1 must be positive and finite, got -1.0``).
+(``m1_kg: m1 must be positive and finite, got -1.0``), read from the refusal of
+:func:`gravdiff.errors.require`, the one range rule.
 :data:`TABLE1_CONFIG` is the built-in Table-1 config
 (``--table1``): the reference torsion pendulum's pair setup, its design dials
 and ``gamma11 = gamma22``, the position-only diffusion at the final bound.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPhysicalInputError, StepSizeError
+from .errors import DomainError, NonPhysicalInputError, StepSizeError, require
 from .manifest import ColumnTable
 from .model import (
     DiffusionMatrix,
@@ -145,15 +145,6 @@ class EvolutionResult:
     )
 
 
-def _check_span(name: str, t_end: float, dt: float) -> None:
-    """StepSizeError unless dt is positive and finite and the time span
-    t_end, called ``name`` in the message, is non-negative and finite."""
-    if not 0.0 < dt < np.inf:
-        raise StepSizeError(f"dt must be positive and finite, got {dt}")
-    if not 0.0 <= t_end < np.inf:
-        raise StepSizeError(f"{name} must be non-negative and finite, got {t_end}")
-
-
 def evolve_covariance_dimensionless(
     V0: np.ndarray,
     Hbar: np.ndarray,
@@ -172,7 +163,8 @@ def evolve_covariance_dimensionless(
     is negative or not finite, and NonPhysicalInputError when V0 violates the
     uncertainty relation by more than 1e-8.
     """
-    _check_span("t_end", t_end, dt)
+    require("dt", dt, error=StepSizeError)
+    require("t_end", t_end, strict=False, error=StepSizeError)
     Omegas = np.diagonal(Hbar)[2:]
     max_dt = MAX_STEP_FRACTION * 2.0 * np.pi / np.max(np.abs(Omegas))
     if dt > max_dt:
@@ -237,7 +229,8 @@ def entanglement_onset(
     midpoint. Raises StepSizeError as :func:`evolve_covariance_dimensionless`
     does, naming t_max.
     """
-    _check_span("t_max", t_max, dt)
+    require("dt", dt, error=StepSizeError)
+    require("t_max", t_max, strict=False, error=StepSizeError)
     Hbar, gamma_bar = to_dimensionless(sys, gamma)
     res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_max, dt, mean0=V0.mean)
     idx = res.first_ppt_violation(tol)

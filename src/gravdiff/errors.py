@@ -1,8 +1,13 @@
-"""Exception types raised by the toolkit.
+"""Exception types raised by the toolkit, and the one range rule.
 
 Every toolkit error derives from GravdiffError. :func:`gravdiff.cli.main` is
-the one place that maps exceptions to the CLI's exit codes.
+the one place that maps exceptions to the CLI's exit codes. :func:`require`
+is the single producer of range refusals ("m1 must be positive and finite,
+got -1.0"); their first word is the field that :func:`gravdiff.config._build`
+maps to a config key.
 """
+
+import math
 
 
 class GravdiffError(Exception):
@@ -44,3 +49,15 @@ class SeedError(GravdiffError):
 
 class ProtocolError(GravdiffError):
     """Measurement-protocol timing constraint violated."""
+
+
+def require(name: str, value: float, low: float = 0.0, *, strict: bool = True,
+            error: type[Exception] = DomainError) -> None:
+    """``error`` unless ``value`` is finite and above ``low`` (at or above it
+    when not ``strict``), with a message that opens with ``name``."""
+    if not (low < value if strict else low <= value) or not value < math.inf:
+        if low == 0.0:
+            bound = "positive" if strict else "non-negative"
+        else:
+            bound = f"{'>' if strict else '>='} {low:g}"
+        raise error(f"{name} must be {bound} and finite, got {value!r}")

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import G_NEWTON, HBAR, KB, OSMIUM_DENSITY
-from .errors import DomainError
+from .errors import DomainError, require
 from .model import check_constants
 from .spectra import gravitational_frequency
 
@@ -84,13 +84,10 @@ class FeasibilityParams:
     kB: float = KB
 
     def __post_init__(self):
-        if not 1.0 <= self.beta < math.inf:
-            raise DomainError(f"beta must be >= 1 and finite, got {self.beta}")
+        require("beta", self.beta, 1.0, strict=False)
         for name in ("Omega", "rho", "R", "T", "Q"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.N < math.inf:
-            raise DomainError(f"N must be non-negative and finite, got {self.N}")
+            require(name, getattr(self, name))
+        require("N", self.N, strict=False)
         if not (0.0 < self.r <= 1.0):
             raise DomainError(f"r must lie in (0, 1], got {self.r}")
         check_constants(G=self.G, hbar=self.hbar, kB=self.kB)

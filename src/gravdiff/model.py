@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON, HBAR, KB
-from .errors import DomainError, PSDError, StabilityError
+from .errors import DomainError, PSDError, StabilityError, require
 
 __all__ = [
     "PhysicalSetup",
@@ -71,9 +71,7 @@ def check_constants(**constants: float) -> None:
     """DomainError unless each given constant (G, hbar or kB) is finite, G
     non-negative (0 switches gravity off) and hbar and kB positive."""
     for name, value in constants.items():
-        if not (0.0 <= value if name == "G" else 0.0 < value) or not value < math.inf:
-            sign = "non-negative" if name == "G" else "positive"
-            raise DomainError(f"{name} must be {sign} and finite, got {value!r}")
+        require(name, value, strict=name != "G")
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,8 @@ class PhysicalSetup:
     kB: float = KB
 
     def __post_init__(self):
-        for name in ("m1", "m2", "omega1", "omega2", "d"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("T", "eta"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be non-negative and finite, "
-                                  f"got {getattr(self, name)!r}")
+        for name in ("m1", "m2", "omega1", "omega2", "d", "T", "eta"):
+            require(name, getattr(self, name), strict=name not in ("T", "eta"))
         check_constants(G=self.G, hbar=self.hbar, kB=self.kB)
 
     @property
@@ -296,8 +288,7 @@ def pendulum_system(setup: PhysicalSetup, Omega: float) -> LinearizedSystem:
     output of the trap linearization (the two-trap renormalization does not
     apply to a torsion mode). DomainError unless Omega is positive and finite.
     """
-    if not 0.0 < Omega < math.inf:
-        raise DomainError(f"Omega must be positive and finite, got {Omega!r}")
+    require("Omega", Omega)
     return LinearizedSystem(Omega1=Omega, Omega2=Omega, K=setup.coupling, m1=setup.m1,
                             m2=setup.m2, equilibrium_shift=(0.0, 0.0), hbar=setup.hbar)
 

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DomainError, ProtocolError, SeedError, StabilityError
+from .errors import ConfigError, DomainError, ProtocolError, SeedError, StabilityError, require
 from .manifest import _write_hashed
 from .model import (
     DiffusionMatrix,
@@ -339,9 +339,7 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.thermal_intensity < np.inf:
-            raise DomainError(f"thermal_intensity must be non-negative and finite, "
-                              f"got {self.thermal_intensity!r}")
+        require("thermal_intensity", self.thermal_intensity, strict=False)
         if not isinstance(self.seed, (int, np.integer)):
             raise SeedError(f"seed must be an integer, got {type(self.seed).__name__}")
         seed = int(self.seed)
@@ -492,9 +490,8 @@ def simulate(
         raise SeedError("ensemble must contain at least one trajectory")
     if stream_offset < 0:
         raise SeedError(f"stream_offset must be non-negative, got {stream_offset}")
-    for name, value in (("dt", dt), ("duration", duration)):
-        if not 0.0 < value < np.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    require("dt", dt)
+    require("duration", duration)
     limit = step_limit(setup, sys)
     if dt > limit * (1.0 + 1e-12):
         raise StabilityError(f"dt = {dt:.3e} exceeds 0.01 * min(2 pi/Omega_eff, 1/eta) = {limit:.3e}")
@@ -660,22 +657,25 @@ def reheating_run(
     Gamma_hat = <n_hat>/cycle_time estimates the total heating rate; the
     quoted relative error is the standard error of that mean across cycles.
 
-    Requires 0 < cycle_time < 0.1 / eta so damping does not bend the growth.
+    Requires 0 < cycle_time < 0.1 / eta so damping does not bend the growth,
+    and a monitored spring H_fixed[0, 0] that stays positive in W = H_fixed / 2
+    (StabilityError otherwise).
     """
     if n_cycles < 2:
         raise SeedError("need at least two cycles to estimate a rate")
-    if not 0.0 <= detector_noise_N < np.inf:
-        raise DomainError(f"detector_noise_N must be non-negative and finite, "
-                          f"got {detector_noise_N}")
-    if not 0.0 < cycle_time < np.inf:
-        raise DomainError(f"cycle_time must be positive and finite, got {cycle_time}")
+    require("detector_noise_N", detector_noise_N, strict=False)
+    require("cycle_time", cycle_time)
     if setup.eta > 0 and cycle_time >= 0.1 / setup.eta:
         raise ProtocolError(
             f"cycle_time = {cycle_time:.3e} s is not << 1/eta = {1.0 / setup.eta:.3e} s"
         )
     W, quantum = 0.5 * sys.H_fixed, setup.hbar * effective_frequency(sys)
     Phi, Q = propagator(*_monitored_model(setup, sys, noise), cycle_time)
-    V_g = 0.25 * quantum * np.linalg.inv(W)
+    if not W[0, 0] > 0.0:
+        raise StabilityError(f"monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
+                             f"{sys.H_fixed[0, 0]:.6e} gives no ground state")
+    # W is diagonal: its inverse is the reciprocal of each entry, exactly
+    V_g = 0.25 * quantum * np.diag(1.0 / np.diag(W))
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
 
     u = np.empty((n_cycles, 3))
@@ -766,10 +766,8 @@ def read_raw_trajectories(path) -> TrajectoryEnsemble:
         version, n_traj, n_samples, dt, duration, master_seed = struct.unpack("<IQQddQ", head)
         if version != _RAW_VERSION:
             raise ConfigError(f"unsupported record version {version}")
-        if not 0.0 < dt < np.inf:
-            raise ConfigError(f"record dt must be positive and finite, got {dt!r}")
-        if not 0.0 <= duration < np.inf:
-            raise ConfigError(f"record duration must be non-negative and finite, got {duration!r}")
+        require("record dt", dt, error=ConfigError)
+        require("record duration", duration, strict=False, error=ConfigError)
         body = fh.read()
     expected = 2 * n_traj * n_samples
     if len(body) != 8 * expected:

@@ -184,6 +184,20 @@ class TestExitCodes:
         assert err.startswith("error: thermal intensity") and "Traceback" not in err
         assert not out.exists()
 
+    def test_underflowing_monitored_spring_exit_3_writes_nothing(self, tmp_path, capsys):
+        # m1 Omega1^2 + K = H_fixed[0, 0] underflows to 0: no ground state
+        path = tmp_path / "flat.cfg"
+        path.write_text(STABLE_PAIR.replace("m2_kg = 1.0", "m2_kg = 5e-324")
+                        + "Omega_rad_s = 1e-320\n")
+        out = tmp_path / "out"
+        argv = ["reheat", "--seed", "1", "--cycles", "2", "--cycle-time", "0.01"]
+        assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
+                                "0.000000e+00 gives no ground state\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("base,key,value,argv", [
         ("pair", "Omega_rad_s", -1.0, ["spectrum"]),
         ("pair", "Omega_rad_s", -1.0, ["reheat", "--seed", "1", "--cycle-time", "0.1"]),
@@ -196,6 +210,8 @@ class TestExitCodes:
         *(("pair", key, value, ["linearize"]) for key, value in (
             ("m1_kg", -1.0), ("m2_kg", 0.0), ("omega1_rad_s", -1.0), ("omega2_rad_s", 0.0),
             ("d_m", -0.1), ("T_K", -1.0), ("eta_per_s", -0.5))),
+        ("pendulum", "N_quanta", -1.0, ["feasibility"]),
+        ("pendulum", "T_K", 0.0, ["feasibility"]),
     ])
     def test_value_out_of_domain_exit_2_names_key(self, tmp_path, capsys, base, key, value, argv):
         cfg = {k: v for k, v in parse_config(PENDULUM if base == "pendulum" else STABLE_PAIR).items()
@@ -1315,6 +1331,8 @@ class TestFailureContract:
     @example(("bound", {"Omega_rad_s": 0.0}))
     @example(("evolve", {"G_m3_kg_s2": -1.0}))
     @example(("feasibility", {"hbar_Js": 0.0}))
+    # m1 Omega1^2 + K underflows to 0: the monitored spring is refused (exit 3)
+    @example(("reheat", {"Omega_rad_s": 1e-320, "m2_kg": 5e-324}))
     @settings(derandomize=True, deadline=2000, max_examples=200)
     def test_documented_exit_and_finite_or_no_record(self, case):
         command, changes = case

@@ -15,6 +15,7 @@ from gravdiff.model import (
     PhysicalSetup,
     langevin_model,
     linearize,
+    quadrature_scales,
 )
 from gravdiff.montecarlo import NoiseModel, effective_frequency, stationary_covariance
 from gravdiff.spectra import (
@@ -445,6 +446,28 @@ class TestVarianceAgainstHamiltonian:
                                (dns_fixed_source, kT / sys.H_fixed[0, 0])):
                 S = dns(setup, sys, DiffusionMatrix.zero(), w).S_total
                 assert (S * dw).sum() / (2 * np.pi) == pytest.approx(gibbs, rel=1e-9, abs=0.0)
+
+    def test_gravitational_variance_is_stationary(self):
+        # Diffusion only, partner fixed: int (S_grav_position + S_grav_momentum
+        # + S_cross) dw / 2 pi is the stationary V_x1x1 of the same gamma, a
+        # random PSD gamma_bar carried to SI units. Position noise falls off
+        # as w^-2, so the mapped integrand is finite at theta = +-pi/2, where
+        # tan rounds to +-1.6e16: the trapezoid keeps both endpoints.
+        rng = np.random.default_rng(12)
+        theta = np.linspace(-np.pi / 2, np.pi / 2, 40001)
+        weight = np.ones_like(theta)
+        weight[[0, -1]] = 0.5
+        for _ in range(12):
+            Q = 10 ** rng.uniform(np.log10(2.0), np.log10(200.0))
+            setup, sys = lab_pair(rng, rng.uniform(0.0, 0.5), 1.0 / Q)
+            s = quadrature_scales(sys)
+            gamma = DiffusionMatrix(random_psd_batch(rng, 1)[0] / np.outer(s, s))
+            w = sys.Omega1 * np.tan(theta)
+            dw = sys.Omega1 * (theta[1] - theta[0]) / np.cos(theta) ** 2 * weight
+            spec = dns_fixed_source(setup, sys, gamma, w)
+            S = spec.S_grav_position + spec.S_grav_momentum + spec.S_cross
+            V = stationary_covariance(setup, sys, NoiseModel(gamma, 0.0, 0))
+            assert (S * dw).sum() / (2 * np.pi) == pytest.approx(V[0, 0], rel=1e-9, abs=0.0)
 
 
 class TestDetectionCondition:
