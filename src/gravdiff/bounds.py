@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PSDError, SymmetryError
+from .errors import DomainError, PSDError, SymmetryError, require
 from .model import (
     DiffusionMatrix,
     LinearizedSystem,
@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 MARGIN_RTOL = 1e-9
+
+# Relative tolerances of the equal-mass test and of com_reduction's checks.
+EQUAL_MASS_RTOL = 1e-9
+COM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,8 @@ def weak_bound(gamma_bar, sys: LinearizedSystem) -> BoundReport:
     return _report("weak-trace", np.trace(g), kbar)
 
 
-def _require_equal_masses(m1: float, m2: float, rtol: float = 1e-9) -> float:
-    if abs(m1 - m2) > rtol * max(m1, m2):
+def _require_equal_masses(m1: float, m2: float) -> float:
+    if abs(m1 - m2) > EQUAL_MASS_RTOL * max(m1, m2):
         raise SymmetryError(f"equal masses required: m1 = {m1!r}, m2 = {m2!r}")
     return 0.5 * (m1 + m2)
 
@@ -158,8 +162,7 @@ def final_bound(gamma: DiffusionMatrix, setup: PhysicalSetup, omega: float) -> B
     g33 = g44); SymmetryError otherwise. ``omega`` is the frequency at which
     the frequency-independent diffusion is being probed.
     """
-    if omega <= 0:
-        raise DomainError("omega must be positive")
+    require("omega", omega)
     m = _require_equal_masses(setup.m1, setup.m2)
     g = gamma.matrix
     scale = max(abs(g[0, 0]), abs(g[1, 1]), 1e-300)
@@ -195,16 +198,16 @@ def minimal_diffusion(setup: PhysicalSetup, mode: str,
     """
     m = _require_equal_masses(setup.m1, setup.m2)
     budget = setup.G * m**2 / (setup.hbar * setup.d**3)
+    if mode in ("momentum-only", "mixed"):
+        if omega is None:
+            raise DomainError(f"{mode} allocation requires a positive omega")
+        require("omega", omega)
     g = np.zeros((4, 4))
     if mode == "position-only":
         g[0, 0] = g[1, 1] = budget
     elif mode == "momentum-only":
-        if omega is None or omega <= 0:
-            raise DomainError("momentum-only allocation requires a positive omega")
         g[2, 2] = g[3, 3] = budget / (m**2 * omega**2)
     elif mode == "mixed":
-        if omega is None or omega <= 0:
-            raise DomainError("mixed allocation requires a positive omega")
         g11 = 0.5 * budget
         g[0, 0] = g[1, 1] = g11
         g[2, 2] = g[3, 3] = g11 / (m**2 * omega**2)
@@ -215,12 +218,9 @@ def minimal_diffusion(setup: PhysicalSetup, mode: str,
     return DiffusionMatrix(g)
 
 
-def com_reduction(Gamma, masses=None, rtol: float = 1e-9) -> float:
-    """Center-of-mass position-diffusion coefficient of an N-particle block.
-
-    Accepts either the N x N position block itself or a full 2N x 2N
-    phase-space matrix in (x_1..x_N, p_1..p_N) ordering, in which case the
-    upper-left N x N block is used (``masses`` fixes N when given). Returns
+def com_reduction(Gamma) -> float:
+    """Center-of-mass position-diffusion coefficient of an N x N position
+    block Gamma (of a phase-space matrix, its upper-left block). Returns
 
         gamma_CM = sum_ij Gamma_ij,
 
@@ -231,19 +231,15 @@ def com_reduction(Gamma, masses=None, rtol: float = 1e-9) -> float:
     G = np.asarray(Gamma, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise DomainError("Gamma must be a square matrix")
-    n = G.shape[0]
-    if masses is not None and len(masses) * 2 == n:
-        G = G[: len(masses), : len(masses)]
-        n = G.shape[0]
     scale = max(np.linalg.norm(G), 1e-300)
     if not np.allclose(G, G.T, rtol=0.0, atol=1e-12 * scale):
         raise PSDError("position block must be symmetric")
     min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
-    if min_eig < -rtol * scale:
+    if min_eig < -COM_RTOL * scale:
         raise PSDError(f"position block not PSD: min eigenvalue {min_eig:.3e}")
     gamma_cm = float(G.sum())
     upper = 2.0 * float(np.trace(G))
-    tol = rtol * max(scale, upper)
+    tol = COM_RTOL * max(scale, upper)
     if gamma_cm < -tol or gamma_cm > upper + tol:
         raise DomainError(
             f"gamma_CM = {gamma_cm:.6e} outside the two-body range [0, {upper:.6e}]"

@@ -29,7 +29,7 @@ import numpy as np
 from . import config as cfgmod
 from . import manifest as mani
 from .bounds import dimensional_bound, final_bound, strongest_bound, weak_bound
-from .dynamics import EvolutionResult, evolve_covariance
+from .dynamics import ONSET_TOL, EvolutionResult, evolve_covariance
 from .errors import ConfigError, GravdiffError
 from .feasibility import feasibility_report
 from .model import ground_state, linearize, to_dimensionless
@@ -155,8 +155,8 @@ def cmd_evolve(args, cfg):
     _require_in_memory(t_end / dt, 128)  # V: 4x4 float64 per sample
     res = evolve_covariance(ground_state(), sys_lin, gamma, t_end, dt)
     idx = res.first_ppt_violation()
-    report = (f"ppt_min_eig >= -1e-08 throughout [0, {t_end:.6g}] s" if idx is None
-              else f"ppt_min_eig < -1e-08 first at t = {res.times[idx]:.6g} s")
+    report = (f"ppt_min_eig >= {-ONSET_TOL:g} throughout [0, {t_end:.6g}] s" if idx is None
+              else f"ppt_min_eig < {-ONSET_TOL:g} first at t = {res.times[idx]:.6g} s")
     return [(Path(args.out) / "evolve.csv", mani.write_csv,
              EvolutionResult.CSV_HEADER, res.csv_rows())], report
 

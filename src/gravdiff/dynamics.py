@@ -11,7 +11,10 @@ positive semidefinite whenever gamma_bar is. Physicality is the matrix
 inequality V + (i/2) J >= 0; separability of the 1x1-mode split is certified
 by V + (i/2) L J L >= 0 with the partial reflection L = diag(1, 1, 1, -1).
 A negative minimum eigenvalue of the PPT matrix certifies entanglement; a
-non-negative one certifies separability for two single modes.
+non-negative one certifies separability for two single modes. "Negative"
+has two fixed tolerances: below -EIG_TOL = -1e-10 for one state's
+uncertainty and PPT checks, below -ONSET_TOL = -1e-8 for a track's first
+violation and the entanglement onset.
 
 The equation is linear-Gaussian, so each sample is one exact propagation from
 t = 0, V(t) = Phi(t) V0 Phi(t)^T + Q(t) and <c>(t) = Phi(t) <c>(0), with
@@ -47,8 +50,9 @@ __all__ = [
     "entanglement_onset",
 ]
 
-# Absolute eigenvalue tolerance in dimensionless units.
+# Absolute eigenvalue tolerances in dimensionless units (module docstring).
 EIG_TOL = 1e-10
+ONSET_TOL = 1e-8
 
 # Samples propagated and eigen-checked per block: bounds the stacked
 # exponentials and Hermitian copies to one block whatever the run's length.
@@ -59,22 +63,15 @@ _EIG_BLOCK = 1024
 MAX_STEP_FRACTION = 0.01
 
 
-def ppt_reflector(mode: int = 2) -> np.ndarray:
-    """Partial phase-space reflection for the requested mode.
-
-    Mode 2 (the printed convention) flips p2: diag(1, 1, 1, -1). Reflecting
-    mode 1 instead flips p1 and leads to the same PPT spectrum.
-    """
-    if mode == 2:
-        return np.diag([1.0, 1.0, 1.0, -1.0])
-    if mode == 1:
-        return np.diag([1.0, 1.0, -1.0, 1.0])
-    raise DomainError(f"mode must be 1 or 2, got {mode}")
+def ppt_reflector() -> np.ndarray:
+    """Partial phase-space reflection of the printed convention: it flips p2,
+    diag(1, 1, 1, -1). Flipping p1 instead leads to the same PPT spectrum."""
+    return np.diag([1.0, 1.0, 1.0, -1.0])
 
 
-# J and the PPT form L J L of the printed convention (mode 2).
+# J and the PPT form L J L.
 _J = symplectic_form()
-_LJL = ppt_reflector(2) @ _J @ ppt_reflector(2)
+_LJL = ppt_reflector() @ _J @ ppt_reflector()
 _J.setflags(write=False)
 _LJL.setflags(write=False)
 
@@ -85,23 +82,22 @@ def _min_eig_hermitian(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(V + 0.5j * X)[..., 0]
 
 
-def uncertainty_valid(state: GaussianState, tol: float = EIG_TOL) -> tuple[bool, float]:
-    """Check V + (i/2) J >= 0; returns (valid, min eigenvalue)."""
+def uncertainty_valid(state: GaussianState) -> tuple[bool, float]:
+    """Check V + (i/2) J >= 0 within EIG_TOL; returns (valid, min eigenvalue)."""
     min_eig = float(_min_eig_hermitian(state.V, _J))
-    return bool(min_eig >= -tol), min_eig
+    return bool(min_eig >= -EIG_TOL), min_eig
 
 
-def ppt_separable(state: GaussianState, tol: float = EIG_TOL) -> tuple[bool, float]:
+def ppt_separable(state: GaussianState) -> tuple[bool, float]:
     """Minimum eigenvalue of V + (i/2) L J L and the separability flag, with
-    L the printed convention's reflection (mode 2; mode 1 gives the same
-    spectrum).
+    L = :func:`ppt_reflector`.
 
-    A negative eigenvalue certifies entanglement; a non-negative one is
+    A negative eigenvalue certifies entanglement; one at or above -EIG_TOL is
     reported as PPT-separable, which is necessary and sufficient for a
     1x1-mode Gaussian split.
     """
     min_eig = float(_min_eig_hermitian(state.V, _LJL))
-    return bool(min_eig >= -tol), min_eig
+    return bool(min_eig >= -EIG_TOL), min_eig
 
 
 @dataclass(frozen=True)
@@ -128,9 +124,9 @@ class EvolutionResult:
         """Per-sample GaussianState view of ``mean`` and ``V``, built on access."""
         return tuple(GaussianState(m, V) for m, V in zip(self.mean, self.V))
 
-    def first_ppt_violation(self, tol: float = 1e-8):
-        """Index of the first time ppt_min_eig < -tol, or None."""
-        hits = np.nonzero(self.ppt_min_eig < -tol)[0]
+    def first_ppt_violation(self):
+        """Index of the first time ppt_min_eig < -ONSET_TOL, or None."""
+        hits = np.nonzero(self.ppt_min_eig < -ONSET_TOL)[0]
         return int(hits[0]) if hits.size else None
 
     def csv_rows(self) -> ColumnTable:
@@ -219,9 +215,8 @@ def entanglement_onset(
     gamma: DiffusionMatrix,
     t_max: float,
     dt: float,
-    tol: float = 1e-8,
 ):
-    """First time the PPT minimum eigenvalue drops below -tol, or None.
+    """First time the PPT minimum eigenvalue drops below -ONSET_TOL, or None.
 
     Scans the trajectory on the coarse grid, then refines the bracketing step
     by bisection to a resolution of dt/100; each probe, like each sample, is
@@ -233,7 +228,7 @@ def entanglement_onset(
     require("t_max", t_max, strict=False, error=StepSizeError)
     Hbar, gamma_bar = to_dimensionless(sys, gamma)
     res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_max, dt, mean0=V0.mean)
-    idx = res.first_ppt_violation(tol)
+    idx = res.first_ppt_violation()
     if idx is None:
         return None
     if idx == 0:
@@ -247,7 +242,7 @@ def entanglement_onset(
     while t_hi - t_lo > dt / 100.0:
         t_mid = 0.5 * (t_lo + t_hi)
         Phi, Q = propagator(A, D, t_mid)
-        if _min_eig_hermitian(Phi @ res.V[0] @ Phi.T + Q, _LJL) < -tol:
+        if _min_eig_hermitian(Phi @ res.V[0] @ Phi.T + Q, _LJL) < -ONSET_TOL:
             t_hi = t_mid
         else:
             t_lo = t_mid

@@ -19,7 +19,6 @@ All rates are angular [s^-1]; report text adds a parallel "mHz-style" column
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -143,8 +142,7 @@ def required_integration_time(params: FeasibilityParams, Gamma_total: float) -> 
     With a quantum-limited detector (N = 1) and the thermal background at the
     detection boundary Gamma_th = Gamma_G / r this reduces to 1/(r Gamma_G).
     """
-    if Gamma_total <= 0:
-        raise DomainError("Gamma_total must be positive")
+    require("Gamma_total", Gamma_total)
     return params.N**2 / (params.r**2 * Gamma_total)
 
 
@@ -188,9 +186,6 @@ class FeasibilityReport:
         }
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def to_text(self) -> str:
         rows = [
             ("sphere mass m", f"{self.m:.3g} kg"),
@@ -228,12 +223,12 @@ def feasibility_report(params: FeasibilityParams) -> FeasibilityReport:
         QoverT = params.kB / (params.hbar * Gamma_G)
         Q_req = QoverT * params.T
         Q_req_relaxed = Q_req * params.r
-        Gamma_total = Gamma_th + Gamma_G
-        t_int = required_integration_time(params, Gamma_total)
         pref = (12.0 / math.pi) * params.beta**3 * params.Omega
         margin_cons = w_G**2 - pref * Gamma_th
         margin_rel = w_G**2 - params.r * pref * Gamma_th
         gap = math.log10(Q_req_relaxed / params.Q)
+        # last: an overflowed rate is refused here only if nothing above failed
+        t_int = required_integration_time(params, Gamma_th + Gamma_G)
     except DomainError:                         # keeps its own message
         raise
     except (ArithmeticError, ValueError) as exc:

@@ -207,8 +207,7 @@ class DiffusionMatrix:
         return cls(np.zeros((4, 4)))
 
     def scaled(self, factor: float) -> "DiffusionMatrix":
-        if factor < 0:
-            raise DomainError("scale factor must be non-negative")
+        require("factor", factor, strict=False)
         return DiffusionMatrix(factor * self.gamma)
 
     @property

@@ -408,8 +408,13 @@ class TrajectoryEnsemble:
 def effective_frequency(sys: LinearizedSystem) -> float:
     """Frequency Omega_eff of mode 1 with the partner held fixed: sqrt(k / m) of
     its form :attr:`~gravdiff.model.LinearizedSystem.H_fixed` = diag(k, 1/m), which
-    is sqrt(-A[1, 0] A[0, 1]) of that model's drift A bit for bit."""
+    is sqrt(-A[1, 0] A[0, 1]) of that model's drift A bit for bit. As the one
+    reader of that spring, it refuses (StabilityError) an underflowed k whose
+    energy form k / 2 is not positive."""
     k, inv_m = np.diag(sys.H_fixed)
+    if not 0.5 * k > 0.0:
+        raise StabilityError(f"monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
+                             f"{k:.6e} gives no ground state")
     return float(np.sqrt(k * inv_m))
 
 
@@ -440,7 +445,9 @@ def stationary_covariance(setup: PhysicalSetup, sys: LinearizedSystem,
     V_xp = -D_xx/(2a), V_pp = (D_pp - 2 b V_xp)/(2 eta) and
     V_xx = (a V_pp - eta V_xp + D_xp)/b. This stays exact at the Table-1
     pendulum's eta = 5e-11 Omega, where a general Lyapunov solver loses V.
+    StabilityError for a spring :func:`effective_frequency` refuses.
     """
+    effective_frequency(sys)
     return _stationary(*_monitored_model(setup, sys, noise))
 
 
@@ -471,20 +478,20 @@ def simulate(
 
     Parameters
     ----------
-    init : "stationary", "rest" or (x0, p0)
+    init : "stationary" or (x0, p0)
         "stationary" samples each trajectory's initial (x, p) from the
-        steady-state covariance (falls back to rest when there is no noise);
-        a pair starts every trajectory deterministically there.
+        steady-state covariance (falls back to rest, (0.0, 0.0), when eta = 0
+        or there is no noise); a pair starts every trajectory there.
     stream_offset : int
         Index of the first trajectory stream. Trajectory k of this run is
         stream ``stream_offset + k`` of the master seed, so a big ensemble
         produced in batches is bit-identical to one single run: batching and
         scheduling cannot change results.
 
-    Raises DomainError unless dt and duration are positive and finite and a
-    pair ``init`` is finite, StabilityError when dt exceeds
-    :func:`step_limit` and SeedError for an empty ensemble or a negative
-    ``stream_offset``.
+    Raises DomainError unless dt and duration are positive and finite and
+    ``init`` is "stationary" or a finite pair, StabilityError when dt exceeds
+    :func:`step_limit` or :func:`effective_frequency` refuses the spring, and
+    SeedError for an empty ensemble or a negative ``stream_offset``.
     """
     if n_traj <= 0:
         raise SeedError("ensemble must contain at least one trajectory")
@@ -503,9 +510,9 @@ def simulate(
     stationary = False
     z0 = np.zeros(2)
     if isinstance(init, str):
-        if init not in ("stationary", "rest"):
-            raise DomainError(f"unknown init mode {init!r}")
-        stationary = init == "stationary" and setup.eta > 0
+        if init != "stationary":
+            raise DomainError(f"init must be 'stationary' or an (x0, p0) pair, got {init!r}")
+        stationary = setup.eta > 0
     else:
         x0, p0 = init
         z0 = np.array([float(x0), float(p0)])
@@ -658,7 +665,7 @@ def reheating_run(
     quoted relative error is the standard error of that mean across cycles.
 
     Requires 0 < cycle_time < 0.1 / eta so damping does not bend the growth,
-    and a monitored spring H_fixed[0, 0] that stays positive in W = H_fixed / 2
+    and a monitored spring that :func:`effective_frequency` accepts
     (StabilityError otherwise).
     """
     if n_cycles < 2:
@@ -671,9 +678,6 @@ def reheating_run(
         )
     W, quantum = 0.5 * sys.H_fixed, setup.hbar * effective_frequency(sys)
     Phi, Q = propagator(*_monitored_model(setup, sys, noise), cycle_time)
-    if not W[0, 0] > 0.0:
-        raise StabilityError(f"monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
-                             f"{sys.H_fixed[0, 0]:.6e} gives no ground state")
     # W is diagonal: its inverse is the reciprocal of each entry, exactly
     V_g = 0.25 * quantum * np.diag(1.0 / np.diag(W))
     C = _noise_factor(Phi @ V_g @ Phi.T + Q)
@@ -717,8 +721,7 @@ def desk_rescale(setup: PhysicalSetup, gamma: DiffusionMatrix,
     sub-millihertz frequencies over days of model time is impractical; this
     map moves validation runs to desk timescales exactly.
     """
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    require("scale", scale)
     s = float(scale)
     new_setup = PhysicalSetup(
         m1=setup.m1, m2=setup.m2,

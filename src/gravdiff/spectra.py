@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .manifest import ColumnTable
 from .model import (
     DiffusionMatrix,
@@ -85,7 +85,6 @@ class NoiseSpectrum:
     S_grav_momentum: np.ndarray | None = None
     S_thermal: np.ndarray | None = None
     S_cross: np.ndarray | None = None
-    convention: str = SPECTRUM_CONVENTION
     zero_frequency_substituted: bool = False
 
     def __post_init__(self):
@@ -112,6 +111,7 @@ class NoiseSpectrum:
 
     CSV_HEADER = ("omega_rad_s", "S_total", "S_grav_pos", "S_grav_mom",
                   "S_thermal", "S_cross")
+    convention = SPECTRUM_CONVENTION            # the preamble of every spectrum CSV
 
 
 def _coth_term(omega: np.ndarray, setup: PhysicalSetup, m: float) -> tuple[np.ndarray, bool]:
@@ -294,7 +294,6 @@ def dns_symmetric_pair(setup: PhysicalSetup, sys: LinearizedSystem,
 
 def gravitational_frequency(rho: float, G: float) -> float:
     """Gravitational frequency scale w_G = sqrt(G rho) [s^-1] of a material."""
-    if rho <= 0:
-        raise DomainError("density must be positive")
+    require("rho", rho)
     return float(np.sqrt(G * rho))
 

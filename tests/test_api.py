@@ -1,7 +1,7 @@
 """The public namespace: every exported name resolves, and the removed
 second forms (SI states, the spectra copy of the detection margin, the
 static-force sampler mode, the per-module (A, D) builders, the CLI-only
-pendulum config helper) stay gone."""
+pendulum config helper, the options no caller set) stay gone."""
 
 import dataclasses
 import importlib
@@ -11,9 +11,14 @@ import pkgutil
 import pytest
 
 import gravdiff
-from gravdiff.dynamics import ppt_separable, uncertainty_valid
-from gravdiff.model import GaussianState
-from gravdiff.montecarlo import ReheatResult, simulate
+from gravdiff.bounds import com_reduction
+from gravdiff.dynamics import (EvolutionResult, entanglement_onset, ppt_reflector, ppt_separable,
+                               uncertainty_valid)
+from gravdiff.errors import DomainError
+from gravdiff.feasibility import FeasibilityReport
+from gravdiff.model import DiffusionMatrix, GaussianState, PhysicalSetup, linearize
+from gravdiff.montecarlo import NoiseModel, ReheatResult, simulate
+from gravdiff.spectra import SPECTRUM_CONVENTION, NoiseSpectrum
 
 MODULES = sorted(f"gravdiff.{m.name}" for m in pkgutil.iter_modules(gravdiff.__path__))
 
@@ -49,3 +54,17 @@ def test_removed_keywords_and_fields_absent():
     assert "mode" not in inspect.signature(ppt_separable).parameters
     assert "keep_static_force" not in inspect.signature(simulate).parameters
     assert not hasattr(ReheatResult, "__iter__")
+    # options no caller set: fixed tolerances, one reflection, one input form,
+    # one spectrum convention, one JSON writer
+    for call in (uncertainty_valid, ppt_separable, EvolutionResult.first_ppt_violation,
+                 entanglement_onset):
+        assert "tol" not in inspect.signature(call).parameters
+    assert not inspect.signature(ppt_reflector).parameters
+    assert list(inspect.signature(com_reduction).parameters) == ["Gamma"]
+    assert not hasattr(FeasibilityReport, "to_json")
+    assert "convention" not in [f.name for f in dataclasses.fields(NoiseSpectrum)]
+    assert NoiseSpectrum.convention == SPECTRUM_CONVENTION
+    setup = PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1)
+    noise = NoiseModel(DiffusionMatrix.zero(), 0.0, seed=1)
+    with pytest.raises(DomainError, match="^init must be"):
+        simulate(setup, linearize(setup), noise, n_traj=1, dt=0.01, duration=1.0, init="rest")

@@ -198,6 +198,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_underflowing_monitored_spring_refuses_simulate_too(self, tmp_path, capsys):
+        path = tmp_path / "flat.cfg"
+        path.write_text(STABLE_PAIR.replace("m2_kg = 1.0", "m2_kg = 5e-324")
+                        + "Omega_rad_s = 1e-320\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--seed", "1", "--traj", "1", "--duration", "1"]
+        assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
+                                "0.000000e+00 gives no ground state\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("base,key,value,argv", [
         ("pair", "Omega_rad_s", -1.0, ["spectrum"]),
         ("pair", "Omega_rad_s", -1.0, ["reheat", "--seed", "1", "--cycle-time", "0.1"]),
@@ -915,7 +928,9 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--table1", "--param", "T_K", "--values", "1e308",
                        "--out", str(tmp_path)])
         assert rc == 3
-        assert "non-finite" in capsys.readouterr().err
+        # Gamma_th overflows to inf, which the integration time refuses
+        assert capsys.readouterr().err == ("error: Gamma_total must be positive and finite, "
+                                           "got inf\n")
         assert not (tmp_path / "sweep.csv").exists()
         assert not (tmp_path / "sweep.manifest.json").exists()
 
@@ -1333,6 +1348,7 @@ class TestFailureContract:
     @example(("feasibility", {"hbar_Js": 0.0}))
     # m1 Omega1^2 + K underflows to 0: the monitored spring is refused (exit 3)
     @example(("reheat", {"Omega_rad_s": 1e-320, "m2_kg": 5e-324}))
+    @example(("simulate", {"Omega_rad_s": 1e-320, "m2_kg": 5e-324}))
     @settings(derandomize=True, deadline=2000, max_examples=200)
     def test_documented_exit_and_finite_or_no_record(self, case):
         command, changes = case

@@ -101,7 +101,7 @@ class TestPPT:
         J = symplectic_form()
         for _ in range(50):
             V = 0.5 * np.eye(4) + random_psd_batch(rng, 1)[0]
-            L1, L2 = ppt_reflector(1), ppt_reflector(2)
+            L1, L2 = np.diag([1.0, 1.0, -1.0, 1.0]), ppt_reflector()
             e1 = np.linalg.eigvalsh(V + 0.5j * (L1 @ J @ L1)).min()
             e2 = np.linalg.eigvalsh(V + 0.5j * (L2 @ J @ L2)).min()
             assert e1 == pytest.approx(e2, rel=1e-12, abs=1e-14)
@@ -109,7 +109,7 @@ class TestPPT:
     def test_reflected_state_form_is_equivalent(self, rng):
         # L V L + (i/2) J and V + (i/2) L J L have identical spectra
         J = symplectic_form()
-        L = ppt_reflector(2)
+        L = ppt_reflector()
         for _ in range(50):
             V = 0.5 * np.eye(4) + random_psd_batch(rng, 1)[0]
             e1 = np.linalg.eigvalsh(L @ V @ L + 0.5j * J)
@@ -304,7 +304,7 @@ class TestShortTimeExpansion:
 
     def test_probe_family_annihilates_static_term(self, rng):
         J = symplectic_form()
-        L = ppt_reflector(2)
+        L = ppt_reflector()
         M0 = 0.5 * np.eye(4) + 0.5j * (L @ J @ L)
         for _ in range(200):
             a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -410,7 +410,7 @@ class TestOnset:
         Hbar, _ = to_dimensionless(sys, DiffusionMatrix.zero())
         J = symplectic_form()
         A = J @ Hbar
-        L = ppt_reflector(2)
+        L = ppt_reflector()
 
         def ppt(t):
             E = expm(A * t)

@@ -163,8 +163,6 @@ class TestReport:
         assert d["omega_G_mHz_style"] == pytest.approx(rep.omega_G * 1e3)
         text = rep.to_text()
         assert "verdict" in text and "mHz-style" in text
-        import json
-        assert json.loads(rep.to_json())["m_kg"] == pytest.approx(rep.m)
 
 
 class TestValidation:

@@ -374,7 +374,7 @@ class TestSimulateStatistics:
         sys = linearize(setup)
         noise = NoiseModel.from_setup(setup, DiffusionMatrix.zero(), seed=6)
         ens = simulate(setup, sys, noise, n_traj=4, dt=0.005, duration=1.0,
-                       init="rest")
+                       init=(0.0, 0.0))
         assert np.all(ens.x[:, 0] == 0.0) and np.all(ens.p[:, 0] == 0.0)
 
     def test_guardrails(self):
@@ -481,6 +481,28 @@ class TestPartnerFixedForm:
             scale = np.sqrt(np.outer(np.diag(gibbs), np.diag(gibbs)))
             assert (np.abs(V - gibbs) / scale).max() <= 1e-12
 
+    @pytest.mark.parametrize("Omega,k", [(1e-320, 0.0), (2.2227587494850775e-162, 5e-324)])
+    def test_flat_spring_is_refused_by_every_reader(self, Omega, k):
+        # m1 Omega1^2 + K = H_fixed[0, 0] underflows to 0, or to the least
+        # subnormal, whose half is 0: no energy form, so no period, ground
+        # state or stationary state, the same refusal whichever call reads it
+        setup = PhysicalSetup(m1=1.0, m2=5e-324, omega1=2 * np.pi, omega2=2 * np.pi,
+                              d=0.1, T=300.0, eta=0.2 * np.pi)
+        sys = pendulum_system(setup, Omega)
+        assert sys.H_fixed[0, 0] == k
+        noise = NoiseModel.from_setup(setup, make_diffusion({(0, 0): 1e59, (1, 1): 1e59}), seed=1)
+        message = (f"monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = {k:.6e} "
+                   "gives no ground state")
+        calls = (lambda: simulate(setup, sys, noise, n_traj=1, dt=0.01, duration=1.0),
+                 lambda: phonon_heating_rate(setup, sys, noise),
+                 lambda: stationary_covariance(setup, sys, noise),
+                 lambda: reheating_run(setup, sys, noise, n_cycles=2, cycle_time=0.01),
+                 lambda: effective_frequency(sys))
+        for call in calls:
+            with pytest.raises(StabilityError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
 
 def near_critical_case():
     """eta = 2 Omega_eff (1 + 1e-6): Phi has a nearly double eigenvalue."""
@@ -500,7 +522,7 @@ LOOP_ORACLE_CASES = {
                            dict(dt=3e-4, duration=1.5, stream_offset=5)),
     "near_critical": near_critical_case,
     "rest_init": lambda: (desk_pair(Q=10.0, T=250.0),
-                          dict(dt=0.005, duration=3.0, init="rest")),
+                          dict(dt=0.005, duration=3.0, init=(0.0, 0.0))),
     "tuple_init": lambda: (desk_pair(Q=10.0, T=250.0),
                            dict(dt=0.005, duration=3.0, init=(2e-6, -1e-6))),
     "one_step": lambda: (desk_pair(Q=10.0, T=250.0),
