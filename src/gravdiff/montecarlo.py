@@ -27,23 +27,27 @@ so a block's B states are one product of its 2B draws and s with a fixed
 kernel: lower block-Toeplitz in the entries Phi^(j-i) C, plus the rows
 Phi^(j+1). The block starts obey s[b+1] = Phi^B s[b] + e[b], where e[b] is
 the noise part of block b's last state: the same recursion with (Phi^B, I)
-in place of (Phi, C). It is solved the same way, in blocks of 16 blocks,
-and the starts of those come from a log-depth elementwise prefix scan
-(Hillis-Steele doubling; G. E. Blelloch, CMU-CS-90-190, 1990). Nothing in
-this is specific to two dimensions: the kernels are built for any Phi and
-noise factor C.
+in place of (Phi, C), and the starts of its superblocks of B blocks obey it
+once more with (Phi^(B^2), I). The run goes by in chunks of B^3 = 4096
+steps, one flat loop with no recursion: a chunk's draws give its 256 block
+ends and, by the second kernel, its 16 superblock ends; the third kernel
+gives the superblock starts from the chunk's start, the second the block
+starts and the first the states. Each chunk starts from the last state of
+the one before. Nothing in this is specific to two dimensions: the kernels
+are built for any Phi and noise factor C.
 
 The trajectories are independent, so they run on the standard library's
 thread pool (``concurrent.futures.ThreadPoolExecutor``) with one thread per
 CPU in the process's affinity mask (restrict it with ``taskset`` to use
-fewer), at most one per trajectory; runs shorter than four chunks (below)
-stay on the calling thread. Each running job draws its trajectory's
-stream into one of W reused buffer sets, one per thread, and propagates it
-into its row of the output, so the work memory beyond the output (per
-thread: those draws, the block starts and a few chunk-sized buffers) does
-not grow with the ensemble.
-Every matrix product is issued in chunks of 256 blocks, zero-padded at the
-end of the run: a BLAS product's rounding can depend on its shape, and with
+fewer), at most one per trajectory; runs shorter than four chunks stay on
+the calling thread. Each running job draws its trajectory's stream one
+chunk at a time into one of W reused buffer sets, one per thread, and
+propagates it into its row of the output, so the work memory beyond the
+output (per thread: a chunk's draws, the rows of the three kernel products
+and a last chunk that overhangs the output, about 0.2 MB) grows with
+neither the ensemble nor the run length.
+Every matrix product has a fixed shape, the draws past the end of the run
+being zero: a BLAS product's rounding can depend on its shape, and with
 fixed shapes each state depends only on the draws before it, so a row is
 bit-identical for any ensemble width, run length and thread count. The
 draws and their order are those of the step-by-step recursion; only
@@ -72,6 +76,7 @@ import collections
 import contextvars
 import functools
 import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -117,9 +122,10 @@ _DOMAIN_TRAJECTORY = 0
 _DOMAIN_CYCLE = 1 << 56
 
 # Blocked propagation (see the module docstring): steps per block, and blocks
-# per matrix product. Together they fix the shape of every BLAS call.
+# per chunk, B^2 for the three levels of B. Together they fix the shape of
+# every BLAS call.
 _BLOCK_STEPS = 16
-_CHUNK_BLOCKS = 256
+_CHUNK_BLOCKS = _BLOCK_STEPS ** 2
 
 # Welch constants kept for this many (segment length, step) pairs, and
 # sampler kernels for this many (A, D, step) models.
@@ -230,10 +236,16 @@ def _block_operators(Phi: np.ndarray, C: np.ndarray):
 
 
 def _levels(Phi: np.ndarray, C: np.ndarray) -> list:
-    """The :func:`_propagate` levels of z[k+1] = Phi z[k] + C u[k]: the
-    steps, with (Phi, C), and the block starts, with (Phi^B, I)."""
-    K, F = _block_operators(Phi, C)
-    return [(K, F), _block_operators(F, np.eye(len(F)))]
+    """The three kernels of :func:`_propagate` for z[k+1] = Phi z[k] + C u[k]:
+    :func:`_block_operators` of (Phi, C), (Phi^B, I) and (Phi^(B^2), I),
+    which step through a block's steps, a superblock's blocks and a chunk's
+    superblocks."""
+    kernels = []
+    for _ in range(3):
+        K, Phi = _block_operators(Phi, C)
+        kernels.append(K)
+        C = np.eye(len(Phi))
+    return kernels
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE)
@@ -245,8 +257,7 @@ def _sampler_kernels(A: bytes, D: bytes, dt: float) -> tuple[np.ndarray, tuple]:
     constants, so a cached kernel cannot change."""
     Phi, Q = propagator(np.frombuffer(A).reshape(2, 2), np.frombuffer(D).reshape(2, 2), dt)
     C = _noise_factor(Q)
-    levels = tuple((_frozen(K), _frozen(F)) for K, F in _levels(Phi, C))
-    return _frozen(C), levels
+    return _frozen(C), tuple(_frozen(K) for K in _levels(Phi, C))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -254,75 +265,61 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes()).reshape(a.shape)
 
 
-def _scan_block_starts(s: np.ndarray, F: np.ndarray) -> None:
-    """In place, s[:, b] <- sum_{c <= b} F^(b-c) s[:, c]: Hillis-Steele
-    doubling in log2(s.shape[1]) elementwise passes, so s[:, b] depends on
-    s[:, :b + 1] only."""
-    d = 1
-    while d < s.shape[1]:
-        s[:, d:] += (F[:, :, None] * s[None, :, :-d]).sum(axis=1)
-        F = F @ F
-        d *= 2
+def _chunk_buffers(levels, n: int) -> tuple:
+    """The buffers of :func:`_propagate` for an n-dimensional state, whatever
+    the run length: a chunk's draws and, per level, the rows of its kernel
+    product (draws, then start states), the noise ends of those rows and the
+    states it gives, start first. Level 0's states hold a last chunk that
+    overhangs z."""
+    R = _CHUNK_BLOCKS
+    levels_work = []
+    for K in levels:
+        levels_work.append((np.empty((R, K.shape[1])), np.empty((R, n)),
+                            np.empty((n, R * _BLOCK_STEPS + 1))))
+        R //= _BLOCK_STEPS
+    return np.empty(_CHUNK_BLOCKS * (levels[0].shape[1] - n)), levels_work
 
 
-def _workspace(levels, n_steps: int) -> list:
-    """The buffers of :func:`_propagate` for runs of n_steps steps: per
-    level, the block ends e[b] (zero-padded to whole chunks of the inner
-    level), the block starts, a chunk's draws and starts, and a last chunk
-    that overhangs z. A level's chunk loop runs after the inner levels
-    return, so the levels share the last two. Built once, they serve any
-    number of runs: a run writes no padding, so the padding stays zero."""
-    R, B = _CHUNK_BLOCKS, _BLOCK_STEPS
-    n = len(levels[0][1])
-    rows = np.empty(R * max(K.shape[1] for K, _ in levels))
-    tail = np.empty((n, R * B))
-    work = []
-    for i, (K, _) in enumerate(levels):
-        n_blocks = -(-n_steps // B)
-        n_chunks = -(-n_blocks // R)
-        n_ends = -(-n_blocks // (R * B)) * R * B if i + 1 < len(levels) else n_chunks * R
-        work.append((np.zeros((n_ends, n)), np.zeros((n, n_chunks * R + 1)),
-                     rows[:R * K.shape[1]].reshape(R, K.shape[1]), tail))
-        n_steps = n_blocks - 1                   # the next level steps between starts
-    return work
-
-
-def _propagate(levels, work, u: np.ndarray, z: np.ndarray) -> None:
+def _propagate(levels, work, normals, z: np.ndarray) -> None:
     """Fill z[:, 1:] by z[:, j + 1] = Phi z[:, j] + C u[j] from z[:, 0].
 
-    ``levels`` is :func:`_levels` of (Phi, C), ``work`` its
-    :func:`_workspace` for z's run length and ``u`` holds the draws,
-    zero-padded to whole chunks of _CHUNK_BLOCKS blocks. The block
-    starts obey the same recursion with (Phi^B, I) in place of (Phi, C) and
-    the noise parts e[b] of the blocks' last states as draws: ``levels[1]``
-    solves it the same way, and the last level by a scan.
+    ``levels`` is :func:`_levels` of (Phi, C) and ``work`` its
+    :func:`_chunk_buffers`. ``normals(out=a)`` fills a with the next draws
+    u, m per step in step order; None stands for draws that are all zero.
+    The run goes by in chunks of _CHUNK_BLOCKS blocks, each started from the
+    last state of the one before. A chunk's draws, zero-padded past the end
+    of the run, give the noise ends of its blocks, which give those of its
+    superblocks. ``levels[2]`` then gives the superblock starts from the
+    chunk's start, ``levels[1]`` the block starts and ``levels[0]`` the
+    states.
     """
-    (K, F), inner = levels[0], levels[1:]
-    ends, starts, rows, tail = work[0]           # starts[:, b]: block b's start
+    draws, levels_work = work
     n, n_steps = z.shape[0], z.shape[1] - 1
-    R, B = _CHUNK_BLOCKS, _BLOCK_STEPS
-    span = R * B
-    width = K.shape[1] - n                       # draws per block
-    n_blocks = -(-n_steps // B)
-    n_chunks = -(-n_blocks // R)
-    draws = u[:n_chunks * R * width].reshape(n_chunks, R, width)
-    np.matmul(draws, np.ascontiguousarray(K[:, :width, -1].T),
-              out=ends[:n_chunks * R].reshape(n_chunks, R, n))
-    starts[:, 0] = z[:, 0]
-    if n_blocks > 1 and inner:
-        _propagate(inner, work[1:], ends.ravel(), starts[:, :n_blocks])
-    elif n_blocks > 1:
-        starts[:, 1:n_blocks] = ends[:n_blocks - 1].T
-        _scan_block_starts(starts[:, :n_blocks], F)
-    for c in range(n_chunks):
-        a = c * span
-        out = z[:, 1 + a:1 + a + span] if a + span <= n_steps else tail
-        rows[:, :width] = draws[c]
-        rows[:, width:] = starts[:, c * R:(c + 1) * R].T
-        for r in range(n):
-            np.matmul(rows, K[r], out=out[r].reshape(R, B))
-    if out is tail:
-        z[:, 1 + a:] = tail[:, :n_steps - a]
+    span = _CHUNK_BLOCKS * _BLOCK_STEPS
+    per_step = 0 if normals is None else len(draws) // span
+    for a in range(0, n_steps, span):
+        used = per_step * min(span, n_steps - a)
+        if used:
+            normals(out=draws[:used])
+        draws[used:] = 0.0
+        level_draws = draws.reshape(_CHUNK_BLOCKS, -1)
+        for level, (rows, level_ends, _) in enumerate(levels_work):
+            rows[:, :-n] = level_draws
+            if level < 2:                        # the noise ends are the next level's draws
+                np.matmul(level_draws, levels[level][:, :-n, -1].T, out=level_ends)
+                level_draws = level_ends.reshape(-1, _BLOCK_STEPS * n)
+        starts = z[:, a:a + 1]
+        for level in (2, 1, 0):
+            rows, _, states = levels_work[level]
+            if level:
+                states[:, 0] = z[:, a]
+            elif a + span <= n_steps:
+                states = z[:, a:a + span + 1]
+            rows[:, -n:] = starts[:, :len(rows)].T
+            np.matmul(rows, levels[level], out=states[:, 1:].reshape(n, len(rows), -1))
+            starts = states
+    if n_steps % span:                           # the last chunk overhangs z
+        z[:, a + 1:] = states[:, 1:n_steps - a + 1]
 
 
 @dataclass(frozen=True)
@@ -410,12 +407,16 @@ def effective_frequency(sys: LinearizedSystem) -> float:
     its form :attr:`~gravdiff.model.LinearizedSystem.H_fixed` = diag(k, 1/m), which
     is sqrt(-A[1, 0] A[0, 1]) of that model's drift A bit for bit. As the one
     reader of that spring, it refuses (StabilityError) an underflowed k whose
-    energy form k / 2 is not positive."""
-    k, inv_m = np.diag(sys.H_fixed)
-    if not 0.5 * k > 0.0:
-        raise StabilityError(f"monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
-                             f"{k:.6e} gives no ground state")
-    return float(np.sqrt(k * inv_m))
+    energy form k / 2 is not positive, or whose ground-state width
+    0.25 hbar Omega_eff (k / 2)^-1, formed as :func:`reheating_run` forms it,
+    is not finite."""
+    k, inv_m = (float(h) for h in np.diag(sys.H_fixed))
+    if 0.5 * k > 0.0:
+        omega = math.sqrt(k * inv_m)
+        if math.isfinite(0.25 * sys.hbar * omega * (1.0 / (0.5 * k))):
+            return omega
+    raise StabilityError(f"monitored spring H_fixed[0, 0] = m1 Omega1^2 + K = "
+                         f"{k:.6e} gives no ground state")
 
 
 def _monitored_model(setup: PhysicalSetup, sys: LinearizedSystem,
@@ -523,35 +524,30 @@ def simulate(
     V0 = _stationary(A, D) if stationary else np.zeros((2, 2))
     C, levels = _sampler_kernels(A.tobytes(), D.tobytes(), float(dt))
     L0 = _noise_factor(V0) if np.any(V0) else None
-    n_init = 0 if L0 is None else 2
-    n_draws = n_init + (2 * n_steps if np.any(C) else 0)
-    span = _CHUNK_BLOCKS * _BLOCK_STEPS
+    noisy = bool(np.any(C))
     # zs[:, k, j] is the state z of trajectory k at step j, so
     # zs[0] and zs[1] are contiguous (n_traj, n_steps + 1) arrays of x and p.
     zs = np.empty((2, n_traj, n_steps + 1))
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= dt                                  # in place: no integer temporary
 
     def worker_job():
-        # One worker's draws and workspace. The first n_draws draws are
-        # refilled from each trajectory's stream, the rest stay zero to a
-        # whole number of chunks.
-        draws = np.empty(n_init + 2 * span * -(-n_steps // span))
-        draws[n_draws:] = 0.0
-        work = _workspace(levels, n_steps)
+        # One worker's chunk buffers, the same size for any run length.
+        work = _chunk_buffers(levels, 2)
 
         def trajectory(k):
-            if n_draws:
-                noise.stream(stream_offset + k).standard_normal(out=draws[:n_draws])
             z = zs[:, k]
             z[:, 0] = z0
+            stream = noise.stream(stream_offset + k) if noisy or L0 is not None else None
             if L0 is not None:
-                z[:, 0] += L0[:, 0] * draws[0] + L0[:, 1] * draws[1]
-            _propagate(levels, work, draws[n_init:], z)
+                u0 = stream.standard_normal(2)
+                z[:, 0] += L0[:, 0] * u0[0] + L0[:, 1] * u0[1]
+            _propagate(levels, work, stream.standard_normal if noisy else None, z)
         return trajectory
 
     for _ in _in_order(worker_job, n_traj, n_steps + 1):
         pass
 
-    times = np.arange(n_steps + 1) * dt
     return TrajectoryEnsemble(
         n_traj=n_traj, dt=dt, duration=n_steps * dt, times=times, x=zs[0], p=zs[1],
         seeds=tuple(range(stream_offset, stream_offset + n_traj)),

@@ -40,11 +40,11 @@ from gravdiff.montecarlo import (
     _BLOCK_STEPS,
     _CHUNK_BLOCKS,
     _DOMAIN_CYCLE,
+    _chunk_buffers,
     _levels,
     _monitored_model,
     _noise_factor,
     _propagate,
-    _workspace,
 )
 
 from conftest import lyapunov_oracle, make_diffusion, ou_loop_oracle, strong_coupling_setup
@@ -481,11 +481,14 @@ class TestPartnerFixedForm:
             scale = np.sqrt(np.outer(np.diag(gibbs), np.diag(gibbs)))
             assert (np.abs(V - gibbs) / scale).max() <= 1e-12
 
-    @pytest.mark.parametrize("Omega,k", [(1e-320, 0.0), (2.2227587494850775e-162, 5e-324)])
+    @pytest.mark.parametrize("Omega,k", [(1e-320, 0.0), (2.2227587494850775e-162, 5e-324),
+                                         (1e-157, 1e-314)])
     def test_flat_spring_is_refused_by_every_reader(self, Omega, k):
         # m1 Omega1^2 + K = H_fixed[0, 0] underflows to 0, or to the least
         # subnormal, whose half is 0: no energy form, so no period, ground
-        # state or stationary state, the same refusal whichever call reads it
+        # state or stationary state, the same refusal whichever call reads it.
+        # A subnormal k whose half is positive still has no ground state: its
+        # width 0.25 hbar Omega_eff (k / 2)^-1 overflows.
         setup = PhysicalSetup(m1=1.0, m2=5e-324, omega1=2 * np.pi, omega2=2 * np.pi,
                               d=0.1, T=300.0, eta=0.2 * np.pi)
         sys = pendulum_system(setup, Omega)
@@ -537,6 +540,10 @@ LOOP_ORACLE_CASES = {
     "chunk_plus_one": lambda: (desk_pair(Q=10.0, T=250.0),
                                dict(dt=0.005,
                                     duration=(_CHUNK_BLOCKS * _BLOCK_STEPS + 1) * 0.005)),
+    # three chunk-to-chunk hand-offs, then a one-step tail
+    "three_chunks_plus_one": lambda: (desk_pair(Q=10.0, T=250.0),
+                                      dict(dt=0.005,
+                                           duration=(3 * _CHUNK_BLOCKS * _BLOCK_STEPS + 1) * 0.005)),
 }
 
 
@@ -563,6 +570,8 @@ class TestSimulateMatchesLoopOracle:
             assert n_steps == 600
         if case == "chunk_plus_one":
             assert n_steps == _CHUNK_BLOCKS * _BLOCK_STEPS + 1
+        if case == "three_chunks_plus_one":
+            assert n_steps == 3 * _CHUNK_BLOCKS * _BLOCK_STEPS + 1
         for got, ref in ((ens.x, x_ref), (ens.p, p_ref)):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -576,21 +585,19 @@ class TestSimulateMatchesLoopOracle:
         X = rng.standard_normal((n, n))
         Phi, Q = propagator(A, X @ X.T, 0.01)
         C = np.linalg.cholesky(Q)[:, :m]
-        span = _CHUNK_BLOCKS * _BLOCK_STEPS
-        n_steps = span + 1
-        u = np.zeros(2 * span * m)
-        u[:n_steps * m] = rng.standard_normal(n_steps * m)
+        n_steps = _CHUNK_BLOCKS * _BLOCK_STEPS + 1
         z = np.empty((n, n_steps + 1))
         z[:, 0] = rng.standard_normal(n)
         levels = _levels(Phi, C)
-        work = _workspace(levels, n_steps)
-        _propagate(levels, work, u, z)
+        work = _chunk_buffers(levels, n)
+        _propagate(levels, work, np.random.default_rng(7).standard_normal, z)
         again = np.empty_like(z)
         again[:, 0] = z[:, 0]
-        _propagate(levels, work, u, again)       # a reused workspace
+        _propagate(levels, work, np.random.default_rng(7).standard_normal, again)   # reused buffers
         assert np.array_equal(again, z)
         ref = z.copy()
-        for j, u_j in enumerate(u[:n_steps * m].reshape(n_steps, m)):
+        u = np.random.default_rng(7).standard_normal((n_steps, m))
+        for j, u_j in enumerate(u):
             ref[:, j + 1] = Phi @ ref[:, j] + C @ u_j
         assert np.max(np.abs(z - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -602,7 +609,8 @@ def force_workers(monkeypatch, n_threads):
 
 
 class TestSimulateWorkMemory:
-    """Work memory is one trajectory's draws and workspace per thread."""
+    """Work memory is one chunk's buffers per thread, for any ensemble width
+    and run length."""
 
     def run(self, n_traj, n_steps=4000):
         setup = desk_pair(Q=10.0, T=250.0)
@@ -612,28 +620,36 @@ class TestSimulateWorkMemory:
         return simulate(setup, sys, noise, n_traj=n_traj, dt=0.005,
                         duration=n_steps * 0.005)
 
-    def test_work_memory_independent_of_ensemble_width(self, monkeypatch):
+    def work_bytes(self, n_traj, n_steps=4000):
         import tracemalloc
 
-        def work_bytes(n_traj):
-            self.run(n_traj)                     # imports and caches first
-            tracemalloc.start()
-            try:
-                ens = self.run(n_traj)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - (ens.x.nbytes + ens.p.nbytes + ens.times.nbytes)
+        self.run(n_traj, n_steps)                # imports and caches first
+        tracemalloc.start()
+        try:
+            ens = self.run(n_traj, n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (ens.x.nbytes + ens.p.nbytes + ens.times.nbytes)
 
-        # each thread's draws and block ends, each padded to a whole chunk,
-        # and its chunk buffers come to about 270 kB here, all built before
-        # the threads start; work arrays that grew with the ensemble would
-        # add about 160 kB per extra trajectory
+    def test_work_memory_independent_of_ensemble_width(self, monkeypatch):
+        # each thread's chunk buffers (a chunk's draws, the rows of the three
+        # kernel products and a last chunk that overhangs the output) come to
+        # about 220 kB, all built before the threads start; buffers kept per
+        # trajectory would add as much per extra trajectory
         for n_threads in (1, 2, 3):
             force_workers(monkeypatch, n_threads)
-            narrow, wide = work_bytes(n_threads), work_bytes(32)
+            narrow, wide = self.work_bytes(n_threads), self.work_bytes(32)
             assert narrow < 400_000 * n_threads
             assert abs(wide - narrow) <= 16_384
+
+    def test_work_memory_independent_of_run_length(self):
+        # one trajectory over 4 and 64 chunks: draws kept for the whole run
+        # would add 16 B per step, about 3.9 MB over the 60 extra chunks
+        chunk = _CHUNK_BLOCKS * _BLOCK_STEPS
+        short, long = self.work_bytes(1, 4 * chunk), self.work_bytes(1, 64 * chunk)
+        assert short < 400_000
+        assert abs(long - short) <= 16_384
 
 
 class TestWorkerCount:
