@@ -11,7 +11,6 @@ Submodules:
 * :mod:`gravdiff.cli` - command-line front end
 """
 
-# Before the submodules: gravdiff.manifest reads it at import.
 __version__ = "0.2.0"
 
 from .constants import G_NEWTON, HBAR, KB, OSMIUM_DENSITY

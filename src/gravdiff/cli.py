@@ -41,7 +41,6 @@ from .montecarlo import (
     step_limit,
     welch_segments,
     welch_spectrum,
-    write_raw_trajectories,
 )
 from .spectra import dns_fixed_source, dns_symmetric_pair
 
@@ -158,7 +157,7 @@ def cmd_evolve(args, cfg):
     report = (f"ppt_min_eig >= {-ONSET_TOL:g} throughout [0, {t_end:.6g}] s" if idx is None
               else f"ppt_min_eig < {-ONSET_TOL:g} first at t = {res.times[idx]:.6g} s")
     return [(Path(args.out) / "evolve.csv", mani.write_csv,
-             EvolutionResult.CSV_HEADER, res.csv_rows())], report
+             EvolutionResult.CSV_HEADER, res.csv_columns())], report
 
 
 def cmd_spectrum(args, cfg):
@@ -173,7 +172,7 @@ def cmd_spectrum(args, cfg):
     report = (f"{args.grid} rows written; convention: {spec.convention}\n"
               f"peak S = {spec.S_total[peak]:.6e} m^2 s at omega = {spec.omega[peak]:.6e} rad/s")
     return [(Path(args.out) / "spectrum.csv", mani.write_csv,
-             spec.CSV_HEADER, spec.csv_rows(), spec.convention)], report
+             spec.CSV_HEADER, spec.csv_columns(), spec.convention)], report
 
 
 # Kept samples summarized per block of about this many: bounds the mean and
@@ -182,21 +181,22 @@ _SUMMARY_BLOCK = 512
 
 
 def _ensemble_summary(ens) -> np.ndarray:
-    """(t, mean_x, var_x, mean_p, var_p) across trajectories at every
-    ``n_samples // 2000``-th sample (every sample of a shorter run)."""
+    """Rows t, mean_x, var_x, mean_p, var_p (across trajectories): the summary
+    CSV's columns at every ``n_samples // 2000``-th sample (every sample of a
+    shorter run)."""
     stride = max(1, ens.x.shape[1] // 2000)
     times = ens.times[::stride]
     x, p = ens.x[:, ::stride], ens.p[:, ::stride]
-    table = np.empty((len(times), 5))
-    table[:, 0] = times
+    table = np.empty((5, len(times)))
+    table[0] = times
     # Balanced blocks keep at least two samples each (for a block size of 4
     # or more): numpy sums a one-column block pairwise instead of trajectory
     # by trajectory, which rounds apart from the whole-ensemble reduction.
     n_blocks = -(-len(times) // _SUMMARY_BLOCK)
     edges = [len(times) * i // n_blocks for i in range(n_blocks + 1)]
     for lo, hi in zip(edges, edges[1:]):
-        table[lo:hi, 1:] = np.column_stack((x[:, lo:hi].mean(axis=0), x[:, lo:hi].var(axis=0),
-                                            p[:, lo:hi].mean(axis=0), p[:, lo:hi].var(axis=0)))
+        table[1:, lo:hi] = (x[:, lo:hi].mean(axis=0), x[:, lo:hi].var(axis=0),
+                            p[:, lo:hi].mean(axis=0), p[:, lo:hi].var(axis=0))
     return table
 
 
@@ -231,9 +231,9 @@ def cmd_simulate(args, cfg):
     if args.welch_segment is not None:
         spec = welch_spectrum(ens, args.welch_segment, overlap)
         outputs.append((out / "simulate_spectrum.csv", mani.write_csv,
-                        spec.CSV_HEADER, spec.csv_rows(), spec.convention))
+                        spec.CSV_HEADER, spec.csv_columns(), spec.convention))
     if args.raw is not None:
-        outputs.append((args.raw, write_raw_trajectories, ens))
+        outputs.append((args.raw, mani.write_raw_trajectories, ens))
     return outputs, f"{args.traj} trajectories x {ens.x.shape[1]} samples, seed = {args.seed}"
 
 
@@ -270,15 +270,14 @@ def cmd_sweep(args, cfg):
         spacing = np.geomspace if args.log else np.linspace
         values = spacing(args.start, args.stop, args.num).tolist()
 
-    rows = []
-    for v in values:
-        rep = feasibility_report(cfgmod.feasibility_from_config({**cfg, args.param: v})).to_dict()
-        rows.append((v, *(rep[c] for c in SWEEP_COLUMNS),
-                     1.0 if rep["verdict"] == "feasible-in-principle" else 0.0))
+    reps = [feasibility_report(cfgmod.feasibility_from_config({**cfg, args.param: v})).to_dict()
+            for v in values]
+    columns = (values, *([rep[c] for rep in reps] for c in SWEEP_COLUMNS),
+               [1.0 if rep["verdict"] == "feasible-in-principle" else 0.0 for rep in reps])
 
     path = Path(args.out) / "sweep.csv"
     header = (args.param, *SWEEP_COLUMNS, "feasible")
-    return [(path, mani.write_csv, header, rows)], f"{len(rows)} sweep points written to {path}"
+    return [(path, mani.write_csv, header, columns)], f"{len(values)} sweep points written to {path}"
 
 
 # ------------------------------------------------------------------- parser
@@ -422,10 +421,10 @@ def replay_manifest(manifest_path, out_dir=None) -> int:
             return EXIT_CONFIG
         args = _parser().parse_args(argv)
         sha = record.get("config_sha256")
-        found = mani.sha256_file(args.config) if sha and args.config else sha
+        found = cfgmod.load_config(args.config)[1] if sha and args.config else sha
     except SystemExit as exc:                        # argparse has printed why
         return int(exc.code) if exc.code else 0
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, OSError, ValueError, KeyError, TypeError) as exc:
         # an unreadable manifest or config, as main reports an unreadable config
         print(f"config error: cannot replay {manifest_path}: {exc!r}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPhysicalInputError, StepSizeError, require
-from .manifest import ColumnTable
 from .model import (
     DiffusionMatrix,
     GaussianState,
@@ -129,11 +128,10 @@ class EvolutionResult:
         hits = np.nonzero(self.ppt_min_eig < -ONSET_TOL)[0]
         return int(hits[0]) if hits.size else None
 
-    def csv_rows(self) -> ColumnTable:
-        """(n, 13) table matching CSV_HEADER, stacked per row slice: t,
-        V11..V44 (upper triangle), ppt, unc."""
+    def csv_columns(self) -> tuple[np.ndarray, ...]:
+        """The 13 columns of CSV_HEADER: t, V11..V44 (upper triangle), ppt, unc."""
         upper = [self.V[:, i, j] for i, j in zip(*np.triu_indices(4))]
-        return ColumnTable(self.times, *upper, self.ppt_min_eig, self.unc_min_eig)
+        return (self.times, *upper, self.ppt_min_eig, self.unc_min_eig)
 
     CSV_HEADER = (
         "t", "V11", "V12", "V13", "V14", "V22", "V23", "V24",

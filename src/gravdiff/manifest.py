@@ -1,4 +1,5 @@
-"""Run manifests and deterministic CSV/JSON emission.
+"""Run manifests and every file gravdiff writes: CSV, JSON and the raw
+trajectory record.
 
 Every CLI run writes a manifest recording the subcommand, the fully resolved
 parameter set, the master seed, the tool version, the input-config hash and
@@ -13,14 +14,18 @@ CSV output uses '.' decimals, a header row, LF line endings and repr-exact
 floats: each value is written as its shortest round-trip digits, the same
 bytes as ``repr``, computed for a whole block of rows in one vectorized pass
 by ``gravdiff.ryu`` (Ryu's algorithm, Adams, PLDI 2018); the tests hold it
-against ``repr`` as the oracle. The table, a 2-D array, a list of rows or a
-``ColumnTable``, is checked for NaN and infinity block by block before the
-file is opened, then formatted and written in as few blocks as hold at most
-1024 rows and 5120 values each, their sizes within one row of each other, so
-the writer's memory does not grow with the table.
+against ``repr`` as the oracle. The table is one sequence of equal-length
+columns, one per header name; it is sliced and stacked block by block,
+checked for NaN and infinity before the file is opened, then formatted and
+written in as few blocks as hold at most 1024 rows and 5120 values each,
+their sizes within one row of each other, so the writer's memory does not
+grow with the table.
 JSON is UTF-8 with sorted keys. Neither writer accepts NaN or infinity: a
 non-finite value raises DomainError and leaves no file. The tool version is
 the package's ``__version__``.
+
+The raw trajectory record (``simulate --raw``) is the one binary output:
+:func:`write_raw_trajectories` and :func:`read_raw_trajectories`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,20 +41,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import ConfigError, DomainError, require
+from .montecarlo import TrajectoryEnsemble
 from .ryu import repr_lines
+
+# The raw record's magic, version and header layout (write_raw_trajectories).
+_RAW_MAGIC = b"GDMC"
+_RAW_VERSION = 1
+_RAW_HEAD = struct.Struct("<IQQddQ")
 
 
 def tool_version() -> str:
     return __version__
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _write_hashed(path, chunks) -> str:
@@ -68,44 +72,34 @@ _CSV_BLOCK_ROWS = 1024
 _CSV_BLOCK_VALUES = 5120
 
 
-class ColumnTable:
-    """Equal-length columns read as an ``(n, k)`` table without stacking it:
-    a row slice ``table[a:b]`` stacks only those rows, so ``write_csv``
-    holds one block of the table at a time."""
-
-    def __init__(self, *columns):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return np.column_stack([c[rows] for c in self.columns])
-
-
-def write_csv(path, header, rows, preamble: str | None = None) -> str:
-    """Write a 2-D table of floats (an ``(n, len(header))`` array, a list of
-    rows or a ColumnTable) with LF endings, each value as ``repr(float(value))``,
-    and return the file's sha256.
+def write_csv(path, header, columns, preamble: str | None = None) -> str:
+    """Write equal-length columns of floats, one per ``header`` name, as rows
+    with LF endings, each value as ``repr(float(value))``, and return the
+    file's sha256. ``columns`` is any sequence of sliceable columns, such as
+    a tuple of arrays or a 2-D array of one column per row; a count or
+    length that does not fit the header raises ValueError.
 
     ``preamble`` adds a leading '#' comment line (used to record unit and
     sign conventions in the file itself). Strict like the JSON writers: a NaN
     or infinity raises DomainError, naming its line, before anything is written.
     """
+    width = len(header)
+    if len(columns) != width or len({len(c) for c in columns}) != 1:
+        raise ValueError(f"{Path(path).name}: {width} header names need as many "
+                         f"equal-length columns, got lengths {[len(c) for c in columns]}")
     lead = ["# " + preamble] if preamble else []
     lead.append(",".join(header))
-    width = len(header)
     # As few blocks as the bounds allow, their sizes within one row of each
     # other: each block's formatting call has a fixed cost, so a short
     # remainder block would cost about as much as a full one.
-    n = len(rows)
+    n = len(columns[0])
     n_blocks = -(-n // max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_VALUES // width)))
 
     def blocks():
         for i in range(n_blocks):
             start, stop = i * n // n_blocks, (i + 1) * n // n_blocks
-            block = np.asarray(rows[start:stop], dtype=float)
-            yield start, block.reshape(len(block), width)
+            yield start, np.column_stack([np.asarray(c[start:stop], dtype=float)
+                                          for c in columns])
 
     for start, block in blocks():
         finite = np.isfinite(block).all(axis=1)
@@ -134,6 +128,58 @@ def write_json_lines(path, objs) -> str:
     """Write one JSON object per line; return the file's sha256."""
     lines = [_dumps(o) for o in objs]
     return _write_hashed(path, [("\n".join(lines) + "\n").encode("utf-8")])
+
+
+def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> str:
+    """Dump the ensemble to the documented little-endian binary record and
+    return the file's sha256.
+
+    Layout: magic ``GDMC`` (4 bytes), version uint32, n_traj uint64,
+    n_samples uint64, dt float64, duration float64, master_seed uint64, then
+    for each trajectory its x samples followed by its p samples, float64.
+    """
+    header = _RAW_MAGIC + _RAW_HEAD.pack(_RAW_VERSION, ens.n_traj, ens.x.shape[1], ens.dt,
+                                         ens.duration, ens.master_seed)
+    samples = (np.ascontiguousarray(row, dtype="<f8").tobytes()
+               for i in range(ens.n_traj) for row in (ens.x[i], ens.p[i]))
+    return _write_hashed(path, itertools.chain([header], samples))
+
+
+def read_raw_trajectories(path) -> TrajectoryEnsemble:
+    """Read a record written by :func:`write_raw_trajectories`. A file that
+    is not one, has another version, holds no trajectory or fewer than 2
+    samples, has a non-positive or non-finite dt, a negative or non-finite
+    duration or one other than (n_samples - 1) dt, or is cut short is a
+    ConfigError."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != _RAW_MAGIC:
+            raise ConfigError(f"not a trajectory record (magic {magic!r})")
+        head = fh.read(_RAW_HEAD.size)
+        if len(head) < _RAW_HEAD.size:
+            raise ConfigError(f"record header cut short: {len(head)} of {_RAW_HEAD.size} bytes")
+        version, n_traj, n_samples, dt, duration, master_seed = _RAW_HEAD.unpack(head)
+        if version != _RAW_VERSION:
+            raise ConfigError(f"unsupported record version {version}")
+        if n_traj < 1 or n_samples < 2:
+            raise ConfigError(f"record holds {n_traj} trajectories of {n_samples} samples; "
+                              "it needs at least 1 trajectory of at least 2 samples")
+        require("record dt", dt, error=ConfigError)
+        require("record duration", duration, strict=False, error=ConfigError)
+        if duration != (n_samples - 1) * dt:
+            raise ConfigError(f"record duration {duration!r} is not (n_samples - 1) dt = "
+                              f"{(n_samples - 1) * dt!r}")
+        body = fh.read()
+    expected = 2 * n_traj * n_samples
+    if len(body) != 8 * expected:
+        raise ConfigError(f"record holds {len(body)} sample bytes, expected {8 * expected}")
+    data = np.frombuffer(body, dtype="<f8").reshape(n_traj, 2, n_samples)
+    return TrajectoryEnsemble(
+        n_traj=n_traj, dt=dt, duration=duration,
+        times=np.arange(n_samples) * dt,
+        x=data[:, 0, :].copy(), p=data[:, 1, :].copy(),
+        seeds=tuple(range(n_traj)), master_seed=master_seed,
+    )
 
 
 @dataclass

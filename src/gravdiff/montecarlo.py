@@ -68,6 +68,9 @@ most of its cost, and a Philox key is cheaper to build than a
 for the initial condition (when sampled), then 2 normals per step; for
 ``reheating_run``, 2 normals for the end-of-cycle state, then 1 for the
 readout.
+
+This module writes no file: an ensemble's raw binary record (``simulate
+--raw``) is written and read by :mod:`gravdiff.manifest`.
 """
 
 from __future__ import annotations
@@ -75,17 +78,14 @@ from __future__ import annotations
 import collections
 import contextvars
 import functools
-import itertools
 import math
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, ProtocolError, SeedError, StabilityError, require
-from .manifest import _write_hashed
 from .model import (
     DiffusionMatrix,
     LinearizedSystem,
@@ -109,12 +109,7 @@ __all__ = [
     "step_limit",
     "phonon_heating_rate",
     "stationary_covariance",
-    "write_raw_trajectories",
-    "read_raw_trajectories",
 ]
-
-_RAW_MAGIC = b"GDMC"
-_RAW_VERSION = 1
 
 # Stream-id domains keep trajectory and protocol streams disjoint under one
 # master seed.
@@ -379,7 +374,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Monitored-oscillator sample paths, one row per trajectory."""
+    """Monitored-oscillator sample paths, one row per trajectory; an ensemble
+    with no trajectory is a SeedError, as in :func:`simulate`."""
 
     n_traj: int
     dt: float
@@ -391,6 +387,8 @@ class TrajectoryEnsemble:
     master_seed: int
 
     def __post_init__(self):
+        if self.n_traj < 1:
+            raise SeedError("ensemble must contain at least one trajectory")
         for name in ("times", "x", "p"):
             # a read-only view: the caller's array stays writeable, uncopied
             arr = np.asarray(getattr(self, name), dtype=float).view()
@@ -731,50 +729,3 @@ def desk_rescale(setup: PhysicalSetup, gamma: DiffusionMatrix,
     block[:2, 2:] = s
     block[2:, :2] = s
     return new_setup, DiffusionMatrix(gamma.matrix * block)
-
-
-def write_raw_trajectories(path, ens: TrajectoryEnsemble) -> str:
-    """Dump the ensemble to the documented little-endian binary record and
-    return the file's sha256.
-
-    Layout: magic ``GDMC`` (4 bytes), version uint32, n_traj uint64,
-    n_samples uint64, dt float64, duration float64, master_seed uint64, then
-    for each trajectory its x samples followed by its p samples, float64.
-    """
-    n_samples = ens.x.shape[1]
-    header = _RAW_MAGIC + struct.pack(
-        "<IQQddQ", _RAW_VERSION, ens.n_traj, n_samples, ens.dt, ens.duration,
-        ens.master_seed,
-    )
-    samples = (np.ascontiguousarray(row, dtype="<f8").tobytes()
-               for i in range(ens.n_traj) for row in (ens.x[i], ens.p[i]))
-    return _write_hashed(path, itertools.chain([header], samples))
-
-
-def read_raw_trajectories(path) -> TrajectoryEnsemble:
-    """Read a record written by :func:`write_raw_trajectories`; a file that
-    is not one, has another version, a non-positive or non-finite dt, a
-    negative or non-finite duration or is cut short is a ConfigError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _RAW_MAGIC:
-            raise ConfigError(f"not a trajectory record (magic {magic!r})")
-        head = fh.read(4 + 8 + 8 + 8 + 8 + 8)
-        if len(head) < 44:
-            raise ConfigError(f"record header cut short: {len(head)} of 44 bytes")
-        version, n_traj, n_samples, dt, duration, master_seed = struct.unpack("<IQQddQ", head)
-        if version != _RAW_VERSION:
-            raise ConfigError(f"unsupported record version {version}")
-        require("record dt", dt, error=ConfigError)
-        require("record duration", duration, strict=False, error=ConfigError)
-        body = fh.read()
-    expected = 2 * n_traj * n_samples
-    if len(body) != 8 * expected:
-        raise ConfigError(f"record holds {len(body)} sample bytes, expected {8 * expected}")
-    data = np.frombuffer(body, dtype="<f8").reshape(n_traj, 2, n_samples)
-    return TrajectoryEnsemble(
-        n_traj=n_traj, dt=dt, duration=duration,
-        times=np.arange(n_samples) * dt,
-        x=data[:, 0, :].copy(), p=data[:, 1, :].copy(),
-        seeds=tuple(range(n_traj)), master_seed=master_seed,
-    )

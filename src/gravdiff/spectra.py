@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require
-from .manifest import ColumnTable
 from .model import (
     DiffusionMatrix,
     LinearizedSystem,
@@ -101,13 +100,12 @@ class NoiseSpectrum:
     def has_components(self) -> bool:
         return self.S_grav_position is not None
 
-    def csv_rows(self) -> ColumnTable:
-        """(n, 6) table matching CSV_HEADER, stacked per row slice; absent
-        components read zero."""
+    def csv_columns(self) -> tuple[np.ndarray, ...]:
+        """The 6 columns of CSV_HEADER; absent components read zero."""
         parts = (self.S_grav_position, self.S_grav_momentum, self.S_thermal, self.S_cross)
         if not self.has_components:
             parts = [np.broadcast_to(0.0, self.S_total.shape)] * 4
-        return ColumnTable(self.omega, self.S_total, *parts)
+        return (self.omega, self.S_total, *parts)
 
     CSV_HEADER = ("omega_rad_s", "S_total", "S_grav_pos", "S_grav_mom",
                   "S_thermal", "S_cross")

@@ -173,3 +173,28 @@ def ou_loop_oracle(setup, sys, noise, n_traj, dt, duration, init="stationary",
             z = Phi @ z + C @ u
             x[k, j + 1], p[k, j + 1] = z
     return x, p
+
+
+def onset_oracle(V0, sys, gamma, t_max, dt):
+    """Reference for :func:`gravdiff.dynamics.entanglement_onset`: the whole
+    sampled track from :func:`evolve_covariance_dimensionless`, then the
+    same bisection of the first violating step to dt/100. Returns it with the
+    index of the first violating sample (None when there is none); a scan
+    that stops early must return the same onset bit for bit."""
+    from gravdiff.dynamics import ONSET_TOL, _LJL, _min_eig_hermitian, evolve_covariance_dimensionless
+    from gravdiff.model import drift_diffusion, propagator, to_dimensionless
+    Hbar, gamma_bar = to_dimensionless(sys, gamma)
+    res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_max, dt, mean0=V0.mean)
+    idx = res.first_ppt_violation()
+    if not idx:
+        return (None if idx is None else 0.0), idx
+    t_lo, t_hi = float(res.times[idx - 1]), float(res.times[idx])
+    A, D = drift_diffusion(Hbar, gamma_bar)
+    while t_hi - t_lo > dt / 100.0:
+        t_mid = 0.5 * (t_lo + t_hi)
+        Phi, Q = propagator(A, D, t_mid)
+        if _min_eig_hermitian(Phi @ res.V[0] @ Phi.T + Q, _LJL) < -ONSET_TOL:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+    return 0.5 * (t_lo + t_hi), idx

@@ -1,16 +1,20 @@
 """The public namespace: every exported name resolves, and the removed
 second forms (SI states, the spectra copy of the detection margin, the
 static-force sampler mode, the per-module (A, D) builders, the CLI-only
-pendulum config helper, the options no caller set) stay gone."""
+pendulum config helper, the options no caller set, the second CSV table
+forms and file hasher) stay gone."""
 
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import gravdiff
+from gravdiff import config
 from gravdiff.bounds import com_reduction
 from gravdiff.dynamics import (EvolutionResult, entanglement_onset, ppt_reflector, ppt_separable,
                                uncertainty_valid)
@@ -25,9 +29,12 @@ MODULES = sorted(f"gravdiff.{m.name}" for m in pkgutil.iter_modules(gravdiff.__p
 REMOVED = {
     "gravdiff.config": ("pendulum_config",),
     "gravdiff.dynamics": ("_drift_diffusion",),
+    # one CSV table form, and the config digest from config.load_config
+    "gravdiff.manifest": ("ColumnTable", "sha256_file"),
     "gravdiff.model": ("from_dimensionless", "state_to_dimensionless", "state_from_dimensionless",
                        "langevin_drift", "langevin_diffusion"),
-    "gravdiff.montecarlo": ("diffusion_2x2",),
+    # the raw trajectory record moved to gravdiff.manifest
+    "gravdiff.montecarlo": ("diffusion_2x2", "write_raw_trajectories", "read_raw_trajectories"),
     "gravdiff.spectra": ("DetectionCondition", "detection_condition"),
 }
 
@@ -45,7 +52,7 @@ def test_removed_names_absent(name):
     for attr in REMOVED[name]:
         assert not hasattr(module, attr)
         assert not hasattr(gravdiff, attr)
-        assert attr not in module.__all__
+        assert attr not in getattr(module, "__all__", ())
 
 
 def test_removed_keywords_and_fields_absent():
@@ -68,3 +75,31 @@ def test_removed_keywords_and_fields_absent():
     noise = NoiseModel(DiffusionMatrix.zero(), 0.0, seed=1)
     with pytest.raises(DomainError, match="^init must be"):
         simulate(setup, linearize(setup), noise, n_traj=1, dt=0.01, duration=1.0, init="rest")
+
+
+def _listed_keys(first_cells) -> list[str]:
+    """Every key named in a key table's first cells; ``gamma11 .. gamma44``
+    stands for the ten upper-triangle entries."""
+    keys = []
+    for cell in first_cells:
+        cell = cell.replace("`", "")
+        if re.fullmatch(r"gamma11 \.\. gamma44", cell.strip()):
+            keys += config.GAMMA_KEYS
+        else:
+            keys += [k for k in re.split(r"[,\s]+", cell) if k]
+    return keys
+
+
+def test_config_key_tables_list_known_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `")]
+    # the docstring table's body lies between its second and third rules; a
+    # row's key cell ends at two spaces, and a continuation line is indented
+    body = re.split(r"^=+  =+$", config.__doc__, flags=re.M)[2]
+    cells = [re.split(r"\s{2,}", line)[0] for line in body.splitlines()
+             if line and not line[0].isspace()]
+    for listed in (_listed_keys(rows), _listed_keys(cells)):
+        assert len(listed) == len(set(listed))
+        assert set(listed) == config.KNOWN_KEYS

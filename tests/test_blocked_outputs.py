@@ -59,8 +59,8 @@ class TestStreamedCsv:
         rng = np.random.default_rng(n)
         table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
         table[n // 2] = (-0.0, 5e-324, 2.0**53 + 2)
-        write_csv(tmp_path / "a.csv", ("a", "b", "c"), table, preamble="units")
-        write_csv(tmp_path / "r.csv", ("a", "b", "c"), [tuple(r) for r in table.tolist()])
+        write_csv(tmp_path / "a.csv", ("a", "b", "c"), table.T, preamble="units")
+        write_csv(tmp_path / "r.csv", ("a", "b", "c"), table.T.tolist())
         assert (tmp_path / "a.csv").read_bytes() == one_shot_csv("abc", table, "units")
         assert (tmp_path / "r.csv").read_bytes() == one_shot_csv("abc", table)
 
@@ -71,12 +71,12 @@ class TestStreamedCsv:
         table[B_CSV + 3, 1] = np.nan
         table[2 * B_CSV, 0] = np.inf
         with pytest.raises(DomainError, match=f"non-finite CSV line {lead + B_CSV + 4} of c.csv"):
-            write_csv(tmp_path / "c.csv", ("a", "b"), table, preamble=preamble)
+            write_csv(tmp_path / "c.csv", ("a", "b"), table.T, preamble=preamble)
         assert not (tmp_path / "c.csv").exists()
 
     def test_work_memory_independent_of_rows(self, tmp_path):
         def work_bytes(n):
-            table = np.random.default_rng(1).standard_normal((n, 6))
+            table = np.random.default_rng(1).standard_normal((6, n))
             return traced_peak(lambda: write_csv(tmp_path / "w.csv", "abcdef", table))[1]
 
         # two full blocks bound the work memory (one formatted while the
@@ -91,7 +91,7 @@ class TestStreamedCsv:
     def test_wide_table_work_memory_independent_of_rows(self, tmp_path):
         # evolve's 13 columns: blocks hold a bounded number of values, not rows
         def work_bytes(n):
-            table = np.random.default_rng(1).standard_normal((n, 13))
+            table = np.random.default_rng(1).standard_normal((13, n))
             return traced_peak(lambda: write_csv(tmp_path / "w.csv", "abcdefghijklm", table))[1]
 
         full = work_bytes(2 * (manifest._CSV_BLOCK_VALUES // 13))
@@ -119,7 +119,7 @@ class TestStreamedCsv:
         monkeypatch.setattr(manifest, "repr_lines", counting)
         table = np.random.default_rng(n).standard_normal((n, width))
         header = [f"c{i}" for i in range(width)]
-        write_csv(tmp_path / "b.csv", header, table)
+        write_csv(tmp_path / "b.csv", header, table.T)
         assert len(rows) == calls and sum(rows) == n
         assert max(rows, default=0) - min(rows, default=0) <= 1
         assert max(rows, default=0) <= max(1, min(B_CSV, manifest._CSV_BLOCK_VALUES // width))
@@ -199,8 +199,8 @@ class TestBlockedSummary:
         ens = ensemble(n_traj, n_samples)
         monkeypatch.setattr(cli, "_SUMMARY_BLOCK", block)
         stride = max(1, n_samples // 2000)
-        expected = np.column_stack((ens.times, ens.x.mean(axis=0), ens.x.var(axis=0),
-                                    ens.p.mean(axis=0), ens.p.var(axis=0)))[::stride]
+        expected = np.stack((ens.times, ens.x.mean(axis=0), ens.x.var(axis=0),
+                             ens.p.mean(axis=0), ens.p.var(axis=0)))[:, ::stride]
         assert np.array_equal(cli._ensemble_summary(ens), expected)
 
     def test_work_memory_independent_of_samples(self):

@@ -21,12 +21,17 @@ from gravdiff.bounds import minimal_diffusion
 from gravdiff.config import gamma_from_config, parse_config, setup_from_config
 from gravdiff.errors import ConfigError, DomainError
 from gravdiff.feasibility import REFERENCE_PENDULUM, feasibility_report
-from gravdiff.manifest import (load_manifest, sha256_file, write_csv, write_json,
+from gravdiff.manifest import (load_manifest, read_raw_trajectories, write_csv, write_json,
                                write_json_lines)
 from gravdiff.model import PhysicalSetup, linearize, pendulum_system
-from gravdiff.montecarlo import ReheatResult, effective_frequency, read_raw_trajectories
+from gravdiff.montecarlo import ReheatResult, effective_frequency
 
 from conftest import fixed_source_oracle, symmetric_pair_oracle
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
 
 # Independent evaluation of G m^2 / (hbar d^3) for the reference pendulum
 # (m = (4 pi/3) * 2.26e4 * 0.03^3 kg, d = 0.06 m).
@@ -745,7 +750,6 @@ class TestSimulateCommand:
                        "--traj", "2", "--dt", "0.005", "--duration", "1.0",
                        "--out", str(tmp_path), "--raw", str(raw)])
         assert rc == 0
-        from gravdiff.montecarlo import read_raw_trajectories
         ens = read_raw_trajectories(raw)
         assert ens.n_traj == 2
 
@@ -1062,7 +1066,7 @@ class TestStrictJson:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_csv_refused(self, tmp_path, value):
         with pytest.raises(DomainError, match="non-finite"):
-            write_csv(tmp_path / "c.csv", ("a", "b"), [(1.0, 2.0), (3.0, value)])
+            write_csv(tmp_path / "c.csv", ("a", "b"), [(1.0, 3.0), (2.0, value)])
         with pytest.raises(DomainError, match="non-finite"):
             write_csv(tmp_path / "d.csv", ("a",), [(np.float64(value),)], preamble="units")
         assert not (tmp_path / "c.csv").exists()
@@ -1157,20 +1161,21 @@ class TestColumnarCsv:
 
     @pytest.mark.parametrize("preamble,first_line", [(None, 2), ("units", 3)])
     def test_non_finite_refusal_names_line(self, tmp_path, preamble, first_line):
-        rows = [(1.0, 2.0), (3.0, 4.0), (5.0, float("nan")), (float("inf"), 0.0)]
+        columns = [(1.0, 3.0, 5.0, float("inf")), (2.0, 4.0, float("nan"), 0.0)]
         with pytest.raises(DomainError, match=f"non-finite CSV line {first_line + 2} of c.csv"):
-            write_csv(tmp_path / "c.csv", ("a", "b"), rows, preamble=preamble)
+            write_csv(tmp_path / "c.csv", ("a", "b"), columns, preamble=preamble)
         assert not (tmp_path / "c.csv").exists()
 
-    def test_row_forms_write_same_bytes(self, tmp_path):
+    def test_column_forms_write_same_bytes(self, tmp_path):
         values = np.array([[0.1, -0.0, 5e-324, 1e16],
                            [2.0**53 + 2, -1.7976931348623157e308, 1 / 3, 123456789.0]])
         header = ("a", "b", "c", "d")
-        forms = {"array": values,
-                 "tuples": [tuple(r) for r in values.tolist()],
-                 "float64": [tuple(np.float64(v) for v in r) for r in values]}
-        for name, rows in forms.items():
-            write_csv(tmp_path / f"{name}.csv", header, rows, preamble="p")
+        forms = {"array": values.T,
+                 "arrays": tuple(values.T),
+                 "lists": [list(c) for c in values.T.tolist()],
+                 "float64": [tuple(np.float64(v) for v in c) for c in values.T]}
+        for name, columns in forms.items():
+            write_csv(tmp_path / f"{name}.csv", header, columns, preamble="p")
         # the per-value repr(float(v)) writer is the reference
         expected = "# p\na,b,c,d\n" + "".join(
             ",".join(repr(float(v)) for v in r) + "\n" for r in values)
@@ -1179,7 +1184,10 @@ class TestColumnarCsv:
 
     def test_width_must_match_header(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "w.csv", ("a", "b"), [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+            write_csv(tmp_path / "w.csv", ("a", "b"), [(1.0, 4.0), (2.0, 5.0), (3.0, 6.0)])
+        with pytest.raises(ValueError):                 # columns of unequal length
+            write_csv(tmp_path / "w.csv", ("a", "b"), [(1.0, 4.0), (2.0,)])
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestParserReuse:

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 from gravdiff.bounds import dimensional_bound, minimal_diffusion
 from gravdiff.constants import HBAR
 from gravdiff.errors import NonPhysicalInputError, StepSizeError
+from gravdiff import dynamics
 from gravdiff.dynamics import (
     entanglement_onset,
     evolve_covariance,
@@ -36,6 +37,7 @@ from gravdiff.model import (
 from conftest import (
     lyapunov_oracle,
     make_diffusion,
+    onset_oracle,
     random_psd_batch,
     strong_coupling_setup,
 )
@@ -395,6 +397,30 @@ class TestOnset:
         onset = entanglement_onset(ground_state(), sys, DiffusionMatrix.zero(), period, dt)
         fine = entanglement_onset(ground_state(), sys, DiffusionMatrix.zero(), period, dt / 16)
         assert onset == pytest.approx(fine, abs=dt / 10)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.99, 1.0])
+    def test_matches_full_track_oracle_on_workload_triple(self, scale):
+        # the onset workload: gamma = 0, 0.99x and 1x the mixed saturating
+        # allocation, over 3 periods at P/1000
+        setup = strong_coupling_setup(kbar_over_omega=0.3)
+        sys = linearize(setup)
+        gamma = minimal_diffusion(setup, "mixed", omega=sys.Omega1).scaled(scale)
+        period = sys.min_period()
+        args = (ground_state(), sys, gamma, 3 * period, period / 1000)
+        expected, idx = onset_oracle(*args)
+        assert (idx is None) == (scale == 1.0)
+        assert entanglement_onset(*args) == expected
+
+    def test_matches_full_track_oracle_past_first_block(self):
+        # a warm start delays the first violating sample past the first
+        # block of samples the scan propagates and checks
+        sys = linearize(strong_coupling_setup(kbar_over_omega=0.3))
+        period = sys.min_period()
+        args = (GaussianState(np.zeros(4), 0.6 * np.eye(4)), sys, DiffusionMatrix.zero(),
+                period / 2, period / 10_000)
+        expected, idx = onset_oracle(*args)
+        assert idx > dynamics._EIG_BLOCK
+        assert entanglement_onset(*args) == expected
 
     def test_late_onset_within_resolution(self):
         # A warm start delays the onset past the first grid step, so the

@@ -6,6 +6,7 @@ returning NaN or inf."""
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from gravdiff.bounds import final_bound, minimal_diffusion
 from gravdiff.constants import G_NEWTON
 from gravdiff.dynamics import (entanglement_onset, evolve_covariance,
                                evolve_covariance_dimensionless)
-from gravdiff.errors import ConfigError, DomainError, StepSizeError, require
+from gravdiff.errors import ConfigError, DomainError, SeedError, StepSizeError, require
 from gravdiff.feasibility import REFERENCE_PENDULUM, required_integration_time
 from gravdiff.model import (DiffusionMatrix, PhysicalSetup, check_constants, ground_state,
                             linearize, pendulum_system, to_dimensionless)
-from gravdiff.montecarlo import (NoiseModel, TrajectoryEnsemble, desk_rescale, read_raw_trajectories,
-                                 reheating_run, simulate, write_raw_trajectories)
+from gravdiff.manifest import read_raw_trajectories, write_raw_trajectories
+from gravdiff.montecarlo import NoiseModel, TrajectoryEnsemble, desk_rescale, reheating_run, simulate
 from gravdiff.spectra import gravitational_frequency
 
 FORMS = [(0.0, True, "positive"), (0.0, False, "non-negative"),
@@ -169,3 +170,42 @@ def test_library_call_refuses_non_finite_and_below_bound(call, tmp_path):
             run(value, tmp_path)
         assert type(info.value) is error
         assert str(info.value).startswith(f"{name} must be {bound} and finite, got ")
+
+
+# ------------------------------------------------ empty or inconsistent ensembles
+# Neither an ensemble without trajectories nor a record of one reaches the
+# Welch estimator (whose average over trajectories divided by zero), and a
+# record's header must agree with itself.
+
+def _read_record(tmp, n_traj, n_samples, dt, duration):
+    path = tmp / "raw.bin"
+    path.write_bytes(b"GDMC" + struct.pack("<IQQddQ", 1, n_traj, n_samples, dt, duration, 1)
+                     + bytes(16 * n_traj * n_samples))
+    return read_raw_trajectories(path)
+
+
+EMPTY_OR_INCONSISTENT = {
+    "TrajectoryEnsemble_no_trajectory": (
+        SeedError, "ensemble must contain at least one trajectory",
+        lambda tmp: TrajectoryEnsemble(n_traj=0, dt=0.01, duration=20.47,
+                                       times=0.01 * np.arange(2048), x=np.zeros((0, 2048)),
+                                       p=np.zeros((0, 2048)), seeds=(), master_seed=1)),
+    "read_raw_trajectories_no_trajectory": (
+        ConfigError, "record holds 0 trajectories of 2048 samples",
+        lambda tmp: _read_record(tmp, 0, 2048, 0.01, 2047 * 0.01)),
+    "read_raw_trajectories_one_sample": (
+        ConfigError, "record holds 1 trajectories of 1 samples",
+        lambda tmp: _read_record(tmp, 1, 1, 0.01, 0.0)),
+    "read_raw_trajectories_inconsistent_duration": (
+        ConfigError, "record duration 5.0 is not (n_samples - 1) dt = 0.02",
+        lambda tmp: _read_record(tmp, 1, 3, 0.01, 5.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_OR_INCONSISTENT))
+def test_empty_or_inconsistent_ensemble_refused(case, tmp_path):
+    error, message, run = EMPTY_OR_INCONSISTENT[case]
+    with pytest.raises(error) as info:
+        run(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)

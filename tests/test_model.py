@@ -463,6 +463,20 @@ def test_import_loads_no_thread_pool():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_output_layer():
+    # the compute modules hand gravdiff.manifest plain columns and import
+    # nothing from it: only the command-line front end loads the writers
+    import gravdiff
+    env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
+    code = ("import sys\n"
+            "import gravdiff\n"
+            "print(sorted(m for m in ('gravdiff.manifest', 'gravdiff.ryu', 'hashlib', 'json')\n"
+            "             if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_import_loads_no_scipy_signal_or_optimize():
     # scipy.signal pulls in scipy.optimize and scipy.stats: neither importing
     # the package nor sampling and estimating a spectrum may load them.
