@@ -33,6 +33,8 @@ from .model import (
     DiffusionMatrix,
     GaussianState,
     LinearizedSystem,
+    _readonly,
+    _view,
     drift_diffusion,
     propagator,
     symplectic_form,
@@ -69,10 +71,8 @@ def ppt_reflector() -> np.ndarray:
 
 
 # J and the PPT form L J L.
-_J = symplectic_form()
-_LJL = ppt_reflector() @ _J @ ppt_reflector()
-_J.setflags(write=False)
-_LJL.setflags(write=False)
+_J = _readonly(symplectic_form())
+_LJL = _readonly(ppt_reflector() @ _J @ ppt_reflector())
 
 
 def _min_eig_hermitian(V: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -102,7 +102,7 @@ def ppt_separable(state: GaussianState) -> tuple[bool, float]:
 @dataclass(frozen=True)
 class EvolutionResult:
     """Sampled covariance trajectory: dimensionless V (n, 4, 4), mean (n, 4)
-    and the two eigenvalue diagnostics, all along ``times``."""
+    and the two eigenvalue diagnostics along ``times``, as read-only views."""
 
     times: np.ndarray
     V: np.ndarray
@@ -111,9 +111,10 @@ class EvolutionResult:
     unc_min_eig: np.ndarray
 
     def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.V) == len(self.mean) == len(self.ppt_min_eig)
-                == len(self.unc_min_eig) == n):
+        tracks = ("times", "V", "mean", "ppt_min_eig", "unc_min_eig")
+        for name in tracks:
+            object.__setattr__(self, name, _view(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in tracks}) > 1:
             raise DomainError("times, V, mean and eigenvalue tracks must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("times must be strictly increasing")

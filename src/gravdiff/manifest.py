@@ -151,7 +151,7 @@ def read_raw_trajectories(path) -> TrajectoryEnsemble:
     samples, has a non-positive or non-finite dt, a negative or non-finite
     duration or one other than (n_samples - 1) dt, or is cut short is a
     ConfigError."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         magic = fh.read(4)
         if magic != _RAW_MAGIC:
             raise ConfigError(f"not a trajectory record (magic {magic!r})")
@@ -169,17 +169,15 @@ def read_raw_trajectories(path) -> TrajectoryEnsemble:
         if duration != (n_samples - 1) * dt:
             raise ConfigError(f"record duration {duration!r} is not (n_samples - 1) dt = "
                               f"{(n_samples - 1) * dt!r}")
-        body = fh.read()
+        body = fh.read()                         # unbuffered: one bytes object, not two joined
     expected = 2 * n_traj * n_samples
     if len(body) != 8 * expected:
         raise ConfigError(f"record holds {len(body)} sample bytes, expected {8 * expected}")
-    data = np.frombuffer(body, dtype="<f8").reshape(n_traj, 2, n_samples)
-    return TrajectoryEnsemble(
-        n_traj=n_traj, dt=dt, duration=duration,
-        times=np.arange(n_samples) * dt,
-        x=data[:, 0, :].copy(), p=data[:, 1, :].copy(),
-        seeds=tuple(range(n_traj)), master_seed=master_seed,
-    )
+    x, p = np.frombuffer(body, dtype="<f8").reshape(n_traj, 2, n_samples).swapaxes(0, 1)
+    times = np.arange(n_samples, dtype=float)
+    times *= dt
+    return TrajectoryEnsemble(n_traj=n_traj, dt=dt, duration=duration, times=times, x=x, p=p,
+                              seeds=tuple(range(n_traj)), master_seed=master_seed)
 
 
 @dataclass

@@ -18,6 +18,10 @@ Conventions used throughout the package (documented once, here):
   parameters and stored nowhere else; the symplectic form J satisfies
   ``[c_i, c_j] = i*hbar*J_ij`` in SI units and ``i*J_ij`` in dimensionless
   units.
+* One read-only rule: an array shared between calls or validated (H, gamma,
+  a state's moments, module-level forms, cached tables) is an immutable copy,
+  :func:`_readonly`; a fresh output holds read-only views, :func:`_view`,
+  that its owner may make writeable.
 """
 
 from __future__ import annotations
@@ -62,7 +66,13 @@ def symplectic_form() -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    """A contiguous copy of a, of its dtype, backed by immutable bytes."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
+def _view(a) -> np.ndarray:
+    """A read-only float view of a, copied only to convert it to float."""
+    out = np.asarray(a, dtype=float).view()
     out.setflags(write=False)
     return out
 
@@ -153,16 +163,13 @@ class LinearizedSystem:
         H = np.diag([self.m1 * self.Omega1**2, self.m2 * self.Omega2**2,
                      1.0 / self.m1, 1.0 / self.m2])
         H[0, 1] = H[1, 0] = self.K
-        H.setflags(write=False)
-        return H
+        return _readonly(H)
 
     @functools.cached_property
     def H_fixed(self) -> np.ndarray:
         """Read-only 2x2 form over (x1, p1) with the partner held fixed, its
         spring K added to x1's restoring force: diag(m1 Omega1^2 + K, 1/m1)."""
-        H = np.diag([self.m1 * self.Omega1**2 + self.K, 1.0 / self.m1])
-        H.setflags(write=False)
-        return H
+        return _readonly(np.diag([self.m1 * self.Omega1**2 + self.K, 1.0 / self.m1]))
 
     def min_period(self) -> float:
         return 2.0 * np.pi / max(self.Omega1, self.Omega2)
@@ -180,7 +187,7 @@ class DiffusionMatrix:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=float)
+        g = np.asarray(self.gamma, dtype=float)
         if g.shape != (4, 4):
             raise DomainError(f"gamma must be 4x4, got shape {g.shape}")
         if not np.isfinite(g).all():
@@ -229,8 +236,8 @@ class GaussianState:
     V: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(4)
-        V = np.array(self.V, dtype=float)
+        mean = np.asarray(self.mean, dtype=float).reshape(4)
+        V = np.asarray(self.V, dtype=float)
         if V.shape != (4, 4):
             raise DomainError(f"V must be 4x4, got shape {V.shape}")
         if not np.allclose(V, V.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(V))):

@@ -90,6 +90,8 @@ from .model import (
     DiffusionMatrix,
     LinearizedSystem,
     PhysicalSetup,
+    _readonly,
+    _view,
     langevin_model,
     mobile_momenta,
     propagator,
@@ -248,16 +250,10 @@ def _sampler_kernels(A: bytes, D: bytes, dt: float) -> tuple[np.ndarray, tuple]:
     """(C, levels) of :func:`simulate` for the 2 x 2 model (A, D), given by
     its bytes, at step dt: the noise factor C C^T = Q of the step's
     :func:`~gravdiff.model.propagator` (Phi, Q) and :func:`_levels` of
-    (Phi, C). Every array is backed by immutable bytes, like the Welch
-    constants, so a cached kernel cannot change."""
+    (Phi, C)."""
     Phi, Q = propagator(np.frombuffer(A).reshape(2, 2), np.frombuffer(D).reshape(2, 2), dt)
     C = _noise_factor(Q)
-    return _frozen(C), tuple(_frozen(K) for K in _levels(Phi, C))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A copy of a backed by immutable bytes."""
-    return np.frombuffer(a.tobytes()).reshape(a.shape)
+    return _readonly(C), tuple(_readonly(K) for K in _levels(Phi, C))
 
 
 def _chunk_buffers(levels, n: int) -> tuple:
@@ -390,10 +386,7 @@ class TrajectoryEnsemble:
         if self.n_traj < 1:
             raise SeedError("ensemble must contain at least one trajectory")
         for name in ("times", "x", "p"):
-            # a read-only view: the caller's array stays writeable, uncopied
-            arr = np.asarray(getattr(self, name), dtype=float).view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _view(getattr(self, name)))
         if self.x.shape != (self.n_traj, len(self.times)):
             raise DomainError("x must have shape (n_traj, n_samples)")
         if self.p.shape != self.x.shape:
@@ -573,12 +566,10 @@ def _welch_constants(L: int, dt: float) -> tuple[np.ndarray, float, np.ndarray]:
     periodic Hann window of length L and the angular grid sorted by
     increasing omega, 2 pi k / (L dt) for k = -floor(L/2) ... ceil(L/2) - 1.
     The grid is evaluated as 2 pi fftshift(fftfreq(L, dt)) evaluates it,
-    2 pi (k (1 / (L dt))), so it has the same bits. Both arrays are backed by
-    immutable bytes, so no caller can make them writeable and change what a
-    later call returns."""
+    2 pi (k (1 / (L dt))), so it has the same bits."""
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
     omega = 2.0 * np.pi * (np.arange(-(L // 2), (L + 1) // 2) * (1.0 / (L * dt)))
-    return _frozen(window), float((window * window).sum()), _frozen(omega)
+    return _readonly(window), float((window * window).sum()), _readonly(omega)
 
 
 def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
@@ -598,9 +589,8 @@ def welch_spectrum(ens: TrajectoryEnsemble, segment_len: int,
     few trajectories' segments per thread.
 
     The window, its power sum and the grid are built once per segment length
-    and step, on first use, and kept read-only for the 4 most recent
-    (segment length, step) pairs: at most 4 x 16 L bytes for segments of at
-    most L samples. The outputs are those of building them on every call.
+    and step, on first use, and kept for the 4 most recent (segment length,
+    step) pairs: at most 4 x 16 L bytes for segments of at most L samples.
     """
     n_seg, hop = welch_segments(ens.x.shape[1], segment_len, overlap)
     L = segment_len

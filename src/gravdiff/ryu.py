@@ -28,6 +28,8 @@ import functools
 
 import numpy as np
 
+from .model import _readonly
+
 _U64 = np.uint64
 _M32 = 0xFFFFFFFF
 # Ryu's DOUBLE_POW5_INV_BITCOUNT and DOUBLE_POW5_BITCOUNT, and its table sizes.
@@ -89,12 +91,12 @@ def _exponent_table() -> np.ndarray:
     exact = ~pos & (q < 63)
     table[6] = np.where(exact, (_U64(1) << np.where(exact, q, 0).astype(_U64)) - 1, ~_U64(0))
     table[7] = np.where(pos & (q <= 21), _U64(5) ** np.minimum(q, 27).astype(_U64), 0)
-    return table
+    return _readonly(table)
 
 
 @functools.cache
 def _pow10() -> np.ndarray:
-    return _U64(10) ** np.arange(20, dtype=_U64)
+    return _readonly(_U64(10) ** np.arange(20, dtype=_U64))
 
 
 @functools.cache
@@ -105,7 +107,7 @@ def _digit_pairs() -> np.ndarray:
     chars = np.full((10000, 8), ord("."), dtype=np.uint8)
     for k, scale in enumerate((1000, 100, 10, 1)):
         chars[:, 2 * k] = index // scale % 10 + ord("0")
-    return chars.view(_U64).ravel()
+    return _readonly(chars.view(_U64).ravel())
 
 
 @functools.cache
@@ -127,7 +129,8 @@ def _words() -> np.ndarray:
     for k, scale in enumerate((100, 10, 1)):
         tails[:, 3 + k] = a // scale % 10 + ord("0")
     tails[:, 6] = np.tile(np.frombuffer(b",\n", dtype=np.uint8), len(e) // 2)
-    return np.concatenate([_digit_pairs(), heads.view(_U64).ravel(), tails.view(_U64).ravel()])
+    words = [_digit_pairs(), heads.view(_U64).ravel(), tails.view(_U64).ravel()]
+    return _readonly(np.concatenate(words))
 
 
 @functools.cache
@@ -140,7 +143,7 @@ def _layouts() -> tuple[np.ndarray, np.ndarray]:
     classes = np.where(sci, _CLASSES - 2 + (np.abs(point - 1) >= 100), point - _LEAD)
     n, point = np.arange(18)[:, None], np.arange(_CLASSES) + _LEAD
     pads = np.where(point < _CLASSES - 2 + _LEAD, np.maximum(point - n, 0), 0)
-    return classes, pads.ravel()
+    return _readonly(classes), _readonly(pads.ravel())
 
 
 @functools.cache
@@ -167,7 +170,7 @@ def _kept() -> np.ndarray:
     exponent = (byte > _TAIL) & (byte < _TAIL + 6) & ((byte != _TAIL + 3) | (klass == _CLASSES - 1))
     kept |= sci & exponent
     kept |= (byte == 0) | (byte == _TAIL + 6)
-    return np.where(kept, 0xFF, 0).astype(np.uint8).reshape(-1, _ROW).view(_U64)
+    return _readonly(np.where(kept, 0xFF, 0).astype(np.uint8).reshape(-1, _ROW).view(_U64))
 
 
 def _product(mv, l0, l1, l2, l3):

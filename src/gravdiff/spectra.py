@@ -55,6 +55,7 @@ from .model import (
     DiffusionMatrix,
     LinearizedSystem,
     PhysicalSetup,
+    _view,
     langevin_model,
     mobile_momenta,
 )
@@ -89,12 +90,8 @@ class NoiseSpectrum:
     def __post_init__(self):
         for name in ("omega", "S_total", "S_grav_position", "S_grav_momentum",
                      "S_thermal", "S_cross"):
-            val = getattr(self, name)
-            if val is not None:
-                # a read-only view: a caller's array keeps its own flags
-                arr = np.asarray(val, dtype=float).view()
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _view(getattr(self, name)))
 
     @property
     def has_components(self) -> bool:

@@ -17,6 +17,16 @@ def random_psd_batch(rng, count, n=4, scale=1.0):
     return scale * np.einsum("bij,bkj->bik", G, G)
 
 
+def assert_immutable(arr):
+    """No array along arr's base chain can be written or made writeable."""
+    with pytest.raises(ValueError, match="read-only"):
+        arr.flat[0] = arr.flat[0]
+    while isinstance(arr, np.ndarray):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        arr = arr.base
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -2,7 +2,7 @@
 second forms (SI states, the spectra copy of the detection margin, the
 static-force sampler mode, the per-module (A, D) builders, the CLI-only
 pendulum config helper, the options no caller set, the second CSV table
-forms and file hasher) stay gone."""
+forms and file hasher, the second immutable-copy helper) stay gone."""
 
 import dataclasses
 import importlib
@@ -33,8 +33,10 @@ REMOVED = {
     "gravdiff.manifest": ("ColumnTable", "sha256_file"),
     "gravdiff.model": ("from_dimensionless", "state_to_dimensionless", "state_from_dimensionless",
                        "langevin_drift", "langevin_diffusion"),
-    # the raw trajectory record moved to gravdiff.manifest
-    "gravdiff.montecarlo": ("diffusion_2x2", "write_raw_trajectories", "read_raw_trajectories"),
+    # the raw trajectory record moved to gravdiff.manifest; immutable copies
+    # come from gravdiff.model._readonly alone
+    "gravdiff.montecarlo": ("diffusion_2x2", "write_raw_trajectories", "read_raw_trajectories",
+                            "_frozen"),
     "gravdiff.spectra": ("DetectionCondition", "detection_condition"),
 }
 

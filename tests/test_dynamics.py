@@ -17,6 +17,7 @@ from gravdiff.constants import HBAR
 from gravdiff.errors import NonPhysicalInputError, StepSizeError
 from gravdiff import dynamics
 from gravdiff.dynamics import (
+    EvolutionResult,
     entanglement_onset,
     evolve_covariance,
     evolve_covariance_dimensionless,
@@ -127,6 +128,26 @@ class TestEvolve:
         )
         for state in res.states:
             assert np.allclose(state.V, 0.5 * np.eye(4), atol=1e-12)
+
+    def test_tracks_are_read_only_views(self):
+        res = evolve_covariance_dimensionless(
+            0.5 * np.eye(4), np.eye(4), np.zeros((4, 4)), t_end=1.0, dt=0.01
+        )
+        tracks = (res.times, res.V, res.mean, res.ppt_min_eig, res.unc_min_eig)
+        for track in tracks:
+            with pytest.raises(ValueError, match="read-only"):
+                track.flat[0] = 1.0
+        # a fresh track is the caller's own: it may make it writeable again
+        res.ppt_min_eig.setflags(write=True)
+        res.ppt_min_eig[0] = 1.0
+        assert res.ppt_min_eig[0] == 1.0
+        # a caller's array is viewed, not copied, and stays writeable
+        times = np.arange(3.0)
+        ours = EvolutionResult(times, np.zeros((3, 4, 4)), np.zeros((3, 4)), np.zeros(3),
+                               np.zeros(3))
+        assert np.shares_memory(times, ours.times)
+        times[0] = -1.0
+        assert ours.times[0] == -1.0
 
     def test_coupling_without_diffusion_entangles_quickly(self):
         Hbar, _ = symmetric_dimensionless(kbar=0.3)

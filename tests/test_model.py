@@ -30,7 +30,7 @@ from gravdiff.model import (
     to_dimensionless,
 )
 
-from conftest import make_diffusion, random_psd_batch
+from conftest import assert_immutable, make_diffusion, random_psd_batch
 
 # Frozen by an independent one-line evaluation of 2 G m^2 / d^3 with
 # G = 6.67430e-11, m = 2.55 kg, d = 0.06 m.
@@ -478,19 +478,58 @@ def test_import_loads_no_output_layer():
 
 
 def test_import_loads_no_scipy_signal_or_optimize():
-    # scipy.signal pulls in scipy.optimize and scipy.stats: neither importing
-    # the package nor sampling and estimating a spectrum may load them.
+    # scipy is a test-only dependency: importing the command-line front end,
+    # a threaded run with its Welch estimate, both closed-form spectra and a
+    # CSV write load no scipy module at all
     import gravdiff
     env = dict(os.environ, PYTHONPATH=str(Path(gravdiff.__file__).parents[1]))
-    code = ("import sys\n"
-            "from gravdiff import model, montecarlo as mc\n"
+    code = ("import sys, tempfile\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "import gravdiff.cli\n"
+            "from gravdiff import manifest, model, montecarlo as mc, spectra\n"
+            "mc._workers = lambda n_jobs, job_samples: min(2, n_jobs)  # any CPU count\n"
             "setup = model.PhysicalSetup(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, d=0.1,\n"
             "                            eta=0.1, T=300.0)\n"
-            "noise = mc.NoiseModel.from_setup(setup, model.DiffusionMatrix.zero(), seed=1)\n"
-            "ens = mc.simulate(setup, model.linearize(setup), noise, n_traj=2, dt=0.05,\n"
-            "                  duration=20.0)\n"
-            "mc.welch_spectrum(ens, segment_len=128)\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+            "sys_lin = model.linearize(setup)\n"
+            "gamma = model.DiffusionMatrix(1e-3 * np.eye(4))\n"
+            "noise = mc.NoiseModel.from_setup(setup, gamma, seed=1)\n"
+            "ens = mc.simulate(setup, sys_lin, noise, n_traj=2, dt=0.05, duration=20.0)\n"
+            "welch = mc.welch_spectrum(ens, segment_len=128)\n"
+            "for dns in (spectra.dns_fixed_source, spectra.dns_symmetric_pair):\n"
+            "    dns(setup, sys_lin, gamma, [0.5, 1.0, 2.0])\n"
+            "with tempfile.TemporaryDirectory() as out:\n"
+            "    manifest.write_csv(Path(out) / 'welch.csv', ('omega', 'S'),\n"
+            "                       (welch.omega, welch.S_total))\n"
+            "assert 'concurrent.futures' in sys.modules  # the run was threaded\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_shared_and_validated_arrays_are_immutable():
+    # every array the read-only rule of gravdiff.model makes immutable:
+    # cached, module-level or validated
+    from gravdiff import dynamics, montecarlo, ryu
+    sys_lin = linearize(PhysicalSetup(m1=1.0, m2=2.0, omega1=1.0, omega2=1.5, d=0.1))
+    state = GaussianState(np.arange(4.0), 0.5 * np.eye(4))
+    A, D = np.array([[0.0, 1.0], [-1.0, -0.1]]), np.diag([0.0, 0.2])
+    C, levels = montecarlo._sampler_kernels(A.tobytes(), D.tobytes(), 0.01)
+    window, _, omega = montecarlo._welch_constants(100, 0.01)
+    arrays = [sys_lin.H, sys_lin.H_fixed, DiffusionMatrix(np.eye(4)).gamma, state.mean, state.V,
+              dynamics._J, dynamics._LJL, C, *levels, window, omega,
+              ryu._exponent_table(), ryu._pow10(), ryu._digit_pairs(), ryu._words(),
+              *ryu._layouts(), ryu._kept()]
+    for arr in arrays:
+        assert arr.flags.c_contiguous
+        assert_immutable(arr)
+
+
+def test_validated_gamma_cannot_be_made_non_psd():
+    g = DiffusionMatrix(np.eye(4))
+    with pytest.raises(ValueError):
+        g.gamma.setflags(write=True)
+    with pytest.raises(ValueError):
+        g.gamma[0, 0] = -5.0
+    assert np.array_equal(g.gamma, np.eye(4))

@@ -8,6 +8,7 @@ import dataclasses
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ from gravdiff.montecarlo import (
     _propagate,
 )
 
-from conftest import lyapunov_oracle, make_diffusion, ou_loop_oracle, strong_coupling_setup
+from conftest import (assert_immutable, lyapunov_oracle, make_diffusion, ou_loop_oracle,
+                      strong_coupling_setup)
 
 
 def desk_pair(Q=10.0, T=300.0, kbar=0.2, omega=2 * np.pi):
@@ -853,11 +855,7 @@ class TestWelch:
                 arr[0] = 1.0
         # the grid is shared with later calls: no array along its base chain
         # can be made writeable
-        arr = first.omega
-        while isinstance(arr, np.ndarray):
-            with pytest.raises(ValueError):
-                arr.setflags(write=True)
-            arr = arr.base
+        assert_immutable(first.omega)
         first.S_total.setflags(write=True)     # a fresh array, the caller's own
         first.S_total[:] = 0.0
         again = welch_spectrum(ens, segment_len=100)
@@ -1029,6 +1027,29 @@ class TestRawRecord:
         assert back.dt == ens.dt
         assert np.array_equal(back.x, ens.x)
         assert np.array_equal(back.p, ens.p)
+
+    def test_read_holds_one_copy(self, tmp_path):
+        # 16 trajectories of 65,537 samples: a 16.8 MB record
+        n_traj, n_samples, dt = 16, 65537, 0.01
+        rng = np.random.default_rng(3)
+        ens = TrajectoryEnsemble(n_traj=n_traj, dt=dt, duration=(n_samples - 1) * dt,
+                                 times=np.arange(n_samples) * dt,
+                                 x=rng.standard_normal((n_traj, n_samples)),
+                                 p=rng.standard_normal((n_traj, n_samples)),
+                                 seeds=tuple(range(n_traj)), master_seed=3)
+        path = tmp_path / "traj.bin"
+        write_raw_trajectories(path, ens)
+        tracemalloc.start()
+        try:
+            back = read_raw_trajectories(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 2**20
+        for got, want in ((back.times, ens.times), (back.x, ens.x), (back.p, ens.p)):
+            assert np.array_equal(got, want)
+        assert_immutable(back.x)
+        assert_immutable(back.p)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
