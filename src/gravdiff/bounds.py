@@ -33,11 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PSDError, SymmetryError, require
+from .errors import DomainError, SymmetryError, require
 from .model import (
     DiffusionMatrix,
     LinearizedSystem,
     PhysicalSetup,
+    _symmetric,
+    _unit_scale,
     dimensionless_coupling,
 )
 
@@ -54,7 +56,7 @@ __all__ = [
 
 MARGIN_RTOL = 1e-9
 
-# Relative tolerances of the equal-mass test and of com_reduction's checks.
+# Relative tolerances of the equal-mass test and of com_reduction's range check.
 EQUAL_MASS_RTOL = 1e-9
 COM_RTOL = 1e-9
 
@@ -226,22 +228,18 @@ def com_reduction(Gamma) -> float:
 
     which lies in [0, 2 Tr] for a PSD two-body block; negative off-diagonals
     can cancel the center-of-mass noise entirely. Raises PSDError when the
-    block is not PSD and DomainError when the sum leaves the two-body range.
+    block fails the matrix rule of :mod:`gravdiff.model` as a PSD matrix and
+    DomainError when the sum leaves the two-body range.
     """
     G = np.asarray(Gamma, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise DomainError("Gamma must be a square matrix")
-    scale = max(np.linalg.norm(G), 1e-300)
-    if not np.allclose(G, G.T, rtol=0.0, atol=1e-12 * scale):
-        raise PSDError("position block must be symmetric")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (G + G.T)).min())
-    if min_eig < -COM_RTOL * scale:
-        raise PSDError(f"position block not PSD: min eigenvalue {min_eig:.3e}")
-    gamma_cm = float(G.sum())
-    upper = 2.0 * float(np.trace(G))
-    tol = COM_RTOL * max(scale, upper)
+    _symmetric(G, "position block", psd=True)
+    # the range check runs at G's own scale too, where nothing overflows
+    s = _unit_scale(G)
+    u = G / s
+    gamma_cm, upper = float(u.sum()), 2.0 * float(np.trace(u))
+    tol = COM_RTOL * max(float(np.linalg.norm(u)), upper)
     if gamma_cm < -tol or gamma_cm > upper + tol:
         raise DomainError(
-            f"gamma_CM = {gamma_cm:.6e} outside the two-body range [0, {upper:.6e}]"
+            f"gamma_CM = {gamma_cm * s:.6e} outside the two-body range [0, {upper * s:.6e}]"
         )
-    return min(max(gamma_cm, 0.0), upper)
+    return min(max(gamma_cm, 0.0), upper) * s

@@ -34,6 +34,7 @@ from .model import (
     GaussianState,
     LinearizedSystem,
     _readonly,
+    _symmetric,
     _view,
     drift_diffusion,
     propagator,
@@ -155,11 +156,16 @@ def evolve_covariance_dimensionless(
     t = 0; each block of samples is one stacked propagator call. All inputs
     are in dimensionless units. Raises StepSizeError when dt is not positive
     and finite or exceeds 1% of the fastest oscillation period, or when t_end
-    is negative or not finite, and NonPhysicalInputError when V0 violates the
-    uncertainty relation by more than 1e-8.
+    is negative or not finite; DomainError (PSDError for gamma_bar, which must
+    be PSD) when a matrix breaks :mod:`gravdiff.model`'s matrix rule; and
+    NonPhysicalInputError when V0 violates the uncertainty relation by more
+    than 1e-8.
     """
     require("dt", dt, error=StepSizeError)
     require("t_end", t_end, strict=False, error=StepSizeError)
+    V0 = _symmetric(V0, "V0", n=4)
+    _symmetric(Hbar, "Hbar", n=4)
+    _symmetric(gamma_bar, "gamma_bar", psd=True, n=4)
     Omegas = np.diagonal(Hbar)[2:]
     max_dt = MAX_STEP_FRACTION * 2.0 * np.pi / np.max(np.abs(Omegas))
     if dt > max_dt:
@@ -167,7 +173,6 @@ def evolve_covariance_dimensionless(
             f"dt = {dt:.3e} exceeds {MAX_STEP_FRACTION} * (2 pi / max Omega) = {max_dt:.3e}"
         )
 
-    V0 = 0.5 * (np.array(V0, dtype=float) + np.array(V0, dtype=float).T)
     unc0 = _min_eig_hermitian(V0, _J)
     if unc0 < -1e-8:
         raise NonPhysicalInputError(

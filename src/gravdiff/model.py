@@ -22,6 +22,11 @@ Conventions used throughout the package (documented once, here):
   a state's moments, module-level forms, cached tables) is an immutable copy,
   :func:`_readonly`; a fresh output holds read-only views, :func:`_view`,
   that its owner may make writeable.
+* One matrix rule: a matrix that must be symmetric (gamma, a state's V, the
+  dimensionless (Hbar, gamma_bar, V0) that an evolution takes, the position
+  block of :func:`gravdiff.bounds.com_reduction`) is finite, symmetric to
+  1e-12 of its norm and, where it must be PSD, has no eigenvalue below
+  -PSD_RTOL times its norm, checked at any scale by :func:`_symmetric`.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ __all__ = [
     "propagator",
     "quadrature_scales",
     "to_dimensionless",
-    "dimensionless_hamiltonian",
     "dimensionless_coupling",
     "ground_state",
 ]
@@ -75,6 +79,39 @@ def _view(a) -> np.ndarray:
     out = np.asarray(a, dtype=float).view()
     out.setflags(write=False)
     return out
+
+
+def _unit_scale(M: np.ndarray) -> float:
+    """The power of two at or below max |M_ij|, or 1 for M = 0: M divided by
+    it is exact (bar entries 300 decades below the largest), and its norm
+    can neither overflow nor underflow."""
+    peak = float(np.abs(M).max(initial=0.0))
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
+
+
+def _symmetric(M, name: str, psd: bool = False, n: int | None = None) -> np.ndarray:
+    """The symmetric part of the square (n x n) matrix M, in floats. M must be
+    finite and, on u = M / :func:`_unit_scale` (so at any scale), symmetric to
+    |u - u^T| <= 1e-12 ||u|| entry by entry and, where psd, have no
+    eigenvalue below -PSD_RTOL ||u||: PSDError if psd, else DomainError."""
+    error = PSDError if psd else DomainError
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape != (n or len(M), len(M)):
+        raise DomainError(f"{name} must be {f'{n}x{n}' if n else 'square'}, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise error(f"{name} must be finite")
+    s = _unit_scale(M)
+    u = M / s
+    norm = float(np.linalg.norm(u))
+    if float(np.abs(u - u.T).max(initial=0.0)) > 1e-12 * norm:
+        raise error(f"{name} must be symmetric")
+    u = 0.5 * (u + u.T)
+    if psd and norm > 0:
+        min_eig = float(np.linalg.eigvalsh(u)[0])
+        if min_eig < -PSD_RTOL * norm:
+            raise PSDError(f"{name} is not PSD: min eigenvalue {min_eig * s:.3e} "
+                           f"< -{PSD_RTOL:.0e} * ||{name}||")
+    return u * s
 
 
 def check_constants(**constants: float) -> None:
@@ -187,27 +224,8 @@ class DiffusionMatrix:
     gamma: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        if g.shape != (4, 4):
-            raise DomainError(f"gamma must be 4x4, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise PSDError("gamma must be finite")
-        # Both checks run on g / s with s the power of two at or below
-        # max |g_ij|: exact, and the norm cannot overflow.
-        peak = float(np.abs(g).max())
-        s = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
-        u = g / s
-        asym = float(np.abs(u - u.T).max())
-        # |g - g^T| <= 1e-12 max(1, ||g||), entry by entry
-        if asym > 1e-12 * float(np.linalg.norm(u)) and asym * s > 1e-12:
-            raise PSDError("gamma must be symmetric")
-        u = 0.5 * (u + u.T)
-        min_eig = float(np.linalg.eigvalsh(u).min()) if peak > 0 else 0.0
-        if min_eig < -PSD_RTOL * float(np.linalg.norm(u)):
-            raise PSDError(
-                f"gamma is not PSD: min eigenvalue {min_eig * s:.3e} < -{PSD_RTOL:.0e} * ||gamma||"
-            )
-        object.__setattr__(self, "gamma", _readonly(0.5 * (g + g.T)))
+        gamma = _symmetric(self.gamma, "gamma", psd=True, n=4)
+        object.__setattr__(self, "gamma", _readonly(gamma))
 
     @classmethod
     def zero(cls) -> "DiffusionMatrix":
@@ -237,13 +255,10 @@ class GaussianState:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(4)
-        V = np.asarray(self.V, dtype=float)
-        if V.shape != (4, 4):
-            raise DomainError(f"V must be 4x4, got shape {V.shape}")
-        if not np.allclose(V, V.T, rtol=0.0, atol=1e-10 * max(1.0, np.linalg.norm(V))):
-            raise DomainError("covariance matrix must be symmetric")
+        if not np.isfinite(mean).all():
+            raise DomainError("mean must be finite")
         object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "V", _readonly(0.5 * (V + V.T)))
+        object.__setattr__(self, "V", _readonly(_symmetric(self.V, "V", n=4)))
 
 
 def ground_state() -> GaussianState:
@@ -394,31 +409,23 @@ def quadrature_scales(sys: LinearizedSystem) -> np.ndarray:
     ])
 
 
-def dimensionless_hamiltonian(sys: LinearizedSystem) -> np.ndarray:
-    """Hbar matrix (units rad/s): Hbar_ij = H_ij s_i s_j / hbar.
-
-    Diagonal entries are the Omega_i; the x1-x2 entry is the dimensionless
-    coupling K / (sqrt(m1 m2) sqrt(Omega1 Omega2)).
-    """
-    s = quadrature_scales(sys)
-    return (sys.H * np.outer(s, s)) / sys.hbar
-
-
 def dimensionless_coupling(sys: LinearizedSystem) -> float:
-    """K / (sqrt(m1 m2) sqrt(Omega1 Omega2)), the x1-x2 entry of Hbar [rad/s]."""
+    """K / (sqrt(m1 m2) sqrt(Omega1 Omega2)), the x1-x2 entry of
+    :func:`to_dimensionless`'s Hbar [rad/s] in closed form."""
     return sys.K / (np.sqrt(sys.m1 * sys.m2) * np.sqrt(sys.Omega1 * sys.Omega2))
 
 
 def to_dimensionless(sys: LinearizedSystem,
                      gamma: DiffusionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale (H, gamma) to the dimensionless quadratures.
+    """(Hbar, gamma_bar): (H, gamma) in the dimensionless quadratures.
 
+    Hbar_ij = H_ij s_i s_j / hbar [rad/s], s the :func:`quadrature_scales`:
+    the Omega_i on its diagonal, :func:`dimensionless_coupling` at x1-x2.
     gamma_bar_ij = gamma_ij s_i s_j (all entries acquire units of 1/s), e.g.
     the position block is multiplied by hbar/(m Omega) and the momentum block
     by m hbar Omega; cross terms pick up the geometric mean.
     """
     s = quadrature_scales(sys)
-    Hbar = dimensionless_hamiltonian(sys)
-    gamma_bar = gamma.matrix * np.outer(s, s)
-    return Hbar, gamma_bar
+    outer = np.outer(s, s)
+    return (sys.H * outer) / sys.hbar, gamma.matrix * outer
 

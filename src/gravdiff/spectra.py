@@ -25,12 +25,14 @@ evaluated on each additive part of D, built as one stack, for the component
 breakdown. The closed forms of both models serve the test suite as oracles.
 
 Only r(w) = row 0 of (-i w - A)^{-1} is needed, and D is real symmetric, so
-S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call balances A^T
-once by an exact power-of-two diagonal t and reads it in Hessenberg form h
-(A. J. Laub, IEEE TAC 26:407, 1981) by interleaving each body's position and
-momentum, (x1, p1, x2, p2): a body's position moves with its own momentum
-alone and no momentum drives another, so nothing lies below h's subdiagonal
-and no entry is rounded. Then r^T = t P y / t0, P the interleaving, where
+S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call takes A^T to
+dimensionless units by the exact power-of-two diagonal t nearest to the
+ratios of :func:`gravdiff.model.quadrature_scales` (hbar cancels and is left
+out) and reads it in Hessenberg form h (A. J. Laub, IEEE TAC 26:407, 1981)
+by interleaving each body's position and momentum, (x1, p1, x2, p2): a
+body's position moves with its own momentum alone and no momentum drives
+another, so nothing lies below h's subdiagonal and no entry is rounded.
+Then r^T = t P y, P the interleaving, where
 (-i w - h) y = e0 is solved for a block of frequencies at a time by n - 1
 eliminations with partial pivoting between adjacent rows and back
 substitution: O(n^2) work per frequency and no LAPACK call.
@@ -39,14 +41,13 @@ Singular pivots: a pivot no larger than 4 n eps (||h||_1 + |w|), eps the
 float64 machine epsilon, is within the rounding of the elimination of zero,
 so -i w - A is singular to working precision there and the call raises
 DomainError ("spectrum diverges: an undamped resonance lies on the grid").
-Because h is balanced first, the rule does not depend on the units of the
-state: a lighter mass does not widen it.
+Because h is in dimensionless units, the rule does not depend on the units
+of the state: a lighter mass does not widen it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .model import (
     _view,
     langevin_model,
     mobile_momenta,
+    quadrature_scales,
 )
 
 __all__ = [
@@ -143,41 +145,17 @@ def thermal_force_density(omega, setup: PhysicalSetup) -> np.ndarray:
 _FREQ_BLOCK = 1024
 
 
-def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(b, t) with b = t^-1 a t for the diagonal t of powers of two that
-    evens out each index's off-diagonal row and column 1-norms (B. N. Parlett
-    and C. Reinsch, Numer. Math. 13:293, 1969). Exact: only exponents move.
-    It brings a drift's mixed units (1/m against m Omega^2) to one scale
-    before the pivots are compared."""
-    b = np.array(a, dtype=float)
-    t = np.ones(len(b))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(b)):
-            col = np.abs(b[:, i]).sum() - abs(b[i, i])
-            row = np.abs(b[i]).sum() - abs(b[i, i])
-            if col == 0.0 or row == 0.0:
-                continue
-            f = math.ldexp(1.0, (math.frexp(row)[1] - math.frexp(col)[1]) // 2)
-            if col * f + row / f < 0.95 * (col + row):
-                b[:, i] *= f
-                b[i] /= f
-                t[i] *= f
-                changed = True
-    return b, t
-
-
-def _reduce(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(A: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h, lift) with h upper Hessenberg and row 0 of (-i w - A)^-1 equal to
     lift (-i w - h)^-1 e0 at every w, for A a :func:`langevin_model` drift of
-    one or two bodies, positions before momenta. Balanced, A^T = t b t^-1,
-    and b in the order (x1, p1, x2, p2) is upper Hessenberg: x_j moves with
-    p_j alone and no momentum drives another. So h is b permuted, and lift is
-    that permutation scaled by t / t0."""
-    balanced, t = _balance(A.T)
+    one or two bodies, positions before momenta, and its state's quadrature
+    ``scales``. For t the powers of two nearest to scales[0] / scales,
+    t^-1 A^T t is A^T in dimensionless units, exactly, and upper Hessenberg in
+    the order (x1, p1, x2, p2): x_j moves with p_j alone and no momentum
+    drives another. So h is it permuted, and lift that permutation scaled by t."""
+    t = np.exp2(np.round(np.log2(scales[0] / scales)))
     order = np.arange(len(A)).reshape(2, -1).T.ravel()
-    return balanced[np.ix_(order, order)], np.diag(t / t[0])[:, order]
+    return (A.T * t / t[:, None])[np.ix_(order, order)], np.diag(t)[:, order]
 
 
 def _require_pivots(size: np.ndarray, tol: np.ndarray) -> None:
@@ -236,7 +214,9 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
         g - np.diag(diag),                      # every cross entry
     ]), partner_fixed)
     n = len(A)
-    h, lift = _reduce(A)
+    # hbar cancels from the similarity, and left out it cannot underflow
+    scales = quadrature_scales(replace(sys, hbar=1.0))
+    h, lift = _reduce(A, scales[::2] if partner_fixed else scales)
     # The thermal part is hbar^2 k(w) sum_i m_i |r_i|^2, k the kernel per unit mass.
     masses = np.zeros((n, n))
     for i, m in mobile_momenta(setup, partner_fixed):

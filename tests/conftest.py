@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gravdiff.errors import GravdiffError, PSDError
 from gravdiff.model import DiffusionMatrix, PhysicalSetup, linearize
 
 
@@ -25,6 +26,47 @@ def assert_immutable(arr):
         with pytest.raises(ValueError):
             arr.setflags(write=True)
         arr = arr.base
+
+
+# The one matrix rule (gravdiff.model._symmetric), checked through each caller
+# by the two helpers below: ``check`` runs a caller on a 4x4 matrix, and
+# ``psd`` says whether that caller requires it to be PSD.
+SCALE_EXPONENTS = [-600, -300, 0, 150, 600]
+
+
+def assert_matrix_rule_at_huge_entries(check, psd):
+    """||M|| overflows past about 1e154: the checks must not go blind there,
+    and a symmetric PSD matrix passes without an overflow (warnings fail)."""
+    g = np.zeros((4, 4))
+    g[0, 0] = g[1, 1] = 1e300
+    g[0, 1] = g[1, 0] = -1e301
+    if psd:
+        with pytest.raises(PSDError, match="not PSD"):
+            check(g)
+    asym = np.diag([1e300, 1e300, 1.0, 1.0])
+    asym[0, 1] = 1e299
+    with pytest.raises(GravdiffError, match="must be symmetric"):
+        check(asym)
+    check(np.diag([1e300, 1e300, 1e-300, 0.0]))
+    check(1e300 * np.eye(4))
+
+
+def assert_matrix_rule_at_scale(rng, check, exponent, psd):
+    """The tolerances are relative, so a power-of-two rescaling keeps each
+    verdict; at 2**600 ||M|| overflows, at 2**-600 its square underflows. The
+    eigenvalues keep com_reduction's sum within its two-body range."""
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    def scaled(min_eig, asym=0.0):
+        g = Q @ np.diag([1.0, 0.75, 0.5, min_eig]) @ Q.T
+        g[0, 1] += asym * np.linalg.norm(g)
+        return np.ldexp(g, exponent)
+    check(scaled(-1e-11))
+    check(scaled(0.1, asym=0.5e-12))
+    if psd:
+        with pytest.raises(PSDError, match="not PSD"):
+            check(scaled(-1e-9))
+    with pytest.raises(GravdiffError, match="must be symmetric"):
+        check(scaled(0.1, asym=2e-12))
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@
 second forms (SI states, the spectra copy of the detection margin, the
 static-force sampler mode, the per-module (A, D) builders, the CLI-only
 pendulum config helper, the options no caller set, the second CSV table
-forms and file hasher, the second immutable-copy helper) stay gone."""
+forms and file hasher, the second immutable-copy helper, the second
+Hbar builder and the spectra's own balancing) stay gone; and the README's
+quickstart runs."""
 
 import dataclasses
 import importlib
@@ -31,13 +33,15 @@ REMOVED = {
     "gravdiff.dynamics": ("_drift_diffusion",),
     # one CSV table form, and the config digest from config.load_config
     "gravdiff.manifest": ("ColumnTable", "sha256_file"),
+    # Hbar is formed by to_dimensionless alone
     "gravdiff.model": ("from_dimensionless", "state_to_dimensionless", "state_from_dimensionless",
-                       "langevin_drift", "langevin_diffusion"),
+                       "langevin_drift", "langevin_diffusion", "dimensionless_hamiltonian"),
     # the raw trajectory record moved to gravdiff.manifest; immutable copies
     # come from gravdiff.model._readonly alone
     "gravdiff.montecarlo": ("diffusion_2x2", "write_raw_trajectories", "read_raw_trajectories",
                             "_frozen"),
-    "gravdiff.spectra": ("DetectionCondition", "detection_condition"),
+    # the spectra scale the drift by the model's quadrature scales
+    "gravdiff.spectra": ("DetectionCondition", "detection_condition", "_balance"),
 }
 
 
@@ -77,6 +81,14 @@ def test_removed_keywords_and_fields_absent():
     noise = NoiseModel(DiffusionMatrix.zero(), 0.0, seed=1)
     with pytest.raises(DomainError, match="^init must be"):
         simulate(setup, linearize(setup), noise, n_traj=1, dt=0.01, duration=1.0, init="rest")
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert "omega_G = sqrt(G rho)" in capsys.readouterr().out
 
 
 def _listed_keys(first_cells) -> list[str]:

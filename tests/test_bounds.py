@@ -22,7 +22,13 @@ from gravdiff.model import (
     to_dimensionless,
 )
 
-from conftest import random_psd_batch, strong_coupling_setup
+from conftest import (
+    SCALE_EXPONENTS,
+    assert_matrix_rule_at_huge_entries,
+    assert_matrix_rule_at_scale,
+    random_psd_batch,
+    strong_coupling_setup,
+)
 
 # Independent one-line evaluation of G m^2 / (hbar d^3), m = 2.55 kg, d = 6 cm.
 FINAL_RHS_255_006 = 1.9052684354386962e+28
@@ -255,6 +261,13 @@ class TestComReduction:
     def test_rejects_non_psd(self):
         with pytest.raises(PSDError):
             com_reduction(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_indefinite_with_huge_entries(self):
+        assert_matrix_rule_at_huge_entries(com_reduction, psd=True)
+
+    @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+    def test_verdicts_do_not_depend_on_scale(self, rng, exponent):
+        assert_matrix_rule_at_scale(rng, com_reduction, exponent, psd=True)
 
     def test_range_over_random_psd(self, rng):
         G = rng.standard_normal((100_000, 2, 2))

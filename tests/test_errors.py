@@ -2,7 +2,7 @@
 above its bound, with the error type asked for and a message that opens
 with the field's name; and every public call that reaches a require site
 refuses NaN, +inf and a value below its bound that way, instead of
-returning NaN or inf."""
+returning NaN or inf. Then the one matrix rule, the same way."""
 
 import dataclasses
 import math
@@ -11,14 +11,15 @@ import struct
 import numpy as np
 import pytest
 
-from gravdiff.bounds import final_bound, minimal_diffusion
+from gravdiff.bounds import com_reduction, final_bound, minimal_diffusion
 from gravdiff.constants import G_NEWTON
 from gravdiff.dynamics import (entanglement_onset, evolve_covariance,
                                evolve_covariance_dimensionless)
-from gravdiff.errors import ConfigError, DomainError, SeedError, StepSizeError, require
+from gravdiff.errors import (ConfigError, DomainError, PSDError, SeedError, StepSizeError,
+                             require)
 from gravdiff.feasibility import REFERENCE_PENDULUM, required_integration_time
-from gravdiff.model import (DiffusionMatrix, PhysicalSetup, check_constants, ground_state,
-                            linearize, pendulum_system, to_dimensionless)
+from gravdiff.model import (DiffusionMatrix, GaussianState, PhysicalSetup, check_constants,
+                            ground_state, linearize, pendulum_system, to_dimensionless)
 from gravdiff.manifest import read_raw_trajectories, write_raw_trajectories
 from gravdiff.montecarlo import NoiseModel, TrajectoryEnsemble, desk_rescale, reheating_run, simulate
 from gravdiff.spectra import gravitational_frequency
@@ -209,3 +210,62 @@ def test_empty_or_inconsistent_ensemble_refused(case, tmp_path):
         run(tmp_path)
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+# ------------------------------------------------------------ the matrix rule
+# Each caller of the one matrix rule (gravdiff.model._symmetric) refuses a
+# matrix that is not finite, not symmetric to 1e-12 of its norm at any scale,
+# or, where PSD is required, not PSD, with a GravdiffError that names it. A
+# symmetric one at 1e300 passes without an overflow warning (warnings fail).
+
+def _evolve_with(V0=None, Hbar=(), gamma_bar=()):
+    """Evolve _pair's system from V0 (default the ground state) with the
+    given (index, value) entries set in its Hbar and gamma_bar."""
+    _, sys, gamma = _pair()
+    matrices = [np.array(a) for a in to_dimensionless(sys, gamma)]
+    for M, entries in zip(matrices, (Hbar, gamma_bar)):
+        for index, value in entries:
+            M[index] = value
+    V0 = 0.5 * np.eye(4) if V0 is None else V0
+    return evolve_covariance_dimensionless(V0, *matrices, 0.01, 1e-3)
+
+
+MATRIX_RULE = {
+    "com_reduction_asymmetric_at_1e200": (
+        PSDError, "position block must be symmetric",
+        lambda: com_reduction([[1e200, 1e199], [0.0, 1e200]])),
+    "com_reduction_infinite": (
+        PSDError, "position block must be finite",
+        lambda: com_reduction([[np.inf, 0.0], [0.0, 1.0]])),
+    "GaussianState_infinite_V": (
+        DomainError, "V must be finite",
+        lambda: GaussianState(np.zeros(4), np.diag([np.inf, 1.0, 1.0, 1.0]))),
+    "GaussianState_nan_mean": (
+        DomainError, "mean must be finite",
+        lambda: GaussianState([np.nan, 0.0, 0.0, 0.0], np.eye(4))),
+    # only off-diagonal entry (0, 1) = 0.3: evolved to unc_min_eig -0.258
+    "evolve_dimensionless_Hbar_asymmetric": (
+        DomainError, "Hbar must be symmetric",
+        lambda: _evolve_with(Hbar=[((0, 1), 0.3), ((1, 0), 0.0)])),
+    "evolve_dimensionless_gamma_bar_not_psd": (
+        PSDError, "gamma_bar is not PSD", lambda: _evolve_with(gamma_bar=[((0, 0), -1.0)])),
+    "evolve_dimensionless_Hbar_nan": (
+        DomainError, "Hbar must be finite", lambda: _evolve_with(Hbar=[((0, 0), np.nan)])),
+    "evolve_dimensionless_V0_nan": (
+        DomainError, "V0 must be finite", lambda: _evolve_with(V0=np.full((4, 4), np.nan))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_RULE))
+def test_matrix_rule_refusals(case):
+    error, message, run = MATRIX_RULE[case]
+    with pytest.raises(error) as info:
+        run()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_matrix_rule_holds_at_huge_scale():
+    huge = 1e300 * np.eye(4)
+    assert com_reduction(huge[:2, :2]) == 2e300
+    assert np.array_equal(GaussianState(np.zeros(4), huge).V, huge)

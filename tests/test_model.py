@@ -19,7 +19,7 @@ from gravdiff.model import (
     GaussianState,
     LinearizedSystem,
     PhysicalSetup,
-    dimensionless_hamiltonian,
+    dimensionless_coupling,
     ground_state,
     langevin_model,
     linearize,
@@ -30,7 +30,14 @@ from gravdiff.model import (
     to_dimensionless,
 )
 
-from conftest import assert_immutable, make_diffusion, random_psd_batch
+from conftest import (
+    SCALE_EXPONENTS,
+    assert_immutable,
+    assert_matrix_rule_at_huge_entries,
+    assert_matrix_rule_at_scale,
+    make_diffusion,
+    random_psd_batch,
+)
 
 # Frozen by an independent one-line evaluation of 2 G m^2 / d^3 with
 # G = 6.67430e-11, m = 2.55 kg, d = 0.06 m.
@@ -302,34 +309,11 @@ class TestDiffusionMatrix:
             DiffusionMatrix(g)
 
     def test_rejects_indefinite_with_huge_entries(self):
-        # ||g|| overflows past about 1e154; the checks must not go blind there
-        g = np.zeros((4, 4))
-        g[0, 0] = g[1, 1] = 1e300
-        g[0, 1] = g[1, 0] = -1e301
-        with pytest.raises(PSDError, match="not PSD"):
-            DiffusionMatrix(g)
-        asym = np.diag([1e300, 1e300, 1.0, 1.0])
-        asym[0, 1] = 1e299
-        with pytest.raises(PSDError, match="symmetric"):
-            DiffusionMatrix(asym)
-        DiffusionMatrix(np.diag([1e300, 1e300, 1e-300, 0.0]))
+        assert_matrix_rule_at_huge_entries(DiffusionMatrix, psd=True)
 
-    @pytest.mark.parametrize("exponent", [-600, -300, 0, 150, 600])
+    @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
     def test_verdicts_do_not_depend_on_scale(self, rng, exponent):
-        # The tolerances are relative, so a power-of-two rescaling keeps each
-        # verdict; at 2**600 ||gamma|| overflows, at 2**-600 its square underflows.
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        def scaled(min_eig, asym=0.0):
-            g = Q @ np.diag([1.0, 0.5, 0.25, min_eig]) @ Q.T
-            g[0, 1] += asym * np.linalg.norm(g)
-            return np.ldexp(g, exponent)
-        DiffusionMatrix(scaled(-1e-11))
-        DiffusionMatrix(scaled(0.1, asym=0.5e-12))
-        with pytest.raises(PSDError, match="not PSD"):
-            DiffusionMatrix(scaled(-1e-9))
-        if exponent >= 0:  # below ||gamma|| = 1 the absolute 1e-12 floor takes over
-            with pytest.raises(PSDError, match="symmetric"):
-                DiffusionMatrix(scaled(0.1, asym=2e-12))
+        assert_matrix_rule_at_scale(rng, DiffusionMatrix, exponent, psd=True)
 
     def test_accepts_boundary(self):
         # rank-deficient PSD matrix, exactly on the cone boundary
@@ -354,13 +338,29 @@ class TestDiffusionMatrix:
 class TestDimensionless:
     def test_hamiltonian_structure(self, lab_setup):
         sys = linearize(lab_setup)
-        Hbar = dimensionless_hamiltonian(sys)
+        Hbar, _ = to_dimensionless(sys, DiffusionMatrix.zero())
         assert Hbar[0, 0] == pytest.approx(sys.Omega1, rel=1e-12)
         assert Hbar[1, 1] == pytest.approx(sys.Omega2, rel=1e-12)
         assert Hbar[2, 2] == pytest.approx(sys.Omega1, rel=1e-12)
         assert Hbar[3, 3] == pytest.approx(sys.Omega2, rel=1e-12)
         kbar = sys.K / (np.sqrt(sys.m1 * sys.m2) * np.sqrt(sys.Omega1 * sys.Omega2))
         assert Hbar[0, 1] == pytest.approx(kbar, rel=1e-12)
+
+    def test_closed_form_coupling_is_hbar_entry(self, rng):
+        # the bound chain's closed form and the one dimensionless view agree
+        # on seeded trap and pendulum systems over 18 decades of mass
+        for _ in range(500):
+            m1, m2 = 10 ** rng.uniform(-15.0, 3.0, 2)
+            Om1, Om2 = 10 ** rng.uniform(-3.0, 5.0, 2)
+            d = 10 ** rng.uniform(-2.0, 0.0)
+            K = rng.uniform(0.0, 0.5) * np.sqrt(m1 * m2) * Om1 * Om2
+            setup = PhysicalSetup(m1=m1, m2=m2, omega1=np.sqrt(Om1**2 + K / m1),
+                                  omega2=np.sqrt(Om2**2 + K / m2), d=d,
+                                  G=K * d**3 / (2 * m1 * m2))
+            for sys in (linearize(setup), pendulum_system(setup, 10 ** rng.uniform(-3.0, 5.0))):
+                Hbar, _ = to_dimensionless(sys, DiffusionMatrix.zero())
+                assert dimensionless_coupling(sys) == pytest.approx(Hbar[0, 1], rel=1e-15,
+                                                                    abs=0.0)
 
     def test_position_diffusion_block_scaling(self, lab_system):
         g = 3.7e5
@@ -383,7 +383,7 @@ class TestDimensionless:
         setup = PhysicalSetup(m1=1.0, m2=3.0, omega1=0.7, omega2=1.3, d=0.2)
         sys = linearize(setup)
         A_si, _ = langevin_model(setup, sys, np.zeros((4, 4)))
-        A_dimless = symplectic_form() @ dimensionless_hamiltonian(sys)
+        A_dimless = symplectic_form() @ to_dimensionless(sys, DiffusionMatrix.zero())[0]
         e1 = np.sort(np.linalg.eigvals(A_si).imag)
         e2 = np.sort(np.linalg.eigvals(A_dimless).imag)
         assert np.allclose(e1, e2, rtol=1e-10, atol=1e-14)
@@ -400,6 +400,15 @@ class TestGaussianState:
         V[0, 1] = 0.3
         with pytest.raises(ValueError):
             GaussianState(np.zeros(4), V)
+
+    def test_rejects_indefinite_with_huge_entries(self):
+        # V need not be PSD: the uncertainty check reads it
+        assert_matrix_rule_at_huge_entries(lambda V: GaussianState(np.zeros(4), V), psd=False)
+
+    @pytest.mark.parametrize("exponent", SCALE_EXPONENTS)
+    def test_verdicts_do_not_depend_on_scale(self, rng, exponent):
+        assert_matrix_rule_at_scale(rng, lambda V: GaussianState(np.zeros(4), V), exponent,
+                                    psd=False)
 
 
 def test_no_runtime_path_loads_scipy():

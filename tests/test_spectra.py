@@ -323,17 +323,23 @@ def lapack_rows(A, w):
     return np.linalg.solve((-1j * w)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
 
 
-def shifted_rows(A, w):
+def drift_scales(sys, partner_fixed):
+    """The quadrature scales of a langevin_model state, without hbar."""
+    s = quadrature_scales(dataclasses.replace(sys, hbar=1.0))
+    return s[::2] if partner_fixed else s
+
+
+def shifted_rows(A, scales, w):
     """The same rows from one Hessenberg reduction and O(n^2) shifted solves."""
-    h, lift = spectra._reduce(A)
+    h, lift = spectra._reduce(A, scales)
     r = spectra._resolvent_rows(h, lift, w)
     return (r[:, :len(w)] + 1j * r[:, len(w):]).T
 
 
-def worst_row_error(A, w):
+def worst_row_error(A, scales, w):
     """Largest per-frequency |r - r_lapack|_max / |r_lapack|_2."""
     ref = lapack_rows(A, w)
-    return float(np.max(np.abs(shifted_rows(A, w) - ref).max(axis=1)
+    return float(np.max(np.abs(shifted_rows(A, scales, w) - ref).max(axis=1)
                         / np.linalg.norm(ref, axis=1)))
 
 
@@ -379,12 +385,14 @@ class TestShiftedSolves:
         sys = linearize(setup)
         A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
         w = np.linspace(-3.0, 3.0, 1001) * sys.Omega1
-        assert worst_row_error(A, w) < 1e-12
+        assert worst_row_error(A, drift_scales(sys, partner_fixed), w) < 1e-12
 
     @pytest.mark.parametrize("partner_fixed", [True, False])
     def test_langevin_drift_reduces_exactly(self, partner_fixed):
-        # in the order (x1, p1, x2, p2) the balanced drift is upper Hessenberg
-        # as it stands: h is a permutation of it, without rounding
+        # t, the powers of two nearest to the quadrature scales' ratios, takes
+        # the drift to dimensionless units without rounding, and in the order
+        # (x1, p1, x2, p2) t^-1 A^T t is upper Hessenberg as it stands: h is a
+        # permutation of it
         rng = np.random.default_rng(31)
         cases = [lab_pair(rng, rng.uniform(0.0, 0.5), 10 ** rng.uniform(-10.0, 0.0))
                  for _ in range(40)]
@@ -395,11 +403,14 @@ class TestShiftedSolves:
         perm = np.eye(len(order))[:, order]
         for setup, sys in cases:
             A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
-            balanced, t = spectra._balance(A.T)
-            h, lift = spectra._reduce(A)
+            s = drift_scales(sys, partner_fixed)
+            h, lift = spectra._reduce(A, s)
+            t = np.diag(lift @ perm.T)
+            assert np.array_equal(lift, t[:, None] * perm)
+            assert t[0] == 1.0 and np.all(np.frexp(t)[0] == 0.5)
+            assert np.all(np.abs(np.log2(t * s / s[0])) <= 0.5)
             assert not np.tril(h, -2).any()
-            assert np.array_equal(h, perm.T @ balanced @ perm)
-            assert np.array_equal(lift, (t / t[0])[:, None] * perm)
+            assert np.array_equal(h, perm.T @ np.diag(1.0 / t) @ A.T @ np.diag(t) @ perm)
 
     @staticmethod
     def random_resonances(eta_over_omega, count=40):
@@ -425,7 +436,8 @@ class TestShiftedSolves:
         # Q = 1e10 exactly on resonance: conditioned at about 1e10, not singular
         for setup, sys in self.random_resonances(1e-10):
             A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
-            assert worst_row_error(A, np.array([sys.Omega1])) < 1e-4
+            scales = drift_scales(sys, partner_fixed)
+            assert worst_row_error(A, scales, np.array([sys.Omega1])) < 1e-4
 
 
 class TestVarianceAgainstHamiltonian:
