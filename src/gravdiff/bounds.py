@@ -39,7 +39,6 @@ from .model import (
     LinearizedSystem,
     PhysicalSetup,
     _symmetric,
-    _unit_scale,
     dimensionless_coupling,
 )
 
@@ -231,11 +230,8 @@ def com_reduction(Gamma) -> float:
     block fails the matrix rule of :mod:`gravdiff.model` as a PSD matrix and
     DomainError when the sum leaves the two-body range.
     """
-    G = np.asarray(Gamma, dtype=float)
-    _symmetric(G, "position block", psd=True)
-    # the range check runs at G's own scale too, where nothing overflows
-    s = _unit_scale(G)
-    u = G / s
+    # u * s is the block's symmetric part; on u nothing overflows
+    u, s = _symmetric(Gamma, "position block", psd=True)
     gamma_cm, upper = float(u.sum()), 2.0 * float(np.trace(u))
     tol = COM_RTOL * max(float(np.linalg.norm(u)), upper)
     if gamma_cm < -tol or gamma_cm > upper + tol:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPhysicalInputError, StepSizeError, require
+from .errors import DomainError, NonPhysicalInputError, PSDError, StepSizeError, require
 from .model import (
     DiffusionMatrix,
     GaussianState,
@@ -163,7 +163,8 @@ def evolve_covariance_dimensionless(
     """
     require("dt", dt, error=StepSizeError)
     require("t_end", t_end, strict=False, error=StepSizeError)
-    V0 = _symmetric(V0, "V0", n=4)
+    u, s = _symmetric(V0, "V0", n=4)
+    V0 = u * s
     _symmetric(Hbar, "Hbar", n=4)
     _symmetric(gamma_bar, "gamma_bar", psd=True, n=4)
     Omegas = np.diagonal(Hbar)[2:]
@@ -207,10 +208,19 @@ def evolve_covariance(
     dt: float,
 ) -> EvolutionResult:
     """Typed front end: converts (sys, gamma) to dimensionless form and evolves."""
+    return _evolve_typed(V0, sys, gamma, t_end, dt)[2]
+
+
+def _evolve_typed(V0: GaussianState, sys: LinearizedSystem, gamma: DiffusionMatrix,
+                  t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray, EvolutionResult]:
+    """(Hbar, gamma_bar, evolution). The congruence to the quadratures keeps
+    gamma PSD but not its tolerance: a gamma_bar that fails is named as gamma."""
     Hbar, gamma_bar = to_dimensionless(sys, gamma)
-    return evolve_covariance_dimensionless(
-        V0.V, Hbar, gamma_bar, t_end, dt, mean0=V0.mean
-    )
+    try:
+        res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_end, dt, mean0=V0.mean)
+    except PSDError as exc:
+        raise PSDError(f"gamma is not PSD in the dimensionless quadratures: {exc}") from None
+    return Hbar, gamma_bar, res
 
 
 def entanglement_onset(
@@ -230,8 +240,7 @@ def entanglement_onset(
     """
     require("dt", dt, error=StepSizeError)
     require("t_max", t_max, strict=False, error=StepSizeError)
-    Hbar, gamma_bar = to_dimensionless(sys, gamma)
-    res = evolve_covariance_dimensionless(V0.V, Hbar, gamma_bar, t_max, dt, mean0=V0.mean)
+    Hbar, gamma_bar, res = _evolve_typed(V0, sys, gamma, t_max, dt)
     idx = res.first_ppt_violation()
     if idx is None:
         return None

@@ -81,26 +81,22 @@ def _view(a) -> np.ndarray:
     return out
 
 
-def _unit_scale(M: np.ndarray) -> float:
-    """The power of two at or below max |M_ij|, or 1 for M = 0: M divided by
-    it is exact (bar entries 300 decades below the largest), and its norm
-    can neither overflow nor underflow."""
-    peak = float(np.abs(M).max(initial=0.0))
-    return math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
-
-
-def _symmetric(M, name: str, psd: bool = False, n: int | None = None) -> np.ndarray:
-    """The symmetric part of the square (n x n) matrix M, in floats. M must be
-    finite and, on u = M / :func:`_unit_scale` (so at any scale), symmetric to
-    |u - u^T| <= 1e-12 ||u|| entry by entry and, where psd, have no
-    eigenvalue below -PSD_RTOL ||u||: PSDError if psd, else DomainError."""
+def _symmetric(M, name: str, psd: bool = False, n: int | None = None) -> tuple[np.ndarray, float]:
+    """(u, s): the symmetric part of the square (n x n) matrix M is u * s, for
+    s the power of two at or below max |M_ij| (1 for M = 0) and u in floats.
+    u is exact (bar entries 300 decades below the largest) and its norm can
+    neither overflow nor underflow. M must be finite and, on u (so at any
+    scale), symmetric to |u - u^T| <= 1e-12 ||u|| entry by entry and, where
+    psd, have no eigenvalue below -PSD_RTOL ||u||: PSDError if psd, else
+    DomainError."""
     error = PSDError if psd else DomainError
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape != (n or len(M), len(M)):
         raise DomainError(f"{name} must be {f'{n}x{n}' if n else 'square'}, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise error(f"{name} must be finite")
-    s = _unit_scale(M)
+    peak = float(np.abs(M).max(initial=0.0))
+    s = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
     u = M / s
     norm = float(np.linalg.norm(u))
     if float(np.abs(u - u.T).max(initial=0.0)) > 1e-12 * norm:
@@ -111,7 +107,7 @@ def _symmetric(M, name: str, psd: bool = False, n: int | None = None) -> np.ndar
         if min_eig < -PSD_RTOL * norm:
             raise PSDError(f"{name} is not PSD: min eigenvalue {min_eig * s:.3e} "
                            f"< -{PSD_RTOL:.0e} * ||{name}||")
-    return u * s
+    return u, s
 
 
 def check_constants(**constants: float) -> None:
@@ -224,8 +220,8 @@ class DiffusionMatrix:
     gamma: np.ndarray
 
     def __post_init__(self):
-        gamma = _symmetric(self.gamma, "gamma", psd=True, n=4)
-        object.__setattr__(self, "gamma", _readonly(gamma))
+        u, s = _symmetric(self.gamma, "gamma", psd=True, n=4)
+        object.__setattr__(self, "gamma", _readonly(u * s))
 
     @classmethod
     def zero(cls) -> "DiffusionMatrix":
@@ -257,8 +253,9 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float).reshape(4)
         if not np.isfinite(mean).all():
             raise DomainError("mean must be finite")
+        u, s = _symmetric(self.V, "V", n=4)
         object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "V", _readonly(_symmetric(self.V, "V", n=4)))
+        object.__setattr__(self, "V", _readonly(u * s))
 
 
 def ground_state() -> GaussianState:

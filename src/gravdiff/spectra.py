@@ -27,15 +27,14 @@ breakdown. The closed forms of both models serve the test suite as oracles.
 Only r(w) = row 0 of (-i w - A)^{-1} is needed, and D is real symmetric, so
 S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call takes A^T to
 dimensionless units by the exact power-of-two diagonal t nearest to the
-ratios of :func:`gravdiff.model.quadrature_scales` (hbar cancels and is left
-out) and reads it in Hessenberg form h (A. J. Laub, IEEE TAC 26:407, 1981)
-by interleaving each body's position and momentum, (x1, p1, x2, p2): a
-body's position moves with its own momentum alone and no momentum drives
-another, so nothing lies below h's subdiagonal and no entry is rounded.
-Then r^T = t P y, P the interleaving, where
-(-i w - h) y = e0 is solved for a block of frequencies at a time by n - 1
-eliminations with partial pivoting between adjacent rows and back
-substitution: O(n^2) work per frequency and no LAPACK call.
+ratios of :func:`gravdiff.model.quadrature_scales` (hbar cancels) and reads
+it in Hessenberg form h (A. J. Laub, IEEE TAC 26:407, 1981) by interleaving
+each body's position and momentum, (x1, p1, x2, p2): a body's position moves
+with its own momentum alone and no momentum drives another, so nothing lies
+below h's subdiagonal and no entry is rounded. Then r^T = t P y, P the
+interleaving, where (-i w - h) y = e0 is solved for a block of frequencies
+at a time by n - 1 eliminations with partial pivoting between adjacent rows
+and back substitution: O(n^2) work per frequency and no LAPACK call.
 
 Singular pivots: a pivot no larger than 4 n eps (||h||_1 + |w|), eps the
 float64 machine epsilon, is within the rounding of the elimination of zero,
@@ -47,7 +46,7 @@ of the state: a lighter mass does not widen it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from .model import (
     _view,
     langevin_model,
     mobile_momenta,
-    quadrature_scales,
 )
 
 __all__ = [
@@ -145,17 +143,25 @@ def thermal_force_density(omega, setup: PhysicalSetup) -> np.ndarray:
 _FREQ_BLOCK = 1024
 
 
-def _reduce(A: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(A: np.ndarray, sys: LinearizedSystem,
+            partner_fixed: bool) -> tuple[np.ndarray, np.ndarray]:
     """(h, lift) with h upper Hessenberg and row 0 of (-i w - A)^-1 equal to
-    lift (-i w - h)^-1 e0 at every w, for A a :func:`langevin_model` drift of
-    one or two bodies, positions before momenta, and its state's quadrature
-    ``scales``. For t the powers of two nearest to scales[0] / scales,
-    t^-1 A^T t is A^T in dimensionless units, exactly, and upper Hessenberg in
-    the order (x1, p1, x2, p2): x_j moves with p_j alone and no momentum
-    drives another. So h is it permuted, and lift that permutation scaled by t."""
-    t = np.exp2(np.round(np.log2(scales[0] / scales)))
+    lift (-i w - h)^-1 e0 at every w, for A the :func:`langevin_model` drift
+    of ``sys``. For s its state's quadrature scales without hbar and t the
+    powers of two nearest to s0 / s, t^-1 A^T t is A^T in dimensionless units,
+    exactly, and upper Hessenberg in the order (x1, p1, x2, p2): x_j moves
+    with p_j alone and no momentum drives another. So h is it permuted, and
+    lift that permutation scaled by t; t = 1 where t or an entry of h would
+    leave the normal float range (m Omega near its ends)."""
+    # log2 s = -+ log2(m Omega) / 2: in logs, no product m Omega can overflow
+    half = 0.5 * (np.log2([sys.m1, sys.m2]) + np.log2([sys.Omega1, sys.Omega2]))
+    log_s = np.concatenate([-half, half])[::2 if partner_fixed else 1]
+    e = np.round(log_s[0] - log_s).astype(int)
+    moved = np.frexp(A.T)[1] + e - e[:, None]   # an entry's exponent in h
+    if np.abs(e).max() > 1000 or ((A.T != 0) & ((moved > 1024) | (moved < -1021))).any():
+        e[:] = 0
     order = np.arange(len(A)).reshape(2, -1).T.ravel()
-    return (A.T * t / t[:, None])[np.ix_(order, order)], np.diag(t)[:, order]
+    return np.ldexp(A.T, e - e[:, None])[np.ix_(order, order)], np.diag(np.exp2(e))[:, order]
 
 
 def _require_pivots(size: np.ndarray, tol: np.ndarray) -> None:
@@ -214,9 +220,7 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
         g - np.diag(diag),                      # every cross entry
     ]), partner_fixed)
     n = len(A)
-    # hbar cancels from the similarity, and left out it cannot underflow
-    scales = quadrature_scales(replace(sys, hbar=1.0))
-    h, lift = _reduce(A, scales[::2] if partner_fixed else scales)
+    h, lift = _reduce(A, sys, partner_fixed)
     # The thermal part is hbar^2 k(w) sum_i m_i |r_i|^2, k the kernel per unit mass.
     masses = np.zeros((n, n))
     for i, m in mobile_momenta(setup, partner_fixed):

@@ -230,6 +230,16 @@ def _evolve_with(V0=None, Hbar=(), gamma_bar=()):
     return evolve_covariance_dimensionless(V0, *matrices, 0.01, 1e-3)
 
 
+def _near_psd(front_end):
+    """Run a typed evolution front end on a gamma that passes the matrix rule
+    in SI units (min eigenvalue -5e-11 against a norm of sqrt(2)) but not in
+    the quadratures of m = 1e-15 kg at Omega = 1e5 rad/s, where its
+    position block is 1e-24 and its momentum block 1e-44 of its SI size."""
+    setup = PhysicalSetup(m1=1e-15, m2=1e-15, omega1=1e5, omega2=1e5, d=1e-5, eta=1e-2)
+    gamma = DiffusionMatrix(np.diag([-5e-11, 0.0, 1.0, 1.0]))
+    return front_end(ground_state(), linearize(setup), gamma, 1e-7, 1e-8)
+
+
 MATRIX_RULE = {
     "com_reduction_asymmetric_at_1e200": (
         PSDError, "position block must be symmetric",
@@ -249,6 +259,12 @@ MATRIX_RULE = {
         lambda: _evolve_with(Hbar=[((0, 1), 0.3), ((1, 0), 0.0)])),
     "evolve_dimensionless_gamma_bar_not_psd": (
         PSDError, "gamma_bar is not PSD", lambda: _evolve_with(gamma_bar=[((0, 0), -1.0)])),
+    "evolve_gamma_not_psd_in_quadratures": (
+        PSDError, "gamma is not PSD in the dimensionless quadratures: gamma_bar is not PSD",
+        lambda: _near_psd(evolve_covariance)),
+    "onset_gamma_not_psd_in_quadratures": (
+        PSDError, "gamma is not PSD in the dimensionless quadratures: gamma_bar is not PSD",
+        lambda: _near_psd(entanglement_onset)),
     "evolve_dimensionless_Hbar_nan": (
         DomainError, "Hbar must be finite", lambda: _evolve_with(Hbar=[((0, 0), np.nan)])),
     "evolve_dimensionless_V0_nan": (

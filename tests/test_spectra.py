@@ -15,6 +15,7 @@ from gravdiff.model import (
     PhysicalSetup,
     langevin_model,
     linearize,
+    pendulum_system,
     quadrature_scales,
 )
 from gravdiff.montecarlo import NoiseModel, effective_frequency, stationary_covariance
@@ -323,23 +324,17 @@ def lapack_rows(A, w):
     return np.linalg.solve((-1j * w)[:, None, None] * np.eye(n) - A.T, e0)[..., 0]
 
 
-def drift_scales(sys, partner_fixed):
-    """The quadrature scales of a langevin_model state, without hbar."""
-    s = quadrature_scales(dataclasses.replace(sys, hbar=1.0))
-    return s[::2] if partner_fixed else s
-
-
-def shifted_rows(A, scales, w):
+def shifted_rows(A, sys, partner_fixed, w):
     """The same rows from one Hessenberg reduction and O(n^2) shifted solves."""
-    h, lift = spectra._reduce(A, scales)
+    h, lift = spectra._reduce(A, sys, partner_fixed)
     r = spectra._resolvent_rows(h, lift, w)
     return (r[:, :len(w)] + 1j * r[:, len(w):]).T
 
 
-def worst_row_error(A, scales, w):
+def worst_row_error(A, sys, partner_fixed, w):
     """Largest per-frequency |r - r_lapack|_max / |r_lapack|_2."""
     ref = lapack_rows(A, w)
-    return float(np.max(np.abs(shifted_rows(A, scales, w) - ref).max(axis=1)
+    return float(np.max(np.abs(shifted_rows(A, sys, partner_fixed, w) - ref).max(axis=1)
                         / np.linalg.norm(ref, axis=1)))
 
 
@@ -385,7 +380,7 @@ class TestShiftedSolves:
         sys = linearize(setup)
         A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
         w = np.linspace(-3.0, 3.0, 1001) * sys.Omega1
-        assert worst_row_error(A, drift_scales(sys, partner_fixed), w) < 1e-12
+        assert worst_row_error(A, sys, partner_fixed, w) < 1e-12
 
     @pytest.mark.parametrize("partner_fixed", [True, False])
     def test_langevin_drift_reduces_exactly(self, partner_fixed):
@@ -403,8 +398,8 @@ class TestShiftedSolves:
         perm = np.eye(len(order))[:, order]
         for setup, sys in cases:
             A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
-            s = drift_scales(sys, partner_fixed)
-            h, lift = spectra._reduce(A, s)
+            s = quadrature_scales(dataclasses.replace(sys, hbar=1.0))[::2 if partner_fixed else 1]
+            h, lift = spectra._reduce(A, sys, partner_fixed)
             t = np.diag(lift @ perm.T)
             assert np.array_equal(lift, t[:, None] * perm)
             assert t[0] == 1.0 and np.all(np.frexp(t)[0] == 0.5)
@@ -436,8 +431,21 @@ class TestShiftedSolves:
         # Q = 1e10 exactly on resonance: conditioned at about 1e10, not singular
         for setup, sys in self.random_resonances(1e-10):
             A, _ = langevin_model(setup, sys, np.zeros((4, 4)), partner_fixed)
-            scales = drift_scales(sys, partner_fixed)
-            assert worst_row_error(A, scales, np.array([sys.Omega1])) < 1e-4
+            assert worst_row_error(A, sys, partner_fixed, np.array([sys.Omega1])) < 1e-4
+
+    @pytest.mark.parametrize("dns, oracle", [(dns_fixed_source, fixed_source_oracle),
+                                             (dns_symmetric_pair, symmetric_pair_oracle)])
+    def test_dimensionless_drift_beyond_float_range(self, rng, dns, oracle):
+        # m Omega = 1e-310: the power of two t for p1 would be 2^1030 and the
+        # dimensionless drift has entries near 1e310, so the reduction keeps
+        # A^T as it stands (t = 1) and the spectrum still meets the closed form
+        setup = damped_setup(eta=0.1)
+        sys = pendulum_system(setup, 1e-310)
+        w = np.linspace(0.05, 3.0, 257)
+        for _ in range(5):
+            gamma = symmetric_gamma(rng, 1e58)
+            spec = dns(setup, sys, gamma, w)
+            assert worst_component_error(spec, oracle(setup, sys, gamma, w)) <= 1e-12
 
 
 class TestVarianceAgainstHamiltonian:
