@@ -3,10 +3,13 @@
 Requiring that the two-mode ground state does not entangle at short times
 yields a one-parameter family of necessary conditions on the dimensionless
 diffusion matrix gamma_bar (one per relative phase alpha of the probe
-direction). Taking the phase that maximizes the interaction side gives the
-trace condition; positive semidefiniteness of gamma_bar then weakens it to a
-plain trace bound, whose dimensional form can be minimized over trap
-frequencies to give the frequency-free final bound
+direction). Taking the phase that maximizes the interaction side,
+alpha = pi/2, gives the trace condition. It is the family's one formula at
+cos alpha = 0 and sin alpha = 1 exactly, not a second formula; its closed
+form Tr[gamma_bar] - 2 (gb_14 + gb_23) >= 2 Kbar is the tests' oracle.
+Positive semidefiniteness of gamma_bar then weakens it to a plain trace
+bound, whose dimensional form can be minimized over trap frequencies to give
+the frequency-free final bound
 
     gamma_11 + m^2 w^2 gamma_33 >= G m^2 / (hbar d^3)     (equal masses).
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SymmetryError, require
+from .errors import DomainError, SymmetryError, power, require
 from .model import (
     DiffusionMatrix,
     LinearizedSystem,
@@ -55,7 +58,7 @@ __all__ = [
 
 MARGIN_RTOL = 1e-9
 
-# Relative tolerances of the equal-mass test and of com_reduction's range check.
+# Relative tolerances of the one equality rule (_equal) and of com_reduction's range check.
 EQUAL_MASS_RTOL = 1e-9
 COM_RTOL = 1e-9
 
@@ -87,6 +90,15 @@ def _report(bound_id: str, lhs: float, rhs: float) -> BoundReport:
     )
 
 
+def _chain_report(bound_id: str, lhs: float, rhs: float) -> BoundReport:
+    """_report of a member that reads gamma_bar; DomainError when its lhs or
+    rhs is not finite, an O(1) check on the two sides, not on the entries."""
+    if not (abs(lhs) < np.inf and abs(rhs) < np.inf):
+        raise DomainError(f"gamma_bar and Kbar must give a finite {bound_id} bound, "
+                          f"got lhs = {lhs:.6e}, rhs = {rhs:.6e}")
+    return _report(bound_id, lhs, rhs)
+
+
 def _as_matrix(gamma_bar) -> np.ndarray:
     g = gamma_bar.matrix if isinstance(gamma_bar, DiffusionMatrix) else np.asarray(gamma_bar, dtype=float)
     if g.shape != (4, 4):
@@ -94,46 +106,54 @@ def _as_matrix(gamma_bar) -> np.ndarray:
     return g
 
 
+def _alpha_member(bound_id: str, gamma_bar, sys: LinearizedSystem,
+                  cos_a: float, sin_a: float) -> BoundReport:
+    """The family's one formula (:func:`alpha_bound`) at cos alpha = cos_a, sin alpha = sin_a."""
+    g = _as_matrix(gamma_bar)
+    lhs = np.trace(g) + 2.0 * (g[0, 1] - g[2, 3]) * cos_a - 2.0 * (g[0, 3] + g[1, 2]) * sin_a
+    return _chain_report(bound_id, lhs, 2.0 * dimensionless_coupling(sys) * sin_a)
+
+
 def alpha_bound(gamma_bar, sys: LinearizedSystem, alpha: float) -> BoundReport:
     """Phase-resolved ground-state separability condition.
 
     lhs = Tr[gamma_bar] + 2 (gb_12 - gb_34) cos a - 2 (gb_14 + gb_23) sin a,
     rhs = 2 Kbar sin a, with Kbar the dimensionless coupling. Each alpha in
-    [0, 2 pi) gives a necessary condition.
+    [0, 2 pi) gives a necessary condition. DomainError for a non-finite
+    alpha, or a gamma_bar whose lhs is not finite.
     """
-    g = _as_matrix(gamma_bar)
-    kbar = dimensionless_coupling(sys)
-    lhs = (
-        np.trace(g)
-        + 2.0 * (g[0, 1] - g[2, 3]) * np.cos(alpha)
-        - 2.0 * (g[0, 3] + g[1, 2]) * np.sin(alpha)
-    )
-    rhs = 2.0 * kbar * np.sin(alpha)
-    return _report("alpha", lhs, rhs)
+    if not abs(alpha) < np.inf:
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
+    return _alpha_member("alpha", gamma_bar, sys, np.cos(alpha), np.sin(alpha))
 
 
 def strongest_bound(gamma_bar, sys: LinearizedSystem) -> BoundReport:
-    """Trace condition at the interaction-maximizing phase alpha = pi/2:
-
-    Tr[gamma_bar] - 2 (gb_14 + gb_23) >= 2 Kbar.
-    """
-    g = _as_matrix(gamma_bar)
-    kbar = dimensionless_coupling(sys)
-    lhs = np.trace(g) - 2.0 * (g[0, 3] + g[1, 2])
-    return _report("trace", lhs, 2.0 * kbar)
+    """Trace condition: the alpha family at the interaction-maximizing phase
+    alpha = pi/2, with cos alpha = 0 and sin alpha = 1 exactly."""
+    return _alpha_member("trace", gamma_bar, sys, 0.0, 1.0)
 
 
 def weak_bound(gamma_bar, sys: LinearizedSystem) -> BoundReport:
     """PSD-weakened trace bound Tr[gamma_bar] >= Kbar."""
     g = _as_matrix(gamma_bar)
     kbar = dimensionless_coupling(sys)
-    return _report("weak-trace", np.trace(g), kbar)
+    return _chain_report("weak-trace", np.trace(g), kbar)
+
+
+def _equal(a: float, b: float) -> bool:
+    """The one equality rule: a = b to EQUAL_MASS_RTOL of the larger magnitude."""
+    return abs(a - b) <= EQUAL_MASS_RTOL * max(abs(a), abs(b))
 
 
 def _require_equal_masses(m1: float, m2: float) -> float:
-    if abs(m1 - m2) > EQUAL_MASS_RTOL * max(m1, m2):
+    if not _equal(m1, m2):
         raise SymmetryError(f"equal masses required: m1 = {m1!r}, m2 = {m2!r}")
     return 0.5 * (m1 + m2)
+
+
+def _budget(setup: PhysicalSetup, m: float) -> float:
+    """G m^2 / (hbar d^3): the final bound's rhs for the equal mass m."""
+    return setup.G * power("m", m, 2) / (setup.hbar * power("d", setup.d, 3, nonzero=True))
 
 
 def dimensional_bound(gamma: DiffusionMatrix, sys: LinearizedSystem,
@@ -149,7 +169,7 @@ def dimensional_bound(gamma: DiffusionMatrix, sys: LinearizedSystem,
     g = gamma.matrix
     m = _require_equal_masses(sys.m1, sys.m2)
     O1, O2 = sys.Omega1, sys.Omega2
-    mom_factor = 1.0 if paper_literal else m**2
+    mom_factor = 1.0 if paper_literal else power("m", m, 2)
     lhs = O2 * g[0, 0] + O1 * g[1, 1] + mom_factor * O1 * O2 * (O1 * g[2, 2] + O2 * g[3, 3])
     rhs = (sys.K / sys.hbar) * np.sqrt(O1 * O2)
     bound_id = "dimensional-literal" if paper_literal else "dimensional"
@@ -166,15 +186,11 @@ def final_bound(gamma: DiffusionMatrix, setup: PhysicalSetup, omega: float) -> B
     require("omega", omega)
     m = _require_equal_masses(setup.m1, setup.m2)
     g = gamma.matrix
-    scale = max(abs(g[0, 0]), abs(g[1, 1]), 1e-300)
-    if abs(g[0, 0] - g[1, 1]) > 1e-9 * scale:
-        raise SymmetryError("exchange symmetry required: gamma11 != gamma22")
-    scale_p = max(abs(g[2, 2]), abs(g[3, 3]), 1e-300)
-    if abs(g[2, 2] - g[3, 3]) > 1e-9 * scale_p:
-        raise SymmetryError("exchange symmetry required: gamma33 != gamma44")
-    lhs = g[0, 0] + m**2 * omega**2 * g[2, 2]
-    rhs = setup.G * m**2 / (setup.hbar * setup.d**3)
-    return _report("final", lhs, rhs)
+    for i in (1, 3):
+        if not _equal(g[i - 1, i - 1], g[i, i]):
+            raise SymmetryError(f"exchange symmetry required: gamma{i}{i} != gamma{i + 1}{i + 1}")
+    lhs = g[0, 0] + power("m", m, 2) * power("omega", omega, 2) * g[2, 2]
+    return _report("final", lhs, _budget(setup, m))
 
 
 def minimal_diffusion(setup: PhysicalSetup, mode: str,
@@ -198,20 +214,21 @@ def minimal_diffusion(setup: PhysicalSetup, mode: str,
     All three saturate g11 + m^2 omega^2 g33 = G m^2 / (hbar d^3).
     """
     m = _require_equal_masses(setup.m1, setup.m2)
-    budget = setup.G * m**2 / (setup.hbar * setup.d**3)
+    budget = _budget(setup, m)
     if mode in ("momentum-only", "mixed"):
         if omega is None:
             raise DomainError(f"{mode} allocation requires a positive omega")
         require("omega", omega)
+        inertia = power("m", m, 2) * power("omega", omega, 2)
     g = np.zeros((4, 4))
     if mode == "position-only":
         g[0, 0] = g[1, 1] = budget
     elif mode == "momentum-only":
-        g[2, 2] = g[3, 3] = budget / (m**2 * omega**2)
+        g[2, 2] = g[3, 3] = budget / inertia
     elif mode == "mixed":
         g11 = 0.5 * budget
         g[0, 0] = g[1, 1] = g11
-        g[2, 2] = g[3, 3] = g11 / (m**2 * omega**2)
+        g[2, 2] = g[3, 3] = g11 / inertia
         g[0, 3] = g[3, 0] = g[1, 2] = g[2, 1] = -g11 / (m * omega)
     else:
         raise DomainError(f"unknown mode {mode!r}; expected position-only, momentum-only "

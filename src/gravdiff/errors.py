@@ -4,7 +4,8 @@ Every toolkit error derives from GravdiffError. :func:`gravdiff.cli.main` is
 the one place that maps exceptions to the CLI's exit codes. :func:`require`
 is the single producer of range refusals ("m1 must be positive and finite,
 got -1.0"); their first word is the field that :func:`gravdiff.config._build`
-maps to a config key.
+maps to a config key. :func:`power` refuses, by name, a square or cube of a
+finite value that leaves the float range.
 """
 
 import math
@@ -61,3 +62,16 @@ def require(name: str, value: float, low: float = 0.0, *, strict: bool = True,
         else:
             bound = f"{'>' if strict else '>='} {low:g}"
         raise error(f"{name} must be {bound} and finite, got {value!r}")
+
+
+def power(name: str, value: float, n: int, nonzero: bool = False) -> float:
+    """float(value)**n, or DomainError naming ``name`` when it overflows a
+    float or, where ``nonzero`` (a divisor), underflows to 0. The float turns
+    a numpy scalar's overflow warning into the OverflowError caught here."""
+    try:
+        result = float(value)**n
+    except OverflowError:
+        result = None
+    if result is None or nonzero and result == 0.0:
+        raise DomainError(f"{name}**{n} is out of floating-point range for {name} = {value:g}")
+    return result

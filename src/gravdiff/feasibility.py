@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import G_NEWTON, HBAR, KB, OSMIUM_DENSITY
-from .errors import DomainError, require
+from .errors import DomainError, power, require
 from .model import check_constants
 from .spectra import gravitational_frequency
 
@@ -44,14 +44,6 @@ __all__ = [
 # parameters to one significant figure, which lands within a few percent of
 # the exact boundary; a strict inequality would misclassify it.
 VERDICT_RTOL = 0.10
-
-
-def _cube(value: float, name: str) -> float:
-    """value**3, or DomainError when a finite dial's cube overflows a float."""
-    try:
-        return value**3
-    except OverflowError:
-        raise DomainError(f"{name}**3 is out of floating-point range for {name} = {value:g}") from None
 
 
 # Config key -> FeasibilityParams field: the design dials, in report order,
@@ -94,7 +86,7 @@ class FeasibilityParams:
     @property
     def m(self) -> float:
         """Sphere mass (4 pi / 3) rho R^3 [kg]."""
-        return (4.0 * math.pi / 3.0) * self.rho * _cube(self.R, "R")
+        return (4.0 * math.pi / 3.0) * self.rho * power("R", self.R, 3)
 
     @property
     def d(self) -> float:
@@ -128,7 +120,7 @@ REFERENCE_PENDULUM = FeasibilityParams(
 
 def gravitational_heating_rate(params: FeasibilityParams) -> float:
     """Minimum gravitational heating rate Gamma_G = pi w_G^2 / (12 beta^3 Omega)."""
-    return math.pi * params.omega_G**2 / (12.0 * _cube(params.beta, "beta") * params.Omega)
+    return math.pi * params.omega_G**2 / (12.0 * power("beta", params.beta, 3) * params.Omega)
 
 
 def thermal_heating_rate(params: FeasibilityParams) -> float:

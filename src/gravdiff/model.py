@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_NEWTON, HBAR, KB
-from .errors import DomainError, PSDError, StabilityError, require
+from .errors import DomainError, PSDError, StabilityError, power, require
 
 __all__ = [
     "PhysicalSetup",
@@ -146,28 +146,23 @@ class PhysicalSetup:
     @property
     def coupling(self) -> float:
         """Bilinear gravitational spring constant K = 2 G m1 m2 / d^3 [N/m]."""
-        return 2.0 * self.G * self.m1 * self.m2 / self.d**3
+        return 2.0 * self.G * self.m1 * self.m2 / power("d", self.d, 3, nonzero=True)
 
     def renormalized_frequencies(self) -> tuple[float, float]:
         """(Omega1, Omega2) with Omega_i^2 = omega_i^2 - 2 G m_j / d^3 (j != i).
 
         Raises StabilityError when a squared frequency is non-positive.
         """
-        g1 = 2.0 * self.G * self.m2 / self.d**3
-        g2 = 2.0 * self.G * self.m1 / self.d**3
-        Om1_sq = self.omega1**2 - g1
-        Om2_sq = self.omega2**2 - g2
-        if Om1_sq <= 0.0:
-            raise StabilityError(
-                f"oscillator 1 unstable: omega1^2 = {self.omega1**2:.6e} <= "
-                f"2 G m2 / d^3 = {g1:.6e}"
-            )
-        if Om2_sq <= 0.0:
-            raise StabilityError(
-                f"oscillator 2 unstable: omega2^2 = {self.omega2**2:.6e} <= "
-                f"2 G m1 / d^3 = {g2:.6e}"
-            )
-        return float(np.sqrt(Om1_sq)), float(np.sqrt(Om2_sq))
+        d3 = power("d", self.d, 3, nonzero=True)
+        Omegas = []
+        for i, omega, m_j in ((1, self.omega1, self.m2), (2, self.omega2, self.m1)):
+            pull = 2.0 * self.G * m_j / d3
+            omega_sq = power(f"omega{i}", omega, 2)
+            if omega_sq - pull <= 0.0:
+                raise StabilityError(f"oscillator {i} unstable: omega{i}^2 = {omega_sq:.6e} <= "
+                                     f"2 G m{3 - i} / d^3 = {pull:.6e}")
+            Omegas.append(math.sqrt(omega_sq - pull))
+        return tuple(Omegas)
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,8 @@ class LinearizedSystem:
         """Read-only symmetric 4x4 coefficient matrix of the quadratic form
         over (x1, x2, p1, p2): oscillators m_i Omega_i^2 coupled by the
         bilinear spring K."""
-        H = np.diag([self.m1 * self.Omega1**2, self.m2 * self.Omega2**2,
+        H = np.diag([self.m1 * power("Omega1", self.Omega1, 2),
+                     self.m2 * power("Omega2", self.Omega2, 2),
                      1.0 / self.m1, 1.0 / self.m2])
         H[0, 1] = H[1, 0] = self.K
         return _readonly(H)
@@ -202,7 +198,8 @@ class LinearizedSystem:
     def H_fixed(self) -> np.ndarray:
         """Read-only 2x2 form over (x1, p1) with the partner held fixed, its
         spring K added to x1's restoring force: diag(m1 Omega1^2 + K, 1/m1)."""
-        return _readonly(np.diag([self.m1 * self.Omega1**2 + self.K, 1.0 / self.m1]))
+        k = self.m1 * power("Omega1", self.Omega1, 2) + self.K
+        return _readonly(np.diag([k, 1.0 / self.m1]))
 
     def min_period(self) -> float:
         return 2.0 * np.pi / max(self.Omega1, self.Omega2)
@@ -281,11 +278,12 @@ def linearize(setup: PhysicalSetup) -> LinearizedSystem:
 
     # x-block of H must be positive definite for the coupled system to have a
     # stable equilibrium; Omega_i^2 > 0 alone does not guarantee it.
-    det_x = (m1 * Om1**2) * (m2 * Om2**2) - K**2
+    K_sq = power("K", K, 2)
+    det_x = (m1 * Om1**2) * (m2 * Om2**2) - K_sq
     if det_x <= 0.0:
         raise StabilityError(
             f"coupled system unstable: m1*Omega1^2 * m2*Omega2^2 = "
-            f"{(m1 * Om1**2) * (m2 * Om2**2):.6e} <= K^2 = {K**2:.6e}"
+            f"{(m1 * Om1**2) * (m2 * Om2**2):.6e} <= K^2 = {K_sq:.6e}"
         )
 
     if K == 0.0:

@@ -212,6 +212,8 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
     """S_x1x1(w) = Re r D(w) Re r^T + Im r D(w) Im r^T with r = row 0 of
     (-i w - A)^{-1}, per part of D."""
     w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    if not np.isfinite(w).all():
+        raise DomainError("omega_grid must be finite")
     g = gamma.matrix
     diag = np.diag(g)
     A, parts = langevin_model(setup, sys, np.stack([

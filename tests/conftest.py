@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from gravdiff.errors import DomainError, PSDError
-from gravdiff.model import DiffusionMatrix, PhysicalSetup, linearize
+from gravdiff.model import DiffusionMatrix, PhysicalSetup, dimensionless_coupling, linearize
 
 
 def random_psd(rng, n=4, scale=1.0):
@@ -16,6 +16,14 @@ def random_psd_batch(rng, count, n=4, scale=1.0):
     """(count, n, n) stack of PSD matrices."""
     G = rng.standard_normal((count, n, n))
     return scale * np.einsum("bij,bkj->bik", G, G)
+
+
+def trace_condition_oracle(g, sys):
+    """(lhs, rhs) of the trace condition in closed form, the paper's
+    Tr[gamma_bar] - 2 (gb_14 + gb_23) >= 2 Kbar: the oracle of
+    gravdiff.bounds.strongest_bound, which evaluates the alpha family's one
+    formula at alpha = pi/2 instead."""
+    return np.trace(g) - 2.0 * (g[0, 3] + g[1, 2]), 2.0 * dimensionless_coupling(sys)
 
 
 def assert_immutable(arr):

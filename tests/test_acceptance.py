@@ -38,7 +38,7 @@ from gravdiff.montecarlo import (
 )
 from gravdiff.spectra import dns_fixed_source, dns_symmetric_pair, gravitational_frequency
 
-from conftest import make_diffusion, strong_coupling_setup
+from conftest import make_diffusion, strong_coupling_setup, trace_condition_oracle
 
 
 def report(line: str):
@@ -140,7 +140,11 @@ class TestCriterion4BoundChain:
         for g in gammas:
             at_max = alpha_bound(g, sys, np.pi / 2)
             trace = strongest_bound(g, sys)
-            gap = abs(at_max.margin - trace.margin)
+            # both members against the paper's closed form: the trace
+            # condition exactly, the family at alpha = pi/2 to 1e-10
+            lhs, rhs = trace_condition_oracle(g, sys)
+            assert (trace.lhs, trace.rhs) == (lhs, rhs)
+            gap = abs(at_max.margin - (lhs - rhs))
             max_gap = max(max_gap, gap)
             assert gap <= 1e-10
             if trace.satisfied:
@@ -148,7 +152,8 @@ class TestCriterion4BoundChain:
                 assert weak_bound(g, sys).satisfied
         assert implications > 0
         report(f"criterion 4 PASS: over {n} PSD draws, max |alpha-max margin - "
-               f"trace margin| = {max_gap:.2e} (<= 1e-10); trace => weak-trace "
+               f"closed-form trace margin| = {max_gap:.2e} (<= 1e-10), trace lhs and "
+               f"rhs equal to the closed form; trace => weak-trace "
                f"held in all {implications} satisfied cases")
 
 

@@ -1,9 +1,12 @@
 """Separability-bound chain, bound-saturating matrices, center-of-mass sum."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gravdiff.bounds import (
+    EQUAL_MASS_RTOL,
     alpha_bound,
     com_reduction,
     dimensional_bound,
@@ -28,6 +31,7 @@ from conftest import (
     assert_matrix_rule_at_scale,
     random_psd_batch,
     strong_coupling_setup,
+    trace_condition_oracle,
 )
 
 # Independent one-line evaluation of G m^2 / (hbar d^3), m = 2.55 kg, d = 6 cm.
@@ -72,8 +76,19 @@ class TestAlphaBound:
     def test_analytic_quarter_phase_equals_trace_bound(self, coupled_sys, rng):
         for g in random_psd_batch(rng, 100, scale=0.2):
             a = alpha_bound(g, coupled_sys, np.pi / 2)
-            s = strongest_bound(g, coupled_sys)
-            assert a.margin == pytest.approx(s.margin, rel=1e-12, abs=1e-15)
+            lhs, rhs = trace_condition_oracle(g, coupled_sys)
+            assert a.margin == pytest.approx(lhs - rhs, rel=1e-12, abs=1e-15)
+
+    def test_trace_condition_is_closed_form_bit_for_bit(self, coupled_sys, rng):
+        # D g D keeps g PSD and spreads its entries over 1e-60 to 1e60
+        for g in random_psd_batch(rng, 2000):
+            D = np.diag(10.0 ** rng.uniform(-30.0, 30.0, 4))
+            g = D @ g @ D
+            rep = strongest_bound(g, coupled_sys)
+            lhs, rhs = trace_condition_oracle(g, coupled_sys)
+            assert (rep.lhs.hex(), rep.rhs.hex()) == (float(lhs).hex(), float(rhs).hex())
+            assert rep.bound_id == "trace"
+            assert rep.margin == rep.lhs - rep.rhs
 
     def test_phase_minimized_margin_equals_trace_margin_when_applicable(self, coupled_sys, rng):
         # with gb_12 = gb_34 and gb_14 + gb_23 >= -Kbar the worst phase is
@@ -166,6 +181,40 @@ class TestFinalBound:
         g = np.diag([1.0, 2.0, 0.0, 0.0])
         with pytest.raises(SymmetryError):
             final_bound(DiffusionMatrix(g), sym, omega=1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-305])
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 3)])
+    def test_exchange_symmetry_is_the_equality_rule(self, scale, pair):
+        # one relative rule at every scale: just inside EQUAL_MASS_RTOL passes,
+        # just past it is refused, also where both entries lie below 1e-300
+        setup = PhysicalSetup(m1=2.0, m2=2.0, omega1=1.0, omega2=1.0, d=0.06)
+        for excess, refused in ((0.99, False), (1.01, True)):
+            g = np.zeros((4, 4))
+            g[pair[0], pair[0]] = scale
+            g[pair[1], pair[1]] = scale * (1.0 + excess * EQUAL_MASS_RTOL)
+            if not refused:
+                final_bound(DiffusionMatrix(g), setup, omega=1.0)
+                continue
+            i, j = pair[0] + 1, pair[1] + 1
+            message = f"exchange symmetry required: gamma{i}{i} != gamma{j}{j}"
+            with pytest.raises(SymmetryError, match=f"^{re.escape(message)}$"):
+                final_bound(DiffusionMatrix(g), setup, omega=1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda setup: final_bound(DiffusionMatrix.zero(), setup, omega=1.0),
+        lambda setup: minimal_diffusion(setup, "position-only"),
+        lambda setup: dimensional_bound(DiffusionMatrix.zero(), linearize(setup)),
+    ])
+    def test_equal_masses_is_the_equality_rule(self, call):
+        for excess, refused in ((0.99, False), (1.01, True)):
+            m2 = 2.0 * (1.0 + excess * EQUAL_MASS_RTOL)
+            setup = PhysicalSetup(m1=2.0, m2=m2, omega1=1.0, omega2=1.0, d=0.06)
+            if not refused:
+                call(setup)
+                continue
+            message = f"equal masses required: m1 = 2.0, m2 = {m2!r}"
+            with pytest.raises(SymmetryError, match=f"^{re.escape(message)}$"):
+                call(setup)
 
     def test_frequency_sweep_equivalence(self, rng):
         # gamma frequency independent: the dimensional bound over an

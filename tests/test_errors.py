@@ -2,7 +2,9 @@
 above its bound, with the error type asked for and a message that opens
 with the field's name; and every public call that reaches a require site
 refuses NaN, +inf and a value below its bound that way, instead of
-returning NaN or inf. Then the one matrix rule, the same way."""
+returning NaN or inf. Then the refusals by name of derived powers out of
+range and of non-finite grids, phases and bound sides, and the one matrix
+rule, the same way."""
 
 import dataclasses
 import math
@@ -11,7 +13,8 @@ import struct
 import numpy as np
 import pytest
 
-from gravdiff.bounds import com_reduction, final_bound, minimal_diffusion
+from gravdiff.bounds import (alpha_bound, com_reduction, final_bound, minimal_diffusion,
+                             strongest_bound, weak_bound)
 from gravdiff.constants import G_NEWTON
 from gravdiff.dynamics import (entanglement_onset, evolve_covariance,
                                evolve_covariance_dimensionless)
@@ -21,8 +24,9 @@ from gravdiff.feasibility import REFERENCE_PENDULUM, required_integration_time
 from gravdiff.model import (DiffusionMatrix, GaussianState, PhysicalSetup, check_constants,
                             ground_state, linearize, pendulum_system, to_dimensionless)
 from gravdiff.manifest import read_raw_trajectories, write_raw_trajectories
-from gravdiff.montecarlo import NoiseModel, TrajectoryEnsemble, desk_rescale, reheating_run, simulate
-from gravdiff.spectra import gravitational_frequency
+from gravdiff.montecarlo import (NoiseModel, TrajectoryEnsemble, desk_rescale,
+                                 effective_frequency, reheating_run, simulate)
+from gravdiff.spectra import dns_fixed_source, dns_symmetric_pair, gravitational_frequency
 
 FORMS = [(0.0, True, "positive"), (0.0, False, "non-negative"),
          (1.0, False, ">= 1"), (1.0, True, "> 1")]
@@ -209,6 +213,70 @@ def test_empty_or_inconsistent_ensemble_refused(case, tmp_path):
     with pytest.raises(error) as info:
         run(tmp_path)
     assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+# -------------------------------------------------- refused by name, not NaN
+# A finite dial whose square or cube leaves the float range (or, for d^3, a
+# divisor, underflows to 0) is refused by name where the power is formed,
+# not with a bare OverflowError or ZeroDivisionError; a non-finite grid or
+# phase is refused before any solve, cos or sin, and a chain member whose
+# lhs or rhs is not finite is refused, not reported as violated.
+
+def _huge_pendulum(Omega=1e300):
+    setup, _, gamma = _pair()
+    return setup, pendulum_system(setup, Omega), gamma
+
+
+def _with_entry(index, value):
+    g = np.eye(4)
+    g[index] = value
+    return g
+
+
+HUGE_OMEGA = "Omega1**2 is out of floating-point range for Omega1 = 1e+300"
+TINY_D = "d**3 is out of floating-point range for d = 1e-200"
+
+REFUSED_BY_NAME = {
+    "linearize_omega1_squared": (
+        "omega1**2 is out of floating-point range for omega1 = 1e+200",
+        lambda: linearize(_setup_with(omega1=1e200))),
+    "pendulum_H": (HUGE_OMEGA, lambda: _huge_pendulum()[1].H),
+    "pendulum_H_fixed": (HUGE_OMEGA, lambda: _huge_pendulum()[1].H_fixed),
+    "pendulum_H_numpy_Omega": (HUGE_OMEGA, lambda: _huge_pendulum(np.float64(1e300))[1].H),
+    "dns_fixed_source_huge_Omega": (HUGE_OMEGA, lambda: dns_fixed_source(*_huge_pendulum(), [1.0])),
+    "dns_symmetric_pair_huge_Omega": (HUGE_OMEGA,
+                                      lambda: dns_symmetric_pair(*_huge_pendulum(), [1.0])),
+    "effective_frequency_huge_Omega": (HUGE_OMEGA, lambda: effective_frequency(_huge_pendulum()[1])),
+    "coupling_tiny_d": (TINY_D, lambda: _setup_with(d=1e-200).coupling),
+    "linearize_tiny_d": (TINY_D, lambda: linearize(_setup_with(d=1e-200))),
+    "minimal_diffusion_tiny_d": (TINY_D,
+                                 lambda: minimal_diffusion(_setup_with(d=1e-200), "position-only")),
+    **{f"{spectrum.__name__}_{label}": ("omega_grid must be finite",
+                                        lambda spectrum=spectrum, grid=grid: spectrum(*_pair(), grid))
+       for spectrum in (dns_fixed_source, dns_symmetric_pair)
+       for label, grid in (("nan", [math.nan, 1.0]), ("inf", [math.inf]), ("-inf", [-math.inf]))},
+    **{f"alpha_bound_alpha_{alpha}": (f"alpha must be finite, got {alpha!r}",
+                                      lambda alpha=alpha: alpha_bound(np.eye(4), _pair()[1], alpha))
+       for alpha in (math.nan, math.inf, -math.inf)},
+    "alpha_bound_nan_gamma_bar": (
+        "gamma_bar and Kbar must give a finite alpha bound, got lhs = nan",
+        lambda: alpha_bound(_with_entry((0, 1), math.nan), _pair()[1], 0.3)),
+    "strongest_bound_nan_gamma_bar": (
+        "gamma_bar and Kbar must give a finite trace bound, got lhs = nan",
+        lambda: strongest_bound(_with_entry((0, 3), math.nan), _pair()[1])),
+    "weak_bound_infinite_gamma_bar": (
+        "gamma_bar and Kbar must give a finite weak-trace bound, got lhs = inf",
+        lambda: weak_bound(_with_entry((2, 2), math.inf), _pair()[1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_BY_NAME))
+def test_refused_by_name(case):
+    message, run = REFUSED_BY_NAME[case]
+    with pytest.raises(DomainError) as info:
+        run()
+    assert type(info.value) is DomainError
     assert str(info.value).startswith(message)
 
 

@@ -91,9 +91,17 @@ class TestLinearize:
         assert sys.equilibrium_shift[1] == pytest.approx(a2_expected, rel=1e-10)
 
     def test_unstable_trap_raises_and_names_oscillator(self):
-        setup = PhysicalSetup(m1=2.55, m2=2.55, omega1=1e-3, omega2=1.0, d=0.06)
-        with pytest.raises(StabilityError, match="oscillator 1"):
-            linearize(setup)
+        # each oscillator's own test, with the partner's mass in the pull
+        for i in (1, 2):
+            omegas = {"omega1": 1.0, "omega2": 1.0, f"omega{i}": 1e-3}
+            setup = PhysicalSetup(m1=2.55, m2=3.0, d=0.06, **omegas)
+            m_j = setup.m2 if i == 1 else setup.m1
+            pull = 2.0 * setup.G * m_j / setup.d**3
+            message = (f"oscillator {i} unstable: omega{i}^2 = {1e-3**2:.6e} <= "
+                       f"2 G m{3 - i} / d^3 = {pull:.6e}")
+            with pytest.raises(StabilityError) as info:
+                linearize(setup)
+            assert str(info.value) == message
 
     def test_coupled_instability_detected(self):
         # Omega_i^2 > 0 but the x-block loses positive definiteness
