@@ -152,8 +152,14 @@ def _require_equal_masses(m1: float, m2: float) -> float:
 
 
 def _budget(setup: PhysicalSetup, m: float) -> float:
-    """G m^2 / (hbar d^3): the final bound's rhs for the equal mass m."""
-    return setup.G * power("m", m, 2) / (setup.hbar * power("d", setup.d, 3, nonzero=True))
+    """G m^2 / (hbar d^3): the final bound's rhs for the equal mass m;
+    DomainError when it leaves the float range."""
+    scale = setup.hbar * power("d", setup.d, 3, nonzero=True)
+    budget = setup.G * power("m", m, 2) / scale if scale else np.inf
+    if budget == np.inf:
+        raise DomainError(f"G m**2 / (hbar d**3) is out of floating-point range for "
+                          f"m = {m:g}, hbar = {setup.hbar:g}, d = {setup.d:g}")
+    return budget
 
 
 def dimensional_bound(gamma: DiffusionMatrix, sys: LinearizedSystem,

@@ -41,14 +41,13 @@ and ``gamma11 = gamma22``, the position-only diffusion at the final bound.
 from __future__ import annotations
 
 import difflib
-import functools
 import hashlib
 from types import MappingProxyType
 
 import numpy as np
 
 from .bounds import minimal_diffusion
-from .errors import ConfigError, DomainError, PSDError
+from .errors import ConfigError, DomainError, PSDError, require
 from .model import (DiffusionMatrix, LinearizedSystem, PhysicalSetup, linearize,
                     pendulum_system)
 from .feasibility import CONSTANT_FIELDS, DIAL_FIELDS, REFERENCE_PENDULUM, FeasibilityParams
@@ -195,7 +194,9 @@ def system_from_config(cfg: dict) -> tuple[PhysicalSetup, LinearizedSystem, Diff
     trap linearization."""
     setup = setup_from_config(cfg)
     if "Omega_rad_s" in cfg:
-        sys_lin = _build(functools.partial(pendulum_system, setup), _OMEGA_FIELD, cfg)
+        # Only Omega's refusal is the config's: the coupling's own (d**3) stays numeric.
+        _build(lambda Omega: require("Omega", Omega), _OMEGA_FIELD, cfg)
+        sys_lin = pendulum_system(setup, cfg["Omega_rad_s"])
     else:
         sys_lin = linearize(setup)
     return setup, sys_lin, gamma_from_config(cfg)

@@ -145,8 +145,13 @@ class PhysicalSetup:
 
     @property
     def coupling(self) -> float:
-        """Bilinear gravitational spring constant K = 2 G m1 m2 / d^3 [N/m]."""
-        return 2.0 * self.G * self.m1 * self.m2 / power("d", self.d, 3, nonzero=True)
+        """Bilinear gravitational spring constant K = 2 G m1 m2 / d^3 [N/m];
+        DomainError when it leaves the float range."""
+        K = 2.0 * self.G * self.m1 * self.m2 / power("d", self.d, 3, nonzero=True)
+        if K == math.inf:
+            raise DomainError(f"K = 2 G m1 m2 / d**3 is out of floating-point range for "
+                              f"m1 = {self.m1:g}, m2 = {self.m2:g}, d = {self.d:g}")
+        return K
 
     def renormalized_frequencies(self) -> tuple[float, float]:
         """(Omega1, Omega2) with Omega_i^2 = omega_i^2 - 2 G m_j / d^3 (j != i).

@@ -260,8 +260,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert {case: rc for case, rc in codes.items() if rc not in (0, 2, 3)} == {}
         if argv[0] != "feasibility":
-            # d**3 underflows to 0 or overflows: Python's ZeroDivisionError/OverflowError
+            # d**3 underflows to 0 or overflows: refused by name at the arithmetic
             assert codes["d_m", 1e-300] == codes["d_m", 1e300] == 3
+
+    @pytest.mark.parametrize("d,named", [(1e-300, "d**3"), (1e-107, "K = 2 G m1 m2 / d**3")])
+    @pytest.mark.parametrize("command", ["bound", "evolve", "spectrum", "simulate", "reheat"])
+    def test_pendulum_coupling_out_of_range_exit_3_names_it(self, tmp_path, capsys, command, d,
+                                                           named):
+        # With Omega_rad_s the pendulum's K = 2 G m1 m2 / d^3 is formed outside
+        # the config's own refusals: a d whose cube underflows to 0 (1e-300) or
+        # is subnormal (1e-107, K overflows) stays a numeric refusal, exit 3.
+        path = tmp_path / "tiny_d.cfg"
+        cfg = {**parse_config(STABLE_PAIR), "Omega_rad_s": 1.0, "d_m": d}
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in cfg.items()))
+        out = tmp_path / "out"
+        argv = [str(out / "raw.bin") if a == "RAW" else a for a in TINY_RUNS[command]]
+        assert cli.main([command, *argv, "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named} is out of floating-point range for ")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv,flag", [
         (["spectrum", "--grid", "10000000000000000000"], "--grid"),

@@ -252,6 +252,24 @@ REFUSED_BY_NAME = {
     "linearize_tiny_d": (TINY_D, lambda: linearize(_setup_with(d=1e-200))),
     "minimal_diffusion_tiny_d": (TINY_D,
                                  lambda: minimal_diffusion(_setup_with(d=1e-200), "position-only")),
+    # d^3 subnormal, or a mass product that overflows: the quotient K is inf
+    "coupling_subnormal_d": (
+        "K = 2 G m1 m2 / d**3 is out of floating-point range for m1 = 1, m2 = 1, d = 1e-107",
+        lambda: _setup_with(d=1e-107).coupling),
+    "pendulum_subnormal_d": (
+        "K = 2 G m1 m2 / d**3 is out of floating-point range for m1 = 1, m2 = 1, d = 1e-107",
+        lambda: pendulum_system(_setup_with(d=1e-107), 1.0)),
+    "linearize_mass_product": (
+        "K = 2 G m1 m2 / d**3 is out of floating-point range for m1 = 1e+200, m2 = 1e+200, d = 1",
+        lambda: linearize(_setup_with(m1=1e200, m2=1e200, omega1=1e100, omega2=1e100, d=1.0))),
+    # hbar d^3 underflows to 0 (d = 1e-100), or G m^2 / (hbar d^3) overflows (m = 1e150)
+    **{f"{name}_budget_{label}": (
+        f"G m**2 / (hbar d**3) is out of floating-point range for m = {m:g}, hbar = ",
+        lambda run=run, m=m, d=d: run(_setup_with(m1=m, m2=m, d=d)))
+       for name, run in (
+           ("final_bound", lambda setup: final_bound(DiffusionMatrix.zero(), setup, 1.0)),
+           ("minimal_diffusion", lambda setup: minimal_diffusion(setup, "position-only")))
+       for label, m, d in (("underflow", 1.0, 1e-100), ("overflow", 1e150, 1.0))},
     **{f"{spectrum.__name__}_{label}": ("omega_grid must be finite",
                                         lambda spectrum=spectrum, grid=grid: spectrum(*_pair(), grid))
        for spectrum in (dns_fixed_source, dns_symmetric_pair)
