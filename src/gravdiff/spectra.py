@@ -25,23 +25,19 @@ evaluated on each additive part of D, built as one stack, for the component
 breakdown. The closed forms of both models serve the test suite as oracles.
 
 Only r(w) = row 0 of (-i w - A)^{-1} is needed, and D is real symmetric, so
-S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Each call takes A^T to
-dimensionless units by the exact power-of-two diagonal t nearest to the
-ratios of :func:`gravdiff.model.quadrature_scales` (hbar cancels) and reads
-it in Hessenberg form h (A. J. Laub, IEEE TAC 26:407, 1981) by interleaving
-each body's position and momentum, (x1, p1, x2, p2): a body's position moves
-with its own momentum alone and no momentum drives another, so nothing lies
-below h's subdiagonal and no entry is rounded. Then r^T = t P y, P the
-interleaving, where (-i w - h) y = e0 is solved for a block of frequencies
-at a time by n - 1 eliminations with partial pivoting between adjacent rows
-and back substitution: O(n^2) work per frequency and no LAPACK call.
-
-Singular pivots: a pivot no larger than 4 n eps (||h||_1 + |w|), eps the
-float64 machine epsilon, is within the rounding of the elimination of zero,
-so -i w - A is singular to working precision there and the call raises
-DomainError ("spectrum diverges: an undamped resonance lies on the grid").
-Because h is in dimensionless units, the rule does not depend on the units
-of the state: a lighter mass does not widen it.
+S = Re r D Re r^T + Im r D Im r^T in real arithmetic. Over the positions and
+momenta of one or two bodies, A = [[0, A_xp], [A_px, A_pp]] with A_xp = M^-1
+and A_pp = -eta diagonal and A_px = -K_x. For s = -i w and d = s - diag(A_pp),
+the Schur complement of s - A over the positions, Z = s - A_xp diag(1/d) A_px,
+times d_i on row i is W = diag(s d) - A_xp A_px = M^-1 chi^-1, chi the
+mechanical susceptibility (P. R. Saulson, Phys. Rev. D 42:2437, 1990): 1x1 or
+2x2, a rate squared whatever the masses, finite at an undamped body's w = 0.
+Then r = [x d, x A_xp], x = row 0 of W^-1 from its adjugate, elementwise over
+w, in time units of the least 2^e > |w| (e >= 0), exactly, so s d fits. Where
+|det W| <= 4 n eps (n the state size) times the first-order rounding bound of
+det W from its terms' magnitudes, |s d_i| and |(A_xp A_px)_ij|, -i w - A is
+singular to working precision and the call raises DomainError ("spectrum
+diverges: an undamped resonance lies on the grid").
 """
 
 from __future__ import annotations
@@ -132,88 +128,58 @@ def _coth_term(omega: np.ndarray, setup: PhysicalSetup, m: float) -> tuple[np.nd
     return vals, substituted
 
 
+def _grid(omega) -> np.ndarray:
+    """``omega`` as a float array, refused unless every entry is finite."""
+    w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise DomainError("omega_grid must be finite")
+    return w
+
+
 def thermal_force_density(omega, setup: PhysicalSetup) -> np.ndarray:
     """Two-sided thermal force density S_xi(w) = hbar eta m w [1 + coth(...)] [N^2 s]."""
-    vals, _ = _coth_term(omega, setup, setup.m1)
+    vals, _ = _coth_term(_grid(omega), setup, setup.m1)
     return setup.hbar**2 * vals
 
 
-# Frequencies solved per block: bounds the shifted solves' rows and the
+# Frequencies solved per block: bounds the resolvent rows and the
 # quadratic forms' temporaries to one block whatever the grid's length.
 _FREQ_BLOCK = 1024
 
 
-def _reduce(A: np.ndarray, sys: LinearizedSystem,
-            partner_fixed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(h, lift) with h upper Hessenberg and row 0 of (-i w - A)^-1 equal to
-    lift (-i w - h)^-1 e0 at every w, for A the :func:`langevin_model` drift
-    of ``sys``. For s its state's quadrature scales without hbar and t the
-    powers of two nearest to s0 / s, t^-1 A^T t is A^T in dimensionless units,
-    exactly, and upper Hessenberg in the order (x1, p1, x2, p2): x_j moves
-    with p_j alone and no momentum drives another. So h is it permuted, and
-    lift that permutation scaled by t; t = 1 where t or an entry of h would
-    leave the normal float range (m Omega near its ends)."""
-    # log2 s = -+ log2(m Omega) / 2: in logs, no product m Omega can overflow
-    half = 0.5 * (np.log2([sys.m1, sys.m2]) + np.log2([sys.Omega1, sys.Omega2]))
-    log_s = np.concatenate([-half, half])[::2 if partner_fixed else 1]
-    e = np.round(log_s[0] - log_s).astype(int)
-    moved = np.frexp(A.T)[1] + e - e[:, None]   # an entry's exponent in h
-    if np.abs(e).max() > 1000 or ((A.T != 0) & ((moved > 1024) | (moved < -1021))).any():
-        e[:] = 0
-    order = np.arange(len(A)).reshape(2, -1).T.ravel()
-    return np.ldexp(A.T, e - e[:, None])[np.ix_(order, order)], np.diag(np.exp2(e))[:, order]
-
-
-def _require_pivots(size: np.ndarray, tol: np.ndarray) -> None:
-    if (size <= tol).any():
+def _resolvent_rows(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[Re r | Im r], (n, 2 len(w)): the columns of the real parts of
+    r = row 0 of (-i w - A)^-1 = [x d, x A_xp], one per frequency, then of
+    the imaginary parts (see the module docstring)."""
+    k = len(A) // 2
+    a_xp, A_px, a_pp = np.diag(A[:k, k:]), A[k:, :k], np.diag(A[k:, k:])
+    t = np.exp2(-np.maximum(np.frexp(w)[1], 0))     # the time unit 2^e: |w t| < 1
+    s = -1j * w * t
+    d = s - a_pp[:, None] * t                       # (k, len(w)): s - A_pp
+    sd = s * d
+    spring = (a_xp[:, None] * A_px)[..., None] * t * t     # A_xp A_px in those units
+    eye = np.eye(k)[..., None]
+    W = eye * sd[:, None] - spring                  # elementwise: no sum over k
+    size = eye * np.abs(sd)[:, None] + np.abs(spring)     # its terms' magnitudes
+    if k == 1:
+        det, adj, bound = W[0, 0], np.ones((1, len(w))), size[0, 0]
+    else:
+        det = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
+        adj = np.stack([W[1, 1], -W[0, 1]])
+        bound = size[0, 0] * size[1, 1] + size[0, 1] * size[1, 0]
+    # det W zero to within its rounding: see the module docstring
+    if (np.abs(det) <= 4 * len(A) * np.finfo(float).eps * bound).any():
         raise DomainError("spectrum diverges: an undamped resonance lies on the grid")
-
-
-def _resolvent_rows(h: np.ndarray, lift: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[Re r | Im r], an (n, 2 len(w)) array of the real parts' columns, one
-    per frequency, then the imaginary parts', for r = lift y and
-    y = (-i w - h)^-1 e0, h upper Hessenberg:
-    n - 1 eliminations with partial pivoting between adjacent rows, each
-    vectorized over w, then back substitution."""
-    n, size = len(h), len(w)
-    s = -1j * w
-    # A pivot within rounding of zero: see the module docstring.
-    tol = 4 * n * np.finfo(float).eps * (np.abs(h).sum(axis=0).max() + np.abs(w))
-    tol_max = tol.max()
-    carried = np.empty((n, size), complex)          # row k from column k on
-    carried[:] = -h[0, :, None]
-    carried[0] += s
-    b = 1.0                                         # its right-hand side
-    upper = []
-    for k in range(n - 1):
-        below = np.empty((n - k, size), complex)    # row k + 1 from column k on; rhs 0
-        below[:] = -h[k + 1, k:, None]
-        below[1] += s
-        sub, lead = abs(h[k + 1, k]), np.abs(carried[0])
-        if sub <= tol_max:
-            _require_pivots(np.maximum(lead, sub), tol)
-        swap = sub > lead
-        p, o = np.where(swap, below, carried), np.where(swap, carried, below)
-        bp, bo = np.where(swap, 0.0, b), np.where(swap, b, 0.0)
-        m = o[0] / p[0]
-        carried, b = o[1:] - m * p[1:], bo - m * bp
-        upper.append((p, bp))
-    _require_pivots(np.abs(carried[0]), tol)
-    y = np.empty((n, size), complex)
-    y[-1] = b / carried[0]
-    for k in range(n - 2, -1, -1):
-        p, bp = upper[k]
-        y[k] = (bp - (p[1:] * y[k + 1:]).sum(axis=0)) / p[0]
-    return lift @ np.concatenate((y.real, y.imag), axis=1)
+    x = adj / det
+    r = t * np.concatenate([x * d, x * a_xp[:, None] * t])
+    return np.concatenate((r.real, r.imag), axis=1)
 
 
 def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: DiffusionMatrix,
                         omega_grid, partner_fixed: bool) -> NoiseSpectrum:
     """S_x1x1(w) = Re r D(w) Re r^T + Im r D(w) Im r^T with r = row 0 of
     (-i w - A)^{-1}, per part of D."""
-    w = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if not np.isfinite(w).all():
-        raise DomainError("omega_grid must be finite")
+    w = np.atleast_1d(_grid(omega_grid))
     g = gamma.matrix
     diag = np.diag(g)
     A, parts = langevin_model(setup, sys, np.stack([
@@ -222,7 +188,6 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
         g - np.diag(diag),                      # every cross entry
     ]), partner_fixed)
     n = len(A)
-    h, lift = _reduce(A, sys, partner_fixed)
     # The thermal part is hbar^2 k(w) sum_i m_i |r_i|^2, k the kernel per unit mass.
     masses = np.zeros((n, n))
     for i, m in mobile_momenta(setup, partner_fixed):
@@ -234,7 +199,7 @@ def _resolvent_spectrum(setup: PhysicalSetup, sys: LinearizedSystem, gamma: Diff
     for start in range(0, len(w), _FREQ_BLOCK):
         cut = slice(start, start + _FREQ_BLOCK)
         wb = w[cut]
-        r = _resolvent_rows(h, lift, wb)
+        r = _resolvent_rows(A, wb)
         quad = ((forms.reshape(-1, n) @ r).reshape(len(forms), n, -1) * r).sum(axis=1)
         S_gp[cut], S_gm[cut], S_cr[cut], weight = quad[:, :len(wb)] + quad[:, len(wb):]
         kernel, substituted_here = _coth_term(wb, setup, 1.0)

@@ -40,8 +40,9 @@ REMOVED = {
     # come from gravdiff.model._readonly alone
     "gravdiff.montecarlo": ("diffusion_2x2", "write_raw_trajectories", "read_raw_trajectories",
                             "_frozen"),
-    # the spectra scale the drift by the model's quadrature scales
-    "gravdiff.spectra": ("DetectionCondition", "detection_condition", "_balance"),
+    # the spectra take x1's resolvent row from the Schur complement over the positions
+    "gravdiff.spectra": ("DetectionCondition", "detection_condition", "_balance", "_reduce",
+                         "_require_pivots"),
 }
 
 

@@ -844,6 +844,15 @@ class TestFeasibilityCommand:
         payload = json.loads((tmp_path / "feasibility.json").read_text())
         assert payload["m_kg"] == pytest.approx(2.556, rel=1e-3)
 
+    def test_table1_text_rows(self, tmp_path, capsys):
+        # the rows that print the paper's Table-1 numbers (criteria 1 and 2)
+        assert cli.main(["feasibility", "--table1", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for row in ("integration time         1.5131e+05 s (1.75 days)",
+                    "Q/T required             2.083e+14 1/K",
+                    "verdict                  feasible-in-principle"):
+            assert row in lines
+
     def test_config_route(self, tmp_path):
         cfg = tmp_path / "f.cfg"
         cfg.write_text(

@@ -26,7 +26,8 @@ from gravdiff.model import (DiffusionMatrix, GaussianState, PhysicalSetup, check
 from gravdiff.manifest import read_raw_trajectories, write_raw_trajectories
 from gravdiff.montecarlo import (NoiseModel, TrajectoryEnsemble, desk_rescale,
                                  effective_frequency, reheating_run, simulate)
-from gravdiff.spectra import dns_fixed_source, dns_symmetric_pair, gravitational_frequency
+from gravdiff.spectra import (dns_fixed_source, dns_symmetric_pair, gravitational_frequency,
+                              thermal_force_density)
 
 FORMS = [(0.0, True, "positive"), (0.0, False, "non-negative"),
          (1.0, False, ">= 1"), (1.0, True, "> 1")]
@@ -274,6 +275,9 @@ REFUSED_BY_NAME = {
                                         lambda spectrum=spectrum, grid=grid: spectrum(*_pair(), grid))
        for spectrum in (dns_fixed_source, dns_symmetric_pair)
        for label, grid in (("nan", [math.nan, 1.0]), ("inf", [math.inf]), ("-inf", [-math.inf]))},
+    **{f"thermal_force_density_{label}": (
+        "omega_grid must be finite", lambda grid=grid: thermal_force_density(grid, _pair()[0]))
+       for label, grid in (("nan", [math.nan, 1.0]), ("inf", [1.0, math.inf]), ("-inf", -math.inf))},
     **{f"alpha_bound_alpha_{alpha}": (f"alpha must be finite, got {alpha!r}",
                                       lambda alpha=alpha: alpha_bound(np.eye(4), _pair()[1], alpha))
        for alpha in (math.nan, math.inf, -math.inf)},
